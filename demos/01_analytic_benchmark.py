@@ -27,7 +27,7 @@ def main():
     for disc in (GATED, EXHAUSTIVE, MIXED):
         a = Analyzer(build_model(disc))
         print(f"{disc:12s} {a.mean_wait_high(0):9.3f} "
-              f"{a.mean_wait_low(0)[0]:9.3f} {a.mean_wait_low(1)[0]:9.3f} "
+              f"{a.mean_wait_low(0):9.3f} {a.mean_wait_low(1):9.3f} "
               f"{a.var_wait(0, 'H'):10.3f} {a.var_wait(0, 'L'):10.3f} "
               f"{a.var_wait(1, 'L'):10.3f}")
 

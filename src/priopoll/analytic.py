@@ -16,9 +16,9 @@ Mean waiting times per discipline (residual X means E(X^2)/(2E(X))):
               low   M/G/1 term with completion-time services
                        + high residual-clearing term + res(I)/(1-rho_h)
 
-Variances come from numerically differentiating the waiting-time transforms;
-the discipline-specific first moments double as a cross-check on those
-transforms.
+Variances come from numerically differentiating the waiting-time transforms.
+``mean_wait_low_alt`` derives E(W_low) a second, independent way for the
+dual-route checks; no report path calls it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 from .errors import UnsupportedEvaluation
 from .gf import GfEvaluator
-from .model import EXHAUSTIVE, GATED, MIXED, PollingModel, validate
+from .model import (EXHAUSTIVE, GATED, MIXED, DerivedRates, PollingModel,
+                    validate)
 from .moments import MomentEstimate, lst_moment, _neville_to_zero
 from .transforms import QueueTransforms
 
@@ -193,48 +194,52 @@ class Analyzer:
         return (num / (2.0 * (1.0 - qt.rho_h))
                 + self.intervisit_m2(i) / (2.0 * qt.ec * (1.0 - qt.rho_h)))
 
-    def mean_wait_low(self, i: int) -> tuple[float, float]:
-        """(value, alt_value): the closed-form route and an independent one.
-
-        For mixed service the main route uses the polling-state cross moment
-        and the alternative rebuilds the same term from cycle, intervisit and
-        visit second moments; for gated/exhaustive queues the alternative is
-        the numerically differentiated waiting-time transform.
-        """
+    def mean_wait_low(self, i: int) -> float:
         qt = self.queues[i]
         if qt.lam_l <= 0.0:
             raise UnsupportedEvaluation("queue has no low-priority class")
-        ec = qt.ec
         if qt.disc == GATED:
-            value = (1.0 + qt.rho_i + qt.rho_h) * self.cycle_m2(i) / (2.0 * ec)
-            alt = lst_moment(qt.wait_low_handle(), 1).value
-            return value, alt
+            return (1.0 + qt.rho_i + qt.rho_h) * self.cycle_m2(i) / (2.0 * qt.ec)
         if qt.disc == MIXED:
-            base = (1.0 + qt.rho_l / (1.0 - qt.rho_h)) * self.cycle_m2(i) / (2.0 * ec)
+            base = self._mixed_low_base(i)
             if qt.lam_h <= 0.0:
-                return base, base
+                return base
             factor = qt.rho_h / (1.0 - qt.rho_h)
-            value = base + factor * self.cross_moment(i) / (qt.lam_h * qt.lam_l * ec)
-            ei2 = self.intervisit_m2(i)
-            eiv = 0.5 * (self.cycle_m2(i) - ei2 - self.visit_m2(i))
-            alt = base + factor * (ei2 + eiv) / ec
-            return value, alt
+            return base + factor * self.cross_moment(i) / (qt.lam_h * qt.lam_l * qt.ec)
         # exhaustive: M/G/1-with-completion-times plus residual clearing terms
         b2h = qt.svc_h.moment(2)
         one_h = 1.0 - qt.rho_h
+        return (qt.lam_l * (qt.svc_l.moment(2) / one_h
+                            + qt.lam_h * qt.svc_l.mean * b2h / one_h**2)
+                / (2.0 * (1.0 - qt.rho_i))
+                + qt.lam_h * b2h / (2.0 * one_h**2)
+                + self.intervisit_m2(i) / (2.0 * qt.ei * one_h))
+
+    def mean_wait_low_alt(self, i: int) -> float:
+        """E(W_low) by a route independent of ``mean_wait_low``, for checks:
+        mixed service rebuilds the cross term from period second moments, gated
+        and exhaustive queues differentiate the waiting-time transform."""
+        qt = self.queues[i]
+        if qt.lam_l <= 0.0:
+            raise UnsupportedEvaluation("queue has no low-priority class")
+        if qt.disc != MIXED:
+            return lst_moment(qt.wait_low_handle(), 1).value
+        base = self._mixed_low_base(i)
+        if qt.lam_h <= 0.0:
+            return base
         ei2 = self.intervisit_m2(i)
-        value = (qt.lam_l * (qt.svc_l.moment(2) / one_h
-                             + qt.lam_h * qt.svc_l.mean * b2h / one_h**2)
-                 / (2.0 * (1.0 - qt.rho_i))
-                 + qt.lam_h * b2h / (2.0 * one_h**2)
-                 + ei2 / (2.0 * qt.ei * one_h))
-        alt = lst_moment(qt.wait_low_handle(), 1).value
-        return value, alt
+        eiv = 0.5 * (self.cycle_m2(i) - ei2 - self.visit_m2(i))
+        return base + qt.rho_h / (1.0 - qt.rho_h) * (ei2 + eiv) / qt.ec
+
+    def _mixed_low_base(self, i: int) -> float:
+        """Mixed-service E(W_low) without the term for overtaking high work."""
+        qt = self.queues[i]
+        return (1.0 + qt.rho_l / (1.0 - qt.rho_h)) * self.cycle_m2(i) / (2.0 * qt.ec)
 
     def mean_wait(self, i: int, cls: str) -> float:
         if cls == "H":
             return self.mean_wait_high(i)
-        return self.mean_wait_low(i)[0]
+        return self.mean_wait_low(i)
 
     # ------------------------------------------------------------- variances
 
@@ -281,6 +286,18 @@ class Analyzer:
         return PerfReport(tuple(classes), tuple(periods), lhs, rhs, residual)
 
 
+def leftover_work(model: PollingModel, derived: DerivedRates, i: int) -> float:
+    """Mean work E(Z) that visits leave at their own queue i: rho_i^2 E(C) for
+    gated, rho_low * rho_i * E(C) for mixed and 0 for exhaustive service."""
+    rho_i = derived.rho_queue[i]
+    disc = model.queues[i].discipline
+    if disc == GATED:
+        return rho_i * rho_i * derived.mean_cycle
+    if disc == MIXED:
+        return derived.rho_low[i] * rho_i * derived.mean_cycle
+    return 0.0
+
+
 def _switchover_total_moments(model: PollingModel) -> tuple[float, float]:
     """Mean and second moment of the summed (independent) switch-over times."""
     means = [s.mean for s in model.switchovers]
@@ -295,8 +312,7 @@ def pcl_check(model: PollingModel, waits: dict | None = None,
 
     Returns (lhs, rhs, relative residual) where lhs is the load-weighted sum
     of mean waits and rhs the closed form built from input moments plus the
-    per-discipline leftover work E(Z): rho_i^2 E(C) for gated, 0 for
-    exhaustive, rho_low * rho_i * E(C) for mixed service.
+    per-discipline leftover work E(Z) of ``leftover_work``.
 
     ``waits`` may inject mean waits keyed by (queue_index, "H"|"L"); missing
     entries fall back to the analyzer (created on demand).
@@ -324,17 +340,11 @@ def pcl_check(model: PollingModel, waits: dict | None = None,
             res_service += derived.rho_low[i] * q.service_low.moment(2) / (2.0 * q.service_low.mean)
 
     rho = derived.rho_total
-    ec = derived.mean_cycle
     es, es2 = _switchover_total_moments(model)
     rhs = rho / (1.0 - rho) * res_service
     rhs += rho * es2 / (2.0 * es)
     rhs += (rho * rho - sum(r * r for r in derived.rho_queue)) * es / (2.0 * (1.0 - rho))
-    for i, q in enumerate(model.queues):
-        rho_i = derived.rho_queue[i]
-        if q.discipline == GATED:
-            rhs += rho_i * rho_i * ec
-        elif q.discipline == MIXED:
-            rhs += derived.rho_low[i] * rho_i * ec
-        # exhaustive leaves no work behind
+    for i in range(model.n):
+        rhs += leftover_work(model, derived, i)
     residual = abs(lhs - rhs) / rhs
     return lhs, rhs, residual

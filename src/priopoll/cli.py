@@ -8,8 +8,8 @@ Subcommands
     check     workload-conservation residual, non-zero exit when violated
     vacation  closed-form vacation-model sweep with the crossover rate
 
-Exit codes: 0 ok, 1 I/O or schema error, 2 unstable model, 3 convergence
-failure, 4 conservation-check failure.
+Exit codes: 0 ok, 1 I/O, schema or parameter error, 2 unstable model,
+3 convergence failure, 4 conservation-check failure.
 """
 
 from __future__ import annotations
@@ -18,10 +18,11 @@ import argparse
 import itertools
 import sys
 
-from .analytic import Analyzer, pcl_check
-from .errors import IllConditioned, NoConvergence, UnstableSystem
-from .model import (DISCIPLINES, GATED, MIXED, PollingModel, load_model,
-                    validate)
+from .analytic import Analyzer, leftover_work, pcl_check
+from .errors import (IllConditioned, NoConvergence, NonpositiveParameter,
+                     UnstableSystem, ZeroSwitchover)
+from .model import (DISCIPLINES, GATED, MIXED, PollingModel, QueueSpec,
+                    load_model, validate)
 from .sim import replicate
 from .vacation import vacation_crossover, vacation_mean_wait_low
 
@@ -64,17 +65,6 @@ def _emit(csv_text: str, args) -> None:
         _write(csv_text, args.out)
 
 
-def _leftover_work(model: PollingModel, i: int) -> float:
-    d = validate(model)
-    q = model.queues[i]
-    rho_i = d.rho_queue[i]
-    if q.discipline == GATED:
-        return rho_i * rho_i * d.mean_cycle
-    if q.discipline == MIXED:
-        return d.rho_low[i] * rho_i * d.mean_cycle
-    return 0.0
-
-
 def cmd_analyze(args) -> int:
     model = load_model(args.model)
     report = Analyzer(model).report()
@@ -110,7 +100,7 @@ def cmd_compare(args) -> int:
         analyzer = Analyzer(variant)
         rep = analyzer.report()
         for r in rep.classes:
-            ez = _leftover_work(variant, r.queue)
+            ez = leftover_work(variant, analyzer.derived, r.queue)
             lines.append(f"{label},{r.queue + 1},{r.cls},{r.discipline},"
                          f"{r.mean_wait:.6g},{r.var_wait:.6g},{ez:.6g},,,")
         lines.append(f"{label},system,,,,,,{rep.pcl_lhs:.6g},{rep.pcl_rhs:.6g},"
@@ -132,7 +122,6 @@ def _parse_sweep(spec: str):
 
 
 def cmd_sweep(args) -> int:
-    from .model import QueueSpec
     model = load_model(args.model)
     validate(model)
     param, qi, start, stop, count = _parse_sweep(args.sweep)
@@ -159,7 +148,7 @@ def cmd_sweep(args) -> int:
             queues[qi] = QueueSpec(lam_h, lam_l, base.service_high,
                                    base.service_low, disc)
             analyzer = Analyzer(PollingModel(tuple(queues), model.switchovers))
-            wl = analyzer.mean_wait_low(qi)[0]
+            wl = analyzer.mean_wait_low(qi)
             lines.append(f"{param},{qi + 1},{x:.6g},{disc},{wl:.6g}")
     _emit("\n".join(lines) + "\n", args)
     return 0
@@ -253,7 +242,7 @@ def main(argv=None) -> int:
     except (NoConvergence, IllConditioned) as exc:
         print(f"error: convergence failure: {exc}", file=sys.stderr)
         return 3
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, NonpositiveParameter, ZeroSwitchover) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

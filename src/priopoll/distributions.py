@@ -67,7 +67,8 @@ class Deterministic(Distribution):
     value: float
 
     def __post_init__(self):
-        _require(self.value >= 0.0, f"deterministic value must be >= 0, got {self.value}")
+        _require(0.0 <= self.value < math.inf,
+                 f"deterministic value must be finite and >= 0, got {self.value}")
 
     def lst(self, omega: float) -> float:
         return math.exp(-omega * self.value)
@@ -90,7 +91,8 @@ class Exponential(Distribution):
     mean_: float
 
     def __post_init__(self):
-        _require(self.mean_ > 0.0, f"exponential mean must be > 0, got {self.mean_}")
+        _require(0.0 < self.mean_ < math.inf,
+                 f"exponential mean must be finite and > 0, got {self.mean_}")
 
     def lst(self, omega: float) -> float:
         return 1.0 / (1.0 + omega * self.mean_)
@@ -117,7 +119,8 @@ class Erlang(Distribution):
     def __post_init__(self):
         _require(isinstance(self.shape, int) and self.shape >= 1,
                  f"erlang shape must be an integer >= 1, got {self.shape}")
-        _require(self.mean_ > 0.0, f"erlang mean must be > 0, got {self.mean_}")
+        _require(0.0 < self.mean_ < math.inf,
+                 f"erlang mean must be finite and > 0, got {self.mean_}")
 
     def lst(self, omega: float) -> float:
         return math.exp(-self.shape * math.log1p(omega * self.mean_ / self.shape))
@@ -154,7 +157,7 @@ class Hyperexponential(Distribution):
         _require(len(self.probs) == len(self.means) and len(self.probs) >= 1,
                  "hyperexponential needs matching, nonempty probs and means")
         _require(all(p > 0.0 for p in self.probs), "branch probabilities must be > 0")
-        _require(all(m > 0.0 for m in self.means), "branch means must be > 0")
+        _require(all(0.0 < m < math.inf for m in self.means), "branch means must be finite and > 0")
         _require(abs(sum(self.probs) - 1.0) < 1e-12,
                  f"branch probabilities must sum to 1, got {sum(self.probs)!r}")
 
@@ -196,7 +199,8 @@ class Uniform(Distribution):
 
     def __post_init__(self):
         _require(self.low >= 0.0, f"uniform low must be >= 0, got {self.low}")
-        _require(self.high > self.low, f"uniform needs high > low, got [{self.low}, {self.high}]")
+        _require(self.low < self.high < math.inf,
+                 f"uniform needs finite high > low, got [{self.low}, {self.high}]")
 
     def lst(self, omega: float) -> float:
         if omega == 0.0:

@@ -19,6 +19,7 @@ Single-class queues are encoded by setting the other arrival rate to zero.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .distributions import Distribution, distribution_from_config
@@ -51,8 +52,8 @@ class QueueSpec:
     discipline: str = MIXED
 
     def __post_init__(self):
-        if self.lambda_high < 0 or self.lambda_low < 0:
-            raise NonpositiveParameter("arrival rates must be >= 0")
+        if not (0.0 <= self.lambda_high < math.inf and 0.0 <= self.lambda_low < math.inf):
+            raise NonpositiveParameter("arrival rates must be finite and >= 0")
         if self.lambda_high + self.lambda_low <= 0:
             raise NonpositiveParameter("queue needs a positive total arrival rate")
         if self.discipline not in DISCIPLINES:
@@ -131,7 +132,7 @@ def validate(model: PollingModel) -> DerivedRates:
     rho_l = tuple(q.rho_low for q in model.queues)
     rho_q = tuple(h + l for h, l in zip(rho_h, rho_l))
     rho = sum(rho_q)
-    if rho >= 1.0:
+    if not rho < 1.0:
         raise UnstableSystem(rho)
     s_mean = sum(s.mean for s in model.switchovers)
     if s_mean <= 0.0:

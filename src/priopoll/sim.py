@@ -36,22 +36,20 @@ __all__ = ["Event", "SimStats", "run", "replicate"]
 
 _BLOCK = 8192
 
-# two-sided 97.5% Student-t quantiles, indexed by degrees of freedom
-_T975 = {1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571, 6: 2.447,
-         7: 2.365, 8: 2.306, 9: 2.262, 10: 2.228, 11: 2.201, 12: 2.179,
-         13: 2.160, 14: 2.145, 15: 2.131, 20: 2.086, 25: 2.060, 30: 2.042,
-         40: 2.021, 60: 2.000, 120: 1.980}
+# two-sided 97.5% Student-t quantiles for df 1..30, then the rows at df 40/60/120
+_T975 = (12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
+         2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086,
+         2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045, 2.042)
+_T975_ROWS = ((120, 1.980), (60, 2.000), (40, 2.021))
 
 
 def _t975(df: int) -> float:
+    """97.5% Student-t quantile; off-table df round down, so intervals err wide."""
     if df <= 0:
         return math.nan
-    best = 1.960
-    for d in sorted(_T975):
-        if df <= d:
-            return _T975[d]
-        best = _T975[d]
-    return best if df <= 120 else 1.960
+    if df <= 30:
+        return _T975[df - 1]
+    return next((t for d, t in _T975_ROWS if df >= d), _T975[-1])
 
 
 @dataclass(frozen=True)

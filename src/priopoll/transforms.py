@@ -212,7 +212,7 @@ class QueueTransforms:
         zh_served = self.svc_h.lst_complement(omega) if self.lam_h > 0 else 0.0
         if high:
             vc_served = self.gf.complement_pair(self.i, zh_served, 0.0)
-            vc_cycle = self._cycle_complement_gated(omega)
+            vc_cycle = self.cycle_complement(omega)
         else:
             zl_served = self.svc_l.lst_complement(omega)
             vc_served = self.gf.complement_pair(self.i, zh_served, zl_served)
@@ -224,9 +224,6 @@ class QueueTransforms:
         rho_own = lam * svc.mean
         f = (vc_cycle - vc_served) / (omega * self.ec * (1.0 - rho_own * r_b))
         return 1.0 - f
-
-    def _cycle_complement_gated(self, omega: float) -> float:
-        return self.cycle_complement(omega)
 
     # ------------------------------------------------------------ handles
 

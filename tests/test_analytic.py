@@ -15,8 +15,8 @@ def ex1_mixed():
 
 def test_mean_waits_match_published_mixed(ex1_mixed):
     assert ex1_mixed.mean_wait_high(0) == pytest.approx(2.338, abs=5e-4)
-    assert ex1_mixed.mean_wait_low(0)[0] == pytest.approx(14.575, abs=5e-4)
-    assert ex1_mixed.mean_wait_low(1)[0] == pytest.approx(10.513, abs=5e-4)
+    assert ex1_mixed.mean_wait_low(0) == pytest.approx(14.575, abs=5e-4)
+    assert ex1_mixed.mean_wait_low(1) == pytest.approx(10.513, abs=5e-4)
 
 
 def test_variances_match_published_mixed(ex1_mixed):
@@ -28,24 +28,24 @@ def test_variances_match_published_mixed(ex1_mixed):
 def test_mean_waits_deterministic_switchovers():
     a = Analyzer(example1(MIXED, det_switchover=10.0))
     assert a.mean_wait_high(0) == pytest.approx(11.167, abs=1e-3)
-    assert a.mean_wait_low(0)[0] == pytest.approx(90.417, abs=1e-3)
-    assert a.mean_wait_low(1)[0] == pytest.approx(64.000, abs=1e-3)
+    assert a.mean_wait_low(0) == pytest.approx(90.417, abs=1e-3)
+    assert a.mean_wait_low(1) == pytest.approx(64.000, abs=1e-3)
     g = Analyzer(example1(GATED, det_switchover=10.0))
-    assert g.mean_wait_low(0)[0] == pytest.approx(94.781, abs=1e-3)
+    assert g.mean_wait_low(0) == pytest.approx(94.781, abs=1e-3)
 
 
 def test_two_queue_high_load_spot_values():
     a = Analyzer(example2(GATED, EXHAUSTIVE))
     assert a.mean_wait_high(1) == pytest.approx(17.83, abs=5e-3)
     b = Analyzer(example2(EXHAUSTIVE, MIXED))
-    assert b.mean_wait_low(0)[0] == pytest.approx(102.18, abs=5e-3)
+    assert b.mean_wait_low(0) == pytest.approx(102.18, abs=5e-3)
     c = Analyzer(example2(MIXED, MIXED))
     assert c.mean_wait_high(1) == pytest.approx(17.10, abs=5e-3)
-    assert c.mean_wait_low(1)[0] == pytest.approx(210.82, abs=5e-3)
+    assert c.mean_wait_low(1) == pytest.approx(210.82, abs=5e-3)
 
 
 def test_dual_derivation_agrees_on_benchmark(ex1_mixed):
-    value, alt = ex1_mixed.mean_wait_low(0)
+    value, alt = ex1_mixed.mean_wait_low(0), ex1_mixed.mean_wait_low_alt(0)
     assert value == pytest.approx(alt, rel=1e-9)
 
 
@@ -55,7 +55,7 @@ def test_mean_route_matches_transform_derivative(ex1_mixed):
     got = lst_moment(ex1_mixed.queues[0].wait_high_handle(), 1).value
     assert got == pytest.approx(ex1_mixed.mean_wait_high(0), rel=1e-8)
     got = lst_moment(ex1_mixed.queues[0].wait_low_handle(), 1).value
-    assert got == pytest.approx(ex1_mixed.mean_wait_low(0)[0], rel=1e-8)
+    assert got == pytest.approx(ex1_mixed.mean_wait_low(0), rel=1e-8)
 
 
 def test_pcl_example1_all_disciplines():
@@ -95,10 +95,10 @@ def test_reduction_tiny_high_class_matches_gated():
         queues=(QueueSpec(0.0, 0.4, None, Exponential(1.0), GATED),
                 QueueSpec(0.0, 0.2, None, Exponential(1.0), GATED)),
         switchovers=(Exponential(1.0), Exponential(1.0))))
-    assert mixed.mean_wait_low(0)[0] == pytest.approx(
-        gated.mean_wait_low(0)[0], rel=1e-4)
-    assert mixed.mean_wait_low(1)[0] == pytest.approx(
-        gated.mean_wait_low(1)[0], rel=1e-4)
+    assert mixed.mean_wait_low(0) == pytest.approx(
+        gated.mean_wait_low(0), rel=1e-4)
+    assert mixed.mean_wait_low(1) == pytest.approx(
+        gated.mean_wait_low(1), rel=1e-4)
 
 
 def test_reduction_tiny_low_class_matches_exhaustive():
@@ -113,8 +113,8 @@ def test_reduction_tiny_low_class_matches_exhaustive():
         switchovers=(Exponential(1.0), Exponential(1.0))))
     assert mixed.mean_wait_high(0) == pytest.approx(
         exh.mean_wait_high(0), rel=1e-4)
-    assert mixed.mean_wait_low(1)[0] == pytest.approx(
-        exh.mean_wait_low(1)[0], rel=1e-4)
+    assert mixed.mean_wait_low(1) == pytest.approx(
+        exh.mean_wait_low(1), rel=1e-4)
 
 
 def test_littles_law_consistency(ex1_mixed):
@@ -122,7 +122,7 @@ def test_littles_law_consistency(ex1_mixed):
     assert ex1_mixed.mean_qlen(0, "H") == pytest.approx(
         0.2 * (ex1_mixed.mean_wait_high(0) + 1.0), rel=1e-12)
     assert ex1_mixed.mean_qlen(0, "L") == pytest.approx(
-        0.4 * (ex1_mixed.mean_wait_low(0)[0] + 1.25), rel=1e-12)
+        0.4 * (ex1_mixed.mean_wait_low(0) + 1.25), rel=1e-12)
 
 
 def test_report_structure_and_invariants(ex1_mixed):
@@ -156,5 +156,21 @@ def test_randomized_pcl_and_dual_derivation_small():
         assert res < 1e-6
         for i, q in enumerate(model.queues):
             if q.lambda_low > 0:
-                value, alt = analyzer.mean_wait_low(i)
+                value, alt = analyzer.mean_wait_low(i), analyzer.mean_wait_low_alt(i)
                 assert abs(value - alt) / value < 1e-6
+
+
+def test_report_skips_the_dual_route(monkeypatch):
+    # the transform-derivative route for E(W_low) is a check, not a report input
+    from priopoll import analytic
+    real = analytic.lst_moment
+    orders = []
+
+    def counted(handle, k, *args, **kwargs):
+        orders.append(k)
+        return real(handle, k, *args, **kwargs)
+
+    monkeypatch.setattr(analytic, "lst_moment", counted)
+    for model in (example1(GATED), example2(EXHAUSTIVE, GATED)):
+        Analyzer(model).report(include_variances=False)
+    assert orders and orders.count(1) == 0

@@ -129,6 +129,20 @@ def test_schema_error_exit_code(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rate", ["NaN", "-0.1"])
+def test_bad_rate_exit_code(rate, tmp_path):
+    cfg = json.loads((DATA / "example1.json").read_text())
+    cfg["queues"][0]["lambda_low"] = "RATE"
+    path = tmp_path / "bad_rate.json"
+    path.write_text(json.dumps(cfg).replace('"RATE"', rate))
+    proc = subprocess.run(
+        [sys.executable, "-m", "priopoll.cli", "analyze", "--model", str(path)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_missing_file_exit_code(capsys):
     assert cli.main(["analyze", "--model", "/nonexistent.json"]) == 1
 

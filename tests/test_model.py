@@ -1,12 +1,14 @@
 """Model validation, derived rates and JSON schema handling."""
 
 import json
+import math
 
 import pytest
 
 from zoo import example1, example2
-from priopoll import (Exponential, NonpositiveParameter, PollingModel,
-                      QueueSpec, UnstableSystem, ZeroSwitchover, Deterministic,
+from priopoll import (Distribution, Erlang, Exponential, Hyperexponential,
+                      NonpositiveParameter, PollingModel, QueueSpec, Uniform,
+                      UnstableSystem, ZeroSwitchover, Deterministic,
                       load_model, model_from_config, model_to_config, validate)
 
 
@@ -60,6 +62,34 @@ def test_queue_needs_positive_rate():
         QueueSpec(-0.1, 0.2, Exponential(1.0), Exponential(1.0))
     with pytest.raises(NonpositiveParameter):
         QueueSpec(0.1, 0.0, None, None)  # missing service_high
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_rates_rejected(bad):
+    with pytest.raises(NonpositiveParameter):
+        QueueSpec(bad, 0.2, Exponential(1.0), Exponential(1.0))
+    with pytest.raises(NonpositiveParameter):
+        QueueSpec(0.2, bad, Exponential(1.0), Exponential(1.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nonfinite_distribution_parameters_rejected(bad):
+    for make in (lambda: Deterministic(bad), lambda: Exponential(bad),
+                 lambda: Erlang(2, bad), lambda: Hyperexponential((1.0,), (bad,)),
+                 lambda: Uniform(0.0, bad), lambda: Uniform(bad, 1.0)):
+        with pytest.raises(NonpositiveParameter):
+            make()
+
+
+def test_nan_load_is_unstable():
+    class NanMean(Distribution):
+        def moment(self, k):
+            return math.nan
+
+    m = PollingModel(queues=(QueueSpec(0.1, 0.0, NanMean(), None),),
+                     switchovers=(Exponential(1.0),))
+    with pytest.raises(UnstableSystem):
+        validate(m)
 
 
 def test_config_roundtrip():

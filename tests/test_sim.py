@@ -83,8 +83,8 @@ def test_agrees_with_analytic_example1():
     s = replicate(m, 20260808, n_reps=8, n_cycles=15000, warmup_cycles=1500,
                   parallel=True)
     _within(a.mean_wait_high(0), s.wait_mean[(0, "H")], s.wait_ci[(0, "H")])
-    _within(a.mean_wait_low(0)[0], s.wait_mean[(0, "L")], s.wait_ci[(0, "L")])
-    _within(a.mean_wait_low(1)[0], s.wait_mean[(1, "L")], s.wait_ci[(1, "L")])
+    _within(a.mean_wait_low(0), s.wait_mean[(0, "L")], s.wait_ci[(0, "L")])
+    _within(a.mean_wait_low(1), s.wait_mean[(1, "L")], s.wait_ci[(1, "L")])
     _within(a.derived.mean_cycle, s.cycle_mean[0], s.cycle_ci[0])
     _within(a.derived.mean_intervisit[0], s.intervisit_mean[0], s.intervisit_ci[0])
     _within(a.derived.mean_visit[0], s.visit_mean[0], s.visit_ci[0])
@@ -107,8 +107,8 @@ def test_agrees_with_analytic_example1_variants(disc):
     s = replicate(m, 4242, n_reps=6, n_cycles=12000, warmup_cycles=1200,
                   parallel=True)
     _within(a.mean_wait_high(0), s.wait_mean[(0, "H")], s.wait_ci[(0, "H")])
-    _within(a.mean_wait_low(0)[0], s.wait_mean[(0, "L")], s.wait_ci[(0, "L")])
-    _within(a.mean_wait_low(1)[0], s.wait_mean[(1, "L")], s.wait_ci[(1, "L")])
+    _within(a.mean_wait_low(0), s.wait_mean[(0, "L")], s.wait_ci[(0, "L")])
+    _within(a.mean_wait_low(1), s.wait_mean[(1, "L")], s.wait_ci[(1, "L")])
     _within(a.derived.rho_total, s.busy_fraction, s.busy_ci)
 
 
@@ -161,3 +161,11 @@ def test_invalid_cycle_arguments():
         run(example1(), seed=1, n_cycles=10, warmup_cycles=10)
     with pytest.raises(ValueError):
         replicate(example1(), 1, n_reps=0, n_cycles=10)
+
+
+def test_t975_never_below_the_true_quantile():
+    stats = pytest.importorskip("scipy.stats")
+    from priopoll.sim import _t975
+    for df in range(1, 201):
+        q = stats.t.ppf(0.975, df)
+        assert q - 5e-4 <= _t975(df) <= 1.02 * q, df
