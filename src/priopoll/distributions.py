@@ -236,11 +236,29 @@ _FAMILIES = {
 }
 
 
+def config_number(value, what: str) -> float:
+    """A JSON number from a model file as a float; bools, strings and lists are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float") from None
+
+
+def _config_numbers(value, what: str) -> tuple:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list of numbers, got {value!r}")
+    return tuple(config_number(v, what) for v in value)
+
+
 def distribution_from_config(cfg: dict) -> Distribution:
     """Build a Distribution from ``{"family": ..., "params": {...}}``.
 
-    Unknown families, unknown parameter keys and missing parameters are
-    rejected with a ValueError so that malformed model files fail loudly.
+    Unknown families, unknown or missing parameters, parameters that are not
+    JSON numbers (lists of numbers for hyperexponential) and a fractional
+    Erlang shape are rejected with a ValueError so that malformed model files
+    fail loudly.
     """
     if not isinstance(cfg, dict):
         raise ValueError(f"distribution config must be an object, got {type(cfg).__name__}")
@@ -261,12 +279,16 @@ def distribution_from_config(cfg: dict) -> Distribution:
     missing = allowed - set(params)
     if missing:
         raise ValueError(f"missing parameters for {family!r}: {sorted(missing)}")
-    if family == "deterministic":
-        return cls(value=float(params["value"]))
-    if family == "exponential":
-        return cls(mean_=float(params["mean"]))
-    if family == "erlang":
-        return cls(shape=int(params["shape"]), mean_=float(params["mean"]))
     if family == "hyperexponential":
-        return cls(probs=tuple(params["probs"]), means=tuple(params["means"]))
-    return cls(low=float(params["low"]), high=float(params["high"]))
+        return cls(probs=_config_numbers(params["probs"], f"{family} probs"),
+                   means=_config_numbers(params["means"], f"{family} means"))
+    num = {key: config_number(params[key], f"{family} {key}") for key in sorted(allowed)}
+    if family == "deterministic":
+        return cls(value=num["value"])
+    if family == "exponential":
+        return cls(mean_=num["mean"])
+    if family == "erlang":
+        if not num["shape"].is_integer():
+            raise ValueError(f"erlang shape must be a whole number, got {params['shape']!r}")
+        return cls(shape=int(num["shape"]), mean_=num["mean"])
+    return cls(low=num["low"], high=num["high"])

@@ -22,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .distributions import Distribution, distribution_from_config
+from .distributions import Distribution, config_number, distribution_from_config
 from .errors import NonpositiveParameter, UnstableSystem, ZeroSwitchover
 
 __all__ = ["GATED", "EXHAUSTIVE", "MIXED", "DISCIPLINES", "QueueSpec",
@@ -172,13 +172,11 @@ def model_from_config(cfg: dict) -> PollingModel:
         unknown = set(qc) - _QUEUE_KEYS
         if unknown:
             raise ValueError(f"queue {pos}: unknown keys {sorted(unknown)}")
-        lam_h = float(qc.get("lambda_high", 0.0))
-        lam_l = float(qc.get("lambda_low", 0.0))
         svc_h = qc.get("service_high")
         svc_l = qc.get("service_low")
         queues.append(QueueSpec(
-            lambda_high=lam_h,
-            lambda_low=lam_l,
+            lambda_high=config_number(qc.get("lambda_high", 0.0), f"queue {pos}: lambda_high"),
+            lambda_low=config_number(qc.get("lambda_low", 0.0), f"queue {pos}: lambda_low"),
             service_high=distribution_from_config(svc_h) if svc_h is not None else None,
             service_low=distribution_from_config(svc_l) if svc_l is not None else None,
             discipline=qc.get("discipline", MIXED),

@@ -20,11 +20,15 @@ time-averages count a low-priority customer as "in system" until the server
 finishes clearing the high-priority work that arrived during that customer's
 service (its completion time) under mixed/exhaustive service, matching the
 sojourn convention of the analytic queue-length results.
+
+Per-run sums are the ``_Tally`` fields of ``_RepResult``; ``_aggregate`` merges runs.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -64,30 +68,44 @@ class Event:
     arrival: float = math.nan
 
 
+class _Tally:
+    """Count, sum and sum of squares of a sample, one entry per index."""
+
+    __slots__ = ("n", "s", "s2")
+
+    def __init__(self, size: int):
+        self.n = [0] * size
+        self.s = [0.0] * size
+        self.s2 = [0.0] * size
+
+    def add(self, k: int, x: float) -> None:
+        self.n[k] += 1
+        self.s[k] += x
+        self.s2[k] += x * x
+
+
 @dataclass
 class _RepResult:
-    n: int
-    wait_sum: list
-    wait_sumsq: list
-    wait_n: list
-    area: list
-    cycle_sum: list
-    cycle_sumsq: list
-    cycle_n: list
-    visit_sum: list
-    visit_sumsq: list
-    visit_n: list
-    inter_sum: list
-    inter_sumsq: list
-    inter_n: list
-    xh_sum: list
-    xl_sum: list
-    xhxl_sum: list
-    vb_n: list
-    busy: float
-    t_warm: float
-    t_end: float
+    """Post-warmup sums of one run; class streams are 2*j (high), 2*j+1 (low)."""
+
+    wait: _Tally        # per class stream: arrival to service start
+    cycle: _Tally       # per queue: visit beginning to the next one
+    intervisit: _Tally  # per queue: visit end to the next visit beginning
+    visit: _Tally       # per queue: visit beginning to visit end
+    area: list          # per class stream: queue-length time integral
+    state: list         # per queue: [sum X_H, sum X_L, sum X_H*X_L] at visit beginnings
+    busy: float = 0.0
+    t_warm: float = math.nan
+    t_end: float = math.nan
     events: list = field(default_factory=list)
+
+    @property
+    def wait_n(self) -> list:
+        return self.wait.n
+
+    @property
+    def visit_n(self) -> list:
+        return self.visit.n
 
 
 def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
@@ -97,75 +115,53 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
         raise ValueError("need n_cycles > warmup_cycles >= 0")
     n = model.n
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = ss.spawn(5 * n)  # per queue: arr_h, arr_l, svc_h, svc_l, swo
+    # per queue: arr_h, arr_l, svc_h, svc_l, swo
+    rngs = [np.random.default_rng(c) for c in ss.spawn(5 * n)]
 
     disc = [q.discipline for q in model.queues]
-    lam = []
-    for q in model.queues:
-        lam.extend((q.lambda_high, q.lambda_low))
-
-    # arrival streams: index 2*j for high, 2*j+1 for low
-    def arr_sampler(j, cls_idx):
-        q = model.queues[j]
-        rate = q.lambda_high if cls_idx == 0 else q.lambda_low
-        gen = np.random.default_rng(children[5 * j + cls_idx])
-        scale = 1.0 / rate
-        return gen, scale
-
-    svc_draw = []
-    for j, q in enumerate(model.queues):
-        for cls_idx, dist in ((0, q.service_high), (1, q.service_low)):
-            gen = np.random.default_rng(children[5 * j + 2 + cls_idx])
-            svc_draw.append(_sampler(gen, dist))
-    swo_draw = [
-        _sampler(np.random.default_rng(children[5 * j + 4]), model.switchovers[j])
-        for j in range(n)
-    ]
+    swo_draw = [_sampler(rngs[5 * j + 4], model.switchovers[j]) for j in range(n)]
 
     # per-queue lines; "in" deques collect behind-the-gate arrivals
-    from collections import deque
     high_front = [deque() for _ in range(n)]
     high_in = [deque() for _ in range(n)]
     low_front = [deque() for _ in range(n)]
     low_in = [deque() for _ in range(n)]
     pending_low = [[] for _ in range(n)]
 
-    # line an arrival stream appends to
+    # class streams k = 2*j + cls_idx: the line an arrival joins and, where
+    # the rate is positive, the stream's arrival buffer and service sampler
     append_to = []
-    for j, q in enumerate(model.queues):
-        append_to.append(high_in[j].append if q.discipline == GATED
-                         else high_front[j].append)
-        append_to.append(low_front[j].append if q.discipline == EXHAUSTIVE
-                         else low_in[j].append)
-
-    active = [k for k in range(2 * n) if lam[k] > 0.0]
+    active = []
     next_t = [math.inf] * (2 * n)
     bufs = [None] * (2 * n)
     ptrs = [0] * (2 * n)
     gens = [None] * (2 * n)
     scales = [0.0] * (2 * n)
-    for k in active:
-        gen, scale = arr_sampler(k // 2, k % 2)
-        gens[k] = gen
-        scales[k] = scale
-        buf = gen.exponential(scale, _BLOCK).tolist()
-        bufs[k] = buf
-        next_t[k] = buf[0]
-        ptrs[k] = 1
+    svc_draw = [None] * (2 * n)
+    for j, q in enumerate(model.queues):
+        append_to.append(high_in[j].append if q.discipline == GATED
+                         else high_front[j].append)
+        append_to.append(low_front[j].append if q.discipline == EXHAUSTIVE
+                         else low_in[j].append)
+        for cls_idx, (rate, dist) in enumerate(((q.lambda_high, q.service_high),
+                                                (q.lambda_low, q.service_low))):
+            if rate <= 0.0:
+                continue
+            k = 2 * j + cls_idx
+            active.append(k)
+            gens[k] = gen = rngs[5 * j + cls_idx]
+            scales[k] = 1.0 / rate
+            bufs[k] = buf = gen.exponential(scales[k], _BLOCK).tolist()
+            next_t[k] = buf[0]
+            ptrs[k] = 1
+            svc_draw[k] = _sampler(rngs[5 * j + 2 + cls_idx], dist)
 
-    res = _RepResult(
-        n=n,
-        wait_sum=[0.0] * (2 * n), wait_sumsq=[0.0] * (2 * n), wait_n=[0] * (2 * n),
-        area=[0.0] * (2 * n),
-        cycle_sum=[0.0] * n, cycle_sumsq=[0.0] * n, cycle_n=[0] * n,
-        visit_sum=[0.0] * n, visit_sumsq=[0.0] * n, visit_n=[0] * n,
-        inter_sum=[0.0] * n, inter_sumsq=[0.0] * n, inter_n=[0] * n,
-        xh_sum=[0.0] * n, xl_sum=[0.0] * n, xhxl_sum=[0.0] * n, vb_n=[0] * n,
-        busy=0.0, t_warm=math.nan, t_end=math.nan,
-    )
-    wait_sum = res.wait_sum
-    wait_sumsq = res.wait_sumsq
-    wait_n = res.wait_n
+    res = _RepResult(wait=_Tally(2 * n), cycle=_Tally(n), intervisit=_Tally(n),
+                     visit=_Tally(n), area=[0.0] * (2 * n),
+                     state=[[0.0, 0.0, 0.0] for _ in range(n)])
+    wait_sum = res.wait.s
+    wait_sumsq = res.wait.s2
+    wait_n = res.wait.n
     area = res.area
     events = res.events
     seq = 0
@@ -192,8 +188,8 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
 
     t = 0.0
     t_warm = None
-    prev_begin = [None] * n
-    prev_end = [None] * n
+    prev_begin = [-math.inf] * n
+    prev_end = [-math.inf] * n
     q0_begins = 0
     j = 0
 
@@ -203,15 +199,13 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
 
     while True:
         absorb(t)
+        if j == 0 and t_warm is None and q0_begins == warmup_cycles:
+            t_warm = t
+        measured = t_warm is not None and t >= t_warm
+        if measured and prev_begin[j] >= t_warm:
+            res.cycle.add(j, t - prev_begin[j])
         if j == 0:
-            if t_warm is None and q0_begins == warmup_cycles:
-                t_warm = t
             if q0_begins == n_cycles:
-                if prev_begin[0] is not None and t_warm is not None and prev_begin[0] >= t_warm:
-                    c = t - prev_begin[0]
-                    res.cycle_sum[0] += c
-                    res.cycle_sumsq[0] += c * c
-                    res.cycle_n[0] += 1
                 break
             q0_begins += 1
 
@@ -225,24 +219,15 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
             append_to[2 * j + 1] = low_in[j].append
         hline = high_front[j]
         lline = low_front[j]
-        measured = t_warm is not None and t >= t_warm
         if measured:
-            if prev_begin[j] is not None and prev_begin[j] >= t_warm:
-                c = t - prev_begin[j]
-                res.cycle_sum[j] += c
-                res.cycle_sumsq[j] += c * c
-                res.cycle_n[j] += 1
-            if prev_end[j] is not None and prev_end[j] >= t_warm:
-                c = t - prev_end[j]
-                res.inter_sum[j] += c
-                res.inter_sumsq[j] += c * c
-                res.inter_n[j] += 1
+            if prev_end[j] >= t_warm:
+                res.intervisit.add(j, t - prev_end[j])
             xh = float(len(hline))
             xl = float(len(lline))
-            res.xh_sum[j] += xh
-            res.xl_sum[j] += xl
-            res.xhxl_sum[j] += xh * xl
-            res.vb_n[j] += 1
+            st = res.state[j]
+            st[0] += xh
+            st[1] += xl
+            st[2] += xh * xl
         prev_begin[j] = t
         t_vb = t
         if trace:
@@ -295,11 +280,8 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
                 pend.append(arr)
 
         # ---- visit end
-        if measured and t_vb >= t_warm:
-            v = t - t_vb
-            res.visit_sum[j] += v
-            res.visit_sumsq[j] += v * v
-            res.visit_n[j] += 1
+        if measured:
+            res.visit.add(j, t - t_vb)
         prev_end[j] = t
 
         t += swo_draw[j]()
@@ -314,12 +296,11 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
     res.t_end = t
     # customers still in system contribute queue-length area up to the horizon
     for jj in range(n):
-        for k2, lines in ((2 * jj, (high_front[jj], high_in[jj])),
-                          (2 * jj + 1, (low_front[jj], low_in[jj]))):
-            for line in lines:
-                for arr in line:
-                    if arr < t:
-                        release(k2, arr, t)
+        for k2, line in ((2 * jj, high_front[jj]), (2 * jj, high_in[jj]),
+                         (2 * jj + 1, low_front[jj]), (2 * jj + 1, low_in[jj])):
+            for arr in line:
+                if arr < t:
+                    release(k2, arr, t)
     return res
 
 
@@ -402,65 +383,59 @@ def _ci(vals):
     return m, half
 
 
+def _across(reps, num, den):
+    """Mean and 95% half-width of num(r) / den(r) over replications with den(r) > 0."""
+    vals = [num(r) / den(r) for r in reps if den(r)]
+    return _ci(vals) if vals else (math.nan, math.nan)
+
+
 def _aggregate(model, reps, seed, n_cycles, warmup_cycles) -> SimStats:
-    n = model.n
+    def horizon(r):
+        return r.t_end - r.t_warm
+
+    waits = [r.wait for r in reps]
     wait_mean, wait_var, wait_ci, wait_count = {}, {}, {}, {}
     qlen_mean, qlen_ci = {}, {}
-    horizons = [r.t_end - r.t_warm for r in reps]
     for i, q in enumerate(model.queues):
         for cls_idx, (cls, lam) in enumerate((("H", q.lambda_high),
                                               ("L", q.lambda_low))):
             if lam <= 0.0:
                 continue
             k2 = 2 * i + cls_idx
-            means = [r.wait_sum[k2] / r.wait_n[k2] for r in reps if r.wait_n[k2]]
-            variances = [r.wait_sumsq[k2] / r.wait_n[k2]
-                         - (r.wait_sum[k2] / r.wait_n[k2]) ** 2
-                         for r in reps if r.wait_n[k2]]
             key = (i, cls)
-            wait_mean[key], wait_ci[key] = _ci(means) if means else (math.nan, math.nan)
-            wait_var[key], _ = _ci(variances) if variances else (math.nan, math.nan)
-            wait_count[key] = sum(r.wait_n[k2] for r in reps)
-            qs = [r.area[k2] / (r.t_end - r.t_warm) for r in reps]
-            qlen_mean[key], qlen_ci[key] = _ci(qs)
+            wait_mean[key], wait_ci[key] = _across(
+                waits, lambda w: w.s[k2], lambda w: w.n[k2])
+            # per-replication variance m2 - mean**2, not a ratio of sums
+            variances = [w.s2[k2] / w.n[k2] - (w.s[k2] / w.n[k2]) ** 2
+                         for w in waits if w.n[k2]]
+            wait_var[key] = _ci(variances)[0] if variances else math.nan
+            wait_count[key] = sum(w.n[k2] for w in waits)
+            qlen_mean[key], qlen_ci[key] = _across(
+                reps, lambda r: r.area[k2], horizon)
 
-    cycle_mean, cycle_m2, cycle_ci = {}, {}, {}
-    visit_mean, visit_m2, visit_ci = {}, {}, {}
-    inter_mean, inter_m2, inter_ci = {}, {}, {}
-    vb_cross, vb_high, vb_low = {}, {}, {}
-    for i in range(n):
-        cm = [r.cycle_sum[i] / r.cycle_n[i] for r in reps if r.cycle_n[i]]
-        cycle_mean[i], cycle_ci[i] = _ci(cm) if cm else (math.nan, math.nan)
-        c2 = [r.cycle_sumsq[i] / r.cycle_n[i] for r in reps if r.cycle_n[i]]
-        cycle_m2[i], _ = _ci(c2) if c2 else (math.nan, math.nan)
-        vm = [r.visit_sum[i] / r.visit_n[i] for r in reps if r.visit_n[i]]
-        visit_mean[i], visit_ci[i] = _ci(vm) if vm else (math.nan, math.nan)
-        v2 = [r.visit_sumsq[i] / r.visit_n[i] for r in reps if r.visit_n[i]]
-        visit_m2[i], _ = _ci(v2) if v2 else (math.nan, math.nan)
-        im = [r.inter_sum[i] / r.inter_n[i] for r in reps if r.inter_n[i]]
-        inter_mean[i], inter_ci[i] = _ci(im) if im else (math.nan, math.nan)
-        i2 = [r.inter_sumsq[i] / r.inter_n[i] for r in reps if r.inter_n[i]]
-        inter_m2[i], _ = _ci(i2) if i2 else (math.nan, math.nan)
-        xc = [r.xhxl_sum[i] / r.vb_n[i] for r in reps if r.vb_n[i]]
-        vb_cross[i], _ = _ci(xc) if xc else (math.nan, math.nan)
-        xh = [r.xh_sum[i] / r.vb_n[i] for r in reps if r.vb_n[i]]
-        vb_high[i], _ = _ci(xh) if xh else (math.nan, math.nan)
-        xl = [r.xl_sum[i] / r.vb_n[i] for r in reps if r.vb_n[i]]
-        vb_low[i], _ = _ci(xl) if xl else (math.nan, math.nan)
+    periods = {}  # SimStats fields {cycle,intervisit,visit}_{mean,m2,ci}
+    for name in ("cycle", "intervisit", "visit"):
+        tallies = [getattr(r, name) for r in reps]
+        mean, m2, ci = {}, {}, {}
+        for i in range(model.n):
+            mean[i], ci[i] = _across(tallies, lambda t: t.s[i], lambda t: t.n[i])
+            m2[i] = _across(tallies, lambda t: t.s2[i], lambda t: t.n[i])[0]
+        periods.update({f"{name}_mean": mean, f"{name}_m2": m2, f"{name}_ci": ci})
+    vb_high, vb_low, vb_cross = {}, {}, {}
+    for i in range(model.n):
+        for c, out in enumerate((vb_high, vb_low, vb_cross)):
+            out[i] = _across(reps, lambda r: r.state[i][c],
+                             lambda r: r.visit.n[i])[0]
 
-    busy_fraction, busy_ci = _ci([r.busy / (r.t_end - r.t_warm) for r in reps])
+    busy_fraction, busy_ci = _across(reps, lambda r: r.busy, horizon)
     return SimStats(
         wait_mean=wait_mean, wait_var=wait_var, wait_ci=wait_ci,
         wait_count=wait_count, qlen_mean=qlen_mean, qlen_ci=qlen_ci,
-        cycle_mean=cycle_mean, cycle_m2=cycle_m2, cycle_ci=cycle_ci,
-        visit_mean=visit_mean, visit_m2=visit_m2, visit_ci=visit_ci,
-        intervisit_mean=inter_mean, intervisit_m2=inter_m2,
-        intervisit_ci=inter_ci,
-        vb_cross=vb_cross, vb_high=vb_high, vb_low=vb_low,
+        **periods, vb_cross=vb_cross, vb_high=vb_high, vb_low=vb_low,
         busy_fraction=busy_fraction, busy_ci=busy_ci,
         seed=seed, n_reps=len(reps), n_cycles=n_cycles,
         warmup_cycles=warmup_cycles,
-        horizon=sum(horizons) / len(horizons),
+        horizon=sum(map(horizon, reps)) / len(reps),
     )
 
 
@@ -505,14 +480,10 @@ def replicate(model: PollingModel, base_seed: int, n_reps: int, n_cycles: int,
         lam_tot = sum(q.lambda_high + q.lambda_low for q in model.queues)
         ec = validate(model).mean_cycle
         parallel = n_reps >= 2 and n_cycles * ec * lam_tot >= 2e6
-    if parallel and n_reps >= 2:
-        import os
-        workers = min(n_reps, os.cpu_count() or 1)
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                reps = list(pool.map(_run_star, jobs))
-        else:
-            reps = [_run_star(job) for job in jobs]
+    workers = min(n_reps, os.cpu_count() or 1) if parallel else 1
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            reps = list(pool.map(_run_star, jobs))
     else:
         reps = [_run_star(job) for job in jobs]
     return _aggregate(model, reps, base_seed, n_cycles, warmup_cycles)

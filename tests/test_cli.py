@@ -143,6 +143,30 @@ def test_bad_rate_exit_code(rate, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("field,text", [
+    ("lambda_high", "[0.2]"),
+    ("lambda_high", "true"),
+    ("service_low", '{"family": "erlang", "params": {"shape": 2.7, "mean": 1.0}}'),
+    ("service_low", '{"family": "erlang", "params": {"shape": "3", "mean": 1.0}}'),
+    ("service_low", '{"family": "erlang", "params": {"shape": true, "mean": 1.0}}'),
+    ("service_low", '{"family": "erlang", "params": {"shape": Infinity, "mean": 1.0}}'),
+    ("service_low", '{"family": "hyperexponential", "params": {"probs": 0.5, "means": [1.0]}}'),
+    ("service_low", '{"family": "deterministic", "params": {"value": [1.0]}}'),
+], ids=["rate-list", "rate-bool", "shape-2.7", "shape-str", "shape-bool", "shape-inf",
+        "probs-scalar", "value-list"])
+def test_malformed_model_exit_code(field, text, tmp_path):
+    cfg = json.loads((DATA / "example1.json").read_text())
+    cfg["queues"][0][field] = "VALUE"
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(cfg).replace('"VALUE"', text))
+    proc = subprocess.run(
+        [sys.executable, "-m", "priopoll.cli", "analyze", "--model", str(path)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_missing_file_exit_code(capsys):
     assert cli.main(["analyze", "--model", "/nonexistent.json"]) == 1
 

@@ -139,3 +139,30 @@ def test_unknown_config_keys_rejected():
     with pytest.raises(ValueError):
         distribution_from_config({"family": "exponential",
                                   "params": {"mean": 1.0}, "extra": 1})
+
+
+def _erlang(shape):
+    return {"family": "erlang", "params": {"shape": shape, "mean": 1.0}}
+
+
+@pytest.mark.parametrize("cfg", [
+    _erlang(2.7),
+    _erlang("3"),
+    _erlang(True),
+    _erlang(math.inf),
+    _erlang(10**400),
+    {"family": "hyperexponential", "params": {"probs": 0.5, "means": [1.0]}},
+    {"family": "hyperexponential", "params": {"probs": [1.0], "means": ["1.0"]}},
+    {"family": "deterministic", "params": {"value": [1.0]}},
+    {"family": "exponential", "params": {"mean": None}},
+    {"family": "uniform", "params": {"low": 0.0, "high": "2"}},
+], ids=["shape-2.7", "shape-str", "shape-bool", "shape-inf", "shape-huge",
+        "probs-scalar", "means-str", "value-list", "mean-null", "high-str"])
+def test_malformed_config_values_rejected(cfg):
+    with pytest.raises(ValueError):
+        distribution_from_config(cfg)
+
+
+def test_whole_number_erlang_shape_accepted():
+    assert distribution_from_config(_erlang(3.0)) == Erlang(3, 1.0)
+    assert distribution_from_config(_erlang(3)) == Erlang(3, 1.0)

@@ -115,6 +115,14 @@ def test_unknown_keys_rejected():
         model_from_config(cfg)
 
 
+@pytest.mark.parametrize("rate", [[0.2], "0.2", True, None])
+def test_non_numeric_rates_rejected(rate):
+    cfg = model_to_config(example1())
+    cfg["queues"][0]["lambda_high"] = rate
+    with pytest.raises(ValueError):
+        model_from_config(cfg)
+
+
 def test_replace_discipline():
     m = example1("gated").replace_discipline(0, "exhaustive")
     assert m.queues[0].discipline == "exhaustive"

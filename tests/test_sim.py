@@ -1,5 +1,10 @@
 """Simulator semantics, determinism, and agreement with the analytic engine."""
 
+import dataclasses
+import json
+import math
+import pathlib
+
 import pytest
 
 from zoo import example1, example2
@@ -19,6 +24,56 @@ def test_replicate_parallel_matches_serial():
     ser = replicate(m, 11, n_reps=3, n_cycles=1500, warmup_cycles=100, parallel=False)
     par = replicate(m, 11, n_reps=3, n_cycles=1500, warmup_cycles=100, parallel=True)
     assert ser == par
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "sim_stats.json"
+
+# (label, model builder) pairs pinned by tests/golden/sim_stats.json
+_GOLDEN_MODELS = (
+    ("example1_gated", lambda: example1(GATED)),
+    ("example1_exhaustive", lambda: example1(EXHAUSTIVE)),
+    ("example1_mixed", lambda: example1(MIXED)),
+    ("example2_gated_gated", lambda: example2(GATED, GATED)),
+)
+
+
+def _plain(value):
+    """JSON-ready form of a SimStats field: dict keys joined, NaN kept."""
+    if isinstance(value, dict):
+        return {",".join(map(str, k)) if isinstance(k, tuple) else str(k): v
+                for k, v in value.items()}
+    return value
+
+
+def golden_sim_stats():
+    """Every SimStats field of a run and a replicate call on each golden model."""
+    out = {}
+    for label, build in _GOLDEN_MODELS:
+        m = build()
+        for call, stats in (
+                ("run", run(m, seed=3, n_cycles=600)),
+                ("replicate", replicate(m, 7, n_reps=3, n_cycles=800,
+                                        parallel=False))):
+            out[f"{label}/{call}"] = {f.name: _plain(getattr(stats, f.name))
+                                      for f in dataclasses.fields(stats)}
+    return out
+
+
+def _nan_free(value):
+    if isinstance(value, dict):
+        return {k: _nan_free(v) for k, v in value.items()}
+    if isinstance(value, float) and math.isnan(value):
+        return "nan"
+    return value
+
+
+def test_sim_stats_match_golden():
+    # exact, field by field: any change in draw order or arithmetic shows here
+    want = json.loads(GOLDEN.read_text())
+    got = json.loads(json.dumps(golden_sim_stats()))
+    assert sorted(got) == sorted(want)
+    for case in want:
+        assert _nan_free(got[case]) == _nan_free(want[case]), case
 
 
 def test_different_seeds_differ():
@@ -97,6 +152,12 @@ def test_agrees_with_analytic_example1():
     assert s.intervisit_m2[0] == pytest.approx(a.intervisit_m2(0), rel=0.05)
     assert s.visit_m2[0] == pytest.approx(a.visit_m2(0), rel=0.05)
     assert s.vb_cross[0] == pytest.approx(a.cross_moment(0), rel=0.05)
+    # mean polling state at visit beginnings: arrivals since the class's gate
+    # last closed (mixed: highs since the previous visit ended, lows since it began)
+    q = m.queues[0]
+    assert s.vb_high[0] == pytest.approx(
+        q.lambda_high * a.derived.mean_intervisit[0], rel=0.05)
+    assert s.vb_low[0] == pytest.approx(q.lambda_low * a.derived.mean_cycle, rel=0.05)
     assert s.wait_var[(0, "L")] == pytest.approx(a.var_wait(0, "L"), rel=0.08)
 
 
@@ -110,6 +171,11 @@ def test_agrees_with_analytic_example1_variants(disc):
     _within(a.mean_wait_low(0), s.wait_mean[(0, "L")], s.wait_ci[(0, "L")])
     _within(a.mean_wait_low(1), s.wait_mean[(1, "L")], s.wait_ci[(1, "L")])
     _within(a.derived.rho_total, s.busy_fraction, s.busy_ci)
+    # gated: arrivals over a cycle; exhaustive: over an intervisit period
+    q = m.queues[0]
+    period = a.derived.mean_cycle if disc == GATED else a.derived.mean_intervisit[0]
+    assert s.vb_high[0] == pytest.approx(q.lambda_high * period, rel=0.05)
+    assert s.vb_low[0] == pytest.approx(q.lambda_low * period, rel=0.05)
 
 
 def test_deterministic_switchover_gated_covers_published_value():
