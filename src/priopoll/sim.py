@@ -9,9 +9,17 @@ high present).
 
 Rather than a binary-heap calendar, the event set is kept as one pointer per
 Poisson arrival stream plus the server's own clock; pending arrivals are
-absorbed whenever the clock reaches a decision instant.  Dequeue order is
-identical to a (timestamp, completion-before-arrival, sequence) calendar and
-fully deterministic given the seed.  Simultaneous completion/arrival ties
+absorbed at every decision instant of a mixed or exhaustive visit, where an
+arrival can change what is served next.  A gated visit has no such instant:
+its gate fixed both lines when the visit began, every arrival to the visited
+queue goes behind that gate and every other arrival joins a line no one
+serves before a later visit.  So a gated visit serves its lines in one pass
+with one batch of service draws per class, and the arrivals it leaves
+pending are absorbed at the next visit beginning; each line then holds the
+same customers in the same order as with per-service absorption, and every
+sum is taken in the same order, so results are bit-identical.  Dequeue order
+is identical to a (timestamp, completion-before-arrival, sequence) calendar
+and fully deterministic given the seed.  Simultaneous completion/arrival ties
 resolve in favour of the completion, so an arrival exactly at a visit-ending
 instant is not caught by the ending visit.
 
@@ -34,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import EXHAUSTIVE, GATED, PollingModel, validate
+from .model import EXHAUSTIVE, GATED, MIXED, PollingModel, validate
 
 __all__ = ["Event", "SimStats", "run", "replicate"]
 
@@ -188,6 +196,7 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
 
     t = 0.0
     t_warm = None
+    busy = 0.0
     prev_begin = [-math.inf] * n
     prev_end = [-math.inf] * n
     q0_begins = 0
@@ -236,48 +245,78 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
 
         kh = 2 * j
         kl = kh + 1
-        pend = pending_low[j]
-        immediate_low = d == GATED  # no completion-time extension under gated
-        while True:
-            absorb(t)
-            if pend and not hline:
-                for arr in pend:
-                    release(kl, arr, t)
-                pend.clear()
-            if hline:
-                arr = hline.popleft()
-                k2 = kh
-            elif lline:
-                arr = lline.popleft()
-                k2 = kl
-            else:
-                break
-            w = t - arr
-            if t_warm is not None and arr >= t_warm:
-                wait_n[k2] += 1
-                wait_sum[k2] += w
-                wait_sumsq[k2] += w * w
-            if trace:
-                cls = "H" if k2 == kh else "L"
-                if cls == "L":
-                    assert not hline, "low-priority service started with high-priority work waiting"
-                    if d != EXHAUSTIVE:
-                        assert arr <= t_vb, "served a low customer from behind the gate"
-                events.append(Event(t, "service_start", seq, j, cls, arr))
-                seq += 1
-            dur = svc_draw[k2]()
-            t2 = t + dur
-            if t_warm is not None:
-                res.busy += dur if t >= t_warm else max(0.0, t2 - t_warm)
-            t = t2
-            if trace:
-                events.append(Event(t, "service_end", seq, j,
-                                    "H" if k2 == kh else "L", arr))
-                seq += 1
-            if k2 == kh or immediate_low:
-                release(k2, arr, t)
-            else:
-                pend.append(arr)
+        if d == GATED:
+            # one pass per line the gate fixed, no absorb until the next visit
+            # (see the module docstring); the sums are release()'s, in order
+            for k2, line in ((kh, hline), (kl, lline)):
+                if not line:
+                    continue
+                t_start = t
+                durs = svc_draw[k2](len(line))
+                if measured:
+                    wn, ws, ws2, ar = wait_n[k2], wait_sum[k2], wait_sumsq[k2], area[k2]
+                    for arr, dur in zip(line, durs):
+                        if arr >= t_warm:
+                            w = t - arr
+                            wn += 1
+                            ws += w
+                            ws2 += w * w
+                        busy += dur
+                        t += dur
+                        ar += t - (arr if arr > t_warm else t_warm)
+                    wait_n[k2], wait_sum[k2], wait_sumsq[k2], area[k2] = wn, ws, ws2, ar
+                else:
+                    for dur in durs:
+                        t += dur
+                if trace:
+                    cls = "H" if k2 == kh else "L"
+                    for arr, dur in zip(line, durs):
+                        events.append(Event(t_start, "service_start", seq, j, cls, arr))
+                        t_start += dur
+                        events.append(Event(t_start, "service_end", seq + 1, j, cls, arr))
+                        seq += 2
+                line.clear()
+        else:
+            pend = pending_low[j]
+            while True:
+                absorb(t)
+                if pend and not hline:
+                    for arr in pend:
+                        release(kl, arr, t)
+                    pend.clear()
+                if hline:
+                    arr = hline.popleft()
+                    k2 = kh
+                elif lline:
+                    arr = lline.popleft()
+                    k2 = kl
+                else:
+                    break
+                w = t - arr
+                if t_warm is not None and arr >= t_warm:
+                    wait_n[k2] += 1
+                    wait_sum[k2] += w
+                    wait_sumsq[k2] += w * w
+                if trace:
+                    cls = "H" if k2 == kh else "L"
+                    if cls == "L":
+                        assert not hline, "low-priority service started with high-priority work waiting"
+                        if d == MIXED:
+                            assert arr <= t_vb, "served a low customer from behind the gate"
+                    events.append(Event(t, "service_start", seq, j, cls, arr))
+                    seq += 1
+                dur = svc_draw[k2]()
+                if t_warm is not None:  # t_warm is an earlier t: all of dur counts
+                    busy += dur
+                t += dur
+                if trace:
+                    events.append(Event(t, "service_end", seq, j,
+                                        "H" if k2 == kh else "L", arr))
+                    seq += 1
+                if k2 == kh:
+                    release(k2, arr, t)
+                else:
+                    pend.append(arr)
 
         # ---- visit end
         if measured:
@@ -292,6 +331,7 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
             events.append(Event(t, "switch_end", seq, j))
             seq += 1
 
+    res.busy = busy
     res.t_warm = t_warm
     res.t_end = t
     # customers still in system contribute queue-length area up to the horizon
@@ -305,17 +345,30 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
 
 
 def _sampler(gen, dist, block=_BLOCK):
+    """``draw()`` returns the stream's next value, ``draw(m)`` a list of the next m.
+
+    Both read one buffer that is refilled a block at a time when a draw finds
+    it used up, so any mix of the two calls yields the same sequence.
+    """
     buf = dist.sample_block(gen, block).tolist()
     idx = 0
 
-    def draw():
+    def draw(m=None):
         nonlocal buf, idx
-        if idx == len(buf):
+        if m is None:
+            if idx == len(buf):
+                buf = dist.sample_block(gen, block).tolist()
+                idx = 0
+            v = buf[idx]
+            idx += 1
+            return v
+        out = buf[idx:idx + m]
+        idx += len(out)
+        while len(out) < m:
             buf = dist.sample_block(gen, block).tolist()
-            idx = 0
-        v = buf[idx]
-        idx += 1
-        return v
+            idx = min(m - len(out), len(buf))
+            out += buf[:idx]
+        return out
 
     return draw
 

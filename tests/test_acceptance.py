@@ -295,7 +295,10 @@ def _report(name, fn):
     return ok
 
 
-@pytest.mark.parametrize("name,fn", CRITERIA, ids=[c[0].split(":")[0] for c in CRITERIA])
+@pytest.mark.parametrize("name,fn", [
+    pytest.param(name, fn, id=name.split(":")[0],
+                 marks=[pytest.mark.slow] if fn is criterion_4 else [])
+    for name, fn in CRITERIA])
 def test_criterion(name, fn):
     assert _report(name, fn)
 

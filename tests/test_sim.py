@@ -5,11 +5,12 @@ import json
 import math
 import pathlib
 
+import numpy as np
 import pytest
 
-from zoo import example1, example2
-from priopoll import (Analyzer, Deterministic, EXHAUSTIVE, GATED, MIXED,
-                      PollingModel, QueueSpec, replicate, run)
+from zoo import example1, example2, single_vacation_queue
+from priopoll import (Analyzer, Deterministic, EXHAUSTIVE, Exponential, GATED,
+                      MIXED, PollingModel, QueueSpec, replicate, run)
 
 
 def test_bit_reproducible():
@@ -97,8 +98,9 @@ def test_empty_system_cycles_are_switchover_sums():
 
 @pytest.mark.parametrize("disc", [GATED, EXHAUSTIVE, MIXED])
 def test_trace_serve_order_invariants(disc):
-    # the trace build carries in-simulator assertions: a low service never
-    # starts while high-priority work waits, gated lows never pass the gate
+    # mixed and exhaustive visits assert in the simulator that a low service
+    # never starts while high-priority work waits, and mixed lows never pass
+    # the gate; test_gated_defers_during_visit_arrivals covers gated visits
     m = example1(disc)
     stats, events = run(m, seed=5, n_cycles=400, warmup_cycles=0, trace=True)
     assert events, "trace must be populated"
@@ -118,13 +120,68 @@ def test_gated_defers_during_visit_arrivals():
         switchovers=(Deterministic(2.0),),
     )
     stats, events = run(m, seed=13, n_cycles=300, warmup_cycles=10, trace=True)
-    starts = [e for e in events if e.kind == "service_start"]
-    vb = {}
+    visits = []  # [begin, end of the last service] per visit, in order
+    deferred = 0
     for e in events:
         if e.kind == "visit_begin":
-            vb[e.timestamp] = e
-    for e in starts:
-        assert e.arrival <= e.timestamp
+            visits.append([e.timestamp, e.timestamp])
+        elif e.kind == "service_end":
+            visits[-1][1] = e.timestamp
+        elif e.kind == "service_start":
+            assert e.cls == "L"
+            assert e.arrival <= visits[-1][0], "served from behind the gate"
+            # the previous gate closed at visits[-2][0]: nothing older is left
+            assert len(visits) == 1 or e.arrival >= visits[-2][0]
+            deferred += any(b < e.arrival < end for b, end in visits[:-1])
+    assert deferred > 0, "no customer arrived during an earlier visit"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: example1(GATED),
+    lambda: example2(GATED, GATED),
+    lambda: single_vacation_queue(GATED, lam_h=0.0),
+], ids=["example1_gated", "example2_gated_gated", "single_class_gated"])
+def test_trace_does_not_perturb_gated_runs(build):
+    m = build()
+    assert run(m, seed=21, n_cycles=500, trace=True)[0] == run(m, seed=21, n_cycles=500)
+
+
+def _counting(dist):
+    """``dist`` with its ``sample_block`` calls counted in ``calls``."""
+    calls = []
+
+    class Counted:
+        def sample_block(self, gen, size):
+            calls.append(size)
+            return dist.sample_block(gen, size)
+
+    return Counted(), calls
+
+
+@pytest.mark.parametrize("batches", [
+    [5, 100, 1],                # within the first block
+    [8000, 500, 3],             # a batch crossing the block boundary
+    [7, 8185, 2],               # a batch ending exactly on the boundary
+    [11, 20000, 1, 9000],       # batches longer than a block
+], ids=["within", "crossing", "to_boundary", "longer_than_block"])
+def test_sampler_batch_matches_single_draws(batches):
+    # draw(m) returns the next m values of the stream draw() would give and
+    # refills the buffer from the same blocks, only once it is used up
+    from priopoll.sim import _sampler
+    dist = Exponential(1.0)
+    batched_dist, batched_calls = _counting(dist)
+    single_dist, single_calls = _counting(dist)
+    batched = _sampler(np.random.default_rng(5), batched_dist)
+    single = _sampler(np.random.default_rng(5), single_dist)
+    for i, m in enumerate(batches):
+        if i % 2:
+            got = batched(m)
+            assert isinstance(got, list) and len(got) == m
+        else:
+            got = [batched() for _ in range(m)]
+        assert got == [single() for _ in range(m)], (i, m)
+        assert batched_calls == single_calls, (i, m)
+    assert batched() == single()
 
 
 def _within(analytic, sim_mean, sim_ci, hw=3.0):
