@@ -35,6 +35,9 @@ _GOLDEN_MODELS = (
     ("example1_exhaustive", lambda: example1(EXHAUSTIVE)),
     ("example1_mixed", lambda: example1(MIXED)),
     ("example2_gated_gated", lambda: example2(GATED, GATED)),
+    ("example2_mixed_mixed", lambda: example2(MIXED, MIXED)),
+    ("example2_exhaustive_exhaustive", lambda: example2(EXHAUSTIVE, EXHAUSTIVE)),
+    ("single_low_mixed", lambda: single_vacation_queue(MIXED, lam_h=0.0)),
 )
 
 
