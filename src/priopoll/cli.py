@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
 
 from .analytic import Analyzer, leftover_work, pcl_check
@@ -38,13 +39,15 @@ def _write(text: str, out_path: str | None) -> None:
 
 
 def _csv_to_table(csv_text: str) -> str:
-    """Fixed-width rendering, floats shortened to 3 decimals."""
+    """Fixed-width rendering, finite floats shortened to 3 decimals."""
     rows = [line.split(",") for line in csv_text.strip().splitlines()]
 
     def fmt(cell: str) -> str:
         try:
             v = float(cell)
         except ValueError:
+            return cell
+        if not math.isfinite(v):
             return cell
         if v == int(v) and abs(v) < 1e15 and "." not in cell and "e" not in cell.lower():
             return cell

@@ -4,24 +4,22 @@ The simulator realizes the service semantics exactly: a gate closes behind
 the relevant classes at each visit beginning, high-priority customers are
 served before low-priority ones (overtaking gated customers under mixed
 service), services are never preempted, and a visit ends when the discipline
-says so (gated front lines empty / queue empty / gated lows served and no
+says so (gated lines empty / queue empty / gated lows served and no
 high present).
 
 Rather than a binary-heap calendar, the event set is kept as one pointer per
-Poisson arrival stream plus the server's own clock; pending arrivals are
-absorbed at every decision instant of a mixed or exhaustive visit, where an
-arrival can change what is served next.  A gated visit has no such instant:
-its gate fixed both lines when the visit began, every arrival to the visited
-queue goes behind that gate and every other arrival joins a line no one
-serves before a later visit.  So a gated visit serves its lines in one pass
-with one batch of service draws per class, and the arrivals it leaves
-pending are absorbed at the next visit beginning; each line then holds the
-same customers in the same order as with per-service absorption, and every
-sum is taken in the same order, so results are bit-identical.  Dequeue order
-is identical to a (timestamp, completion-before-arrival, sequence) calendar
-and fully deterministic given the seed.  Simultaneous completion/arrival ties
-resolve in favour of the completion, so an arrival exactly at a visit-ending
-instant is not caught by the ending visit.
+Poisson arrival stream plus the server's own clock, under one rule: a queue's
+two arrival streams are read only while the server is at that queue.  At a
+visit beginning both are read up to the current instant, which sets the gate;
+during the visit the discipline decides which are read before each service
+(none under gated, the high stream under mixed, both under exhaustive).
+Whatever stays in a stream arrived behind the gate, and nothing serves it
+before the queue's next visit reads it, in arrival order.  So a gated visit
+serves its lines in one pass with one batch of service draws per class.
+Dequeue order is identical to a (timestamp, completion-before-arrival,
+sequence) calendar and fully deterministic given the seed.  Simultaneous
+completion/arrival ties resolve in favour of the completion, so an arrival
+exactly at a visit-ending instant is not caught by the ending visit.
 
 Waiting time is measured from arrival to service start.  Queue-length
 time-averages count a low-priority customer as "in system" until the server
@@ -128,18 +126,13 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
 
     disc = [q.discipline for q in model.queues]
     swo_draw = [_sampler(rngs[5 * j + 4], model.switchovers[j]) for j in range(n)]
+    # class streams queue j reads during its visit (both at its beginning)
+    reads = {GATED: (), MIXED: (0,), EXHAUSTIVE: (0, 1)}
+    during = [tuple(2 * j + c for c in reads[d]) for j, d in enumerate(disc)]
 
-    # per-queue lines; "in" deques collect behind-the-gate arrivals
-    high_front = [deque() for _ in range(n)]
-    high_in = [deque() for _ in range(n)]
-    low_front = [deque() for _ in range(n)]
-    low_in = [deque() for _ in range(n)]
-    pending_low = [[] for _ in range(n)]
-
-    # class streams k = 2*j + cls_idx: the line an arrival joins and, where
+    # class streams k = 2*j + cls_idx: the line of absorbed arrivals and, where
     # the rate is positive, the stream's arrival buffer and service sampler
-    append_to = []
-    active = []
+    lines = [deque() for _ in range(2 * n)]
     next_t = [math.inf] * (2 * n)
     bufs = [None] * (2 * n)
     ptrs = [0] * (2 * n)
@@ -147,16 +140,11 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
     scales = [0.0] * (2 * n)
     svc_draw = [None] * (2 * n)
     for j, q in enumerate(model.queues):
-        append_to.append(high_in[j].append if q.discipline == GATED
-                         else high_front[j].append)
-        append_to.append(low_front[j].append if q.discipline == EXHAUSTIVE
-                         else low_in[j].append)
         for cls_idx, (rate, dist) in enumerate(((q.lambda_high, q.service_high),
                                                 (q.lambda_low, q.service_low))):
             if rate <= 0.0:
                 continue
             k = 2 * j + cls_idx
-            active.append(k)
             gens[k] = gen = rngs[5 * j + cls_idx]
             scales[k] = 1.0 / rate
             bufs[k] = buf = gen.exponential(scales[k], _BLOCK).tolist()
@@ -174,11 +162,12 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
     events = res.events
     seq = 0
 
-    def absorb(t):
-        for k in active:
+    def absorb(t, streams):
+        """Move the arrivals before t of the given streams into their lines."""
+        for k in streams:
             nt = next_t[k]
             if nt < t:
-                ap = append_to[k]
+                ap = lines[k].append
                 buf = bufs[k]
                 p = ptrs[k]
                 blen = len(buf)
@@ -200,6 +189,7 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
     prev_begin = [-math.inf] * n
     prev_end = [-math.inf] * n
     q0_begins = 0
+    pend = []  # served lows of a mixed/exhaustive visit awaiting their completion
     j = 0
 
     def release(k2, arr, t_rel):
@@ -207,7 +197,10 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
             area[k2] += t_rel - (arr if arr > t_warm else t_warm)
 
     while True:
-        absorb(t)
+        # ---- visit beginning: the gate is what has arrived so far
+        kh = 2 * j
+        kl = kh + 1
+        absorb(t, (kh, kl))
         if j == 0 and t_warm is None and q0_begins == warmup_cycles:
             t_warm = t
         measured = t_warm is not None and t >= t_warm
@@ -218,16 +211,9 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
                 break
             q0_begins += 1
 
-        # ---- visit beginning: close gates, record period statistics
         d = disc[j]
-        if d == GATED:
-            high_front[j], high_in[j] = high_in[j], high_front[j]
-            append_to[2 * j] = high_in[j].append
-        if d != EXHAUSTIVE:
-            low_front[j], low_in[j] = low_in[j], low_front[j]
-            append_to[2 * j + 1] = low_in[j].append
-        hline = high_front[j]
-        lline = low_front[j]
+        hline = lines[kh]
+        lline = lines[kl]
         if measured:
             if prev_end[j] >= t_warm:
                 res.intervisit.add(j, t - prev_end[j])
@@ -243,11 +229,8 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
             events.append(Event(t, "visit_begin", seq, j))
             seq += 1
 
-        kh = 2 * j
-        kl = kh + 1
         if d == GATED:
-            # one pass per line the gate fixed, no absorb until the next visit
-            # (see the module docstring); the sums are release()'s, in order
+            # one pass per line the gate fixed; the sums are release()'s, in order
             for k2, line in ((kh, hline), (kl, lline)):
                 if not line:
                     continue
@@ -277,9 +260,9 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
                         seq += 2
                 line.clear()
         else:
-            pend = pending_low[j]
+            streams = during[j]
             while True:
-                absorb(t)
+                absorb(t, streams)
                 if pend and not hline:
                     for arr in pend:
                         release(kl, arr, t)
@@ -292,8 +275,8 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
                     k2 = kl
                 else:
                     break
-                w = t - arr
-                if t_warm is not None and arr >= t_warm:
+                if measured and arr >= t_warm:
+                    w = t - arr
                     wait_n[k2] += 1
                     wait_sum[k2] += w
                     wait_sumsq[k2] += w * w
@@ -306,7 +289,7 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
                     events.append(Event(t, "service_start", seq, j, cls, arr))
                     seq += 1
                 dur = svc_draw[k2]()
-                if t_warm is not None:  # t_warm is an earlier t: all of dur counts
+                if measured:  # t_warm is an earlier t: all of dur counts
                     busy += dur
                 t += dur
                 if trace:
@@ -335,12 +318,10 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
     res.t_warm = t_warm
     res.t_end = t
     # customers still in system contribute queue-length area up to the horizon
-    for jj in range(n):
-        for k2, line in ((2 * jj, high_front[jj]), (2 * jj, high_in[jj]),
-                         (2 * jj + 1, low_front[jj]), (2 * jj + 1, low_in[jj])):
-            for arr in line:
-                if arr < t:
-                    release(k2, arr, t)
+    absorb(t, range(2 * n))
+    for k2, line in enumerate(lines):
+        for arr in line:
+            release(k2, arr, t)
     return res
 
 

@@ -97,6 +97,15 @@ def test_table_format(capsys):
     assert "14.575" in out and "," not in out.splitlines()[1]
 
 
+def test_table_format_keeps_nonfinite_cells(capsys):
+    # one replication: every confidence half-width is nan
+    code, out = _run(["simulate", "--model", str(DATA / "example1.json"),
+                      "--reps", "1", "--cycles", "200", "--format", "table"], capsys)
+    assert code == 0
+    assert out.splitlines()[1].split()[6] == "nan"
+    assert cli._csv_to_table("a,b\ninf,-inf\n").splitlines()[1].split() == ["inf", "-inf"]
+
+
 def test_check_passes(capsys):
     code, out = _run(["check", "--model", str(DATA / "example2.json")], capsys)
     assert code == 0

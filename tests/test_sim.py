@@ -103,7 +103,7 @@ def test_empty_system_cycles_are_switchover_sums():
 def test_trace_serve_order_invariants(disc):
     # mixed and exhaustive visits assert in the simulator that a low service
     # never starts while high-priority work waits, and mixed lows never pass
-    # the gate; test_gated_defers_during_visit_arrivals covers gated visits
+    # the gate; test_visit_reads_streams_per_discipline covers every discipline
     m = example1(disc)
     stats, events = run(m, seed=5, n_cycles=400, warmup_cycles=0, trace=True)
     assert events, "trace must be populated"
@@ -115,14 +115,18 @@ def test_trace_serve_order_invariants(disc):
     assert {"visit_begin", "service_start", "service_end"} <= kinds
 
 
-def test_gated_defers_during_visit_arrivals():
-    # deterministic single queue: every low arriving during its own visit
-    # must wait for the next visit under gated service
+@pytest.mark.parametrize("disc", [GATED, MIXED, EXHAUSTIVE])
+def test_visit_reads_streams_per_discipline(disc):
+    # deterministic two-class single queue: a customer arriving during its own
+    # visit is served in it only if the discipline reads its stream during
+    # the visit (gated: neither, mixed: high, exhaustive: both)
     m = PollingModel(
-        queues=(QueueSpec(0.0, 0.5, None, Deterministic(1.0), GATED),),
+        queues=(QueueSpec(0.2, 0.3, Deterministic(1.0), Deterministic(1.0), disc),),
         switchovers=(Deterministic(2.0),),
     )
     stats, events = run(m, seed=13, n_cycles=300, warmup_cycles=10, trace=True)
+    read_during = {"H": disc != GATED, "L": disc == EXHAUSTIVE}
+    served_during = {"H": 0, "L": 0}
     visits = []  # [begin, end of the last service] per visit, in order
     deferred = 0
     for e in events:
@@ -131,12 +135,16 @@ def test_gated_defers_during_visit_arrivals():
         elif e.kind == "service_end":
             visits[-1][1] = e.timestamp
         elif e.kind == "service_start":
-            assert e.cls == "L"
-            assert e.arrival <= visits[-1][0], "served from behind the gate"
+            if e.arrival > visits[-1][0]:
+                assert read_during[e.cls], "served from behind the gate"
+                served_during[e.cls] += 1
             # the previous gate closed at visits[-2][0]: nothing older is left
             assert len(visits) == 1 or e.arrival >= visits[-2][0]
             deferred += any(b < e.arrival < end for b, end in visits[:-1])
-    assert deferred > 0, "no customer arrived during an earlier visit"
+    for cls, reads in read_during.items():
+        assert (served_during[cls] > 0) == reads, cls
+    # whatever a visit leaves in a stream waits for the next visit
+    assert (deferred > 0) == (disc != EXHAUSTIVE)
 
 
 @pytest.mark.parametrize("build", [
