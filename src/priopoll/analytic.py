@@ -1,8 +1,10 @@
 """Analytic performance measures: means, variances, queue lengths, PCL.
 
-The Analyzer wraps one validated model with a shared GF evaluator and caches
-the handful of second moments (cycle, intervisit, visit, polling-state cross
-moment) that every mean-waiting-time formula reuses.
+The Analyzer wraps one validated model with a shared GF evaluator.  Every
+mean rests on the exact first and second factorial moments of the polling
+state at visit beginnings (``GfEvaluator.moments``, one linear solve per
+model), from which it reads the cycle, intervisit and visit second moments
+and the polling-state cross moment.
 
 Mean waiting times per discipline (residual X means E(X^2)/(2E(X))):
 
@@ -16,9 +18,10 @@ Mean waiting times per discipline (residual X means E(X^2)/(2E(X))):
               low   M/G/1 term with completion-time services
                        + high residual-clearing term + res(I)/(1-rho_h)
 
-Variances come from numerically differentiating the waiting-time transforms.
-``mean_wait_low_alt`` derives E(W_low) a second, independent way for the
-dual-route checks; no report path calls it.
+Variances still come from numerically differentiating the waiting-time
+transforms.  ``mean_wait_low_alt`` differentiates the low-priority waiting-time
+transform for E(W_low), independent of the exact moments, for the dual-route
+checks; no report path calls it.
 """
 
 from __future__ import annotations
@@ -31,7 +34,9 @@ from .errors import UnsupportedEvaluation
 from .gf import GfEvaluator
 from .model import (EXHAUSTIVE, GATED, MIXED, DerivedRates, PollingModel,
                     validate)
-from .moments import MomentEstimate, lst_moment, _neville_to_zero
+from .moments import lst_moment
+# no longer called here; perfbench/tracing.py wraps it under this module's name
+from .moments import _neville_to_zero  # noqa: F401
 from .transforms import QueueTransforms
 
 __all__ = ["Analyzer", "PerfReport", "ClassResult", "QueuePeriods", "pcl_check"]
@@ -102,7 +107,7 @@ class Analyzer:
         self.derived = validate(model)
         self.gf = GfEvaluator(model, self.derived, tol=tol)
         self.queues = [QueueTransforms(self.gf, i) for i in range(model.n)]
-        self._m2_cache: dict = {}
+        self._moments = None
 
     # ------------------------------------------------------------ transforms
 
@@ -135,50 +140,47 @@ class Analyzer:
 
     # --------------------------------------------------------- period moments
 
-    def _m2(self, key, handle_fn) -> MomentEstimate:
-        if key not in self._m2_cache:
-            self._m2_cache[key] = lst_moment(handle_fn(), 2)
-        return self._m2_cache[key]
+    def _state(self, i: int):
+        """Queue i's entry of ``GfEvaluator.moments``, solved once per model."""
+        if self._moments is None:
+            self._moments = self.gf.moments()
+        return self._moments[i]
 
     def cycle_m2(self, i: int) -> float:
-        return self._m2(("cycle", i), self.queues[i].cycle_handle).value
+        """E(C^2) of the cycle starting at queue i's visit beginning: the span
+        of the low coordinate, which stays gated."""
+        qt = self.queues[i]
+        if qt.disc == EXHAUSTIVE or (qt.disc == MIXED and qt.lam_l <= 0.0):
+            raise UnsupportedEvaluation(
+                "cycle second moment unavailable: no coordinate of this queue's "
+                "polling state spans a full cycle")
+        return self._state(i)[1][2 * i + 1][2 * i + 1]
 
     def intervisit_m2(self, i: int) -> float:
-        return self._m2(("intervisit", i), self.queues[i].intervisit_handle).value
+        """E(I^2) of the intervisit time: the span of the high coordinate,
+        which the visit empties."""
+        qt = self.queues[i]
+        if qt.disc == GATED or (qt.disc == MIXED and qt.lam_h <= 0.0):
+            raise UnsupportedEvaluation(
+                "intervisit second moment unavailable: no coordinate of this "
+                "queue's polling state spans the intervisit time")
+        return self._state(i)[1][2 * i][2 * i]
 
     def visit_m2(self, i: int) -> float:
-        return self._m2(("visit", i), self.queues[i].visit_handle).value
+        """E(V^2): the visit is the sum of one period T_c per class-c customer
+        present at its beginning."""
+        m, f = self._state(i)
+        (a_h, a_l), (b_h, b_l) = self.gf.period_rates[i]
+        k = 2 * i
+        return (b_h * m[k] + b_l * m[k + 1] + a_h * a_h * f[k][k]
+                + 2.0 * a_h * a_l * f[k][k + 1] + a_l * a_l * f[k + 1][k + 1])
 
     def cross_moment(self, i: int) -> float:
-        """E[X_high * X_low] at a visit beginning of queue i.
-
-        One-sided mixed difference of the GF on a geometric step grid,
-        extrapolated to step 0; arguments never leave [0, 1].
-        """
-        key = ("cross", i)
-        if key in self._m2_cache:
-            return self._m2_cache[key].value
+        """E[X_high * X_low] at a visit beginning of queue i."""
         qt = self.queues[i]
         if qt.lam_h <= 0.0 or qt.lam_l <= 0.0:
             raise UnsupportedEvaluation("cross moment needs both classes present")
-        scale = max(1.0, qt.lam_h * qt.ec, qt.lam_l * qt.ec)
-        h0 = 1e-3 / scale
-        hs, ds = [], []
-        h = h0
-        gf = self.gf
-        for _ in range(12):
-            if h > 0.5:
-                break
-            vh = gf.complement_pair(i, h, 0.0)
-            vl = gf.complement_pair(i, 0.0, h)
-            vhl = gf.complement_pair(i, h, h)
-            hs.append(h)
-            ds.append((vh + vl - vhl) / (h * h))
-            h *= 2.0
-        val, err = _neville_to_zero(hs, ds)
-        est = MomentEstimate(val, err)
-        self._m2_cache[key] = est
-        return est.value
+        return qt.lam_h * qt.lam_l * self._state(i)[1][2 * i][2 * i + 1]
 
     # ----------------------------------------------------------- mean waits
 
@@ -201,11 +203,11 @@ class Analyzer:
         if qt.disc == GATED:
             return (1.0 + qt.rho_i + qt.rho_h) * self.cycle_m2(i) / (2.0 * qt.ec)
         if qt.disc == MIXED:
-            base = self._mixed_low_base(i)
+            wait = (1.0 + qt.rho_l / (1.0 - qt.rho_h)) * self.cycle_m2(i) / (2.0 * qt.ec)
             if qt.lam_h <= 0.0:
-                return base
+                return wait
             factor = qt.rho_h / (1.0 - qt.rho_h)
-            return base + factor * self.cross_moment(i) / (qt.lam_h * qt.lam_l * qt.ec)
+            return wait + factor * self.cross_moment(i) / (qt.lam_h * qt.lam_l * qt.ec)
         # exhaustive: M/G/1-with-completion-times plus residual clearing terms
         b2h = qt.svc_h.moment(2)
         one_h = 1.0 - qt.rho_h
@@ -216,25 +218,11 @@ class Analyzer:
                 + self.intervisit_m2(i) / (2.0 * qt.ei * one_h))
 
     def mean_wait_low_alt(self, i: int) -> float:
-        """E(W_low) by a route independent of ``mean_wait_low``, for checks:
-        mixed service rebuilds the cross term from period second moments, gated
-        and exhaustive queues differentiate the waiting-time transform."""
-        qt = self.queues[i]
-        if qt.lam_l <= 0.0:
+        """E(W_low) by differentiating the waiting-time transform, a route
+        independent of ``mean_wait_low``'s exact moments, for checks."""
+        if self.queues[i].lam_l <= 0.0:
             raise UnsupportedEvaluation("queue has no low-priority class")
-        if qt.disc != MIXED:
-            return lst_moment(qt.wait_low_handle(), 1).value
-        base = self._mixed_low_base(i)
-        if qt.lam_h <= 0.0:
-            return base
-        ei2 = self.intervisit_m2(i)
-        eiv = 0.5 * (self.cycle_m2(i) - ei2 - self.visit_m2(i))
-        return base + qt.rho_h / (1.0 - qt.rho_h) * (ei2 + eiv) / qt.ec
-
-    def _mixed_low_base(self, i: int) -> float:
-        """Mixed-service E(W_low) without the term for overtaking high work."""
-        qt = self.queues[i]
-        return (1.0 + qt.rho_l / (1.0 - qt.rho_h)) * self.cycle_m2(i) / (2.0 * qt.ec)
+        return lst_moment(self.queues[i].wait_low_handle(), 1).value
 
     def mean_wait(self, i: int, cls: str) -> float:
         if cls == "H":
@@ -274,7 +262,7 @@ class Analyzer:
                 classes.append(ClassResult(i, cls, qt.disc, mean, var,
                                            self.mean_qlen(i, cls)))
             cyc2 = iv2 = cross = None
-            if qt.disc != EXHAUSTIVE:
+            if qt.disc == GATED or (qt.disc == MIXED and qt.lam_l > 0.0):
                 cyc2 = self.cycle_m2(i)
             if qt.disc == EXHAUSTIVE or (qt.disc == MIXED and qt.lam_h > 0.0):
                 iv2 = self.intervisit_m2(i)

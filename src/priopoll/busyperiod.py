@@ -9,11 +9,14 @@ equivalent complement form u = 1 - pi,
 which starts from u = 0 (pi = 1), increases monotonically to the root in
 (0, 1], and keeps full relative precision for small omega where 1 - pi is
 tiny.  Successive substitution is a global contraction with factor
-lam*E(B) < 1, so any warm start in [0, 1] converges.
+lam*E(B) < 1, so any warm start in [0, 1] converges, each step smaller than
+the one before; the iteration stops at the first step that is not, where
+rounding has taken over.
 """
 
 from __future__ import annotations
 
+import math
 
 from .distributions import Distribution
 from .errors import NoConvergence
@@ -28,14 +31,19 @@ def _solve_complement(lstc, lam: float, omega: float, warm: float) -> float:
     if omega == 0.0:
         return 0.0
     u = warm if 0.0 <= warm <= 1.0 else 0.0
+    step = math.inf
     for _ in range(_CAP):
         u_next = lstc(omega + lam * u)
-        if u_next == u or abs(u_next - u) <= _RTOL * u_next:
+        new_step = abs(u_next - u)
+        # a contraction shrinks every step; one that does not is rounding noise
+        # (a 2-cycle one ulp wide, say) that _RTOL may never accept
+        if new_step <= _RTOL * u_next or new_step >= step:
             return u_next
-        u = u_next
+        u, step = u_next, new_step
     raise NoConvergence(
-        f"busy-period fixed point did not converge (lam={lam:.6g}, omega={omega:.6g}); "
-        "the queue is too close to critical load")
+        f"busy-period fixed point still moving after {_CAP} steps (lam={lam:.6g}, "
+        f"omega={omega:.6g}, last step {step:.3g}): the busy period's load "
+        "lam*E(B) is too close to 1")
 
 
 class BusyPeriod:

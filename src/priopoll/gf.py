@@ -20,6 +20,18 @@ Iterating whole cycles yields the convergent infinite product (load < 1).
 Evaluation works on complements 1 - z and accumulates log factors, so values
 stay fully accurate within 1e-12 of the all-ones point where numerical
 differentiation operates.
+
+Read forwards, each substitution is one generation of a multitype branching
+process with immigration (Resing 1993): every class-c customer at queue j's
+visit beginning is replaced by the Poisson arrivals during its period T_c
+into the coordinates the visit keeps, and the switch-over adds Poisson
+immigrants.  T_c is the customer's service B_c extended by the busy periods
+of the classes the visit clears (gated: none, so T_c = B_c; mixed: the high
+class, so T_H is a high busy period and T_L a completion time; exhaustive:
+both, so T_c is the queue's busy period started by B_c), and the cleared
+classes' own coordinates are not kept.  The first and second moments of the
+visit-beginning state therefore follow one affine map per visit, and
+``moments`` solves the cycle of maps exactly as a linear system.
 """
 
 from __future__ import annotations
@@ -34,6 +46,7 @@ __all__ = ["GfEvaluator"]
 
 _GATED, _EXHAUSTIVE, _MIXED = 0, 1, 2
 _DISC_CODE = {GATED: _GATED, EXHAUSTIVE: _EXHAUSTIVE, MIXED: _MIXED}
+_CLEARED = {GATED: (), MIXED: (0,), EXHAUSTIVE: (0, 1)}  # classes a visit empties
 
 
 class GfEvaluator:
@@ -72,6 +85,25 @@ class GfEvaluator:
                 self._busy.append(None)
         # step order per starting queue: previous queue first, wrapping around
         self._order = [[(i - 1 - k) % n for k in range(n)] for i in range(n)]
+        # moment maps: per queue, lambda_c E(T_c) and lambda_c E(T_c^2) of its
+        # two classes, and which coordinates its visit keeps
+        self.period_rates = []
+        self._keep = []
+        for j, q in enumerate(model.queues):
+            lams = (q.lambda_high, q.lambda_low)
+            svcs = (q.service_high, q.service_low)
+            cleared = _CLEARED[q.discipline]
+            one = 1.0 - sum(lams[c] * svcs[c].mean for c in cleared)
+            r2 = sum(lams[c] * svcs[c].moment(2) for c in cleared)
+            self.period_rates.append((
+                tuple(lam * s.mean / one for lam, s in zip(lams, svcs)),
+                tuple(lam * (s.moment(2) / one**2 + s.mean * r2 / one**3)
+                      for lam, s in zip(lams, svcs))))
+            keep = [1.0] * (2 * n)
+            for c in cleared:
+                keep[2 * j + c] = 0.0
+            self._keep.append(keep)
+        self._swo = [(s.mean, s.moment(2)) for s in model.switchovers]
 
     # ------------------------------------------------------------------ core
 
@@ -161,6 +193,65 @@ class GfEvaluator:
             f"visit-beginning GF did not converge within {self.max_cycles} cycles "
             f"(load {self.derived.rho_total:.6g})")
 
+    # ------------------------------------------------------------ moments
+
+    def moments(self):
+        """Exact first and second factorial moments of the state at every
+        visit beginning, divided by the arrival rates: per queue i a pair
+        (m, f) with ``m[k] = E(X_k)/lam_k`` and ``f[k][l] = E(X_k (X_l -
+        [k == l]))/(lam_k lam_l)``.
+
+        In these units coordinate k holds the moments of the span it counts
+        arrivals over (the cycle or intervisit of ``transforms``), finite for
+        every rate, zero included.  A visit maps (m, f) to (S m, S f S^T +
+        keep keep^T sum_c lam_c E(T_c^2) m_c), a switch-over adds its length
+        to every span, and one cycle's fixed point solves two linear systems
+        with 2N and (2N)^2 unknowns.
+        """
+        n2 = 2 * self.n
+        zero = [[0.0] * n2 for _ in range(n2)]
+        # m_0 = P m_0 + b, with P's columns the cycle's visits applied to e_k
+        cols = [[float(k == c) for k in range(n2)] for c in range(n2)]
+        for j in range(self.n):
+            cols = [self._visit(j, col) for col in cols]
+        m0 = _solve([[float(a == c) - cols[c][a] for c in range(n2)] for a in range(n2)],
+                    self._cycle([0.0] * n2, zero)[-1][0])
+        # f_0 = P f_0 P^T + (f after one cycle from (m_0, 0))
+        rhs = self._cycle(m0, zero)[-1][1]
+        f0 = _solve([[float(a == c and b == d) - cols[c][a] * cols[d][b]
+                      for c in range(n2) for d in range(n2)]
+                     for a in range(n2) for b in range(n2)],
+                    [v for row in rhs for v in row])
+        return self._cycle(m0, [f0[a * n2:(a + 1) * n2] for a in range(n2)])[:-1]
+
+    def _visit(self, j: int, x: list) -> list:
+        """S x for queue j's visit: its own spans restart (or end, when the
+        visit empties them) and every kept span grows by the visit."""
+        a_h, a_l = self.period_rates[j][0]
+        v = a_h * x[2 * j] + a_l * x[2 * j + 1]
+        keep = self._keep[j]
+        y = [xk + v for xk in x]
+        y[2 * j] = keep[2 * j] * v
+        y[2 * j + 1] = keep[2 * j + 1] * v
+        return y
+
+    def _cycle(self, m: list, f: list) -> list:
+        """(m, f) at each visit beginning of one cycle from queue 0's."""
+        out = [(m, f)]
+        for j in range(self.n):
+            es, es2 = self._swo[j]
+            keep = self._keep[j]
+            b_h, b_l = self.period_rates[j][1]
+            spread = b_h * m[2 * j] + b_l * m[2 * j + 1]
+            y = self._visit(j, m)
+            f = [self._visit(j, col) for col in zip(*[self._visit(j, row) for row in f])]
+            f = [[fab + spread * ka * kb + es * (ya + yb) + es2
+                  for fab, kb, yb in zip(row, keep, y)]
+                 for row, ka, ya in zip(f, keep, y)]
+            m = [yk + es for yk in y]
+            out.append((m, f))
+        return out
+
     # ------------------------------------------------------- convenience API
 
     def value(self, i: int, z) -> float:
@@ -181,3 +272,23 @@ class GfEvaluator:
 
     def value_pair(self, i: int, z_high: float, z_low: float) -> float:
         return 1.0 - self.complement_pair(i, 1.0 - z_high, 1.0 - z_low)
+
+
+def _solve(a: list, b: list) -> list:
+    """x with a x = b by Gaussian elimination with partial pivoting."""
+    n = len(b)
+    rows = [row + [v] for row, v in zip(a, b)]
+    for k in range(n):
+        p = max(range(k, n), key=lambda r: abs(rows[r][k]))
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot = rows[k]
+        for row in rows[k + 1:]:
+            g = row[k] / pivot[k]
+            if g:
+                for c in range(k, n + 1):
+                    row[c] -= g * pivot[c]
+    x = [0.0] * n
+    for k in reversed(range(n)):
+        row = rows[k]
+        x[k] = (row[n] - sum(row[c] * x[c] for c in range(k + 1, n))) / row[k]
+    return x

@@ -173,7 +173,8 @@ def criterion_5():
 
 
 def criterion_6():
-    """Cross-moment and period-moment derivations of E(W_low) agree."""
+    """E(W_low) from the exact moment solve and from differentiating the
+    waiting-time transform agree."""
     worst = 0.0
     n = 0
     for _, _, duals in _random_suite():

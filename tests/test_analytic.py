@@ -5,7 +5,7 @@ import pytest
 
 from zoo import example1, example2, random_model, single_vacation_queue
 from priopoll import (Analyzer, EXHAUSTIVE, Exponential, GATED, MIXED,
-                      PollingModel, QueueSpec, pcl_check)
+                      PollingModel, QueueSpec, UnsupportedEvaluation, pcl_check)
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +147,20 @@ def test_report_periods(ex1_mixed):
     assert p[1].intervisit_m2 is None  # gated queue exposes no intervisit m2
 
 
+def test_report_mixed_queue_without_low_class():
+    # no coordinate spans a cycle, but no reported number needs one: an
+    # M/G/1 high class with deterministic vacations of length 10
+    a = Analyzer(single_vacation_queue(MIXED, lam_l=0.0))
+    rep = a.report()
+    assert [(r.queue, r.cls) for r in rep.classes] == [(0, "H")]
+    assert rep.wait(0, "H") == pytest.approx(0.3 * 2.0 / (2.0 * 0.7) + 10.0 / 2.0,
+                                             rel=1e-12)
+    assert rep.periods[0].cycle_m2 is None
+    assert rep.periods[0].intervisit_m2 == pytest.approx(100.0, rel=1e-12)
+    with pytest.raises(UnsupportedEvaluation):
+        a.cycle_m2(0)
+
+
 def test_randomized_pcl_and_dual_derivation_small():
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -161,16 +175,16 @@ def test_randomized_pcl_and_dual_derivation_small():
 
 
 def test_report_skips_the_dual_route(monkeypatch):
-    # the transform-derivative route for E(W_low) is a check, not a report input
-    from priopoll import analytic
-    real = analytic.lst_moment
-    orders = []
+    # means and period moments come from the exact moment solve: without
+    # variances, a report neither differentiates a transform nor evaluates
+    # the GF
+    from priopoll import GfEvaluator, analytic
 
-    def counted(handle, k, *args, **kwargs):
-        orders.append(k)
-        return real(handle, k, *args, **kwargs)
+    def refuse(*args, **kwargs):
+        raise AssertionError("report evaluated a transform")
 
-    monkeypatch.setattr(analytic, "lst_moment", counted)
-    for model in (example1(GATED), example2(EXHAUSTIVE, GATED)):
+    monkeypatch.setattr(analytic, "lst_moment", refuse)
+    monkeypatch.setattr(GfEvaluator, "log_value", refuse)
+    for model in (example1(GATED), example1(MIXED), example2(EXHAUSTIVE, GATED),
+                  example2(MIXED, EXHAUSTIVE)):
         Analyzer(model).report(include_variances=False)
-    assert orders and orders.count(1) == 0

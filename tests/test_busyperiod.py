@@ -6,8 +6,9 @@ import pytest
 
 from oracles import busy_period_by_bisection
 from priopoll import (BusyPeriod, Deterministic, Erlang, Exponential,
-                      TransformHandle, busy_period_lst, completion_time_lst,
-                      lst_moment)
+                      TransformHandle, Uniform, busy_period_lst,
+                      completion_time_lst, lst_moment)
+from priopoll.busyperiod import _solve_complement
 
 # root of pi = (1 + 0.5 + 0.5*(1 - pi))^(-1), i.e. 0.5 pi^2 - 2 pi + 1 = 0
 _EXP_HALF_ROOT = 2.0 - math.sqrt(2.0)  # 0.5857864376269049
@@ -38,6 +39,24 @@ def test_fixed_point_matches_bisection(dist, lam, omega):
     oracle = busy_period_by_bisection(dist.lst, lam, omega)
     assert got == pytest.approx(oracle, abs=5e-11)
     assert 0.0 < got <= 1.0
+
+
+def test_fixed_point_stops_on_a_rounding_two_cycle():
+    # plain substitution alternates between 0.14143314500702753 and
+    # 0.14143314500702764 here, 7.8e-16 apart: too far for the relative
+    # tolerance, so the solve must stop when its steps stop shrinking
+    dist = Uniform(0.0, 2.0)
+    steps = []
+
+    def lstc(s):
+        steps.append(s)
+        return dist.lst_complement(s)
+
+    got = _solve_complement(lstc, 0.4, 0.1, 0.0)
+    oracle = 1.0 - busy_period_by_bisection(dist.lst, 0.4, 0.1)
+    assert got == pytest.approx(oracle, rel=1e-13)
+    assert len(steps) < 100
+    assert BusyPeriod(dist, 0.4).complement(0.1) == got
 
 
 def test_mean_busy_period():

@@ -176,6 +176,21 @@ def test_malformed_model_exit_code(field, text, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_mixed_queue_without_low_class_exit_code(tmp_path):
+    cfg = {"queues": [{"lambda_high": 0.3, "discipline": "mixed_ge",
+                       "service_high": {"family": "exponential",
+                                        "params": {"mean": 1.0}}}],
+           "switchovers": [{"family": "deterministic", "params": {"value": 10.0}}]}
+    path = tmp_path / "high_only.json"
+    path.write_text(json.dumps(cfg))
+    proc = subprocess.run(
+        [sys.executable, "-m", "priopoll.cli", "analyze", "--model", str(path)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1].startswith("1,H,mixed_ge,5.42857,")
+    assert proc.stderr == ""
+
+
 def test_missing_file_exit_code(capsys):
     assert cli.main(["analyze", "--model", "/nonexistent.json"]) == 1
 

@@ -3,9 +3,23 @@
 import numpy as np
 import pytest
 
-from zoo import example1, random_model
-from priopoll import (Analyzer, EXHAUSTIVE, GATED, MIXED,
-                      UnsupportedEvaluation, lst_moment)
+from zoo import example1, example2, random_model
+from priopoll import (Analyzer, DISCIPLINES, EXHAUSTIVE, GATED, MIXED,
+                      PriopollError, UnsupportedEvaluation, lst_moment)
+
+
+def _published_and_random_models():
+    cases = []
+    for disc in DISCIPLINES:
+        cases.append(pytest.param(example1(disc), id=f"example1-{disc}"))
+        cases.append(pytest.param(example1(disc, det_switchover=10.0),
+                                  id=f"example1_det-{disc}"))
+    for d1 in DISCIPLINES:
+        for d2 in DISCIPLINES:
+            cases.append(pytest.param(example2(d1, d2), id=f"example2-{d1}-{d2}"))
+    rng = np.random.default_rng(2024)
+    cases.extend(pytest.param(random_model(rng), id=f"random-{k}") for k in range(20))
+    return cases
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +79,24 @@ def test_unsupported_domains(ex1):
     a_exh = Analyzer(example1(EXHAUSTIVE))
     with pytest.raises(UnsupportedEvaluation):
         a_exh.cycle_time_lst(0, 0.01)       # exhaustive queue: no cycle readout
+
+
+@pytest.mark.parametrize("model", _published_and_random_models())
+def test_exact_period_moments_match_transform_route(model):
+    # the exact moment solve against differentiating the period transforms;
+    # where no coordinate spans the period, both routes refuse
+    a = Analyzer(model)
+    for i, qt in enumerate(a.queues):
+        for exact, handle in ((a.cycle_m2, qt.cycle_handle),
+                              (a.intervisit_m2, qt.intervisit_handle),
+                              (a.visit_m2, qt.visit_handle)):
+            try:
+                value = exact(i)
+            except UnsupportedEvaluation:
+                with pytest.raises(PriopollError):
+                    lst_moment(handle(), 2)
+                continue
+            assert value == pytest.approx(lst_moment(handle(), 2).value, rel=1e-8)
 
 
 def test_cross_moment_identity_mixed(ex1):
