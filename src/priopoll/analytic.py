@@ -1,10 +1,11 @@
 """Analytic performance measures: means, variances, queue lengths, PCL.
 
 The Analyzer wraps one validated model with a shared GF evaluator.  Every
-mean rests on the exact first and second factorial moments of the polling
-state at visit beginnings (``GfEvaluator.moments``, one linear solve per
-model), from which it reads the cycle, intervisit and visit second moments
-and the polling-state cross moment.
+mean and variance rests on the exact factorial moments of the polling state
+at visit beginnings up to order three (``GfEvaluator.moments`` and
+``third_moments``, each solved once per model), from which it reads the
+cycle, intervisit and visit second moments and the polling-state cross
+moment.
 
 Mean waiting times per discipline (residual X means E(X^2)/(2E(X))):
 
@@ -18,8 +19,12 @@ Mean waiting times per discipline (residual X means E(X^2)/(2E(X))):
               low   M/G/1 term with completion-time services
                        + high residual-clearing term + res(I)/(1-rho_h)
 
-Variances still come from numerically differentiating the waiting-time
-transforms.  ``mean_wait_low_alt`` differentiates the low-priority waiting-time
+Second moments E(W^2) (``wait_m2``) expand the waiting-time LSTs of
+``transforms`` in power series about 0 up to omega^2 (Faa di Bruno): the GF
+becomes the moments of queue i's two spans up to order three, and the
+service, busy-period and completion-time LSTs their moments up to order
+three.  No report path differentiates a transform numerically or evaluates
+the GF.  ``mean_wait_low_alt`` differentiates the low-priority waiting-time
 transform for E(W_low), independent of the exact moments, for the dual-route
 checks; no report path calls it.
 """
@@ -40,9 +45,6 @@ from .moments import _neville_to_zero  # noqa: F401
 from .transforms import QueueTransforms
 
 __all__ = ["Analyzer", "PerfReport", "ClassResult", "QueuePeriods", "pcl_check"]
-
-VAR_REL_TOL = 5e-3  # accept a variance only when its error estimate is below this
-
 
 @dataclass(frozen=True)
 class ClassResult:
@@ -108,6 +110,7 @@ class Analyzer:
         self.gf = GfEvaluator(model, self.derived, tol=tol)
         self.queues = [QueueTransforms(self.gf, i) for i in range(model.n)]
         self._moments = None
+        self._third_moments = None
 
     # ------------------------------------------------------------ transforms
 
@@ -146,6 +149,13 @@ class Analyzer:
             self._moments = self.gf.moments()
         return self._moments[i]
 
+    def _third(self, i: int):
+        """Queue i's entry of ``GfEvaluator.third_moments``, solved once per
+        model when a variance first asks for it."""
+        if self._third_moments is None:
+            self._third_moments = self.gf.third_moments(*self._state(0))
+        return self._third_moments[i]
+
     def cycle_m2(self, i: int) -> float:
         """E(C^2) of the cycle starting at queue i's visit beginning: the span
         of the low coordinate, which stays gated."""
@@ -170,7 +180,7 @@ class Analyzer:
         """E(V^2): the visit is the sum of one period T_c per class-c customer
         present at its beginning."""
         m, f = self._state(i)
-        (a_h, a_l), (b_h, b_l) = self.gf.period_rates[i]
+        (a_h, a_l), (b_h, b_l), _ = self.gf.period_rates[i]
         k = 2 * i
         return (b_h * m[k] + b_l * m[k + 1] + a_h * a_h * f[k][k]
                 + 2.0 * a_h * a_l * f[k][k + 1] + a_l * a_l * f[k + 1][k + 1])
@@ -231,12 +241,86 @@ class Analyzer:
 
     # ------------------------------------------------------------- variances
 
-    def var_wait(self, i: int, cls: str, rel_tol: float = VAR_REL_TOL) -> float:
+    def wait_m2(self, i: int, cls: str) -> float:
+        """E(W^2): twice the omega^2 coefficient of the waiting-time LST of
+        ``transforms``, expanded about 0 from exact moments."""
         qt = self.queues[i]
-        handle = qt.wait_high_handle() if cls == "H" else qt.wait_low_handle()
+        lst = self._wait_high_series(qt) if cls == "H" else self._wait_low_series(qt)
+        return 2.0 * lst[2]
+
+    def var_wait(self, i: int, cls: str) -> float:
+        """Var(W) = E(W^2) - E(W)^2, both exact."""
         mean = self.mean_wait(i, cls)
-        m2 = lst_moment(handle, 2, rel_tol=rel_tol)
-        return m2.value - mean * mean
+        return self.wait_m2(i, cls) - mean * mean
+
+    def _span_complement(self, i: int, alpha: list, beta: list) -> list:
+        """1 - E exp(-alpha S_H - beta S_L) as a series in omega, for series
+        alpha and beta without constant term, where S_H and S_L are the spans
+        of queue i's coordinates at its visit beginning: the GF complement
+        ``complement_pair(i, zh, zl)`` with alpha = lam_h zh, beta = lam_l zl."""
+        m, f = self._state(i)
+        t = self._third(i)
+        k = (2 * i, 2 * i + 1)
+        # E(L_s L_u ...) for L_s = alpha_s S_H + beta_s S_L
+        w = [(alpha[s], beta[s]) for s in (1, 2, 3)]
+
+        def e1(u):
+            return u[0] * m[k[0]] + u[1] * m[k[1]]
+
+        def e2(u, v):
+            return sum(u[a] * v[b] * f[k[a]][k[b]] for a in (0, 1) for b in (0, 1))
+
+        e3 = sum(w[0][a] * w[0][b] * w[0][c] * t[k[a]][k[b]][k[c]]
+                 for a in (0, 1) for b in (0, 1) for c in (0, 1))
+        return [0.0, e1(w[0]), e1(w[1]) - e2(w[0], w[0]) / 2.0,
+                e1(w[2]) - e2(w[0], w[1]) + e3 / 6.0]
+
+    def _wait_high_series(self, qt) -> list:
+        """LST of W_H up to omega^2."""
+        if qt.lam_h <= 0.0:
+            raise UnsupportedEvaluation("queue has no high-priority class")
+        i = qt.i
+        bc_h = _complement_series(qt.svc_h)
+        if qt.disc == GATED:
+            tot = qt.lam_h + qt.lam_l
+            cycle = self._span_complement(i, _scale(qt.lam_h / tot, _OMEGA),
+                                          _scale(qt.lam_l / tot, _OMEGA))
+            served = self._span_complement(i, _scale(qt.lam_h, bc_h), _ZERO)
+            return _gate_wait(cycle, served, qt.ec, qt.rho_h, bc_h, qt.svc_h.mean)
+        # M/G/1 factor times a vacation: an intervisit time, which the high
+        # coordinate spans, or a low service
+        iv = self._span_complement(i, _OMEGA, _ZERO)
+        vac = _scale((1.0 - qt.rho_i) / (1.0 - qt.rho_h), _residual(iv, qt.ei))
+        if qt.lam_l > 0.0:
+            vac = _add(vac, _scale(qt.rho_l / (1.0 - qt.rho_h),
+                                   _residual(_complement_series(qt.svc_l), qt.svc_l.mean)))
+        return _div(_scale(1.0 - qt.rho_h, vac),
+                    _one_minus(qt.rho_h, _residual(bc_h, qt.svc_h.mean)))
+
+    def _wait_low_series(self, qt) -> list:
+        """LST of W_L up to omega^2."""
+        if qt.lam_l <= 0.0:
+            raise UnsupportedEvaluation("queue has no low-priority class")
+        i = qt.i
+        bc_l = _complement_series(qt.svc_l)
+        if qt.disc == GATED:
+            a_h = _scale(qt.lam_h, _complement_series(qt.svc_h))
+            cycle = self._span_complement(i, a_h, _OMEGA)
+            served = self._span_complement(i, a_h, _scale(qt.lam_l, bc_l))
+            return _gate_wait(cycle, served, qt.ec, qt.rho_l, bc_l, qt.svc_l.mean)
+        # a low service extended by the high busy periods it starts: the
+        # completion time B*
+        a_h = _scale(qt.lam_h, _complement_series(qt._busy_h))
+        bstar = _compose(bc_l, _add(_OMEGA, a_h))
+        rho_star = qt.rho_l / (1.0 - qt.rho_h)
+        e_bstar = qt.svc_l.mean / (1.0 - qt.rho_h)
+        at_omega = self._span_complement(i, a_h, _OMEGA)
+        if qt.disc == MIXED:
+            served = self._span_complement(i, a_h, _scale(qt.lam_l, bstar))
+            return _gate_wait(at_omega, served, qt.ec, rho_star, bstar, e_bstar)
+        # exhaustive: both coordinates span the intervisit time
+        return _div(_scale((1.0 - rho_star) * (1.0 - qt.rho_h) / qt.ei, at_omega[1:]),
+                    _one_minus(rho_star, _residual(bstar, e_bstar)))
 
     # --------------------------------------------------------------- report
 
@@ -272,6 +356,66 @@ class Analyzer:
                                         qt.ev, self.visit_m2(i), cross))
         lhs, rhs, residual = pcl_check(self.model, analyzer=self)
         return PerfReport(tuple(classes), tuple(periods), lhs, rhs, residual)
+
+
+# Truncated power series in omega: coefficient lists, omega^0 first.
+
+_OMEGA = [0.0, 1.0, 0.0, 0.0]
+_ZERO = [0.0] * 4
+
+
+def _complement_series(x) -> list:
+    """1 - E exp(-omega X) up to omega^3, from the moments of X (a
+    Distribution or a BusyPeriod)."""
+    return [0.0, x.moment(1), -x.moment(2) / 2.0, x.moment(3) / 6.0]
+
+
+def _residual(c: list, mean: float) -> list:
+    """LST c(omega)/(omega E(X)) of the residual of X, from the complement
+    series c of X; one order shorter."""
+    return [v / mean for v in c[1:]]
+
+
+def _scale(a: float, x: list) -> list:
+    return [a * v for v in x]
+
+
+def _add(x: list, y: list) -> list:
+    return [a + b for a, b in zip(x, y)]
+
+
+def _one_minus(rho: float, x: list) -> list:
+    return [1.0 - rho * x[0]] + [-rho * v for v in x[1:]]
+
+
+def _mul(x: list, y: list) -> list:
+    return [sum(x[k] * y[n - k] for k in range(n + 1)) for n in range(min(len(x), len(y)))]
+
+
+def _div(x: list, y: list) -> list:
+    q = []
+    for n in range(min(len(x), len(y))):
+        q.append((x[n] - sum(q[k] * y[n - k] for k in range(n))) / y[0])
+    return q
+
+
+def _compose(c: list, x: list) -> list:
+    """c(x(omega)) for series c and x without constant term."""
+    out = [0.0] * len(x)
+    power = [1.0] + [0.0] * (len(x) - 1)
+    for ck in c[1:]:
+        power = _mul(power, x)
+        out = _add(out, _scale(ck, power))
+    return out
+
+
+def _gate_wait(cycle: list, served: list, ec: float, rho: float,
+               bc: list, mean: float) -> list:
+    """The wait of a gated class, (cycle - served)/(omega E(C) (1 - rho R_B)):
+    the GF complements at the cycle and the served arguments, and the
+    complement series bc of the class's (extended) service B."""
+    num = [(a - b) / ec for a, b in zip(cycle[1:], served[1:])]
+    return _div(num, _one_minus(rho, _residual(bc, mean)))
 
 
 def leftover_work(model: PollingModel, derived: DerivedRates, i: int) -> float:

@@ -21,7 +21,7 @@ import math
 from .distributions import Distribution
 from .errors import NoConvergence
 
-__all__ = ["BusyPeriod", "busy_period_lst", "completion_time_lst"]
+__all__ = ["BusyPeriod", "ServiceMix", "busy_period_lst", "completion_time_lst"]
 
 _CAP = 1_000_000
 _RTOL = 5e-16
@@ -51,7 +51,8 @@ class BusyPeriod:
 
     ``complement(omega)`` returns 1 - pi(omega); an optional warm start (a
     complement value from a nearby argument) cuts the iteration count when the
-    transform is evaluated along a slowly varying path.
+    transform is evaluated along a slowly varying path.  ``moment(k)`` is
+    exact for k <= 3.
     """
 
     def __init__(self, service: Distribution, lam: float):
@@ -66,39 +67,47 @@ class BusyPeriod:
     def lst(self, omega: float) -> float:
         return 1.0 - self.complement(omega)
 
+    def moment(self, k: int) -> float:
+        """Raw moment E(Theta^k) for k in {1, 2, 3}, from the service moments
+        b_k: b1/(1-rho), b2/(1-rho)^3 and b3/(1-rho)^4 + 3 lam b2^2/(1-rho)^5."""
+        b = self.service.moment
+        one = 1.0 - self.rho
+        if k == 1:
+            return b(1) / one
+        if k == 2:
+            return b(2) / one**3
+        if k == 3:
+            return b(3) / one**4 + 3.0 * self.lam * b(2) ** 2 / one**5
+        raise ValueError("busy-period moments are exact for k in {1, 2, 3}")
+
     @property
     def mean(self) -> float:
-        return self.service.mean / (1.0 - self.rho)
+        return self.moment(1)
 
 
-class MixtureBusyPeriod(BusyPeriod):
-    """Busy period of the combined two-class queue (rate-weighted service mix).
+class ServiceMix(Distribution):
+    """Service time of a customer drawn from two classes in proportion to
+    their arrival rates.
 
-    Used for exhaustively served queues: the time to empty the queue does not
-    depend on the order of service, so one busy period with the mixed service
-    distribution covers both classes.
+    The time to empty an exhaustively served queue does not depend on the
+    order of service, so its busy period is the ``BusyPeriod`` of this mix
+    with the total rate.
     """
 
     def __init__(self, service_high: Distribution, lam_high: float,
                  service_low: Distribution, lam_low: float):
         lam = lam_high + lam_low
-        p_h = lam_high / lam
-        p_l = lam_low / lam
-        c_h = service_high.lst_complement
-        c_l = service_low.lst_complement
+        self._p = (lam_high / lam, lam_low / lam)
+        self._parts = (service_high, service_low)
+        self._c = (service_high.lst_complement, service_low.lst_complement)
 
-        def lstc(s, p_h=p_h, p_l=p_l, c_h=c_h, c_l=c_l):
-            return p_h * c_h(s) + p_l * c_l(s)
+    def lst_complement(self, omega: float) -> float:
+        (p_h, p_l), (c_h, c_l) = self._p, self._c
+        return p_h * c_h(omega) + p_l * c_l(omega)
 
-        self.lam = lam
-        self._lstc = lstc
-        mean = p_h * service_high.mean + p_l * service_low.mean
-        self.rho = lam * mean
-        self._mean_service = mean
-
-    @property
-    def mean(self) -> float:
-        return self._mean_service / (1.0 - self.rho)
+    def moment(self, k: int) -> float:
+        (p_h, p_l), (s_h, s_l) = self._p, self._parts
+        return p_h * s_h.moment(k) + p_l * s_l.moment(k)
 
 
 def busy_period_lst(service: Distribution, lam: float, omega: float) -> float:

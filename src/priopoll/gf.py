@@ -29,16 +29,19 @@ immigrants.  T_c is the customer's service B_c extended by the busy periods
 of the classes the visit clears (gated: none, so T_c = B_c; mixed: the high
 class, so T_H is a high busy period and T_L a completion time; exhaustive:
 both, so T_c is the queue's busy period started by B_c), and the cleared
-classes' own coordinates are not kept.  The first and second moments of the
-visit-beginning state therefore follow one affine map per visit, and
-``moments`` solves the cycle of maps exactly as a linear system.
+classes' own coordinates are not kept.  The moments of the visit-beginning
+state up to order three therefore follow one affine map per visit:
+``moments`` solves the cycle of maps for the first two exactly as linear
+systems, and ``third_moments`` sums the third's series by doubling.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from operator import mul
 
-from .busyperiod import BusyPeriod, MixtureBusyPeriod, _solve_complement
+from .busyperiod import BusyPeriod, ServiceMix, _solve_complement
 from .errors import NoConvergence
 from .model import EXHAUSTIVE, GATED, MIXED, DerivedRates, PollingModel, validate
 
@@ -79,14 +82,15 @@ class GfEvaluator:
             if code == _MIXED:
                 self._busy.append(BusyPeriod(q.service_high, q.lambda_high))
             elif code == _EXHAUSTIVE:
-                self._busy.append(MixtureBusyPeriod(
-                    q.service_high, q.lambda_high, q.service_low, q.lambda_low))
+                self._busy.append(BusyPeriod(
+                    ServiceMix(q.service_high, q.lambda_high, q.service_low, q.lambda_low),
+                    q.lambda_high + q.lambda_low))
             else:
                 self._busy.append(None)
         # step order per starting queue: previous queue first, wrapping around
         self._order = [[(i - 1 - k) % n for k in range(n)] for i in range(n)]
-        # moment maps: per queue, lambda_c E(T_c) and lambda_c E(T_c^2) of its
-        # two classes, and which coordinates its visit keeps
+        # moment maps: per queue, lambda_c E(T_c^k) of its two classes for
+        # k = 1, 2, 3, and which coordinates its visit keeps
         self.period_rates = []
         self._keep = []
         for j, q in enumerate(model.queues):
@@ -95,15 +99,19 @@ class GfEvaluator:
             cleared = _CLEARED[q.discipline]
             one = 1.0 - sum(lams[c] * svcs[c].mean for c in cleared)
             r2 = sum(lams[c] * svcs[c].moment(2) for c in cleared)
+            r3 = sum(lams[c] * svcs[c].moment(3) for c in cleared)
             self.period_rates.append((
                 tuple(lam * s.mean / one for lam, s in zip(lams, svcs)),
                 tuple(lam * (s.moment(2) / one**2 + s.mean * r2 / one**3)
+                      for lam, s in zip(lams, svcs)),
+                tuple(lam * (s.moment(3) / one**3 + 3.0 * s.moment(2) * r2 / one**4
+                             + s.mean * (r3 / one**4 + 3.0 * r2 * r2 / one**5))
                       for lam, s in zip(lams, svcs))))
             keep = [1.0] * (2 * n)
             for c in cleared:
                 keep[2 * j + c] = 0.0
             self._keep.append(keep)
-        self._swo = [(s.mean, s.moment(2)) for s in model.switchovers]
+        self._swo = [(s.mean, s.moment(2), s.moment(3)) for s in model.switchovers]
 
     # ------------------------------------------------------------------ core
 
@@ -201,19 +209,17 @@ class GfEvaluator:
         (m, f) with ``m[k] = E(X_k)/lam_k`` and ``f[k][l] = E(X_k (X_l -
         [k == l]))/(lam_k lam_l)``.
 
-        In these units coordinate k holds the moments of the span it counts
-        arrivals over (the cycle or intervisit of ``transforms``), finite for
-        every rate, zero included.  A visit maps (m, f) to (S m, S f S^T +
-        keep keep^T sum_c lam_c E(T_c^2) m_c), a switch-over adds its length
-        to every span, and one cycle's fixed point solves two linear systems
-        with 2N and (2N)^2 unknowns.
+        In these units coordinate k holds the moments of the span S_k it
+        counts arrivals over (the cycle or intervisit of ``transforms``),
+        E(S_k) and E(S_k S_l), finite for every rate, zero included.  A visit
+        maps (m, f) to (S m, S f S^T + keep keep^T sum_c lam_c E(T_c^2) m_c),
+        a switch-over adds its length to every span, and one cycle's fixed
+        point solves two linear systems with 2N and (2N)^2 unknowns.
         """
         n2 = 2 * self.n
         zero = [[0.0] * n2 for _ in range(n2)]
         # m_0 = P m_0 + b, with P's columns the cycle's visits applied to e_k
-        cols = [[float(k == c) for k in range(n2)] for c in range(n2)]
-        for j in range(self.n):
-            cols = [self._visit(j, col) for col in cols]
+        cols = self._cycle_columns()
         m0 = _solve([[float(a == c) - cols[c][a] for c in range(n2)] for a in range(n2)],
                     self._cycle([0.0] * n2, zero)[-1][0])
         # f_0 = P f_0 P^T + (f after one cycle from (m_0, 0))
@@ -222,7 +228,40 @@ class GfEvaluator:
                       for c in range(n2) for d in range(n2)]
                      for a in range(n2) for b in range(n2)],
                     [v for row in rhs for v in row])
-        return self._cycle(m0, [f0[a * n2:(a + 1) * n2] for a in range(n2)])[:-1]
+        return [(m, f) for m, f, _ in
+                self._cycle(m0, [f0[a * n2:(a + 1) * n2] for a in range(n2)])[:-1]]
+
+    def third_moments(self, m0: list, f0: list) -> list:
+        """Exact third factorial moments of the state at every visit
+        beginning, divided by the rates, given queue 0's entry (m0, f0) of
+        ``moments()``: per queue i ``t[k][l][r] = E(S_k S_l S_r)``, the
+        spans' third moments.
+
+        A visit maps the spans s to S s + keep D, where D, centred given s,
+        has variance and third moment sum_c lam_c E(T_c^k) s_c (k = 2, 3); so
+        t maps to S^(x3) t plus terms in f, m and the switch-over moments, and
+        the cycle's fixed point is the series t_0 = sum_k P^(x3 k) r, summed by
+        doubling.  Raises NoConvergence when it needs more than
+        ``max_cycles`` cycles, as ``log_value`` does.
+        """
+        n2 = 2 * self.n
+        zero3 = [[[0.0] * n2 for _ in range(n2)]] * n2
+        t0 = _power_series3([list(row) for row in zip(*self._cycle_columns())],
+                            self._cycle(m0, f0, zero3)[-1][2], self.max_cycles)
+        if t0 is None:
+            raise NoConvergence(
+                f"third visit-beginning moments did not converge within "
+                f"{self.max_cycles} cycles (load {self.derived.rho_total:.6g})")
+        return [t for _, _, t in self._cycle(m0, f0, t0)[:-1]]
+
+    def _cycle_columns(self) -> list:
+        """The columns P e_c of the cycle's mean map, from queue 0's visit
+        beginning."""
+        n2 = 2 * self.n
+        cols = [[float(k == c) for k in range(n2)] for c in range(n2)]
+        for j in range(self.n):
+            cols = [self._visit(j, col) for col in cols]
+        return cols
 
     def _visit(self, j: int, x: list) -> list:
         """S x for queue j's visit: its own spans restart (or end, when the
@@ -235,21 +274,38 @@ class GfEvaluator:
         y[2 * j + 1] = keep[2 * j + 1] * v
         return y
 
-    def _cycle(self, m: list, f: list) -> list:
-        """(m, f) at each visit beginning of one cycle from queue 0's."""
-        out = [(m, f)]
+    def _cycle(self, m: list, f: list, t: list | None = None) -> list:
+        """(m, f, t) at each visit beginning of one cycle from queue 0's; t
+        stays None when not given."""
+        out = [(m, f, t)]
         for j in range(self.n):
-            es, es2 = self._swo[j]
+            es, es2, es3 = self._swo[j]
             keep = self._keep[j]
-            b_h, b_l = self.period_rates[j][1]
-            spread = b_h * m[2 * j] + b_l * m[2 * j + 1]
+            _, (b_h, b_l), (c_h, c_l) = self.period_rates[j]
+            kh = 2 * j
+            spread = b_h * m[kh] + b_l * m[kh + 1]
             y = self._visit(j, m)
+            if t is not None:
+                # u = S s + keep D: E(u u u) = S^(x3) t + the three placements
+                # of keep keep (S f b) + E(D^3) keep keep keep
+                w = self._visit(j, [b_h * row[kh] + b_l * row[kh + 1] for row in f])
+                d3 = c_h * m[kh] + c_l * m[kh + 1]
+                visit = functools.partial(self._visit, j)
+                t = _turn(visit, _turn(visit, _turn(visit, t)))
             f = [self._visit(j, col) for col in zip(*[self._visit(j, row) for row in f])]
-            f = [[fab + spread * ka * kb + es * (ya + yb) + es2
-                  for fab, kb, yb in zip(row, keep, y)]
-                 for row, ka, ya in zip(f, keep, y)]
+            f = [[fab + spread * ka * kb for fab, kb in zip(row, keep)]
+                 for row, ka in zip(f, keep)]
+            if t is not None:
+                # then s' = u + sigma 1 with the switch-over sigma independent
+                t = [[[tabc + wa * kb * kc + ka * wb * kc + ka * kb * wc + d3 * ka * kb * kc
+                       + es * (fab + fac + fbc) + es2 * (ya + yb + yc) + es3
+                       for tabc, kc, wc, fac, fbc, yc in zip(tab, keep, w, fa, fb, y)]
+                      for tab, kb, wb, fab, fb, yb in zip(ta, keep, w, fa, f, y)]
+                     for ta, ka, wa, fa, ya in zip(t, keep, w, f, y)]
+            f = [[fab + es * (ya + yb) + es2 for fab, yb in zip(row, y)]
+                 for row, ya in zip(f, y)]
             m = [yk + es for yk in y]
-            out.append((m, f))
+            out.append((m, f, t))
         return out
 
     # ------------------------------------------------------- convenience API
@@ -272,6 +328,33 @@ class GfEvaluator:
 
     def value_pair(self, i: int, z_high: float, z_low: float) -> float:
         return 1.0 - self.complement_pair(i, 1.0 - z_high, 1.0 - z_low)
+
+
+def _turn(fn, t: list) -> list:
+    """u[c][a][b] = fn(t[a][b])[c]: a linear map applied along the last index
+    of a cubic 3-tensor, which then becomes the first."""
+    v = [[fn(fiber) for fiber in mat] for mat in t]
+    return [[[vab[c] for vab in va] for va in v] for c in range(len(v))]
+
+
+def _power_series3(p: list, r: list, max_terms: int) -> list | None:
+    """sum_k p^(x3 k) r, the fixed point of t = p^(x3) t + r, by doubling:
+    t <- t + a^(x3) t and a <- a a, so that t sums 2^s terms after s steps.
+    Every term is nonnegative; the sum ends at the first step that changes no
+    entry, and is None when that takes more than about ``max_terms`` terms."""
+    a, t = p, r
+    for _ in range(max_terms.bit_length()):
+        def apply(x, a=a):
+            return [sum(map(mul, row, x)) for row in a]
+        step = _turn(apply, _turn(apply, _turn(apply, t)))
+        new = [[[x + d for x, d in zip(xr, dr)] for xr, dr in zip(xm, dm)]
+               for xm, dm in zip(t, step)]
+        if new == t:
+            return t
+        t = new
+        cols = list(zip(*a))
+        a = [[sum(map(mul, row, col)) for col in cols] for row in a]
+    return None
 
 
 def _solve(a: list, b: list) -> list:

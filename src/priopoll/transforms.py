@@ -227,31 +227,33 @@ class QueueTransforms:
 
     # ------------------------------------------------------------ handles
 
+    def _handle(self, complement, omega_max: float, name: str) -> TransformHandle:
+        """A handle on ``complement``, evaluable up to ``omega_max``: the rate
+        that scales the transform's GF arguments, so zero means the transform
+        is unavailable, as its complement says for any positive argument."""
+        if omega_max <= 0.0:
+            raise UnsupportedEvaluation(
+                f"transform {name}[{self.i}] unavailable: its evaluable range is empty "
+                "(zero arrival rate)")
+        return TransformHandle(complement, self.h0, omega_max, name=f"{name}[{self.i}]")
+
     def cycle_handle(self) -> TransformHandle:
-        if self.disc == GATED:
-            om = self.lam_l + self.lam_h
-        else:
-            om = self.lam_l
-        return TransformHandle(self.cycle_complement, self.h0, om,
-                               name=f"cycle[{self.i}]")
+        om = self.lam_l + self.lam_h if self.disc == GATED else self.lam_l
+        return self._handle(self.cycle_complement, om, "cycle")
 
     def intervisit_handle(self) -> TransformHandle:
         om = self.lam_h + self.lam_l if self.disc == EXHAUSTIVE else self.lam_h
-        return TransformHandle(self.intervisit_complement, self.h0, om,
-                               name=f"intervisit[{self.i}]")
+        return self._handle(self.intervisit_complement, om, "intervisit")
 
     def visit_handle(self) -> TransformHandle:
-        return TransformHandle(self.visit_complement, self.h0, math.inf,
-                               name=f"visit[{self.i}]")
+        return self._handle(self.visit_complement, math.inf, "visit")
 
     def wait_high_handle(self) -> TransformHandle:
         om = self.lam_h if self.disc != GATED else max(self.lam_h, self.lam_l)
-        return TransformHandle(self.wait_high_complement, self.h0, om,
-                               name=f"wait_high[{self.i}]")
+        return self._handle(self.wait_high_complement, om, "wait_high")
 
     def wait_low_handle(self) -> TransformHandle:
-        return TransformHandle(self.wait_low_complement, self.h0, self.lam_l,
-                               name=f"wait_low[{self.i}]")
+        return self._handle(self.wait_low_complement, self.lam_l, "wait_low")
 
     # -------------------------------------------------- queue-length GFs
 

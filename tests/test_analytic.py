@@ -1,5 +1,7 @@
 """Means, variances, dual derivations, reductions, Little's law, PCL."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -175,16 +177,57 @@ def test_randomized_pcl_and_dual_derivation_small():
 
 
 def test_report_skips_the_dual_route(monkeypatch):
-    # means and period moments come from the exact moment solve: without
-    # variances, a report neither differentiates a transform nor evaluates
-    # the GF
-    from priopoll import GfEvaluator, analytic
+    # means, variances and period moments come from the exact moment solves:
+    # a report neither differentiates a transform, nor evaluates the GF, nor
+    # solves a busy-period fixed point
+    from priopoll import BusyPeriod, GfEvaluator, analytic
 
     def refuse(*args, **kwargs):
         raise AssertionError("report evaluated a transform")
 
     monkeypatch.setattr(analytic, "lst_moment", refuse)
     monkeypatch.setattr(GfEvaluator, "log_value", refuse)
+    monkeypatch.setattr(BusyPeriod, "complement", refuse)
     for model in (example1(GATED), example1(MIXED), example2(EXHAUSTIVE, GATED),
                   example2(MIXED, EXHAUSTIVE)):
         Analyzer(model).report(include_variances=False)
+        rep = Analyzer(model).report()
+        assert all(r.var_wait > 0.0 for r in rep.classes)
+
+
+def _two_queue_heavy(rho):
+    lam = rho / 4.0
+    return PollingModel(
+        queues=(QueueSpec(lam, lam, Exponential(1.0), Exponential(1.0), MIXED),
+                QueueSpec(lam, lam, Exponential(1.0), Exponential(1.0), EXHAUSTIVE)),
+        switchovers=(Exponential(1.0), Exponential(1.0)))
+
+
+def test_heavy_traffic_variances(monkeypatch):
+    # at rho = 0.999 the variances need no GF evaluation, so no cycle count
+    # grows as 1/(1 - rho)
+    from priopoll import GfEvaluator
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("report evaluated the GF")
+
+    monkeypatch.setattr(GfEvaluator, "log_value", refuse)
+    rep = Analyzer(_two_queue_heavy(0.999)).report()
+    assert len(rep.classes) == 4
+    for r in rep.classes:
+        assert math.isfinite(r.var_wait) and r.var_wait > 0.0
+    assert rep.pcl_residual < 1e-9
+
+
+@pytest.mark.parametrize("disc", [EXHAUSTIVE, MIXED])
+def test_wait_variance_vacation_closed_form(disc):
+    # one high class served exhaustively between deterministic vacations of
+    # length s: W = M/G/1 wait + an independent residual vacation, uniform on
+    # (0, s), so E(W^2) = E(W_q^2) + s E(W_q) + s^2/3
+    lam, s = 0.3, 10.0
+    a = Analyzer(single_vacation_queue(disc, lam_h=lam, lam_l=0.0, s=s))
+    wq = lam * 2.0 / (2.0 * (1.0 - lam))                 # Exp(1): b2 = 2, b3 = 6
+    wq2 = 2.0 * wq * wq + lam * 6.0 / (3.0 * (1.0 - lam))
+    assert a.wait_m2(0, "H") == pytest.approx(wq2 + s * wq + s * s / 3.0, rel=1e-13)
+    assert a.var_wait(0, "H") == pytest.approx(
+        wq2 + s * wq + s * s / 3.0 - (wq + s / 2.0) ** 2, rel=1e-12)

@@ -8,7 +8,7 @@ from oracles import busy_period_by_bisection
 from priopoll import (BusyPeriod, Deterministic, Erlang, Exponential,
                       TransformHandle, Uniform, busy_period_lst,
                       completion_time_lst, lst_moment)
-from priopoll.busyperiod import _solve_complement
+from priopoll.busyperiod import ServiceMix, _solve_complement
 
 # root of pi = (1 + 0.5 + 0.5*(1 - pi))^(-1), i.e. 0.5 pi^2 - 2 pi + 1 = 0
 _EXP_HALF_ROOT = 2.0 - math.sqrt(2.0)  # 0.5857864376269049
@@ -99,3 +99,27 @@ def test_completion_time_value_composes_oracle_root():
     got = completion_time_lst(Exponential(1.0), Exponential(1.0), 0.2, 1.0)
     assert got == pytest.approx(expected, abs=1e-10)
     assert got == pytest.approx(0.47506218943955496, abs=1e-9)
+
+
+@pytest.mark.parametrize("service,lam", [
+    (Exponential(1.0), 0.2),
+    (Erlang(2, 1.5), 0.5),
+    (Uniform(0.0, 2.0), 0.4),
+    (ServiceMix(Exponential(1.0), 0.3, Deterministic(0.5), 0.6), 0.9),
+], ids=["exponential", "erlang", "uniform", "two-class-mix"])
+def test_exact_moments_match_transform(service, lam):
+    bp = BusyPeriod(service, lam)
+    handle = TransformHandle(bp.complement, h0=1e-4, omega_max=1.0)
+    for k in (1, 2):
+        assert bp.moment(k) == pytest.approx(lst_moment(handle, k).value, rel=1e-7)
+
+
+def test_third_moment_exponential_closed_form():
+    # M/M/1 busy period with service rate mu and arrival rate lam:
+    # E(Theta^3) = 6 mu (mu + lam) / (mu - lam)^5
+    mu, lam = 2.0, 0.7
+    bp = BusyPeriod(Exponential(1.0 / mu), lam)
+    assert bp.moment(3) == pytest.approx(6.0 * mu * (mu + lam) / (mu - lam) ** 5,
+                                         rel=1e-13)
+    assert bp.moment(2) == pytest.approx(2.0 * mu / (mu - lam) ** 3, rel=1e-13)
+    assert bp.mean == bp.moment(1) == pytest.approx(1.0 / (mu - lam), rel=1e-13)

@@ -166,3 +166,19 @@ def test_malformed_config_values_rejected(cfg):
 def test_whole_number_erlang_shape_accepted():
     assert distribution_from_config(_erlang(3.0)) == Erlang(3, 1.0)
     assert distribution_from_config(_erlang(3)) == Erlang(3, 1.0)
+
+
+@pytest.mark.parametrize("dist", ALL, ids=lambda d: type(d).__name__ + repr(d.to_config()["params"]))
+def test_third_moment_matches_scipy(dist):
+    stats = pytest.importorskip("scipy.stats")
+    if isinstance(dist, Deterministic):
+        ref = stats.rv_discrete(values=([dist.value], [1.0])).moment(3)
+    elif isinstance(dist, Exponential):
+        ref = stats.expon(scale=dist.mean_).moment(3)
+    elif isinstance(dist, Erlang):
+        ref = stats.gamma(dist.shape, scale=dist.mean_ / dist.shape).moment(3)
+    elif isinstance(dist, Hyperexponential):
+        ref = sum(p * stats.expon(scale=m).moment(3) for p, m in zip(dist.probs, dist.means))
+    else:
+        ref = stats.uniform(loc=dist.low, scale=dist.high - dist.low).moment(3)
+    assert dist.moment(3) == pytest.approx(ref, rel=1e-12)

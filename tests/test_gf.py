@@ -110,3 +110,34 @@ def test_rejects_out_of_range_arguments():
         gf.log_value(0, [0.0, 0.0, -0.1, 0.0])
     with pytest.raises(ValueError):
         gf.log_value(0, [0.0, 0.0])
+
+
+def test_third_moments_are_the_cycle_fixed_point():
+    # one cycle of visit maps carries queue 0's third moments to themselves,
+    # and they are symmetric in their three indices
+    rng = np.random.default_rng(11)
+    for model in (example1(), example2("exhaustive", "gated"),
+                  random_model(rng, extended_dists=True)):
+        gf = GfEvaluator(model)
+        states = gf.moments()
+        thirds = gf.third_moments(*states[0])
+        m0, f0 = states[0]
+        images = [t for _, _, t in gf._cycle(m0, f0, thirds[0])]
+        n2 = 2 * gf.n
+        for t, image in zip(thirds + thirds[:1], images):
+            for a in range(n2):
+                for b in range(n2):
+                    for c in range(n2):
+                        assert image[a][b][c] == pytest.approx(t[a][b][c], rel=1e-13)
+                        assert t[a][b][c] == pytest.approx(t[c][a][b], rel=1e-13)
+
+
+def test_third_moments_near_critical_load_raise_no_convergence():
+    from priopoll import Exponential, PollingModel, QueueSpec
+    model = PollingModel(
+        queues=(QueueSpec(0.5, 0.4999999, Exponential(1.0), Exponential(1.0)),),
+        switchovers=(Exponential(1.0),),
+    )
+    gf = GfEvaluator(model, max_cycles=200)
+    with pytest.raises(NoConvergence):
+        gf.third_moments(*gf.moments()[0])
