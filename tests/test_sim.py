@@ -38,6 +38,9 @@ _GOLDEN_MODELS = (
     ("example2_mixed_mixed", lambda: example2(MIXED, MIXED)),
     ("example2_exhaustive_exhaustive", lambda: example2(EXHAUSTIVE, EXHAUSTIVE)),
     ("single_low_mixed", lambda: single_vacation_queue(MIXED, lam_h=0.0)),
+    ("single_high_mixed", lambda: single_vacation_queue(MIXED, lam_l=0.0)),
+    ("single_high_exhaustive", lambda: single_vacation_queue(EXHAUSTIVE, lam_l=0.0)),
+    ("example2_mixed_exhaustive", lambda: example2(MIXED, EXHAUSTIVE)),
 )
 
 
