@@ -7,15 +7,22 @@ service), services are never preempted, and a visit ends when the discipline
 says so (gated lines empty / queue empty / gated lows served and no
 high present).
 
-Rather than a binary-heap calendar, the event set is kept as one pointer per
-Poisson arrival stream plus the server's own clock, under one rule: a queue's
-two arrival streams are read only while the server is at that queue.  At a
-visit beginning both are read up to the current instant, which sets the gate;
-during the visit the discipline decides which are read before each service
-(none under gated, the high stream under mixed, both under exhaustive).
-Whatever stays in a stream arrived behind the gate, and nothing serves it
-before the queue's next visit reads it, in arrival order.  So a gated visit
-serves its lines in one pass with one batch of service draws per class.
+Rather than a binary-heap calendar, the event set is kept as one iterator of
+arrival times per Poisson stream plus the server's own clock, under one rule:
+a queue's two arrival streams are read only while the server is at that
+queue.  At a visit beginning both are read up to the current instant into
+the gate's two lines; during the visit the discipline decides which streams
+are read further (none under gated, the high stream under mixed, both under
+exhaustive).  Whatever stays in a stream arrived behind the gate, and nothing
+serves it before the queue's next visit reads it, in arrival order.  So every
+visit is served in one pass: the lines the gate fixed take one batch of
+service draws per class, and a stream read during the visit is served
+straight from its iterator while its next arrival lies before the current
+instant.  That keeps each class first-come first-served without a queue: a
+stream yields arrivals in increasing time, every customer in the gate's line
+arrived before any still in the stream, and the line is served first, so the
+next high customer served is always the earliest unserved arrival before the
+current instant, as a FIFO queue fed before each service would give it.
 Dequeue order is identical to a (timestamp, completion-before-arrival,
 sequence) calendar and fully deterministic given the seed.  Simultaneous
 completion/arrival ties resolve in favour of the completion, so an arrival
@@ -34,13 +41,13 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 
 import numpy as np
 
-from .model import EXHAUSTIVE, GATED, MIXED, PollingModel, validate
+from .model import EXHAUSTIVE, GATED, PollingModel, validate
 
 __all__ = ["Event", "SimStats", "run", "replicate"]
 
@@ -84,11 +91,6 @@ class _Tally:
         self.s = [0.0] * size
         self.s2 = [0.0] * size
 
-    def add(self, k: int, x: float) -> None:
-        self.n[k] += 1
-        self.s[k] += x
-        self.s2[k] += x * x
-
 
 @dataclass
 class _RepResult:
@@ -124,64 +126,37 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
     # per queue: arr_h, arr_l, svc_h, svc_l, swo
     rngs = [np.random.default_rng(c) for c in ss.spawn(5 * n)]
 
-    disc = [q.discipline for q in model.queues]
-    swo_draw = [_sampler(rngs[5 * j + 4], model.switchovers[j]) for j in range(n)]
-    # class streams queue j reads during its visit (both at its beginning)
-    reads = {GATED: (), MIXED: (0,), EXHAUSTIVE: (0, 1)}
-    during = [tuple(2 * j + c for c in reads[d]) for j, d in enumerate(disc)]
+    res = _RepResult(wait=_Tally(2 * n), cycle=_Tally(n), intervisit=_Tally(n),
+                     visit=_Tally(n), area=[0.0] * (2 * n),
+                     state=[[0.0, 0.0, 0.0] for _ in range(n)])
+    wait_n, wait_sum, wait_sumsq = res.wait.n, res.wait.s, res.wait.s2
+    cyc_n, cyc_s, cyc_s2 = res.cycle.n, res.cycle.s, res.cycle.s2
+    int_n, int_s, int_s2 = res.intervisit.n, res.intervisit.s, res.intervisit.s2
+    vis_n, vis_s, vis_s2 = res.visit.n, res.visit.s, res.visit.s2
+    area = res.area
+    events = res.events
+    seq = 0
 
-    # class streams k = 2*j + cls_idx: the line of absorbed arrivals and, where
-    # the rate is positive, the stream's arrival buffer and service sampler
-    lines = [deque() for _ in range(2 * n)]
+    # class streams k = 2*j + cls_idx, where the rate is positive: the next
+    # arrival time and the arrivals after it
     next_t = [math.inf] * (2 * n)
-    bufs = [None] * (2 * n)
-    ptrs = [0] * (2 * n)
-    gens = [None] * (2 * n)
-    scales = [0.0] * (2 * n)
-    svc_draw = [None] * (2 * n)
+    arrivals = [None] * (2 * n)
+    # per queue: its class streams, discipline, the streams' arrivals and
+    # service samplers, its switch-over sampler and visit-beginning state sums
+    queues = []
     for j, q in enumerate(model.queues):
+        svc = [None, None]
         for cls_idx, (rate, dist) in enumerate(((q.lambda_high, q.service_high),
                                                 (q.lambda_low, q.service_low))):
             if rate <= 0.0:
                 continue
             k = 2 * j + cls_idx
-            gens[k] = gen = rngs[5 * j + cls_idx]
-            scales[k] = 1.0 / rate
-            bufs[k] = buf = gen.exponential(scales[k], _BLOCK).tolist()
-            next_t[k] = buf[0]
-            ptrs[k] = 1
-            svc_draw[k] = _sampler(rngs[5 * j + 2 + cls_idx], dist)
-
-    res = _RepResult(wait=_Tally(2 * n), cycle=_Tally(n), intervisit=_Tally(n),
-                     visit=_Tally(n), area=[0.0] * (2 * n),
-                     state=[[0.0, 0.0, 0.0] for _ in range(n)])
-    wait_sum = res.wait.s
-    wait_sumsq = res.wait.s2
-    wait_n = res.wait.n
-    area = res.area
-    events = res.events
-    seq = 0
-
-    def absorb(t, streams):
-        """Move the arrivals before t of the given streams into their lines."""
-        for k in streams:
-            nt = next_t[k]
-            if nt < t:
-                ap = lines[k].append
-                buf = bufs[k]
-                p = ptrs[k]
-                blen = len(buf)
-                while nt < t:
-                    ap(nt)
-                    if p == blen:
-                        buf = gens[k].exponential(scales[k], _BLOCK).tolist()
-                        bufs[k] = buf
-                        blen = _BLOCK
-                        p = 0
-                    nt += buf[p]
-                    p += 1
-                next_t[k] = nt
-                ptrs[k] = p
+            arrivals[k] = _arrivals(rngs[5 * j + cls_idx], 1.0 / rate).__next__
+            next_t[k] = arrivals[k]()
+            svc[cls_idx] = _sampler(rngs[5 * j + 2 + cls_idx], dist)
+        queues.append((2 * j, 2 * j + 1, q.discipline, arrivals[2 * j],
+                       arrivals[2 * j + 1], *svc,
+                       _sampler(rngs[5 * j + 4], model.switchovers[j]), res.state[j]))
 
     t = 0.0
     t_warm = None
@@ -189,37 +164,46 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
     prev_begin = [-math.inf] * n
     prev_end = [-math.inf] * n
     q0_begins = 0
-    pend = []  # served lows of a mixed/exhaustive visit awaiting their completion
     j = 0
 
-    def release(k2, arr, t_rel):
-        if t_warm is not None and t_rel > t_warm:
-            area[k2] += t_rel - (arr if arr > t_warm else t_warm)
-
     while True:
-        # ---- visit beginning: the gate is what has arrived so far
-        kh = 2 * j
-        kl = kh + 1
-        absorb(t, (kh, kl))
+        # ---- visit beginning
         if j == 0 and t_warm is None and q0_begins == warmup_cycles:
             t_warm = t
-        measured = t_warm is not None and t >= t_warm
+        measured = t_warm is not None  # t never falls back below t_warm
         if measured and prev_begin[j] >= t_warm:
-            res.cycle.add(j, t - prev_begin[j])
+            x = t - prev_begin[j]
+            cyc_n[j] += 1
+            cyc_s[j] += x
+            cyc_s2[j] += x * x
         if j == 0:
             if q0_begins == n_cycles:
                 break
             q0_begins += 1
 
-        d = disc[j]
-        hline = lines[kh]
-        lline = lines[kl]
+        # the gate is what has arrived so far
+        kh, kl, d, nxt_h, nxt_l, draw_h, draw_l, swo, st = queues[j]
+        nh, nl = next_t[kh], next_t[kl]
+        hline = []
+        lline = []
+        if nh < t:
+            ap = hline.append
+            while nh < t:
+                ap(nh)
+                nh = nxt_h()
+        if nl < t:
+            ap = lline.append
+            while nl < t:
+                ap(nl)
+                nl = nxt_l()
         if measured:
             if prev_end[j] >= t_warm:
-                res.intervisit.add(j, t - prev_end[j])
-            xh = float(len(hline))
-            xl = float(len(lline))
-            st = res.state[j]
+                x = t - prev_end[j]
+                int_n[j] += 1
+                int_s[j] += x
+                int_s2[j] += x * x
+            xh = len(hline)
+            xl = len(lline)
             st[0] += xh
             st[1] += xl
             st[2] += xh * xl
@@ -230,12 +214,13 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
             seq += 1
 
         if d == GATED:
-            # one pass per line the gate fixed; the sums are release()'s, in order
-            for k2, line in ((kh, hline), (kl, lline)):
+            # one pass per line the gate fixed, high then low
+            next_t[kh], next_t[kl] = nh, nl
+            for k2, line, draw in ((kh, hline, draw_h), (kl, lline, draw_l)):
                 if not line:
                     continue
                 t_start = t
-                durs = svc_draw[k2](len(line))
+                durs = draw(len(line))
                 if measured:
                     wn, ws, ws2, ar = wait_n[k2], wait_sum[k2], wait_sumsq[k2], area[k2]
                     for arr, dur in zip(line, durs):
@@ -258,55 +243,89 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
                         t_start += dur
                         events.append(Event(t_start, "service_end", seq + 1, j, cls, arr))
                         seq += 2
-                line.clear()
         else:
-            streams = during[j]
+            # highs first: the gate's line, then the stream while its next
+            # arrival is before t; then one low, from the gate's line or, under
+            # exhaustive service, the stream.  A served low stays in system
+            # (pending) until the highs that arrived during its service are done.
+            exhaustive = d == EXHAUSTIVE
+            nhg, nlg = len(hline), len(lline)
+            hdurs = draw_h(nhg) if nhg else ()
+            ldurs = draw_l(nlg) if nlg else ()
+            hi = li = 0
+            pending = None
+            hn, hs, hs2, ha = wait_n[kh], wait_sum[kh], wait_sumsq[kh], area[kh]
+            ln, ls, ls2, la = wait_n[kl], wait_sum[kl], wait_sumsq[kl], area[kl]
             while True:
-                absorb(t, streams)
-                if pend and not hline:
-                    for arr in pend:
-                        release(kl, arr, t)
-                    pend.clear()
-                if hline:
-                    arr = hline.popleft()
-                    k2 = kh
-                elif lline:
-                    arr = lline.popleft()
-                    k2 = kl
+                while True:
+                    if hi < nhg:
+                        arr = hline[hi]
+                        dur = hdurs[hi]
+                        hi += 1
+                    elif nh < t:
+                        arr = nh
+                        nh = nxt_h()
+                        dur = draw_h()
+                    else:
+                        break
+                    if trace:
+                        events.append(Event(t, "service_start", seq, j, "H", arr))
+                        events.append(Event(t + dur, "service_end", seq + 1, j, "H", arr))
+                        seq += 2
+                    if measured:
+                        if arr >= t_warm:
+                            w = t - arr
+                            hn += 1
+                            hs += w
+                            hs2 += w * w
+                        busy += dur
+                        t += dur
+                        ha += t - (arr if arr > t_warm else t_warm)
+                    else:
+                        t += dur
+                if pending is not None:
+                    la += t - (pending if pending > t_warm else t_warm)
+                    pending = None
+                if li < nlg:
+                    arr = lline[li]
+                    dur = ldurs[li]
+                    li += 1
+                elif exhaustive and nl < t:
+                    arr = nl
+                    nl = nxt_l()
+                    dur = draw_l()
                 else:
                     break
-                if measured and arr >= t_warm:
-                    w = t - arr
-                    wait_n[k2] += 1
-                    wait_sum[k2] += w
-                    wait_sumsq[k2] += w * w
                 if trace:
-                    cls = "H" if k2 == kh else "L"
-                    if cls == "L":
-                        assert not hline, "low-priority service started with high-priority work waiting"
-                        if d == MIXED:
-                            assert arr <= t_vb, "served a low customer from behind the gate"
-                    events.append(Event(t, "service_start", seq, j, cls, arr))
-                    seq += 1
-                dur = svc_draw[k2]()
-                if measured:  # t_warm is an earlier t: all of dur counts
+                    assert not nh < t, "low-priority service started with high-priority work waiting"
+                    assert exhaustive or arr <= t_vb, "served a low customer from behind the gate"
+                    events.append(Event(t, "service_start", seq, j, "L", arr))
+                    events.append(Event(t + dur, "service_end", seq + 1, j, "L", arr))
+                    seq += 2
+                if measured:
+                    if arr >= t_warm:
+                        w = t - arr
+                        ln += 1
+                        ls += w
+                        ls2 += w * w
                     busy += dur
-                t += dur
-                if trace:
-                    events.append(Event(t, "service_end", seq, j,
-                                        "H" if k2 == kh else "L", arr))
-                    seq += 1
-                if k2 == kh:
-                    release(k2, arr, t)
+                    t += dur
+                    pending = arr
                 else:
-                    pend.append(arr)
+                    t += dur
+            next_t[kh], next_t[kl] = nh, nl
+            wait_n[kh], wait_sum[kh], wait_sumsq[kh], area[kh] = hn, hs, hs2, ha
+            wait_n[kl], wait_sum[kl], wait_sumsq[kl], area[kl] = ln, ls, ls2, la
 
         # ---- visit end
         if measured:
-            res.visit.add(j, t - t_vb)
+            x = t - t_vb
+            vis_n[j] += 1
+            vis_s[j] += x
+            vis_s2[j] += x * x
         prev_end[j] = t
 
-        t += swo_draw[j]()
+        t += swo()
         j += 1
         if j == n:
             j = 0
@@ -318,11 +337,19 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
     res.t_warm = t_warm
     res.t_end = t
     # customers still in system contribute queue-length area up to the horizon
-    absorb(t, range(2 * n))
-    for k2, line in enumerate(lines):
-        for arr in line:
-            release(k2, arr, t)
+    if t_warm is not None and t > t_warm:
+        for k in range(2 * n):
+            arr = next_t[k]
+            while arr < t:
+                area[k] += t - (arr if arr > t_warm else t_warm)
+                arr = arrivals[k]()
     return res
+
+
+def _arrivals(gen, scale):
+    """Arrival times of a Poisson stream: running sums of gaps drawn a block at a time."""
+    gaps = iter(lambda: gen.exponential(scale, _BLOCK).tolist(), None)
+    return accumulate(chain.from_iterable(gaps))
 
 
 def _sampler(gen, dist, block=_BLOCK):

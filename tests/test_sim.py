@@ -154,10 +154,33 @@ def test_visit_reads_streams_per_discipline(disc):
     lambda: example1(GATED),
     lambda: example2(GATED, GATED),
     lambda: single_vacation_queue(GATED, lam_h=0.0),
-], ids=["example1_gated", "example2_gated_gated", "single_class_gated"])
-def test_trace_does_not_perturb_gated_runs(build):
+    lambda: example1(MIXED),
+    lambda: example1(EXHAUSTIVE),
+    lambda: example2(MIXED, MIXED),
+    lambda: example2(EXHAUSTIVE, EXHAUSTIVE),
+    lambda: single_vacation_queue(MIXED, lam_l=0.0),
+    lambda: single_vacation_queue(EXHAUSTIVE, lam_l=0.0),
+], ids=["example1_gated", "example2_gated_gated", "single_class_gated",
+        "example1_mixed", "example1_exhaustive", "example2_mixed_mixed",
+        "example2_exhaustive_exhaustive", "single_high_mixed",
+        "single_high_exhaustive"])
+def test_trace_does_not_perturb_runs(build):
     m = build()
     assert run(m, seed=21, n_cycles=500, trace=True)[0] == run(m, seed=21, n_cycles=500)
+
+
+def test_arrivals_are_the_running_sum_of_gap_blocks():
+    # the iterator's k-th value is the sum of the first k + 1 gaps, added one
+    # at a time; three blocks of 8192 gaps read across two block boundaries
+    from priopoll.sim import _arrivals
+    scale = 2.5
+    gaps = np.random.default_rng(17)
+    it = _arrivals(np.random.default_rng(17), scale)
+    t = 0.0
+    for _ in range(3):
+        for gap in gaps.exponential(scale, 8192).tolist():
+            t += gap
+            assert next(it) == t
 
 
 def _counting(dist):
