@@ -101,13 +101,18 @@ class PerfReport:
         raise KeyError((queue, cls))
 
 
+def _check_class(cls: str) -> None:
+    if cls not in ("H", "L"):
+        raise ValueError(f"class must be 'H' or 'L', got {cls!r}")
+
+
 class Analyzer:
     """Transform-based performance analysis of one polling model."""
 
-    def __init__(self, model: PollingModel, tol: float = 1e-15):
+    def __init__(self, model: PollingModel):
         self.model = model
         self.derived = validate(model)
-        self.gf = GfEvaluator(model, self.derived, tol=tol)
+        self.gf = GfEvaluator(model, self.derived)
         self.queues = [QueueTransforms(self.gf, i) for i in range(model.n)]
         self._moments = None
         self._third_moments = None
@@ -235,6 +240,7 @@ class Analyzer:
         return lst_moment(self.queues[i].wait_low_handle(), 1).value
 
     def mean_wait(self, i: int, cls: str) -> float:
+        _check_class(cls)
         if cls == "H":
             return self.mean_wait_high(i)
         return self.mean_wait_low(i)
@@ -244,6 +250,7 @@ class Analyzer:
     def wait_m2(self, i: int, cls: str) -> float:
         """E(W^2): twice the omega^2 coefficient of the waiting-time LST of
         ``transforms``, expanded about 0 from exact moments."""
+        _check_class(cls)
         qt = self.queues[i]
         lst = self._wait_high_series(qt) if cls == "H" else self._wait_low_series(qt)
         return 2.0 * lst[2]

@@ -93,6 +93,8 @@ def cmd_compare(args) -> int:
     for i in flagged:
         if not 0 <= i < model.n:
             raise ValueError(f"queue index {i + 1} out of range")
+    if len(set(flagged)) < len(flagged):
+        raise ValueError(f"duplicate queue index in --queues {args.queues}")
     lines = ["combo,queue,class,discipline,mean_wait,var_wait,leftover_work,"
              "pcl_lhs,pcl_rhs,pcl_residual"]
     for combo in itertools.product(DISCIPLINES, repeat=len(flagged)):

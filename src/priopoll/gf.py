@@ -50,6 +50,7 @@ __all__ = ["GfEvaluator"]
 _GATED, _EXHAUSTIVE, _MIXED = 0, 1, 2
 _DISC_CODE = {GATED: _GATED, EXHAUSTIVE: _EXHAUSTIVE, MIXED: _MIXED}
 _CLEARED = {GATED: (), MIXED: (0,), EXHAUSTIVE: (0, 1)}  # classes a visit empties
+_TOL = 1e-15  # log_value stops once a whole cycle adds less than this
 
 
 class GfEvaluator:
@@ -60,10 +61,9 @@ class GfEvaluator:
     """
 
     def __init__(self, model: PollingModel, derived: DerivedRates | None = None,
-                 tol: float = 1e-15, max_cycles: int = 100_000):
+                 max_cycles: int = 100_000):
         self.model = model
         self.derived = derived if derived is not None else validate(model)
-        self.tol = tol
         self.max_cycles = max_cycles
         n = model.n
         self.n = n
@@ -128,7 +128,6 @@ class GfEvaluator:
         busy = self._busy
         sigma_c = self._sigma_c
         order = self._order[i % n]
-        tol = self.tol
 
         w = [float(c) for c in zeta]
         for c in w:
@@ -189,7 +188,7 @@ class GfEvaluator:
                 w[kh + 1] = nl
             if lam_tot <= 0.0:
                 return math.fsum(terms)
-            if -csum <= tol:
+            if -csum <= _TOL:
                 # geometric tail of the remaining cycles
                 if prev_csum < 0.0:
                     r = csum / prev_csum

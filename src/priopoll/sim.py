@@ -14,12 +14,13 @@ queue.  At a visit beginning both are read up to the current instant into
 the gate's two lines; during the visit the discipline decides which streams
 are read further (none under gated, the high stream under mixed, both under
 exhaustive).  Whatever stays in a stream arrived behind the gate, and nothing
-serves it before the queue's next visit reads it, in arrival order.  So every
-visit is served in one pass: the lines the gate fixed take one batch of
-service draws per class, and a stream read during the visit is served
-straight from its iterator while its next arrival lies before the current
-instant.  That keeps each class first-come first-served without a queue: a
-stream yields arrivals in increasing time, every customer in the gate's line
+serves it before the queue's next visit reads it, in arrival order.  So one
+loop serves every visit, whatever its discipline, in one pass: the lines the
+gate fixed take one batch of service draws per class, and a stream read
+during the visit is served straight from its iterator while its next arrival
+lies before the current instant; a gated visit is one that reads neither.
+That keeps each class first-come first-served without a queue: a stream
+yields arrivals in increasing time, every customer in the gate's line
 arrived before any still in the stream, and the line is served first, so the
 next high customer served is always the earliest unserved arrival before the
 current instant, as a FIFO queue fed before each service would give it.
@@ -141,8 +142,9 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
     # arrival time and the arrivals after it
     next_t = [math.inf] * (2 * n)
     arrivals = [None] * (2 * n)
-    # per queue: its class streams, discipline, the streams' arrivals and
-    # service samplers, its switch-over sampler and visit-beginning state sums
+    # per queue: its class streams, whether a visit reads each stream, the
+    # streams' arrivals and service samplers, its switch-over sampler and
+    # visit-beginning state sums
     queues = []
     for j, q in enumerate(model.queues):
         svc = [None, None]
@@ -154,7 +156,8 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
             arrivals[k] = _arrivals(rngs[5 * j + cls_idx], 1.0 / rate).__next__
             next_t[k] = arrivals[k]()
             svc[cls_idx] = _sampler(rngs[5 * j + 2 + cls_idx], dist)
-        queues.append((2 * j, 2 * j + 1, q.discipline, arrivals[2 * j],
+        queues.append((2 * j, 2 * j + 1, q.discipline != GATED,
+                       q.discipline == EXHAUSTIVE, arrivals[2 * j],
                        arrivals[2 * j + 1], *svc,
                        _sampler(rngs[5 * j + 4], model.switchovers[j]), res.state[j]))
 
@@ -182,7 +185,7 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
             q0_begins += 1
 
         # the gate is what has arrived so far
-        kh, kl, d, nxt_h, nxt_l, draw_h, draw_l, swo, st = queues[j]
+        kh, kl, read_h, read_l, nxt_h, nxt_l, draw_h, draw_l, swo, st = queues[j]
         nh, nl = next_t[kh], next_t[kl]
         hline = []
         lline = []
@@ -213,109 +216,77 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
             events.append(Event(t, "visit_begin", seq, j))
             seq += 1
 
-        if d == GATED:
-            # one pass per line the gate fixed, high then low
-            next_t[kh], next_t[kl] = nh, nl
-            for k2, line, draw in ((kh, hline, draw_h), (kl, lline, draw_l)):
-                if not line:
-                    continue
-                t_start = t
-                durs = draw(len(line))
-                if measured:
-                    wn, ws, ws2, ar = wait_n[k2], wait_sum[k2], wait_sumsq[k2], area[k2]
-                    for arr, dur in zip(line, durs):
-                        if arr >= t_warm:
-                            w = t - arr
-                            wn += 1
-                            ws += w
-                            ws2 += w * w
-                        busy += dur
-                        t += dur
-                        ar += t - (arr if arr > t_warm else t_warm)
-                    wait_n[k2], wait_sum[k2], wait_sumsq[k2], area[k2] = wn, ws, ws2, ar
-                else:
-                    for dur in durs:
-                        t += dur
-                if trace:
-                    cls = "H" if k2 == kh else "L"
-                    for arr, dur in zip(line, durs):
-                        events.append(Event(t_start, "service_start", seq, j, cls, arr))
-                        t_start += dur
-                        events.append(Event(t_start, "service_end", seq + 1, j, cls, arr))
-                        seq += 2
-        else:
-            # highs first: the gate's line, then the stream while its next
-            # arrival is before t; then one low, from the gate's line or, under
-            # exhaustive service, the stream.  A served low stays in system
-            # (pending) until the highs that arrived during its service are done.
-            exhaustive = d == EXHAUSTIVE
-            nhg, nlg = len(hline), len(lline)
-            hdurs = draw_h(nhg) if nhg else ()
-            ldurs = draw_l(nlg) if nlg else ()
-            hi = li = 0
-            pending = None
-            hn, hs, hs2, ha = wait_n[kh], wait_sum[kh], wait_sumsq[kh], area[kh]
-            ln, ls, ls2, la = wait_n[kl], wait_sum[kl], wait_sumsq[kl], area[kl]
+        # highs first: the gate's line, then the stream while its next
+        # arrival is before t; then one low, from the gate's line or the
+        # stream.  A visit reads a stream only if its discipline lets that
+        # class pass the gate (read_h: mixed and exhaustive, read_l:
+        # exhaustive).  A served low stays in system (pending) until the
+        # highs that arrived during its service are done.
+        nhg, nlg = len(hline), len(lline)
+        hdurs = draw_h(nhg) if nhg else ()
+        ldurs = draw_l(nlg) if nlg else ()
+        hi = li = 0
+        pending = None
+        hn, hs, hs2, ha = wait_n[kh], wait_sum[kh], wait_sumsq[kh], area[kh]
+        ln, ls, ls2, la = wait_n[kl], wait_sum[kl], wait_sumsq[kl], area[kl]
+        while True:
             while True:
-                while True:
-                    if hi < nhg:
-                        arr = hline[hi]
-                        dur = hdurs[hi]
-                        hi += 1
-                    elif nh < t:
-                        arr = nh
-                        nh = nxt_h()
-                        dur = draw_h()
-                    else:
-                        break
-                    if trace:
-                        events.append(Event(t, "service_start", seq, j, "H", arr))
-                        events.append(Event(t + dur, "service_end", seq + 1, j, "H", arr))
-                        seq += 2
-                    if measured:
-                        if arr >= t_warm:
-                            w = t - arr
-                            hn += 1
-                            hs += w
-                            hs2 += w * w
-                        busy += dur
-                        t += dur
-                        ha += t - (arr if arr > t_warm else t_warm)
-                    else:
-                        t += dur
-                if pending is not None:
-                    la += t - (pending if pending > t_warm else t_warm)
-                    pending = None
-                if li < nlg:
-                    arr = lline[li]
-                    dur = ldurs[li]
-                    li += 1
-                elif exhaustive and nl < t:
-                    arr = nl
-                    nl = nxt_l()
-                    dur = draw_l()
+                if hi < nhg:
+                    arr = hline[hi]
+                    dur = hdurs[hi]
+                    hi += 1
+                elif read_h and nh < t:
+                    arr = nh
+                    nh = nxt_h()
+                    dur = draw_h()
                 else:
                     break
                 if trace:
-                    assert not nh < t, "low-priority service started with high-priority work waiting"
-                    assert exhaustive or arr <= t_vb, "served a low customer from behind the gate"
-                    events.append(Event(t, "service_start", seq, j, "L", arr))
-                    events.append(Event(t + dur, "service_end", seq + 1, j, "L", arr))
+                    events.append(Event(t, "service_start", seq, j, "H", arr))
+                    events.append(Event(t + dur, "service_end", seq + 1, j, "H", arr))
                     seq += 2
                 if measured:
                     if arr >= t_warm:
                         w = t - arr
-                        ln += 1
-                        ls += w
-                        ls2 += w * w
+                        hn += 1
+                        hs += w
+                        hs2 += w * w
                     busy += dur
                     t += dur
-                    pending = arr
+                    ha += t - (arr if arr > t_warm else t_warm)
                 else:
                     t += dur
-            next_t[kh], next_t[kl] = nh, nl
-            wait_n[kh], wait_sum[kh], wait_sumsq[kh], area[kh] = hn, hs, hs2, ha
-            wait_n[kl], wait_sum[kl], wait_sumsq[kl], area[kl] = ln, ls, ls2, la
+            if pending is not None:
+                la += t - (pending if pending > t_warm else t_warm)
+                pending = None
+            if li < nlg:
+                arr = lline[li]
+                dur = ldurs[li]
+                li += 1
+            elif read_l and nl < t:
+                arr = nl
+                nl = nxt_l()
+                dur = draw_l()
+            else:
+                break
+            if trace:
+                events.append(Event(t, "service_start", seq, j, "L", arr))
+                events.append(Event(t + dur, "service_end", seq + 1, j, "L", arr))
+                seq += 2
+            if measured:
+                if arr >= t_warm:
+                    w = t - arr
+                    ln += 1
+                    ls += w
+                    ls2 += w * w
+                busy += dur
+                t += dur
+                pending = arr
+            else:
+                t += dur
+        next_t[kh], next_t[kl] = nh, nl
+        wait_n[kh], wait_sum[kh], wait_sumsq[kh], area[kh] = hn, hs, hs2, ha
+        wait_n[kl], wait_sum[kl], wait_sumsq[kl], area[kl] = ln, ls, ls2, la
 
         # ---- visit end
         if measured:

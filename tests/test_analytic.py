@@ -127,6 +127,13 @@ def test_littles_law_consistency(ex1_mixed):
         0.4 * (ex1_mixed.mean_wait_low(0) + 1.25), rel=1e-12)
 
 
+@pytest.mark.parametrize("method", ["mean_wait", "var_wait", "wait_m2", "mean_qlen"])
+@pytest.mark.parametrize("cls", ["h", "l", "", "HL"])
+def test_class_outside_h_and_l_is_rejected(ex1_mixed, method, cls):
+    with pytest.raises(ValueError, match="class must be"):
+        getattr(ex1_mixed, method)(0, cls)
+
+
 def test_report_structure_and_invariants(ex1_mixed):
     rep = ex1_mixed.report()
     assert [(r.queue, r.cls) for r in rep.classes] == [(0, "H"), (0, "L"), (1, "L")]

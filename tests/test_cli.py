@@ -63,6 +63,15 @@ def test_compare_full_grid_row_count(capsys):
     assert len(lines) == 9 * 5 + 1
 
 
+def test_compare_rejects_duplicate_queue_indices(capsys):
+    code = cli.main(["compare", "--model", str(DATA / "example2.json"),
+                     "--queues", "1,1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: duplicate queue index")
+
+
 def test_compare_no_high_class_gated_equals_mixed(tmp_path, capsys):
     # a queue without high-priority traffic: gated and mixed variants coincide
     cfg = {"queues": [{"lambda_low": 0.4, "discipline": "mixed_ge",
