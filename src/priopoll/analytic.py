@@ -37,8 +37,7 @@ from dataclasses import dataclass
 
 from .errors import UnsupportedEvaluation
 from .gf import GfEvaluator
-from .model import (EXHAUSTIVE, GATED, MIXED, DerivedRates, PollingModel,
-                    validate)
+from .model import CLEARED, GATED, MIXED, DerivedRates, PollingModel, validate
 from .moments import lst_moment
 # no longer called here; perfbench/tracing.py wraps it under this module's name
 from .moments import _neville_to_zero  # noqa: F401
@@ -163,23 +162,23 @@ class Analyzer:
 
     def cycle_m2(self, i: int) -> float:
         """E(C^2) of the cycle starting at queue i's visit beginning: the span
-        of the low coordinate, which stays gated."""
-        qt = self.queues[i]
-        if qt.disc == EXHAUSTIVE or (qt.disc == MIXED and qt.lam_l <= 0.0):
-            raise UnsupportedEvaluation(
-                "cycle second moment unavailable: no coordinate of this queue's "
-                "polling state spans a full cycle")
-        return self._state(i)[1][2 * i + 1][2 * i + 1]
+        of the classes the visit keeps."""
+        return self._span_m2(i, self.queues[i].kept, "cycle")
 
     def intervisit_m2(self, i: int) -> float:
-        """E(I^2) of the intervisit time: the span of the high coordinate,
-        which the visit empties."""
-        qt = self.queues[i]
-        if qt.disc == GATED or (qt.disc == MIXED and qt.lam_h <= 0.0):
+        """E(I^2) of the intervisit time: the span of the classes the visit
+        empties."""
+        return self._span_m2(i, self.queues[i].cleared, "intervisit")
+
+    def _span_m2(self, i: int, classes: tuple, name: str) -> float:
+        """E(S^2) of the span ``classes``' coordinates count arrivals over,
+        available where one of them has arrivals, as its transform is."""
+        if self.queues[i].span_rate(classes) <= 0.0:
             raise UnsupportedEvaluation(
-                "intervisit second moment unavailable: no coordinate of this "
-                "queue's polling state spans the intervisit time")
-        return self._state(i)[1][2 * i][2 * i]
+                f"{name} second moment unavailable: no class with arrivals at "
+                f"queue {i + 1} counts them over the {name}")
+        k = 2 * i + classes[0]
+        return self._state(i)[1][k][k]
 
     def visit_m2(self, i: int) -> float:
         """E(V^2): the visit is the sum of one period T_c per class-c customer
@@ -337,7 +336,7 @@ class Analyzer:
         if cls == "H":
             return qt.lam_h * (wait + qt.svc_h.mean)
         sojourn_svc = qt.svc_l.mean
-        if qt.disc != GATED:
+        if 0 in qt.cleared:
             sojourn_svc /= (1.0 - qt.rho_h)
         return qt.lam_l * (wait + sojourn_svc)
 
@@ -353,11 +352,13 @@ class Analyzer:
                 classes.append(ClassResult(i, cls, qt.disc, mean, var,
                                            self.mean_qlen(i, cls)))
             cyc2 = iv2 = cross = None
-            if qt.disc == GATED or (qt.disc == MIXED and qt.lam_l > 0.0):
+            if qt.span_rate(qt.kept) > 0.0:
                 cyc2 = self.cycle_m2(i)
-            if qt.disc == EXHAUSTIVE or (qt.disc == MIXED and qt.lam_h > 0.0):
+            if qt.span_rate(qt.cleared) > 0.0:
                 iv2 = self.intervisit_m2(i)
-            if qt.disc == MIXED and qt.lam_h > 0.0 and qt.lam_l > 0.0:
+            if cyc2 is not None and iv2 is not None:
+                # the coordinates span different periods; where both span
+                # one, the cross moment is lam_h lam_l times its E(S^2)
                 cross = self.cross_moment(i)
             periods.append(QueuePeriods(i, qt.ec, cyc2, qt.ei, iv2,
                                         qt.ev, self.visit_m2(i), cross))
@@ -426,15 +427,12 @@ def _gate_wait(cycle: list, served: list, ec: float, rho: float,
 
 
 def leftover_work(model: PollingModel, derived: DerivedRates, i: int) -> float:
-    """Mean work E(Z) that visits leave at their own queue i: rho_i^2 E(C) for
-    gated, rho_low * rho_i * E(C) for mixed and 0 for exhaustive service."""
-    rho_i = derived.rho_queue[i]
-    disc = model.queues[i].discipline
-    if disc == GATED:
-        return rho_i * rho_i * derived.mean_cycle
-    if disc == MIXED:
-        return derived.rho_low[i] * rho_i * derived.mean_cycle
-    return 0.0
+    """Mean work E(Z) that visits leave at their own queue i: the load of the
+    classes the visit keeps times rho_i E(C) (rho_i^2 E(C) for gated, rho_low
+    rho_i E(C) for mixed and 0 for exhaustive service)."""
+    loads = (derived.rho_high[i], derived.rho_low[i])
+    kept = sum(loads[c] for c in (0, 1) if c not in CLEARED[model.queues[i].discipline])
+    return kept * derived.rho_queue[i] * derived.mean_cycle
 
 
 def _switchover_total_moments(model: PollingModel) -> tuple[float, float]:

@@ -49,9 +49,10 @@ def _solve_complement(lstc, lam: float, omega: float, warm: float) -> float:
 class BusyPeriod:
     """Busy period of an M/G/1 queue with rate ``lam`` and service ``service``.
 
-    ``complement(omega)`` returns 1 - pi(omega); an optional warm start (a
-    complement value from a nearby argument) cuts the iteration count when the
-    transform is evaluated along a slowly varying path.  ``moment(k)`` is
+    ``complement(omega)`` returns 1 - pi(omega) for 0 <= omega < inf and
+    raises ValueError otherwise; an optional warm start (a complement value
+    from a nearby argument) cuts the iteration count when the transform is
+    evaluated along a slowly varying path.  ``moment(k)`` is
     exact for k <= 3.
     """
 
@@ -62,6 +63,8 @@ class BusyPeriod:
         self.rho = lam * service.mean
 
     def complement(self, omega: float, warm: float = 0.0) -> float:
+        if not 0.0 <= omega < math.inf:
+            raise ValueError(f"busy-period transform needs 0 <= omega < inf, got {omega!r}")
         return _solve_complement(self._lstc, self.lam, omega, warm)
 
     def lst(self, omega: float) -> float:
@@ -112,8 +115,6 @@ class ServiceMix(Distribution):
 
 def busy_period_lst(service: Distribution, lam: float, omega: float) -> float:
     """pi(omega) in (0, 1]; requires lam * E(B) < 1 and omega >= 0."""
-    if omega < 0:
-        raise ValueError("omega must be >= 0")
     if lam * service.mean >= 1.0:
         raise ValueError("busy period requires lam * E(B) < 1")
     return BusyPeriod(service, lam).lst(omega)

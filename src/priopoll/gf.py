@@ -4,17 +4,16 @@ The state recorded at the instant the server reaches queue i is the vector of
 per-class queue lengths (high_1, low_1, ..., high_N, low_N).  Walking one
 server cycle backwards expresses the GF at a visit beginning in terms of the
 GF one visit earlier: a switch-over factor times the same GF with the visited
-queue's two coordinates substituted according to its service discipline
+queue's two coordinates substituted by one rule: each class-c coordinate
+becomes the LST of the customer's period T_c at the exponent of the
+coordinates the visit keeps, where T_c is its service B_c extended by the
+busy period of the classes ``CLEARED`` says the visit empties:
 
-* gated:       both coordinates become the service LST of the total thinned
-               arrival exponent (customers are replaced by their per-service
-               arrivals, own queue included),
-* exhaustive:  both become delay-busy-period LSTs over the other queues'
-               exponent (the queue empties; everything arriving meanwhile is
-               absorbed into the busy period),
-* mixed:       the high coordinate becomes a high-class busy period and the
-               low coordinate a completion time, both over the exponent that
-               keeps the queue's own gated low-class term.
+* gated (none):        T_c = B_c, at the total exponent;
+* mixed (high):        T_H is a high-class busy period and T_L a completion
+                       time, at the exponent without the high coordinate;
+* exhaustive (both):   T_c is the queue's busy period started by B_c, at the
+                       other queues' exponent.
 
 Iterating whole cycles yields the convergent infinite product (load < 1).
 Evaluation works on complements 1 - z and accumulates log factors, so values
@@ -24,13 +23,11 @@ differentiation operates.
 Read forwards, each substitution is one generation of a multitype branching
 process with immigration (Resing 1993): every class-c customer at queue j's
 visit beginning is replaced by the Poisson arrivals during its period T_c
-into the coordinates the visit keeps, and the switch-over adds Poisson
-immigrants.  T_c is the customer's service B_c extended by the busy periods
-of the classes the visit clears (gated: none, so T_c = B_c; mixed: the high
-class, so T_H is a high busy period and T_L a completion time; exhaustive:
-both, so T_c is the queue's busy period started by B_c), and the cleared
-classes' own coordinates are not kept.  The moments of the visit-beginning
-state up to order three therefore follow one affine map per visit:
+into the coordinates the visit keeps (the cleared classes' own are not), and
+the switch-over adds Poisson immigrants.  Both readings use the same T_c:
+``period_complements`` gives its transform and ``period_rates`` its
+moments.  The moments of the visit-beginning state up to order three
+therefore follow one affine map per visit:
 ``moments`` solves the cycle of maps for the first two exactly as linear
 systems, and ``third_moments`` sums the third's series by doubling.
 """
@@ -41,15 +38,12 @@ import functools
 import math
 from operator import mul
 
-from .busyperiod import BusyPeriod, ServiceMix, _solve_complement
+from .busyperiod import BusyPeriod, ServiceMix
 from .errors import NoConvergence
-from .model import EXHAUSTIVE, GATED, MIXED, DerivedRates, PollingModel, validate
+from .model import CLEARED, DerivedRates, PollingModel, validate
 
 __all__ = ["GfEvaluator"]
 
-_GATED, _EXHAUSTIVE, _MIXED = 0, 1, 2
-_DISC_CODE = {GATED: _GATED, EXHAUSTIVE: _EXHAUSTIVE, MIXED: _MIXED}
-_CLEARED = {GATED: (), MIXED: (0,), EXHAUSTIVE: (0, 1)}  # classes a visit empties
 _TOL = 1e-15  # log_value stops once a whole cycle adds less than this
 
 
@@ -68,25 +62,10 @@ class GfEvaluator:
         n = model.n
         self.n = n
         self._lam = []
-        self._disc = []
-        self._lstc_h = []
-        self._lstc_l = []
-        self._busy = []          # mixed: high-class busy; exhaustive: mixture busy
+        self._lstc = []
+        self._busy = []          # the busy period of the classes a visit clears
+        self._cleared = []       # and their coordinates
         self._sigma_c = [s.lst_complement for s in model.switchovers]
-        for q in model.queues:
-            self._lam.extend((q.lambda_high, q.lambda_low))
-            code = _DISC_CODE[q.discipline]
-            self._disc.append(code)
-            self._lstc_h.append(q.service_high.lst_complement)
-            self._lstc_l.append(q.service_low.lst_complement)
-            if code == _MIXED:
-                self._busy.append(BusyPeriod(q.service_high, q.lambda_high))
-            elif code == _EXHAUSTIVE:
-                self._busy.append(BusyPeriod(
-                    ServiceMix(q.service_high, q.lambda_high, q.service_low, q.lambda_low),
-                    q.lambda_high + q.lambda_low))
-            else:
-                self._busy.append(None)
         # step order per starting queue: previous queue first, wrapping around
         self._order = [[(i - 1 - k) % n for k in range(n)] for i in range(n)]
         # moment maps: per queue, lambda_c E(T_c^k) of its two classes for
@@ -96,7 +75,19 @@ class GfEvaluator:
         for j, q in enumerate(model.queues):
             lams = (q.lambda_high, q.lambda_low)
             svcs = (q.service_high, q.service_low)
-            cleared = _CLEARED[q.discipline]
+            cleared = CLEARED[q.discipline]
+            self._lam.extend(lams)
+            self._lstc.append(tuple(s.lst_complement if lam > 0.0 else None
+                                    for lam, s in zip(lams, svcs)))
+            live = [c for c in cleared if lams[c] > 0.0]
+            if len(live) == 2:
+                busy = BusyPeriod(ServiceMix(svcs[0], lams[0], svcs[1], lams[1]), sum(lams))
+            elif live:
+                busy = BusyPeriod(svcs[live[0]], lams[live[0]])
+            else:
+                busy = None
+            self._busy.append(busy)
+            self._cleared.append([2 * j + c for c in cleared])
             one = 1.0 - sum(lams[c] * svcs[c].mean for c in cleared)
             r2 = sum(lams[c] * svcs[c].moment(2) for c in cleared)
             r3 = sum(lams[c] * svcs[c].moment(3) for c in cleared)
@@ -122,11 +113,9 @@ class GfEvaluator:
         if len(zeta) != 2 * n:
             raise ValueError(f"expected {2 * n} coordinates, got {len(zeta)}")
         lam = self._lam
-        disc = self._disc
-        lstc_h = self._lstc_h
-        lstc_l = self._lstc_l
-        busy = self._busy
+        cleared = self._cleared
         sigma_c = self._sigma_c
+        period_complements = self.period_complements
         order = self._order[i % n]
 
         w = [float(c) for c in zeta]
@@ -161,28 +150,13 @@ class GfEvaluator:
                 t = log1p(-sigma_c[j](lam_tot))
                 csum += t
                 terms.append(t)
-                code = disc[j]
-                if code == _MIXED:
-                    arg = lam_tot - lh * wh
-                    if lh > 0.0:
-                        b = busy[j]
-                        u = _solve_complement(b._lstc, b.lam, arg, warm[j])
-                        warm[j] = u
-                    else:
-                        u = 0.0
-                    nh = u
-                    nl = lstc_l[j](arg + lh * u) if ll > 0.0 else 0.0
-                elif code == _GATED:
-                    nh = lstc_h[j](lam_tot) if lh > 0.0 else 0.0
-                    nl = lstc_l[j](lam_tot) if ll > 0.0 else 0.0
-                else:  # exhaustive
-                    arg = lam_tot - lh * wh - ll * wl
-                    b = busy[j]
-                    u = _solve_complement(b._lstc, b.lam, arg, warm[j])
-                    warm[j] = u
-                    e = arg + b.lam * u
-                    nh = lstc_h[j](e) if lh > 0.0 else 0.0
-                    nl = lstc_l[j](e) if ll > 0.0 else 0.0
+                # the kept coordinates' exponent, a sum of nonnegative terms
+                # that the incremental updates may round just below 0
+                kept = lam_tot
+                for k in cleared[j]:
+                    kept -= lam[k] * w[k]
+                nh, nl, warm[j] = period_complements(j, kept if kept > 0.0 else 0.0,
+                                                     warm[j])
                 lam_tot += lh * (nh - wh) + ll * (nl - wl)
                 w[kh] = nh
                 w[kh + 1] = nl
@@ -199,6 +173,18 @@ class GfEvaluator:
         raise NoConvergence(
             f"visit-beginning GF did not converge within {self.max_cycles} cycles "
             f"(load {self.derived.rho_total:.6g})")
+
+    def period_complements(self, j: int, omega: float, warm: float = 0.0):
+        """(1 - E exp(-omega T_H), 1 - E exp(-omega T_L), u) for queue j's
+        visit, where T_c is a class-c service extended by the busy period of
+        the classes the visit clears and u is that busy period's LST
+        complement at omega (0 when none is cleared), a warm start for a
+        nearby argument.  A class without arrivals gets 0."""
+        busy = self._busy[j]
+        u = 0.0 if busy is None else busy.complement(omega, warm)
+        e = omega if busy is None else omega + busy.lam * u
+        lstc_h, lstc_l = self._lstc[j]
+        return lstc_h(e) if lstc_h else 0.0, lstc_l(e) if lstc_l else 0.0, u
 
     # ------------------------------------------------------------ moments
 

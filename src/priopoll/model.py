@@ -13,6 +13,15 @@ served under one of three disciplines:
                     are served exhaustively and may overtake waiting gated
                     customers.
 
+The three differ in one fact, ``CLEARED``: the classes that may pass the
+gate during a visit and so are emptied by it (gated: none, mixed: the high
+class, exhaustive: both).  Every discipline-specific rule of the analysis
+and the simulator reads it: a customer's period is its service extended by
+the busy period of the cleared classes, a cleared class's queue length at a
+visit beginning counts arrivals over the intervisit time and a kept class's
+over the whole cycle, and a visit reads a class's arrival stream after the
+gate closes only if that class is cleared.
+
 Single-class queues are encoded by setting the other arrival rate to zero.
 """
 
@@ -25,7 +34,7 @@ from dataclasses import dataclass, field
 from .distributions import Distribution, config_number, distribution_from_config
 from .errors import NonpositiveParameter, UnstableSystem, ZeroSwitchover
 
-__all__ = ["GATED", "EXHAUSTIVE", "MIXED", "DISCIPLINES", "QueueSpec",
+__all__ = ["GATED", "EXHAUSTIVE", "MIXED", "DISCIPLINES", "CLEARED", "QueueSpec",
            "PollingModel", "DerivedRates", "validate", "load_model",
            "model_from_config", "model_to_config"]
 
@@ -33,6 +42,8 @@ GATED = "gated"
 EXHAUSTIVE = "exhaustive"
 MIXED = "mixed_ge"
 DISCIPLINES = (GATED, EXHAUSTIVE, MIXED)
+# per discipline, the classes (0 high, 1 low) a visit empties
+CLEARED = {GATED: (), MIXED: (0,), EXHAUSTIVE: (0, 1)}
 
 # Internal placeholder for an absent class; its moments are always multiplied
 # by a zero arrival rate before they can influence any result.

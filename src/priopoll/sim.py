@@ -11,9 +11,9 @@ Rather than a binary-heap calendar, the event set is kept as one iterator of
 arrival times per Poisson stream plus the server's own clock, under one rule:
 a queue's two arrival streams are read only while the server is at that
 queue.  At a visit beginning both are read up to the current instant into
-the gate's two lines; during the visit the discipline decides which streams
-are read further (none under gated, the high stream under mixed, both under
-exhaustive).  Whatever stays in a stream arrived behind the gate, and nothing
+the gate's two lines; during the visit the streams of the classes it clears
+(``CLEARED``: none under gated, the high stream under mixed, both under
+exhaustive) are read further.  Whatever stays in a stream arrived behind the gate, and nothing
 serves it before the queue's next visit reads it, in arrival order.  So one
 loop serves every visit, whatever its discipline, in one pass: the lines the
 gate fixed take one batch of service draws per class, and a stream read
@@ -48,7 +48,7 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from .model import EXHAUSTIVE, GATED, PollingModel, validate
+from .model import CLEARED, PollingModel, validate
 
 __all__ = ["Event", "SimStats", "run", "replicate"]
 
@@ -156,8 +156,8 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
             arrivals[k] = _arrivals(rngs[5 * j + cls_idx], 1.0 / rate).__next__
             next_t[k] = arrivals[k]()
             svc[cls_idx] = _sampler(rngs[5 * j + 2 + cls_idx], dist)
-        queues.append((2 * j, 2 * j + 1, q.discipline != GATED,
-                       q.discipline == EXHAUSTIVE, arrivals[2 * j],
+        cleared = CLEARED[q.discipline]
+        queues.append((2 * j, 2 * j + 1, 0 in cleared, 1 in cleared, arrivals[2 * j],
                        arrivals[2 * j + 1], *svc,
                        _sampler(rngs[5 * j + 4], model.switchovers[j]), res.state[j]))
 
@@ -218,10 +218,10 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
 
         # highs first: the gate's line, then the stream while its next
         # arrival is before t; then one low, from the gate's line or the
-        # stream.  A visit reads a stream only if its discipline lets that
-        # class pass the gate (read_h: mixed and exhaustive, read_l:
-        # exhaustive).  A served low stays in system (pending) until the
-        # highs that arrived during its service are done.
+        # stream.  A visit reads a stream only if it clears that class
+        # (read_h: mixed and exhaustive, read_l: exhaustive).  A served low
+        # stays in system (pending) until the highs that arrived during its
+        # service are done.
         nhg, nlg = len(hline), len(lline)
         hdurs = draw_h(nhg) if nhg else ()
         ldurs = draw_l(nlg) if nlg else ()

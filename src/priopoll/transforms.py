@@ -2,16 +2,17 @@
 
 Everything is built from the visit-beginning GF plus closed-form service
 transforms.  The two queue-i coordinates of the GF read off different periods
-depending on the discipline:
+by one span rule, from the classes ``CLEARED`` says a visit empties:
 
-* the low coordinate counts arrivals over the previous *cycle* wherever the
-  low class is gated (gated, mixed), because gated customers wait exactly one
-  full cycle between gate placements;
-* the high coordinate counts arrivals over the previous *intervisit* wherever
-  the high class is exhaustive (mixed, exhaustive), because the visit ends
-  with no high-priority customer left;
-* under gated service both coordinates count cycle arrivals, under exhaustive
-  service both count intervisit arrivals.
+* a cleared class's coordinate counts arrivals over the previous
+  *intervisit* time, because the visit ends with none of that class left;
+* a kept class's coordinate counts arrivals over the previous *cycle*,
+  because a gated customer waits exactly one cycle between gate placements.
+
+So under gated service both coordinates span the cycle, under exhaustive
+service both span the intervisit time, and under mixed service the high one
+the intervisit and the low one the cycle.  A span's transform splits the
+exponent across its classes with arrivals; with none it is unavailable.
 
 Waiting-time transforms follow the decomposition of a vacation queue: an
 M/G/1 factor for the customer's own class (with completion-time services
@@ -27,7 +28,7 @@ import math
 
 from .busyperiod import BusyPeriod
 from .errors import UnsupportedEvaluation
-from .model import EXHAUSTIVE, GATED, MIXED
+from .model import CLEARED, GATED, MIXED
 from .moments import TransformHandle
 
 __all__ = ["QueueTransforms"]
@@ -58,6 +59,12 @@ class QueueTransforms:
         self.svc_h = q.service_high
         self.svc_l = q.service_low
         self._busy_h = BusyPeriod(q.service_high, q.lambda_high)
+        # the span rule: the classes a visit clears (0 high, 1 low) count
+        # arrivals over the intervisit time, the kept ones over the cycle.
+        # The exact moments read a span at its first class listed: the cycle
+        # at the low class, kept by every discipline that keeps one
+        self.cleared = CLEARED[q.discipline]
+        self.kept = tuple(c for c in (1, 0) if c not in self.cleared)
         # base differencing step: keeps GF arguments well inside [0, 1]
         lam_pos = [x for x in (self.lam_h, self.lam_l) if x > 0.0]
         self.h0 = 1e-3 * min(min(lam_pos), 1.0) / max(1.0, self.ec)
@@ -76,71 +83,44 @@ class QueueTransforms:
 
     # ------------------------------------------------------------- periods
 
-    def cycle_complement(self, omega: float) -> float:
-        """1 - LST of the cycle time anchored at this queue's visit beginning."""
-        if self.disc == EXHAUSTIVE:
+    def span_rate(self, classes) -> float:
+        """The total arrival rate of ``classes``: the largest argument at
+        which the span they count arrivals over is evaluable, zero where
+        that span is unavailable."""
+        return sum((self.lam_h, self.lam_l)[c] for c in classes)
+
+    def _span_complement(self, classes, omega: float, name: str) -> float:
+        """1 - LST of the span that ``classes``' coordinates count arrivals
+        over: the exponent split across those with arrivals in proportion
+        to their rates, so each stays within its own rate bound."""
+        tot = self.span_rate(classes)
+        if tot <= 0.0:
             raise UnsupportedEvaluation(
-                "cycle transform unavailable for an exhaustive queue: neither "
-                "coordinate of the polling-state GF spans a full cycle")
+                f"{name} transform unavailable at queue {self.i + 1}: no class "
+                "with arrivals counts them over it")
         if omega == 0.0:
             return 0.0
-        if self.disc == GATED and self.lam_h > 0.0:
-            # both gated coordinates span the same cycle: split the exponent
-            # proportionally so each stays within its own rate bound
-            tot = self.lam_h + self.lam_l
-            if omega > tot:
-                raise UnsupportedEvaluation(
-                    f"cycle transform evaluable only for omega <= {tot}")
-            return self.gf.complement_pair(self.i, omega / tot,
-                                           omega / tot if self.lam_l > 0.0 else 0.0)
-        if self.lam_l > 0.0:
-            if omega > self.lam_l:
-                raise UnsupportedEvaluation(
-                    f"cycle transform evaluable only for omega <= {self.lam_l}")
-            return self.gf.complement_pair(self.i, 0.0, omega / self.lam_l)
-        raise UnsupportedEvaluation("cycle transform needs a positive arrival rate")
+        if omega > tot:
+            raise UnsupportedEvaluation(
+                f"{name} transform evaluable only for omega <= {tot}")
+        return self.gf.complement_pair(
+            self.i, *(omega / tot if c in classes and lam > 0.0 else 0.0
+                      for c, lam in enumerate((self.lam_h, self.lam_l))))
+
+    def cycle_complement(self, omega: float) -> float:
+        """1 - LST of the cycle time anchored at this queue's visit beginning."""
+        return self._span_complement(self.kept, omega, "cycle")
 
     def intervisit_complement(self, omega: float) -> float:
         """1 - LST of the intervisit time (visit end to next visit start)."""
-        if self.disc == GATED:
-            raise UnsupportedEvaluation(
-                "intervisit transform unavailable for a gated queue: both "
-                "coordinates of the polling-state GF span the full cycle")
-        if omega == 0.0:
-            return 0.0
-        if self.disc == EXHAUSTIVE:
-            # both coordinates count intervisit arrivals: split the exponent
-            tot = self.lam_h + self.lam_l
-            if omega > tot:
-                raise UnsupportedEvaluation(
-                    f"intervisit transform evaluable only for omega <= {tot}")
-            return self.gf.complement_pair(
-                self.i,
-                omega / tot if self.lam_h > 0.0 else 0.0,
-                omega / tot if self.lam_l > 0.0 else 0.0)
-        if self.lam_h <= 0.0:
-            raise UnsupportedEvaluation("intervisit transform needs lambda_high > 0")
-        if omega > self.lam_h:
-            raise UnsupportedEvaluation(
-                f"intervisit transform evaluable only for omega <= {self.lam_h}")
-        return self.gf.complement_pair(self.i, omega / self.lam_h, 0.0)
+        return self._span_complement(self.cleared, omega, "intervisit")
 
     def visit_complement(self, omega: float) -> float:
-        """1 - LST of the visit time."""
+        """1 - LST of the visit time: the sum of one period T_c per class-c
+        customer present at the visit beginning."""
         if omega == 0.0:
             return 0.0
-        if self.disc == GATED:
-            zh = self.svc_h.lst_complement(omega) if self.lam_h > 0 else 0.0
-            zl = self.svc_l.lst_complement(omega) if self.lam_l > 0 else 0.0
-        elif self.disc == MIXED:
-            zh = self._busy_h.complement(omega) if self.lam_h > 0 else 0.0
-            zl = self.completion_complement(omega) if self.lam_l > 0 else 0.0
-        else:
-            b = self.gf._busy[self.i]
-            u = b.complement(omega)
-            e = omega + b.lam * u
-            zh = self.svc_h.lst_complement(e) if self.lam_h > 0 else 0.0
-            zl = self.svc_l.lst_complement(e) if self.lam_l > 0 else 0.0
+        zh, zl, _ = self.gf.period_complements(self.i, omega)
         return self.gf.complement_pair(self.i, zh, zl)
 
     # ------------------------------------------------------- waiting times
@@ -238,18 +218,18 @@ class QueueTransforms:
         return TransformHandle(complement, self.h0, omega_max, name=f"{name}[{self.i}]")
 
     def cycle_handle(self) -> TransformHandle:
-        om = self.lam_l + self.lam_h if self.disc == GATED else self.lam_l
-        return self._handle(self.cycle_complement, om, "cycle")
+        return self._handle(self.cycle_complement, self.span_rate(self.kept),
+                            "cycle")
 
     def intervisit_handle(self) -> TransformHandle:
-        om = self.lam_h + self.lam_l if self.disc == EXHAUSTIVE else self.lam_h
-        return self._handle(self.intervisit_complement, om, "intervisit")
+        return self._handle(self.intervisit_complement,
+                            self.span_rate(self.cleared), "intervisit")
 
     def visit_handle(self) -> TransformHandle:
         return self._handle(self.visit_complement, math.inf, "visit")
 
     def wait_high_handle(self) -> TransformHandle:
-        om = self.lam_h if self.disc != GATED else max(self.lam_h, self.lam_l)
+        om = self.lam_h if 0 in self.cleared else max(self.lam_h, self.lam_l)
         return self._handle(self.wait_high_complement, om, "wait_high")
 
     def wait_low_handle(self) -> TransformHandle:
@@ -272,8 +252,9 @@ class QueueTransforms:
     def qlen_gf_low(self, z: float) -> float:
         """E[z^(number of low-priority customers present)].
 
-        Where high-priority overtaking extends a low customer's effective
-        service (mixed, exhaustive) the sojourn uses the completion time.
+        Where the visit clears the high class, high-priority overtaking
+        extends a low customer's effective service and the sojourn uses the
+        completion time.
         """
         if self.lam_l <= 0.0:
             raise UnsupportedEvaluation("queue has no low-priority class")
@@ -283,8 +264,6 @@ class QueueTransforms:
             return 1.0
         omega = self.lam_l * (1.0 - z)
         wait = 1.0 - self.wait_low_complement(omega)
-        if self.disc == GATED:
-            svc = self.svc_l.lst(omega)
-        else:
-            svc = 1.0 - self.completion_complement(omega)
-        return wait * svc
+        if 0 in self.cleared:
+            return wait * (1.0 - self.completion_complement(omega))
+        return wait * self.svc_l.lst(omega)

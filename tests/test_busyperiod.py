@@ -73,6 +73,19 @@ def test_unstable_busy_period_rejected():
         busy_period_lst(Exponential(1.0), 1.0, 0.1)
 
 
+@pytest.mark.parametrize("omega", [math.nan, math.inf, -0.1, -1.0])
+def test_busy_period_rejects_arguments_outside_its_domain(omega):
+    # every public busy-period path goes through BusyPeriod.complement, which
+    # refuses at once: no fixed-point steps, no LST above 1
+    bp = BusyPeriod(Exponential(1.0), 0.5)
+    for evaluate in (bp.complement, bp.lst,
+                     lambda w: busy_period_lst(Exponential(1.0), 0.5, w),
+                     lambda w: completion_time_lst(Exponential(1.0), Exponential(1.0),
+                                                   0.3, w)):
+        with pytest.raises(ValueError, match="omega"):
+            evaluate(omega)
+
+
 def test_completion_time_reduces_without_high_class():
     # no high-priority interference: completion time is the plain service
     dist = Erlang(2, 1.0)

@@ -1,11 +1,13 @@
 """Period and waiting-time transforms: identities, axioms, domain errors."""
 
+import math
+
 import numpy as np
 import pytest
 
-from zoo import example1, example2, random_model
+from zoo import example1, example2, random_model, single_vacation_queue
 from priopoll import (Analyzer, DISCIPLINES, EXHAUSTIVE, GATED, MIXED,
-                      UnsupportedEvaluation, lst_moment)
+                      TransformHandle, UnsupportedEvaluation, lst_moment)
 
 
 def _published_and_random_models(extended_dists=False):
@@ -17,6 +19,12 @@ def _published_and_random_models(extended_dists=False):
     for d1 in DISCIPLINES:
         for d2 in DISCIPLINES:
             cases.append(pytest.param(example2(d1, d2), id=f"example2-{d1}-{d2}"))
+    for disc in DISCIPLINES:
+        cases.append(pytest.param(single_vacation_queue(disc), id=f"single-{disc}"))
+        cases.append(pytest.param(single_vacation_queue(disc, lam_h=0.0),
+                                  id=f"single-{disc}-no_high"))
+        cases.append(pytest.param(single_vacation_queue(disc, lam_l=0.0),
+                                  id=f"single-{disc}-no_low"))
     rng = np.random.default_rng(2024)
     cases.extend(pytest.param(random_model(rng, extended_dists=extended_dists),
                               id=f"random-{k}") for k in range(20))
@@ -82,22 +90,58 @@ def test_unsupported_domains(ex1):
         a_exh.cycle_time_lst(0, 0.01)       # exhaustive queue: no cycle readout
 
 
+def _or_none(fn, *args):
+    try:
+        return fn(*args)
+    except UnsupportedEvaluation:
+        return None
+
+
 @pytest.mark.parametrize("model", _published_and_random_models())
 def test_exact_period_moments_match_transform_route(model):
     # the exact moment solve against differentiating the period transforms;
-    # where no coordinate spans the period, both routes refuse
+    # where no class with arrivals spans the period, both routes refuse, and
+    # report() leaves exactly those fields None
     a = Analyzer(model)
+    periods = a.report(include_variances=False).periods
     for i, qt in enumerate(a.queues):
-        for exact, handle in ((a.cycle_m2, qt.cycle_handle),
-                              (a.intervisit_m2, qt.intervisit_handle),
-                              (a.visit_m2, qt.visit_handle)):
-            try:
-                value = exact(i)
-            except UnsupportedEvaluation:
-                with pytest.raises(UnsupportedEvaluation):
-                    lst_moment(handle(), 2)
+        for field, exact, handle in (("cycle_m2", a.cycle_m2, qt.cycle_handle),
+                                     ("intervisit_m2", a.intervisit_m2,
+                                      qt.intervisit_handle),
+                                     ("visit_m2", a.visit_m2, qt.visit_handle)):
+            value = _or_none(exact, i)
+            route = _or_none(lambda: lst_moment(handle(), 2).value)
+            assert (value is None) == (route is None), field
+            assert getattr(periods[i], field) == value
+            if value is not None:
+                assert value == pytest.approx(route, rel=1e-8)
+
+
+@pytest.mark.parametrize("model", _published_and_random_models(extended_dists=True))
+def test_period_complements_match_period_moments(model):
+    # the transform of each period T_c against its exact moments: both read
+    # the classes the visit clears
+    a = Analyzer(model)
+    for j, qt in enumerate(a.queues):
+        for c, lam in enumerate((qt.lam_h, qt.lam_l)):
+            if lam <= 0.0:
                 continue
-            assert value == pytest.approx(lst_moment(handle(), 2).value, rel=1e-8)
+            handle = TransformHandle(lambda w: a.gf.period_complements(j, w)[c], qt.h0)
+            for k in (1, 2):
+                assert lst_moment(handle, k).value == pytest.approx(
+                    a.gf.period_rates[j][k - 1][c] / lam, rel=1e-8)
+
+
+@pytest.mark.parametrize("omega", [math.nan, math.inf, -0.1])
+def test_transforms_reject_arguments_outside_their_domain(ex1, omega):
+    # at once, not after a million fixed-point steps ending in NoConvergence;
+    # the low wait's own bound omega <= lambda_low is checked first
+    for transform in (ex1.visit_time_lst, ex1.waiting_lst_low, ex1.completion_time_lst):
+        expected = (UnsupportedEvaluation
+                    if transform == ex1.waiting_lst_low and omega == math.inf
+                    else ValueError)
+        with pytest.raises(expected):
+            transform(0, omega)
 
 
 @pytest.mark.parametrize("model", _published_and_random_models(extended_dists=True))
