@@ -27,9 +27,11 @@ into the coordinates the visit keeps (the cleared classes' own are not), and
 the switch-over adds Poisson immigrants.  Both readings use the same T_c:
 ``period_complements`` gives its transform and ``period_rates`` its
 moments.  The moments of the visit-beginning state up to order three
-therefore follow one affine map per visit:
-``moments`` solves the cycle of maps for the first two exactly as linear
-systems, and ``third_moments`` sums the third's series by doubling.
+therefore follow one affine map per visit, which acts only through the mean
+visit time, so the cycle's mean map factors as P = U W through the N visit
+times: ``moments`` solves the first two orders' fixed points as linear
+systems in N and N^2 unknowns, and ``third_moments`` sums the third's series
+in N^3 by doubling.
 """
 
 from __future__ import annotations
@@ -59,8 +61,7 @@ class GfEvaluator:
         self.model = model
         self.derived = derived if derived is not None else validate(model)
         self.max_cycles = max_cycles
-        n = model.n
-        self.n = n
+        self.n = n = model.n
         self._lam = []
         self._lstc = []
         self._busy = []          # the busy period of the classes a visit clears
@@ -98,10 +99,7 @@ class GfEvaluator:
                 tuple(lam * (s.moment(3) / one**3 + 3.0 * s.moment(2) * r2 / one**4
                              + s.mean * (r3 / one**4 + 3.0 * r2 * r2 / one**5))
                       for lam, s in zip(lams, svcs))))
-            keep = [1.0] * (2 * n)
-            for c in cleared:
-                keep[2 * j + c] = 0.0
-            self._keep.append(keep)
+            self._keep.append([float(k not in self._cleared[j]) for k in range(2 * n)])
         self._swo = [(s.mean, s.moment(2), s.moment(3)) for s in model.switchovers]
 
     # ------------------------------------------------------------------ core
@@ -122,11 +120,6 @@ class GfEvaluator:
         for c in w:
             if not 0.0 <= c <= 1.0:
                 raise ValueError(f"complement {c!r} outside [0, 1]")
-        lam_tot = 0.0
-        for k in range(2 * n):
-            lam_tot += lam[k] * w[k]
-        if lam_tot == 0.0:
-            return 0.0
 
         terms = []
         warm = [0.0] * n
@@ -197,24 +190,24 @@ class GfEvaluator:
         In these units coordinate k holds the moments of the span S_k it
         counts arrivals over (the cycle or intervisit of ``transforms``),
         E(S_k) and E(S_k S_l), finite for every rate, zero included.  A visit
-        maps (m, f) to (S m, S f S^T + keep keep^T sum_c lam_c E(T_c^2) m_c),
-        a switch-over adds its length to every span, and one cycle's fixed
-        point solves two linear systems with 2N and (2N)^2 unknowns.
+        maps (m, f) to (S m, S f S^T + keep keep^T sum_c lam_c E(T_c^2) m_c)
+        and a switch-over adds its length to every span.  The cycle's mean map
+        is P = U W (``_factors``), so its fixed points m_0 = P m_0 + b and
+        f_0 = P f_0 P^T + R are solved in the N visit times, with M = W U:
+        m_0 = b + U q, q = M q + W b; f_0 = R + U Q U^T, Q = M Q M^T + W R W^T.
         """
-        n2 = 2 * self.n
+        n, n2 = self.n, 2 * self.n
+        u, w = self._factors()
+        wu = _product(w, u)
         zero = [[0.0] * n2 for _ in range(n2)]
-        # m_0 = P m_0 + b, with P's columns the cycle's visits applied to e_k
-        cols = self._cycle_columns()
-        m0 = _solve([[float(a == c) - cols[c][a] for c in range(n2)] for a in range(n2)],
-                    self._cycle([0.0] * n2, zero)[-1][0])
-        # f_0 = P f_0 P^T + (f after one cycle from (m_0, 0))
-        rhs = self._cycle(m0, zero)[-1][1]
-        f0 = _solve([[float(a == c and b == d) - cols[c][a] * cols[d][b]
-                      for c in range(n2) for d in range(n2)]
-                     for a in range(n2) for b in range(n2)],
-                    [v for row in rhs for v in row])
-        return [(m, f) for m, f, _ in
-                self._cycle(m0, [f0[a * n2:(a + 1) * n2] for a in range(n2)])[:-1]]
+        b = self._cycle([0.0] * n2, zero)[-1][0]
+        m0 = [x + y for x, y in zip(b, _apply(u, _fixed_point(wu, _apply(w, b))))]
+        r = self._cycle(m0, zero)[-1][1]
+        q = _fixed_point([[x * y for x in ra for y in rb] for ra in wu for rb in wu],
+                         [v for row in _product(_product(w, r), list(zip(*w))) for v in row])
+        uqu = _product(_product(u, [q[a * n:(a + 1) * n] for a in range(n)]), list(zip(*u)))
+        f0 = [[x + y for x, y in zip(ra, qa)] for ra, qa in zip(r, uqu)]
+        return [(m, f) for m, f, _ in self._cycle(m0, f0)[:-1]]
 
     def third_moments(self, m0: list, f0: list) -> list:
         """Exact third factorial moments of the state at every visit
@@ -223,30 +216,38 @@ class GfEvaluator:
         spans' third moments.
 
         A visit maps the spans s to S s + keep D, where D, centred given s,
-        has variance and third moment sum_c lam_c E(T_c^k) s_c (k = 2, 3); so
-        t maps to S^(x3) t plus terms in f, m and the switch-over moments, and
-        the cycle's fixed point is the series t_0 = sum_k P^(x3 k) r, summed by
-        doubling.  Raises NoConvergence when it needs more than
-        ``max_cycles`` cycles, as ``log_value`` does.
+        has variance and third moment sum_c lam_c E(T_c^k) s_c (k = 2, 3), so
+        a cycle maps t to P^(x3) t + r, r from f, m and the switch-overs.  Its
+        fixed point is t_0 = r + U^(x3) q, with the visit times' moments q =
+        sum_k M^(x3 k) W^(x3) r (``moments``) summed by doubling; raises
+        NoConvergence past ``max_cycles`` cycles, as ``log_value`` does.
         """
         n2 = 2 * self.n
-        zero3 = [[[0.0] * n2 for _ in range(n2)]] * n2
-        t0 = _power_series3([list(row) for row in zip(*self._cycle_columns())],
-                            self._cycle(m0, f0, zero3)[-1][2], self.max_cycles)
-        if t0 is None:
+        u, w = self._factors()
+        r = self._cycle(m0, f0, [[[0.0] * n2 for _ in range(n2)]] * n2)[-1][2]
+        q = _power_series3(_product(w, u), _cube(functools.partial(_apply, w), r),
+                           self.max_cycles)
+        if q is None:
             raise NoConvergence(
                 f"third visit-beginning moments did not converge within "
                 f"{self.max_cycles} cycles (load {self.derived.rho_total:.6g})")
+        t0 = _add3(r, _cube(functools.partial(_apply, u), q))
         return [t for _, _, t in self._cycle(m0, f0, t0)[:-1]]
 
-    def _cycle_columns(self) -> list:
-        """The columns P e_c of the cycle's mean map, from queue 0's visit
-        beginning."""
-        n2 = 2 * self.n
-        cols = [[float(k == c) for k in range(n2)] for c in range(n2)]
-        for j in range(self.n):
-            cols = [self._visit(j, col) for col in cols]
-        return cols
+    def _factors(self) -> tuple:
+        """(U, W) with P = U W, the cycle's mean map from queue 0's visit
+        beginning.  W (N x 2N) maps the spans to the N mean visit times, each
+        a_j = ``period_rates[j][0]`` times queue j's spans grown by the earlier
+        visits; U (2N x N) maps those back: a span restarts (times ``keep``)
+        at its own queue's visit and grows by each later one."""
+        n = self.n
+        w, grown = [], [0.0] * (2 * n)
+        for j, ((a_h, a_l), _, _) in enumerate(self.period_rates):
+            w.append([(a_h + a_l) * x for x in grown])
+            w[j][2 * j:2 * j + 2] = a_h, a_l
+            grown = [x + y for x, y in zip(grown, w[j])]
+        return [[self._keep[k // 2][k] if l == k // 2 else float(l > k // 2)
+                 for l in range(n)] for k in range(2 * n)], w
 
     def _visit(self, j: int, x: list) -> list:
         """S x for queue j's visit: its own spans restart (or end, when the
@@ -275,8 +276,7 @@ class GfEvaluator:
                 # of keep keep (S f b) + E(D^3) keep keep keep
                 w = self._visit(j, [b_h * row[kh] + b_l * row[kh + 1] for row in f])
                 d3 = c_h * m[kh] + c_l * m[kh + 1]
-                visit = functools.partial(self._visit, j)
-                t = _turn(visit, _turn(visit, _turn(visit, t)))
+                t = _cube(functools.partial(self._visit, j), t)
             f = [self._visit(j, col) for col in zip(*[self._visit(j, row) for row in f])]
             f = [[fab + spread * ka * kb for fab, kb in zip(row, keep)]
                  for row, ka in zip(f, keep)]
@@ -297,29 +297,36 @@ class GfEvaluator:
 
     def value(self, i: int, z) -> float:
         """GF value at z in [0, 1]^(2N)."""
-        zeta = [1.0 - float(v) for v in z]
-        return math.exp(self.log_value(i, zeta))
-
-    def complement(self, i: int, zeta) -> float:
-        """1 - GF, full relative precision for small complements."""
-        return -math.expm1(self.log_value(i, zeta))
+        return math.exp(self.log_value(i, [1.0 - float(v) for v in z]))
 
     def complement_pair(self, i: int, zeta_high: float, zeta_low: float) -> float:
         """1 - GF with only queue i's own coordinates displaced from 1."""
         zeta = [0.0] * (2 * self.n)
-        zeta[2 * i] = zeta_high
-        zeta[2 * i + 1] = zeta_low
+        zeta[2 * i:2 * i + 2] = zeta_high, zeta_low
         return -math.expm1(self.log_value(i, zeta))
 
-    def value_pair(self, i: int, z_high: float, z_low: float) -> float:
-        return 1.0 - self.complement_pair(i, 1.0 - z_high, 1.0 - z_low)
+
+def _apply(a: list, x: list) -> list:
+    return [sum(map(mul, row, x)) for row in a]
 
 
-def _turn(fn, t: list) -> list:
-    """u[c][a][b] = fn(t[a][b])[c]: a linear map applied along the last index
-    of a cubic 3-tensor, which then becomes the first."""
-    v = [[fn(fiber) for fiber in mat] for mat in t]
-    return [[[vab[c] for vab in va] for va in v] for c in range(len(v))]
+def _product(a: list, b: list) -> list:
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def _add3(x: list, y: list) -> list:
+    return [[[p + q for p, q in zip(xr, yr)] for xr, yr in zip(xm, ym)]
+            for xm, ym in zip(x, y)]
+
+
+def _cube(fn, t: list) -> list:
+    """fn^(x3) t: a linear map applied along each index of a 3-tensor, each
+    pass turning the mapped last index into the first."""
+    for _ in range(3):
+        v = [[fn(fiber) for fiber in mat] for mat in t]
+        t = [[[vab[c] for vab in va] for va in v] for c in range(len(v[0][0]))]
+    return t
 
 
 def _power_series3(p: list, r: list, max_terms: int) -> list | None:
@@ -329,23 +336,18 @@ def _power_series3(p: list, r: list, max_terms: int) -> list | None:
     entry, and is None when that takes more than about ``max_terms`` terms."""
     a, t = p, r
     for _ in range(max_terms.bit_length()):
-        def apply(x, a=a):
-            return [sum(map(mul, row, x)) for row in a]
-        step = _turn(apply, _turn(apply, _turn(apply, t)))
-        new = [[[x + d for x, d in zip(xr, dr)] for xr, dr in zip(xm, dm)]
-               for xm, dm in zip(t, step)]
+        new = _add3(t, _cube(functools.partial(_apply, a), t))
         if new == t:
             return t
-        t = new
-        cols = list(zip(*a))
-        a = [[sum(map(mul, row, col)) for col in cols] for row in a]
+        t, a = new, _product(a, a)
     return None
 
 
-def _solve(a: list, b: list) -> list:
-    """x with a x = b by Gaussian elimination with partial pivoting."""
+def _fixed_point(a: list, b: list) -> list:
+    """x with x = a x + b by Gaussian elimination with partial pivoting."""
     n = len(b)
-    rows = [row + [v] for row, v in zip(a, b)]
+    rows = [[float(k == c) - x for c, x in enumerate(row)] + [v]
+            for k, (row, v) in enumerate(zip(a, b))]
     for k in range(n):
         p = max(range(k, n), key=lambda r: abs(rows[r][k]))
         rows[k], rows[p] = rows[p], rows[k]
@@ -353,10 +355,8 @@ def _solve(a: list, b: list) -> list:
         for row in rows[k + 1:]:
             g = row[k] / pivot[k]
             if g:
-                for c in range(k, n + 1):
-                    row[c] -= g * pivot[c]
+                row[k:] = [v - g * pv for v, pv in zip(row[k:], pivot[k:])]
     x = [0.0] * n
     for k in reversed(range(n)):
-        row = rows[k]
-        x[k] = (row[n] - sum(row[c] * x[c] for c in range(k + 1, n))) / row[k]
+        x[k] = (rows[k][n] - sum(map(mul, rows[k][k + 1:n], x[k + 1:]))) / rows[k][k]
     return x

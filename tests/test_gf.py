@@ -1,12 +1,15 @@
 """Visit-beginning GF: normalization, monotonicity, first-moment identities."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from zoo import example1, example2, random_model
-from priopoll import GfEvaluator, NoConvergence, TransformHandle, lst_moment, validate
+from zoo import example1, example2, random_model, single_vacation_queue
+from priopoll import (DISCIPLINES, EXHAUSTIVE, GATED, Analyzer, Exponential,
+                      GfEvaluator, NoConvergence, PollingModel, QueueSpec,
+                      TransformHandle, lst_moment, validate)
 
 
 def test_normalized_at_all_ones():
@@ -110,6 +113,66 @@ def test_rejects_out_of_range_arguments():
         gf.log_value(0, [0.0, 0.0, -0.1, 0.0])
     with pytest.raises(ValueError):
         gf.log_value(0, [0.0, 0.0])
+
+
+def _baseline_family(n, rho):
+    """N queues at lambda_H = lambda_L = rho/(2N), Exp(1) services and
+    switch-overs, disciplines cycling gated/exhaustive/mixed."""
+    lam = rho / (2 * n)
+    return PollingModel(
+        queues=tuple(QueueSpec(lam, lam, Exponential(1.0), Exponential(1.0),
+                               DISCIPLINES[i % 3]) for i in range(n)),
+        switchovers=(Exponential(1.0),) * n)
+
+
+MOMENT_MODELS = {
+    "example1": example1(),
+    "example2": example2(),
+    "example2_exhaustive_gated": example2(EXHAUSTIVE, GATED),
+    "single_exhaustive": single_vacation_queue(EXHAUSTIVE),
+    "single_without_highs": single_vacation_queue(lam_h=0.0),
+    "random_extended": random_model(np.random.default_rng(5), extended_dists=True),
+    "baseline_8_rho_0.99": _baseline_family(8, 0.99),
+}
+
+
+@pytest.mark.parametrize("name", MOMENT_MODELS)
+def test_moments_are_the_cycle_fixed_point(name):
+    # one cycle of visit maps carries queue 0's (m, f) to itself, and every
+    # queue's entry is the image of the previous one
+    gf = GfEvaluator(MOMENT_MODELS[name])
+    states = gf.moments()
+    images = gf._cycle(*states[0])
+    for (m, f), (m_img, f_img, _) in zip(states + states[:1], images):
+        assert m_img == pytest.approx(m, rel=1e-13)
+        for row, row_img in zip(f, f_img):
+            assert row_img == pytest.approx(row, rel=1e-13)
+
+
+@pytest.mark.parametrize("name", MOMENT_MODELS)
+def test_factors_compose_the_cycle_mean_map(name):
+    # U W equals P, whose columns are the unit spans carried around a cycle
+    gf = GfEvaluator(MOMENT_MODELS[name])
+    u, w = gf._factors()
+    n2 = 2 * gf.n
+    for c in range(n2):
+        col = [float(k == c) for k in range(n2)]
+        for j in range(gf.n):
+            col = gf._visit(j, col)
+        assert [sum(x * row[c] for x, row in zip(uk, w)) for uk in u] == \
+            pytest.approx(col, rel=1e-14, abs=1e-15)
+
+
+def test_means_answer_near_critical_load():
+    # rho = 1 - 1e-10: means solve directly, variances hit the doubling cap
+    model = example1()
+    model = dataclasses.replace(model, queues=(
+        dataclasses.replace(model.queues[0], lambda_low=0.5999999999),) + model.queues[1:])
+    report = Analyzer(model).report(include_variances=False)
+    waits = [c.mean_wait for c in report.classes]
+    assert len(waits) == 3 and all(0.0 < w < math.inf for w in waits)
+    with pytest.raises(NoConvergence):
+        Analyzer(model).report()
 
 
 def test_third_moments_are_the_cycle_fixed_point():

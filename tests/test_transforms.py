@@ -245,15 +245,16 @@ def test_lst_axioms_randomized_probes():
             probes += _axiom_probe(
                 lambda w: a.visit_time_lst(i, w),
                 sorted(rng.uniform(0.0, 3.0, size=3)))
-            if q.discipline == GATED or (q.discipline == MIXED and qt.lam_l > 0):
-                om = qt.lam_l + qt.lam_h if q.discipline == GATED else qt.lam_l
-                probes += _axiom_probe(
-                    lambda w: a.cycle_time_lst(i, w),
-                    sorted(rng.uniform(0.0, om, size=3)))
-            if q.discipline != GATED and q.lambda_high > 0:
-                probes += _axiom_probe(
-                    lambda w: a.intervisit_lst(i, w),
-                    sorted(rng.uniform(0.0, qt.lam_h, size=3)))
+            # each span is available up to the rate of the classes counting
+            # arrivals over it: the kept classes the cycle, the cleared the
+            # intervisit
+            for span, classes in ((a.cycle_time_lst, qt.kept),
+                                  (a.intervisit_lst, qt.cleared)):
+                om = qt.span_rate(classes)
+                if om > 0.0:
+                    probes += _axiom_probe(lambda w: span(i, w),
+                                           sorted(rng.uniform(0.0, om, size=3)))
+            if q.lambda_high > 0:
                 probes += _axiom_probe(
                     lambda w: a.waiting_lst_high(i, w),
                     sorted(rng.uniform(0.0, qt.lam_h, size=3)))
@@ -261,7 +262,3 @@ def test_lst_axioms_randomized_probes():
                 probes += _axiom_probe(
                     lambda w: a.waiting_lst_low(i, w),
                     sorted(rng.uniform(0.0, qt.lam_l, size=3)))
-            if q.discipline == GATED and q.lambda_high > 0:
-                probes += _axiom_probe(
-                    lambda w: a.waiting_lst_high(i, w),
-                    sorted(rng.uniform(0.0, qt.lam_h, size=3)))
