@@ -2,31 +2,21 @@
 
 The Analyzer wraps one validated model with a shared GF evaluator.  Every
 mean and variance rests on the exact factorial moments of the polling state
-at visit beginnings up to order three (``GfEvaluator.moments`` and
-``third_moments``, each solved once per model), from which it reads the
-cycle, intervisit and visit second moments and the polling-state cross
-moment.
+at visit beginnings (``GfEvaluator.moments`` up to order two and
+``third_moments``, each solved once per model, the latter only when a
+variance asks for it), from which it also reads the cycle, intervisit and
+visit second moments and the polling-state cross moment.
 
-Mean waiting times per discipline (residual X means E(X^2)/(2E(X))):
-
-* gated:      high  (1 + rho_h) * res(C)
-              low   (1 + rho_i + rho_h) * res(C)
-* mixed:      high  [rho_h res(B_h) + rho_l res(B_l)]/(1-rho_h)
-                       + (1-rho_i)/(1-rho_h) * res(I)
-              low   (1 + rho_l/(1-rho_h)) * res(C)
-                       + rho_h/(1-rho_h) * cross/(lam_h lam_l E(C))
-* exhaustive: high  as mixed but with the exhaustive intervisit
-              low   M/G/1 term with completion-time services
-                       + high residual-clearing term + res(I)/(1-rho_h)
-
-Second moments E(W^2) (``wait_m2``) expand the waiting-time LSTs of
-``transforms`` in power series about 0 up to omega^2 (Faa di Bruno): the GF
-becomes the moments of queue i's two spans up to order three, and the
-service, busy-period and completion-time LSTs their moments up to order
-three.  No report path differentiates a transform numerically or evaluates
-the GF.  ``mean_wait_low_alt`` differentiates the low-priority waiting-time
-transform for E(W_low), independent of the exact moments, for the dual-route
-checks; no report path calls it.
+Each class's waiting-time LST of ``transforms`` is expanded in one power
+series about 0 (Faa di Bruno): the GF becomes the moments of queue i's two
+spans, and the service, busy-period and completion-time LSTs their moments.
+E(W) is minus its omega^1 coefficient and E(W^2) twice its omega^2
+coefficient.  A series taken to omega^k reads moments up to order k + 1, so
+means never solve ``third_moments``.  No report path differentiates a
+transform numerically or evaluates the GF.  ``mean_wait_low_alt``
+differentiates the low-priority waiting-time transform for E(W_low),
+independent of the exact moments, for the dual-route checks; no report path
+calls it.
 """
 
 from __future__ import annotations
@@ -87,17 +77,17 @@ class PerfReport:
                   f"{self.pcl_residual:.6g}\n")
         return out.getvalue()
 
-    def wait(self, queue: int, cls: str) -> float:
+    def _row(self, queue: int, cls: str) -> ClassResult:
         for r in self.classes:
             if r.queue == queue and r.cls == cls:
-                return r.mean_wait
+                return r
         raise KeyError((queue, cls))
 
+    def wait(self, queue: int, cls: str) -> float:
+        return self._row(queue, cls).mean_wait
+
     def var(self, queue: int, cls: str) -> float:
-        for r in self.classes:
-            if r.queue == queue and r.cls == cls:
-                return r.var_wait
-        raise KeyError((queue, cls))
+        return self._row(queue, cls).var_wait
 
 
 def _check_class(cls: str) -> None:
@@ -196,40 +186,13 @@ class Analyzer:
             raise UnsupportedEvaluation("cross moment needs both classes present")
         return qt.lam_h * qt.lam_l * self._state(i)[1][2 * i][2 * i + 1]
 
-    # ----------------------------------------------------------- mean waits
+    # ------------------------------------------------------- waiting times
 
     def mean_wait_high(self, i: int) -> float:
-        qt = self.queues[i]
-        if qt.lam_h <= 0.0:
-            raise UnsupportedEvaluation("queue has no high-priority class")
-        if qt.disc == GATED:
-            return (1.0 + qt.rho_h) * self.cycle_m2(i) / (2.0 * qt.ec)
-        num = qt.lam_h * qt.svc_h.moment(2)
-        if qt.lam_l > 0.0:
-            num += qt.lam_l * qt.svc_l.moment(2)
-        return (num / (2.0 * (1.0 - qt.rho_h))
-                + self.intervisit_m2(i) / (2.0 * qt.ec * (1.0 - qt.rho_h)))
+        return self.mean_wait(i, "H")
 
     def mean_wait_low(self, i: int) -> float:
-        qt = self.queues[i]
-        if qt.lam_l <= 0.0:
-            raise UnsupportedEvaluation("queue has no low-priority class")
-        if qt.disc == GATED:
-            return (1.0 + qt.rho_i + qt.rho_h) * self.cycle_m2(i) / (2.0 * qt.ec)
-        if qt.disc == MIXED:
-            wait = (1.0 + qt.rho_l / (1.0 - qt.rho_h)) * self.cycle_m2(i) / (2.0 * qt.ec)
-            if qt.lam_h <= 0.0:
-                return wait
-            factor = qt.rho_h / (1.0 - qt.rho_h)
-            return wait + factor * self.cross_moment(i) / (qt.lam_h * qt.lam_l * qt.ec)
-        # exhaustive: M/G/1-with-completion-times plus residual clearing terms
-        b2h = qt.svc_h.moment(2)
-        one_h = 1.0 - qt.rho_h
-        return (qt.lam_l * (qt.svc_l.moment(2) / one_h
-                            + qt.lam_h * qt.svc_l.mean * b2h / one_h**2)
-                / (2.0 * (1.0 - qt.rho_i))
-                + qt.lam_h * b2h / (2.0 * one_h**2)
-                + self.intervisit_m2(i) / (2.0 * qt.ei * one_h))
+        return self.mean_wait(i, "L")
 
     def mean_wait_low_alt(self, i: int) -> float:
         """E(W_low) by differentiating the waiting-time transform, a route
@@ -239,36 +202,38 @@ class Analyzer:
         return lst_moment(self.queues[i].wait_low_handle(), 1).value
 
     def mean_wait(self, i: int, cls: str) -> float:
-        _check_class(cls)
-        if cls == "H":
-            return self.mean_wait_high(i)
-        return self.mean_wait_low(i)
-
-    # ------------------------------------------------------------- variances
+        """E(W): minus the omega^1 coefficient of the waiting-time LST."""
+        return -self._wait_series(i, cls, 1)[1]
 
     def wait_m2(self, i: int, cls: str) -> float:
-        """E(W^2): twice the omega^2 coefficient of the waiting-time LST of
-        ``transforms``, expanded about 0 from exact moments."""
-        _check_class(cls)
-        qt = self.queues[i]
-        lst = self._wait_high_series(qt) if cls == "H" else self._wait_low_series(qt)
-        return 2.0 * lst[2]
+        """E(W^2): twice the omega^2 coefficient of the waiting-time LST."""
+        return 2.0 * self._wait_series(i, cls, 2)[2]
 
     def var_wait(self, i: int, cls: str) -> float:
-        """Var(W) = E(W^2) - E(W)^2, both exact."""
-        mean = self.mean_wait(i, cls)
-        return self.wait_m2(i, cls) - mean * mean
+        """Var(W) = E(W^2) - E(W)^2, both from one series."""
+        return _variance(self._wait_series(i, cls, 2))
+
+    def _wait_series(self, i: int, cls: str, order: int) -> list:
+        """LST of queue i's class ``cls`` waiting time, expanded about 0 from
+        exact moments up to omega^order (1 or 2)."""
+        _check_class(cls)
+        qt = self.queues[i]
+        n = order + 2  # the input series reach one order further
+        if cls == "H":
+            return self._wait_high_series(qt, n)
+        return self._wait_low_series(qt, n)
 
     def _span_complement(self, i: int, alpha: list, beta: list) -> list:
         """1 - E exp(-alpha S_H - beta S_L) as a series in omega, for series
-        alpha and beta without constant term, where S_H and S_L are the spans
-        of queue i's coordinates at its visit beginning: the GF complement
-        ``complement_pair(i, zh, zl)`` with alpha = lam_h zh, beta = lam_l zl."""
+        alpha and beta without constant term and of equal length 3 or 4, where
+        S_H and S_L are the spans of queue i's coordinates at its visit
+        beginning: the GF complement ``complement_pair(i, zh, zl)`` with
+        alpha = lam_h zh, beta = lam_l zl.  Only the omega^3 term reads the
+        third moments."""
         m, f = self._state(i)
-        t = self._third(i)
         k = (2 * i, 2 * i + 1)
         # E(L_s L_u ...) for L_s = alpha_s S_H + beta_s S_L
-        w = [(alpha[s], beta[s]) for s in (1, 2, 3)]
+        w = list(zip(alpha[1:], beta[1:]))
 
         def e1(u):
             return u[0] * m[k[0]] + u[1] * m[k[1]]
@@ -276,51 +241,57 @@ class Analyzer:
         def e2(u, v):
             return sum(u[a] * v[b] * f[k[a]][k[b]] for a in (0, 1) for b in (0, 1))
 
-        e3 = sum(w[0][a] * w[0][b] * w[0][c] * t[k[a]][k[b]][k[c]]
-                 for a in (0, 1) for b in (0, 1) for c in (0, 1))
-        return [0.0, e1(w[0]), e1(w[1]) - e2(w[0], w[0]) / 2.0,
-                e1(w[2]) - e2(w[0], w[1]) + e3 / 6.0]
+        out = [0.0, e1(w[0]), e1(w[1]) - e2(w[0], w[0]) / 2.0]
+        if len(w) > 2:
+            t = self._third(i)
+            e3 = sum(w[0][a] * w[0][b] * w[0][c] * t[k[a]][k[b]][k[c]]
+                     for a in (0, 1) for b in (0, 1) for c in (0, 1))
+            out.append(e1(w[2]) - e2(w[0], w[1]) + e3 / 6.0)
+        return out
 
-    def _wait_high_series(self, qt) -> list:
-        """LST of W_H up to omega^2."""
+    def _wait_high_series(self, qt, n: int) -> list:
+        """LST of W_H up to omega^(n - 2), from input series of length n."""
         if qt.lam_h <= 0.0:
             raise UnsupportedEvaluation("queue has no high-priority class")
         i = qt.i
-        bc_h = _complement_series(qt.svc_h)
+        omega = _OMEGA[:n]
+        bc_h = _complement_series(qt.svc_h, n)
         if qt.disc == GATED:
             tot = qt.lam_h + qt.lam_l
-            cycle = self._span_complement(i, _scale(qt.lam_h / tot, _OMEGA),
-                                          _scale(qt.lam_l / tot, _OMEGA))
-            served = self._span_complement(i, _scale(qt.lam_h, bc_h), _ZERO)
+            cycle = self._span_complement(i, _scale(qt.lam_h / tot, omega),
+                                          _scale(qt.lam_l / tot, omega))
+            served = self._span_complement(i, _scale(qt.lam_h, bc_h), _ZERO[:n])
             return _gate_wait(cycle, served, qt.ec, qt.rho_h, bc_h, qt.svc_h.mean)
         # M/G/1 factor times a vacation: an intervisit time, which the high
         # coordinate spans, or a low service
-        iv = self._span_complement(i, _OMEGA, _ZERO)
+        iv = self._span_complement(i, omega, _ZERO[:n])
         vac = _scale((1.0 - qt.rho_i) / (1.0 - qt.rho_h), _residual(iv, qt.ei))
         if qt.lam_l > 0.0:
             vac = _add(vac, _scale(qt.rho_l / (1.0 - qt.rho_h),
-                                   _residual(_complement_series(qt.svc_l), qt.svc_l.mean)))
+                                   _residual(_complement_series(qt.svc_l, n),
+                                             qt.svc_l.mean)))
         return _div(_scale(1.0 - qt.rho_h, vac),
                     _one_minus(qt.rho_h, _residual(bc_h, qt.svc_h.mean)))
 
-    def _wait_low_series(self, qt) -> list:
-        """LST of W_L up to omega^2."""
+    def _wait_low_series(self, qt, n: int) -> list:
+        """LST of W_L up to omega^(n - 2), from input series of length n."""
         if qt.lam_l <= 0.0:
             raise UnsupportedEvaluation("queue has no low-priority class")
         i = qt.i
-        bc_l = _complement_series(qt.svc_l)
+        omega = _OMEGA[:n]
+        bc_l = _complement_series(qt.svc_l, n)
         if qt.disc == GATED:
-            a_h = _scale(qt.lam_h, _complement_series(qt.svc_h))
-            cycle = self._span_complement(i, a_h, _OMEGA)
+            a_h = _scale(qt.lam_h, _complement_series(qt.svc_h, n))
+            cycle = self._span_complement(i, a_h, omega)
             served = self._span_complement(i, a_h, _scale(qt.lam_l, bc_l))
             return _gate_wait(cycle, served, qt.ec, qt.rho_l, bc_l, qt.svc_l.mean)
         # a low service extended by the high busy periods it starts: the
         # completion time B*
-        a_h = _scale(qt.lam_h, _complement_series(qt._busy_h))
-        bstar = _compose(bc_l, _add(_OMEGA, a_h))
+        a_h = _scale(qt.lam_h, _complement_series(qt._busy_h, n))
+        bstar = _compose(bc_l, _add(omega, a_h))
         rho_star = qt.rho_l / (1.0 - qt.rho_h)
         e_bstar = qt.svc_l.mean / (1.0 - qt.rho_h)
-        at_omega = self._span_complement(i, a_h, _OMEGA)
+        at_omega = self._span_complement(i, a_h, omega)
         if qt.disc == MIXED:
             served = self._span_complement(i, a_h, _scale(qt.lam_l, bstar))
             return _gate_wait(at_omega, served, qt.ec, rho_star, bstar, e_bstar)
@@ -331,26 +302,22 @@ class Analyzer:
     # --------------------------------------------------------------- report
 
     def mean_qlen(self, i: int, cls: str) -> float:
-        qt = self.queues[i]
-        wait = self.mean_wait(i, cls)
-        if cls == "H":
-            return qt.lam_h * (wait + qt.svc_h.mean)
-        sojourn_svc = qt.svc_l.mean
-        if 0 in qt.cleared:
-            sojourn_svc /= (1.0 - qt.rho_h)
-        return qt.lam_l * (wait + sojourn_svc)
+        return _little(self.queues[i], cls, self.mean_wait(i, cls))
 
     def report(self, include_variances: bool = True) -> PerfReport:
         classes = []
         periods = []
+        waits = {}
+        order = 2 if include_variances else 1
         for i, qt in enumerate(self.queues):
             for cls, lam in (("H", qt.lam_h), ("L", qt.lam_l)):
                 if lam <= 0.0:
                     continue
-                mean = self.mean_wait(i, cls)
-                var = self.var_wait(i, cls) if include_variances else math.nan
+                series = self._wait_series(i, cls, order)
+                mean = waits[(i, cls)] = -series[1]
+                var = _variance(series) if include_variances else math.nan
                 classes.append(ClassResult(i, cls, qt.disc, mean, var,
-                                           self.mean_qlen(i, cls)))
+                                           _little(qt, cls, mean)))
             cyc2 = iv2 = cross = None
             if qt.span_rate(qt.kept) > 0.0:
                 cyc2 = self.cycle_m2(i)
@@ -362,20 +329,38 @@ class Analyzer:
                 cross = self.cross_moment(i)
             periods.append(QueuePeriods(i, qt.ec, cyc2, qt.ei, iv2,
                                         qt.ev, self.visit_m2(i), cross))
-        lhs, rhs, residual = pcl_check(self.model, analyzer=self)
+        lhs, rhs, residual = pcl_check(self.model, waits=waits)
         return PerfReport(tuple(classes), tuple(periods), lhs, rhs, residual)
 
 
-# Truncated power series in omega: coefficient lists, omega^0 first.
+def _variance(series: list) -> float:
+    """E(W^2) - E(W)^2 from a waiting-time LST series up to omega^2."""
+    return 2.0 * series[2] - series[1] * series[1]
+
+
+def _little(qt, cls: str, wait: float) -> float:
+    """Mean number of class ``cls`` customers at queue qt, waiting or in
+    service, by Little's law from the class's mean wait."""
+    if cls == "H":
+        return qt.lam_h * (wait + qt.svc_h.mean)
+    sojourn_svc = qt.svc_l.mean
+    if 0 in qt.cleared:
+        sojourn_svc /= (1.0 - qt.rho_h)
+    return qt.lam_l * (wait + sojourn_svc)
+
+
+# Truncated power series in omega: coefficient lists, omega^0 first, at most
+# up to omega^3; sliced to the length a series needs.
 
 _OMEGA = [0.0, 1.0, 0.0, 0.0]
 _ZERO = [0.0] * 4
 
 
-def _complement_series(x) -> list:
-    """1 - E exp(-omega X) up to omega^3, from the moments of X (a
+def _complement_series(x, n: int) -> list:
+    """1 - E exp(-omega X) up to omega^(n - 1), from the moments of X (a
     Distribution or a BusyPeriod)."""
-    return [0.0, x.moment(1), -x.moment(2) / 2.0, x.moment(3) / 6.0]
+    return [0.0] + [(-1) ** (k + 1) * x.moment(k) / math.factorial(k)
+                    for k in range(1, n)]
 
 
 def _residual(c: list, mean: float) -> list:
@@ -443,8 +428,8 @@ def _switchover_total_moments(model: PollingModel) -> tuple[float, float]:
     return total, var + total * total
 
 
-def pcl_check(model: PollingModel, waits: dict | None = None,
-              analyzer: Analyzer | None = None) -> tuple[float, float, float]:
+def pcl_check(model: PollingModel,
+              waits: dict | None = None) -> tuple[float, float, float]:
     """Workload conservation identity across all queues and classes.
 
     Returns (lhs, rhs, relative residual) where lhs is the load-weighted sum
@@ -452,7 +437,7 @@ def pcl_check(model: PollingModel, waits: dict | None = None,
     per-discipline leftover work E(Z) of ``leftover_work``.
 
     ``waits`` may inject mean waits keyed by (queue_index, "H"|"L"); missing
-    entries fall back to the analyzer (created on demand).
+    entries come from an ``Analyzer`` of the model, built on demand.
     """
     derived = validate(model)
     waits = dict(waits) if waits else {}
@@ -461,8 +446,7 @@ def pcl_check(model: PollingModel, waits: dict | None = None,
             for cls, lam in (("H", q.lambda_high), ("L", q.lambda_low))
             if lam > 0.0 and (i, cls) not in waits]
     if need:
-        if analyzer is None:
-            analyzer = Analyzer(model)
+        analyzer = Analyzer(model)
         for i, cls in need:
             waits[(i, cls)] = analyzer.mean_wait(i, cls)
 

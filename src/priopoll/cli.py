@@ -160,9 +160,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_check(args) -> int:
-    model = load_model(args.model)
-    analyzer = Analyzer(model)
-    lhs, rhs, residual = pcl_check(model, analyzer=analyzer)
+    lhs, rhs, residual = pcl_check(load_model(args.model))
     _emit(f"pcl_lhs,pcl_rhs,pcl_residual\n{lhs:.6g},{rhs:.6g},{residual:.6g}\n", args)
     if residual > CHECK_TOL:
         print(f"conservation check failed: residual {residual:.3g} > {CHECK_TOL}",
@@ -173,6 +171,8 @@ def cmd_check(args) -> int:
 
 def cmd_vacation(args) -> int:
     rho, s = args.rho, args.vacation_length
+    if args.points < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
     star = vacation_crossover(rho, s)
     star_txt = f"{star:.8g}" if star is not None else ""
     lines = ["lambda_high,gated,mixed_ge,lambda_star"]

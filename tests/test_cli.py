@@ -123,7 +123,7 @@ def test_check_passes(capsys):
 
 
 def test_check_failure_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "pcl_check", lambda m, analyzer=None: (1.0, 2.0, 0.5))
+    monkeypatch.setattr(cli, "pcl_check", lambda m: (1.0, 2.0, 0.5))
     code, _ = _run(["check", "--model", str(DATA / "example1.json")], capsys)
     assert code == 4
 
@@ -273,6 +273,15 @@ def test_vacation_short_vacations_prefer_gated(capsys):
         lam, g, m, star = line.split(",")
         assert star == ""
         assert float(g) <= float(m) + 1e-12
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_vacation_rejects_empty_grid(points, capsys):
+    code = cli.main(["vacation", "--rho", "0.8", "--s", "10", "--points", points])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "--points" in captured.err
 
 
 def test_console_entry_point():
