@@ -4,8 +4,9 @@ The Analyzer wraps one validated model with a shared GF evaluator.  Every
 mean and variance rests on the exact factorial moments of the polling state
 at visit beginnings (``GfEvaluator.moments`` up to order two and
 ``third_moments``, each solved once per model, the latter only when a
-variance asks for it), from which it also reads the cycle, intervisit and
-visit second moments and the polling-state cross moment.
+variance asks for it and only for each queue's own two spans), from which it
+also reads the cycle, intervisit and visit second moments and the
+polling-state cross moment.
 
 Each class's waiting-time LST of ``transforms`` is expanded in one power
 series about 0 (Faa di Bruno): the GF becomes the moments of queue i's two
@@ -144,8 +145,9 @@ class Analyzer:
         return self._moments[i]
 
     def _third(self, i: int):
-        """Queue i's entry of ``GfEvaluator.third_moments``, solved once per
-        model when a variance first asks for it."""
+        """Queue i's entry of ``GfEvaluator.third_moments``, the third
+        moments of its own two spans, solved for every queue once per model
+        when a variance first asks for it."""
         if self._third_moments is None:
             self._third_moments = self.gf.third_moments(*self._state(0))
         return self._third_moments[i]
@@ -229,7 +231,7 @@ class Analyzer:
         S_H and S_L are the spans of queue i's coordinates at its visit
         beginning: the GF complement ``complement_pair(i, zh, zl)`` with
         alpha = lam_h zh, beta = lam_l zl.  Only the omega^3 term reads the
-        third moments."""
+        third moments, queue i's 2 x 2 x 2 block of them."""
         m, f = self._state(i)
         k = (2 * i, 2 * i + 1)
         # E(L_s L_u ...) for L_s = alpha_s S_H + beta_s S_L
@@ -244,7 +246,7 @@ class Analyzer:
         out = [0.0, e1(w[0]), e1(w[1]) - e2(w[0], w[0]) / 2.0]
         if len(w) > 2:
             t = self._third(i)
-            e3 = sum(w[0][a] * w[0][b] * w[0][c] * t[k[a]][k[b]][k[c]]
+            e3 = sum(w[0][a] * w[0][b] * w[0][c] * t[a][b][c]
                      for a in (0, 1) for b in (0, 1) for c in (0, 1))
             out.append(e1(w[2]) - e2(w[0], w[1]) + e3 / 6.0)
         return out

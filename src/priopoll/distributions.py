@@ -117,7 +117,8 @@ class Erlang(Distribution):
     mean_: float
 
     def __post_init__(self):
-        _require(isinstance(self.shape, int) and self.shape >= 1,
+        _require(isinstance(self.shape, int) and not isinstance(self.shape, bool)
+                 and self.shape >= 1,
                  f"erlang shape must be an integer >= 1, got {self.shape}")
         _require(0.0 < self.mean_ < math.inf,
                  f"erlang mean must be finite and > 0, got {self.mean_}")

@@ -30,13 +30,15 @@ moments.  The moments of the visit-beginning state up to order three
 therefore follow one affine map per visit, which acts only through the mean
 visit time, so the cycle's mean map factors as P = U W through the N visit
 times: ``moments`` solves the first two orders' fixed points as linear
-systems in N and N^2 unknowns, and ``third_moments`` sums the third's series
-in N^3 by doubling.
+systems in N and N^2 unknowns.  ``third_moments`` reads order three only
+where it is used, without forming a (2N)^3 tensor: it pulls rows back
+through the visits and projects each visit's contribution onto them, onto
+the N visit times for a doubling sum in N^3 and onto each queue's own two
+spans for its 2 x 2 x 2 block.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from operator import mul
 
@@ -207,32 +209,89 @@ class GfEvaluator:
                          [v for row in _product(_product(w, r), list(zip(*w))) for v in row])
         uqu = _product(_product(u, [q[a * n:(a + 1) * n] for a in range(n)]), list(zip(*u)))
         f0 = [[x + y for x, y in zip(ra, qa)] for ra, qa in zip(r, uqu)]
-        return [(m, f) for m, f, _ in self._cycle(m0, f0)[:-1]]
+        return self._cycle(m0, f0)[:-1]
 
     def third_moments(self, m0: list, f0: list) -> list:
         """Exact third factorial moments of the state at every visit
         beginning, divided by the rates, given queue 0's entry (m0, f0) of
-        ``moments()``: per queue i ``t[k][l][r] = E(S_k S_l S_r)``, the
-        spans' third moments.
+        ``moments()``: per queue i the 2 x 2 x 2 block ``t[a][b][c] =
+        E(S_a S_b S_c)`` of its own spans (0 high, 1 low).
 
         A visit maps the spans s to S s + keep D, where D, centred given s,
         has variance and third moment sum_c lam_c E(T_c^k) s_c (k = 2, 3), so
-        a cycle maps t to P^(x3) t + r, r from f, m and the switch-overs.  Its
-        fixed point is t_0 = r + U^(x3) q, with the visit times' moments q =
-        sum_k M^(x3 k) W^(x3) r (``moments``) summed by doubling; raises
-        NoConvergence past ``max_cycles`` cycles, as ``log_value`` does.
+        the third moments t_j at queue j's visit beginning follow t_(j+1) =
+        S_j^(x3) t_j + c_j, c_j from (m_j, f_j) and the switch-over, and a
+        cycle maps t to P^(x3) t + r.  Its fixed point is t_0 = r + U^(x3) q,
+        with the visit times' moments q = sum_k M^(x3 k) W^(x3) r
+        (``moments``) summed by doubling; raises NoConvergence past
+        ``max_cycles`` cycles, as ``log_value`` does.  Every tensor is read
+        through rows pulled back over the visits (``_project``): W^(x3) r
+        over one cycle, and queue i's block from its two unit rows over the
+        visits since queue 0's, then U^(x3) q, then the cycle before.
         """
-        n2 = 2 * self.n
+        n = self.n
         u, w = self._factors()
-        r = self._cycle(m0, f0, [[[0.0] * n2 for _ in range(n2)]] * n2)[-1][2]
-        q = _power_series3(_product(w, u), _cube(functools.partial(_apply, w), r),
-                           self.max_cycles)
+        states = self._cycle(m0, f0)[:-1]
+        latest_first = range(n - 1, -1, -1)
+        _, wr = self._project(w, _zeros3(n), latest_first, states)
+        q = _power_series3(_product(w, u), wr, self.max_cycles)
         if q is None:
             raise NoConvergence(
                 f"third visit-beginning moments did not converge within "
                 f"{self.max_cycles} cycles (load {self.derived.rho_total:.6g})")
-        t0 = _add3(r, _cube(functools.partial(_apply, u), q))
-        return [t for _, _, t in self._cycle(m0, f0, t0)[:-1]]
+        out = []
+        for i in range(n):
+            h = [[float(k == l) for l in range(2 * n)] for k in (2 * i, 2 * i + 1)]
+            h, t = self._project(h, _zeros3(2), range(i - 1, -1, -1), states)
+            t = _add3(t, _cube(_product(h, u), q))
+            out.append(self._project(h, t, latest_first, states)[1])
+        return out
+
+    def _project(self, h: list, t: list, visits, states: list) -> tuple:
+        """Adds the contributions of ``visits`` (latest first) to t as seen
+        through the rows h, pulling h back through each visit in turn: t +=
+        h^(x3) c_j, then h <- h S_j.  t is updated in place; returns (h, t).
+
+        Visit j's contribution, from its beginning state (m, f) = states[j],
+        is c_j = sym(keep keep w) + d3 keep^3 + es sym(f' 1) + es2 sym(y 1 1)
+        + es3 1^3, with w = S f b, y = S m, f' = S f S^T + spread keep keep^T,
+        spread = b . m and d3 = c . m on queue j's coordinates (b, c the
+        ``period_rates`` of order 2 and 3) and the switch-over moments es.
+        So h^(x3) c_j needs no tensor: only h keep, h 1 and, through the
+        pulled-back rows h S, h w = (h S) f b, h y = (h S) m and h f' h^T =
+        (h S) f (h S)^T + spread (h keep)(h keep)^T (f is symmetric).
+        """
+        for j in visits:
+            m, f = states[j]
+            keep = self._keep[j]
+            (a_h, a_l), (b_h, b_l), (c_h, c_l) = self.period_rates[j]
+            es, es2, es3 = self._swo[j]
+            kh = 2 * j
+            spread = b_h * m[kh] + b_l * m[kh + 1]
+            d3 = c_h * m[kh] + c_l * m[kh + 1]
+            fb = [b_h * row[kh] + b_l * row[kh + 1] for row in f]
+            hk = [sum(map(mul, x, keep)) for x in h]
+            h1 = [sum(x) for x in h]
+            # x S_j: queue j's two entries become a_j (x . keep)
+            h = [x[:kh] + [a_h * v, a_l * v] + x[kh + 2:] for x, v in zip(h, hk)]
+            hw = [sum(map(mul, x, fb)) for x in h]
+            hy = [sum(map(mul, x, m)) for x in h]
+            hf = [[sum(map(mul, x, row)) for row in f] for x in h]
+            g = [[sum(map(mul, xf, y)) + spread * ka * kb for y, kb in zip(h, hk)]
+                 for xf, ka in zip(hf, hk)]
+            for a, (ka, oa, wa, ya, ga) in enumerate(zip(hk, h1, hw, hy, g)):
+                for b, (kb, ob, wb, yb, gb) in enumerate(zip(hk, h1, hw, hy, g)):
+                    # t[a][b][c] += the coefficients of (h keep)_c, (h 1)_c,
+                    # (h w)_c, (h y)_c, g[a][c] and g[b][c]
+                    kk = ka * kb
+                    by_k = wa * kb + ka * wb + d3 * kk
+                    by_1 = es * ga[b] + es2 * (ya * ob + oa * yb) + es3 * oa * ob
+                    by_y = es2 * oa * ob
+                    t[a][b] = [x + by_k * kc + by_1 * oc + kk * wc + by_y * yc
+                               + es * (ob * gac + oa * gbc)
+                               for x, kc, oc, wc, yc, gac, gbc
+                               in zip(t[a][b], hk, h1, hw, hy, ga, gb)]
+        return h, t
 
     def _factors(self) -> tuple:
         """(U, W) with P = U W, the cycle's mean map from queue 0's visit
@@ -260,37 +319,21 @@ class GfEvaluator:
         y[2 * j + 1] = keep[2 * j + 1] * v
         return y
 
-    def _cycle(self, m: list, f: list, t: list | None = None) -> list:
-        """(m, f, t) at each visit beginning of one cycle from queue 0's; t
-        stays None when not given."""
-        out = [(m, f, t)]
+    def _cycle(self, m: list, f: list) -> list:
+        """(m, f) at each visit beginning of one cycle from queue 0's."""
+        out = [(m, f)]
         for j in range(self.n):
-            es, es2, es3 = self._swo[j]
+            es, es2, _ = self._swo[j]
             keep = self._keep[j]
-            _, (b_h, b_l), (c_h, c_l) = self.period_rates[j]
-            kh = 2 * j
-            spread = b_h * m[kh] + b_l * m[kh + 1]
+            _, (b_h, b_l), _ = self.period_rates[j]
+            spread = b_h * m[2 * j] + b_l * m[2 * j + 1]
             y = self._visit(j, m)
-            if t is not None:
-                # u = S s + keep D: E(u u u) = S^(x3) t + the three placements
-                # of keep keep (S f b) + E(D^3) keep keep keep
-                w = self._visit(j, [b_h * row[kh] + b_l * row[kh + 1] for row in f])
-                d3 = c_h * m[kh] + c_l * m[kh + 1]
-                t = _cube(functools.partial(self._visit, j), t)
             f = [self._visit(j, col) for col in zip(*[self._visit(j, row) for row in f])]
-            f = [[fab + spread * ka * kb for fab, kb in zip(row, keep)]
-                 for row, ka in zip(f, keep)]
-            if t is not None:
-                # then s' = u + sigma 1 with the switch-over sigma independent
-                t = [[[tabc + wa * kb * kc + ka * wb * kc + ka * kb * wc + d3 * ka * kb * kc
-                       + es * (fab + fac + fbc) + es2 * (ya + yb + yc) + es3
-                       for tabc, kc, wc, fac, fbc, yc in zip(tab, keep, w, fa, fb, y)]
-                      for tab, kb, wb, fab, fb, yb in zip(ta, keep, w, fa, f, y)]
-                     for ta, ka, wa, fa, ya in zip(t, keep, w, f, y)]
-            f = [[fab + es * (ya + yb) + es2 for fab, yb in zip(row, y)]
-                 for row, ya in zip(f, y)]
+            f = [[fab + spread * ka * kb + es * (ya + yb) + es2
+                  for fab, kb, yb in zip(row, keep, y)]
+                 for row, ka, ya in zip(f, keep, y)]
             m = [yk + es for yk in y]
-            out.append((m, f, t))
+            out.append((m, f))
         return out
 
     # ------------------------------------------------------- convenience API
@@ -320,12 +363,16 @@ def _add3(x: list, y: list) -> list:
             for xm, ym in zip(x, y)]
 
 
-def _cube(fn, t: list) -> list:
-    """fn^(x3) t: a linear map applied along each index of a 3-tensor, each
-    pass turning the mapped last index into the first."""
+def _zeros3(n: int) -> list:
+    return [[[0.0] * n for _ in range(n)] for _ in range(n)]
+
+
+def _cube(a: list, t: list) -> list:
+    """a^(x3) t: the matrix a (p x n) applied along each index of an n x n x n
+    tensor, each pass turning the mapped last index into the first."""
     for _ in range(3):
-        v = [[fn(fiber) for fiber in mat] for mat in t]
-        t = [[[vab[c] for vab in va] for va in v] for c in range(len(v[0][0]))]
+        v = [[[sum(map(mul, row, fiber)) for row in a] for fiber in mat] for mat in t]
+        t = [[[vab[c] for vab in va] for va in v] for c in range(len(a))]
     return t
 
 
@@ -333,10 +380,12 @@ def _power_series3(p: list, r: list, max_terms: int) -> list | None:
     """sum_k p^(x3 k) r, the fixed point of t = p^(x3) t + r, by doubling:
     t <- t + a^(x3) t and a <- a a, so that t sums 2^s terms after s steps.
     Every term is nonnegative; the sum ends at the first step that changes no
-    entry, and is None when that takes more than about ``max_terms`` terms."""
+    entry, and is None when that takes more than about ``max_terms`` terms.
+    ``third_moments`` passes the visit times' map M (N x N), so every step
+    works on N^3 entries."""
     a, t = p, r
     for _ in range(max_terms.bit_length()):
-        new = _add3(t, _cube(functools.partial(_apply, a), t))
+        new = _add3(t, _cube(a, t))
         if new == t:
             return t
         t, a = new, _product(a, a)

@@ -125,6 +125,8 @@ def test_invalid_parameters_rejected():
     with pytest.raises(NonpositiveParameter):
         Erlang(0, 1.0)
     with pytest.raises(NonpositiveParameter):
+        Erlang(True, 1.0)  # a bool is an int, but no shape
+    with pytest.raises(NonpositiveParameter):
         Hyperexponential((0.5, 0.4), (1.0, 2.0))  # probs sum != 1
     with pytest.raises(NonpositiveParameter):
         Uniform(2.0, 1.0)

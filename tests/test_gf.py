@@ -143,7 +143,7 @@ def test_moments_are_the_cycle_fixed_point(name):
     gf = GfEvaluator(MOMENT_MODELS[name])
     states = gf.moments()
     images = gf._cycle(*states[0])
-    for (m, f), (m_img, f_img, _) in zip(states + states[:1], images):
+    for (m, f), (m_img, f_img) in zip(states + states[:1], images):
         assert m_img == pytest.approx(m, rel=1e-13)
         for row, row_img in zip(f, f_img):
             assert row_img == pytest.approx(row, rel=1e-13)
@@ -175,24 +175,66 @@ def test_means_answer_near_critical_load():
         Analyzer(model).report()
 
 
+def _third_moment_cycle(gf, m, f, t):
+    """The full (2N)^3 third moments at each visit beginning of one cycle
+    from queue 0's (m, f, t), one visit map at a time: t <- S^(x3) t + the
+    visit's and the switch-over's contributions."""
+    out = [t]
+    for j, (m, f) in enumerate(gf._cycle(m, f)[:-1]):
+        es, es2, es3 = gf._swo[j]
+        keep = gf._keep[j]
+        _, (b_h, b_l), (c_h, c_l) = gf.period_rates[j]
+        kh = 2 * j
+        spread = b_h * m[kh] + b_l * m[kh + 1]
+        d3 = c_h * m[kh] + c_l * m[kh + 1]
+        y = gf._visit(j, m)
+        w = gf._visit(j, [b_h * row[kh] + b_l * row[kh + 1] for row in f])
+        f = [gf._visit(j, col) for col in zip(*[gf._visit(j, row) for row in f])]
+        f = [[fab + spread * ka * kb for fab, kb in zip(row, keep)]
+             for row, ka in zip(f, keep)]
+        for _ in range(3):
+            t = [[gf._visit(j, fiber) for fiber in mat] for mat in t]
+            t = [[[vab[c] for vab in va] for va in t] for c in range(len(t))]
+        t = [[[tabc + wa * kb * kc + ka * wb * kc + ka * kb * wc + d3 * ka * kb * kc
+               + es * (fab + fac + fbc) + es2 * (ya + yb + yc) + es3
+               for tabc, kc, wc, fac, fbc, yc in zip(tab, keep, w, fa, fb, y)]
+              for tab, kb, wb, fab, fb, yb in zip(ta, keep, w, fa, f, y)]
+             for ta, ka, wa, fa, ya in zip(t, keep, w, f, y)]
+        out.append(t)
+    return out
+
+
 def test_third_moments_are_the_cycle_fixed_point():
-    # one cycle of visit maps carries queue 0's third moments to themselves,
-    # and they are symmetric in their three indices
-    rng = np.random.default_rng(11)
+    # every queue's block equals the same block of the fixed point of the
+    # full-tensor cycle map t <- P^(x3) t + r, iterated from zero without
+    # doubling until no entry changes (every term is nonnegative, so the
+    # iterates increase to it), and is symmetric in its three indices; five
+    # queues make the sweeps wrap around past queue 0
     for model in (example1(), example2("exhaustive", "gated"),
-                  random_model(rng, extended_dists=True)):
+                  random_model(np.random.default_rng(11), extended_dists=True),
+                  _baseline_family(5, 0.6)):
         gf = GfEvaluator(model)
-        states = gf.moments()
-        thirds = gf.third_moments(*states[0])
-        m0, f0 = states[0]
-        images = [t for _, _, t in gf._cycle(m0, f0, thirds[0])]
+        m0, f0 = gf.moments()[0]
         n2 = 2 * gf.n
-        for t, image in zip(thirds + thirds[:1], images):
-            for a in range(n2):
-                for b in range(n2):
-                    for c in range(n2):
-                        assert image[a][b][c] == pytest.approx(t[a][b][c], rel=1e-13)
-                        assert t[a][b][c] == pytest.approx(t[c][a][b], rel=1e-13)
+        t = [[[0.0] * n2 for _ in range(n2)] for _ in range(n2)]
+        for _ in range(10_000):
+            new = _third_moment_cycle(gf, m0, f0, t)[-1]
+            if new == t:
+                break
+            t = new
+        else:
+            pytest.fail("the full-tensor iteration did not settle")
+        oracle = _third_moment_cycle(gf, m0, f0, t)[:-1]
+        thirds = gf.third_moments(m0, f0)
+        assert len(thirds) == gf.n
+        for i, (block, full) in enumerate(zip(thirds, oracle)):
+            k = (2 * i, 2 * i + 1)
+            for a in range(2):
+                for b in range(2):
+                    for c in range(2):
+                        assert block[a][b][c] == pytest.approx(full[k[a]][k[b]][k[c]],
+                                                               rel=1e-13)
+                        assert block[a][b][c] == pytest.approx(block[c][a][b], rel=1e-13)
 
 
 def test_third_moments_near_critical_load_raise_no_convergence():
