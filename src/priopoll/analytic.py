@@ -149,7 +149,8 @@ class Analyzer:
         moments of its own two spans, solved for every queue once per model
         when a variance first asks for it."""
         if self._third_moments is None:
-            self._third_moments = self.gf.third_moments(*self._state(0))
+            self._third_moments = self.gf.third_moments(
+                [self._state(j) for j in range(self.model.n)])
         return self._third_moments[i]
 
     def cycle_m2(self, i: int) -> float:
@@ -184,7 +185,7 @@ class Analyzer:
     def cross_moment(self, i: int) -> float:
         """E[X_high * X_low] at a visit beginning of queue i."""
         qt = self.queues[i]
-        if qt.lam_h <= 0.0 or qt.lam_l <= 0.0:
+        if len(qt.q.classes) < 2:
             raise UnsupportedEvaluation("cross moment needs both classes present")
         return qt.lam_h * qt.lam_l * self._state(i)[1][2 * i][2 * i + 1]
 
@@ -282,14 +283,17 @@ class Analyzer:
         i = qt.i
         omega = _OMEGA[:n]
         bc_l = _complement_series(qt.svc_l, n)
+        # the high coordinate's series is zero without highs
         if qt.disc == GATED:
-            a_h = _scale(qt.lam_h, _complement_series(qt.svc_h, n))
+            a_h = (_scale(qt.lam_h, _complement_series(qt.svc_h, n)) if qt.lam_h > 0.0
+                   else _ZERO[:n])
             cycle = self._span_complement(i, a_h, omega)
             served = self._span_complement(i, a_h, _scale(qt.lam_l, bc_l))
             return _gate_wait(cycle, served, qt.ec, qt.rho_l, bc_l, qt.svc_l.mean)
         # a low service extended by the high busy periods it starts: the
         # completion time B*
-        a_h = _scale(qt.lam_h, _complement_series(qt._busy_h, n))
+        a_h = (_scale(qt.lam_h, _complement_series(qt._busy_h, n)) if qt._busy_h is not None
+               else _ZERO[:n])
         bstar = _compose(bc_l, _add(omega, a_h))
         rho_star = qt.rho_l / (1.0 - qt.rho_h)
         e_bstar = qt.svc_l.mean / (1.0 - qt.rho_h)
@@ -312,9 +316,7 @@ class Analyzer:
         waits = {}
         order = 2 if include_variances else 1
         for i, qt in enumerate(self.queues):
-            for cls, lam in (("H", qt.lam_h), ("L", qt.lam_l)):
-                if lam <= 0.0:
-                    continue
+            for _, cls, _, _ in qt.q.classes:
                 series = self._wait_series(i, cls, order)
                 mean = waits[(i, cls)] = -series[1]
                 var = _variance(series) if include_variances else math.nan
@@ -443,10 +445,8 @@ def pcl_check(model: PollingModel,
     """
     derived = validate(model)
     waits = dict(waits) if waits else {}
-    need = [(i, cls)
-            for i, q in enumerate(model.queues)
-            for cls, lam in (("H", q.lambda_high), ("L", q.lambda_low))
-            if lam > 0.0 and (i, cls) not in waits]
+    need = [(i, cls) for i, q in enumerate(model.queues) for _, cls, _, _ in q.classes
+            if (i, cls) not in waits]
     if need:
         analyzer = Analyzer(model)
         for i, cls in need:
@@ -455,12 +455,9 @@ def pcl_check(model: PollingModel,
     lhs = 0.0
     res_service = 0.0
     for i, q in enumerate(model.queues):
-        if q.lambda_high > 0.0:
-            lhs += derived.rho_high[i] * waits[(i, "H")]
-            res_service += derived.rho_high[i] * q.service_high.moment(2) / (2.0 * q.service_high.mean)
-        if q.lambda_low > 0.0:
-            lhs += derived.rho_low[i] * waits[(i, "L")]
-            res_service += derived.rho_low[i] * q.service_low.moment(2) / (2.0 * q.service_low.mean)
+        for _, cls, lam, svc in q.classes:
+            lhs += lam * svc.mean * waits[(i, cls)]
+            res_service += lam * svc.mean * svc.moment(2) / (2.0 * svc.mean)
 
     rho = derived.rho_total
     es, es2 = _switchover_total_moments(model)

@@ -76,31 +76,30 @@ class GfEvaluator:
         self.period_rates = []
         self._keep = []
         for j, q in enumerate(model.queues):
-            lams = (q.lambda_high, q.lambda_low)
-            svcs = (q.service_high, q.service_low)
             cleared = CLEARED[q.discipline]
-            self._lam.extend(lams)
-            self._lstc.append(tuple(s.lst_complement if lam > 0.0 else None
-                                    for lam, s in zip(lams, svcs)))
-            live = [c for c in cleared if lams[c] > 0.0]
+            self._lam.extend((q.lambda_high, q.lambda_low))
+            live = [(s, lam) for c, _, lam, s in q.classes if c in cleared]
             if len(live) == 2:
-                busy = BusyPeriod(ServiceMix(svcs[0], lams[0], svcs[1], lams[1]), sum(lams))
+                busy = BusyPeriod(ServiceMix(*live[0], *live[1]), live[0][1] + live[1][1])
             elif live:
-                busy = BusyPeriod(svcs[live[0]], lams[live[0]])
+                busy = BusyPeriod(*live[0])
             else:
                 busy = None
             self._busy.append(busy)
             self._cleared.append([2 * j + c for c in cleared])
-            one = 1.0 - sum(lams[c] * svcs[c].mean for c in cleared)
-            r2 = sum(lams[c] * svcs[c].moment(2) for c in cleared)
-            r3 = sum(lams[c] * svcs[c].moment(3) for c in cleared)
-            self.period_rates.append((
-                tuple(lam * s.mean / one for lam, s in zip(lams, svcs)),
-                tuple(lam * (s.moment(2) / one**2 + s.mean * r2 / one**3)
-                      for lam, s in zip(lams, svcs)),
-                tuple(lam * (s.moment(3) / one**3 + 3.0 * s.moment(2) * r2 / one**4
-                             + s.mean * (r3 / one**4 + 3.0 * r2 * r2 / one**5))
-                      for lam, s in zip(lams, svcs))))
+            one = 1.0 - sum(lam * s.mean for s, lam in live)
+            r2 = sum(lam * s.moment(2) for s, lam in live)
+            r3 = sum(lam * s.moment(3) for s, lam in live)
+            # an absent class has no transform and zero rates
+            lstc, rates = [None, None], [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+            for c, _, lam, s in q.classes:
+                lstc[c] = s.lst_complement
+                rates[0][c] = lam * s.mean / one
+                rates[1][c] = lam * (s.moment(2) / one**2 + s.mean * r2 / one**3)
+                rates[2][c] = lam * (s.moment(3) / one**3 + 3.0 * s.moment(2) * r2 / one**4
+                                     + s.mean * (r3 / one**4 + 3.0 * r2 * r2 / one**5))
+            self._lstc.append(tuple(lstc))
+            self.period_rates.append(tuple(map(tuple, rates)))
             self._keep.append([float(k not in self._cleared[j]) for k in range(2 * n)])
         self._swo = [(s.mean, s.moment(2), s.moment(3)) for s in model.switchovers]
 
@@ -211,10 +210,10 @@ class GfEvaluator:
         f0 = [[x + y for x, y in zip(ra, qa)] for ra, qa in zip(r, uqu)]
         return self._cycle(m0, f0)[:-1]
 
-    def third_moments(self, m0: list, f0: list) -> list:
+    def third_moments(self, states: list) -> list:
         """Exact third factorial moments of the state at every visit
-        beginning, divided by the rates, given queue 0's entry (m0, f0) of
-        ``moments()``: per queue i the 2 x 2 x 2 block ``t[a][b][c] =
+        beginning, divided by the rates, given the states (m, f) that
+        ``moments()`` returns: per queue i the 2 x 2 x 2 block ``t[a][b][c] =
         E(S_a S_b S_c)`` of its own spans (0 high, 1 low).
 
         A visit maps the spans s to S s + keep D, where D, centred given s,
@@ -231,7 +230,6 @@ class GfEvaluator:
         """
         n = self.n
         u, w = self._factors()
-        states = self._cycle(m0, f0)[:-1]
         latest_first = range(n - 1, -1, -1)
         _, wr = self._project(w, _zeros3(n), latest_first, states)
         q = _power_series3(_product(w, u), wr, self.max_cycles)

@@ -22,7 +22,10 @@ visit beginning counts arrivals over the intervisit time and a kept class's
 over the whole cycle, and a visit reads a class's arrival stream after the
 gate closes only if that class is cleared.
 
-Single-class queues are encoded by setting the other arrival rate to zero.
+A single-class queue gives the absent class a zero arrival rate and may omit
+its service, which then stays ``None``.  ``QueueSpec.classes`` lists the
+classes with arrivals; every layer reads a queue's classes from it and never
+touches an absent class's service.
 """
 
 from __future__ import annotations
@@ -44,12 +47,6 @@ MIXED = "mixed_ge"
 DISCIPLINES = (GATED, EXHAUSTIVE, MIXED)
 # per discipline, the classes (0 high, 1 low) a visit empties
 CLEARED = {GATED: (), MIXED: (0,), EXHAUSTIVE: (0, 1)}
-
-# Internal placeholder for an absent class; its moments are always multiplied
-# by a zero arrival rate before they can influence any result.
-from .distributions import Exponential as _Exp
-
-_PLACEHOLDER = _Exp(1.0)
 
 
 @dataclass(frozen=True)
@@ -73,18 +70,22 @@ class QueueSpec:
             raise NonpositiveParameter("service_high required when lambda_high > 0")
         if self.lambda_low > 0 and self.service_low is None:
             raise NonpositiveParameter("service_low required when lambda_low > 0")
-        if self.service_high is None:
-            object.__setattr__(self, "service_high", _PLACEHOLDER)
-        if self.service_low is None:
-            object.__setattr__(self, "service_low", _PLACEHOLDER)
+
+    @property
+    def classes(self) -> tuple:
+        """(c, label, rate, service) of each class with arrivals, high (0,
+        "H") before low (1, "L"); a class with zero rate is absent."""
+        return tuple(x for x in ((0, "H", self.lambda_high, self.service_high),
+                                 (1, "L", self.lambda_low, self.service_low))
+                     if x[2] > 0.0)
 
     @property
     def rho_high(self) -> float:
-        return self.lambda_high * self.service_high.mean
+        return self.lambda_high * self.service_high.mean if self.lambda_high > 0.0 else 0.0
 
     @property
     def rho_low(self) -> float:
-        return self.lambda_low * self.service_low.mean
+        return self.lambda_low * self.service_low.mean if self.lambda_low > 0.0 else 0.0
 
     @property
     def rho(self) -> float:
@@ -201,10 +202,8 @@ def model_to_config(model: PollingModel) -> dict:
     for q in model.queues:
         qc = {"lambda_high": q.lambda_high, "lambda_low": q.lambda_low,
               "discipline": q.discipline}
-        if q.lambda_high > 0:
-            qc["service_high"] = q.service_high.to_config()
-        if q.lambda_low > 0:
-            qc["service_low"] = q.service_low.to_config()
+        for c, _, _, service in q.classes:
+            qc[("service_high", "service_low")[c]] = service.to_config()
         queues.append(qc)
     return {"queues": queues,
             "switchovers": [s.to_config() for s in model.switchovers]}

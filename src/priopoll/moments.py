@@ -72,17 +72,17 @@ def _neville_to_zero(hs, ys):
     return best, best_err
 
 
-def _grid(handle: TransformHandle, levels: int):
+def _grid(handle: TransformHandle):
     h0 = handle.h0
     hmax = handle.omega_max * 0.5
     if not hmax > 0.0 or not h0 > 0.0:
         raise IllConditioned(
             f"transform {handle.name or '<anon>'} has an empty evaluable range")
     if h0 > hmax:
-        h0 = hmax / 2**(levels - 1)
+        h0 = hmax / 2**(_DEFAULT_LEVELS - 1)
     hs = []
     h = h0
-    for _ in range(levels):
+    for _ in range(_DEFAULT_LEVELS):
         if h > hmax:
             break
         hs.append(h)
@@ -94,8 +94,8 @@ def _grid(handle: TransformHandle, levels: int):
     return hs
 
 
-def lst_moment(handle: TransformHandle, k: int, rel_tol: float | None = None,
-               levels: int = _DEFAULT_LEVELS) -> MomentEstimate:
+def lst_moment(handle: TransformHandle, k: int,
+               rel_tol: float | None = None) -> MomentEstimate:
     """k-th raw moment (-1)^k f^(k)(0) of the random variable behind ``handle``.
 
     k = 1 returns the mean, k = 2 the second raw moment.  The estimate's
@@ -105,7 +105,7 @@ def lst_moment(handle: TransformHandle, k: int, rel_tol: float | None = None,
     """
     if k not in (1, 2):
         raise ValueError("only first and second moments are supported")
-    hs = _grid(handle, levels)
+    hs = _grid(handle)
     cs = [handle.complement(h) for h in hs]
     g = [c / h for c, h in zip(cs, hs)]          # m1 - m2/2*h + m3/6*h^2 - ...
     m1, err1 = _neville_to_zero(hs, g)

@@ -148,14 +148,11 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
     queues = []
     for j, q in enumerate(model.queues):
         svc = [None, None]
-        for cls_idx, (rate, dist) in enumerate(((q.lambda_high, q.service_high),
-                                                (q.lambda_low, q.service_low))):
-            if rate <= 0.0:
-                continue
-            k = 2 * j + cls_idx
-            arrivals[k] = _arrivals(rngs[5 * j + cls_idx], 1.0 / rate).__next__
+        for c, _, rate, dist in q.classes:
+            k = 2 * j + c
+            arrivals[k] = _arrivals(rngs[5 * j + c], 1.0 / rate).__next__
             next_t[k] = arrivals[k]()
-            svc[cls_idx] = _sampler(rngs[5 * j + 2 + cls_idx], dist)
+            svc[c] = _sampler(rngs[5 * j + 2 + c], dist)
         cleared = CLEARED[q.discipline]
         queues.append((2 * j, 2 * j + 1, 0 in cleared, 1 in cleared, arrivals[2 * j],
                        arrivals[2 * j + 1], *svc,
@@ -393,9 +390,7 @@ class SimStats:
         lines = ["queue,class,discipline,mean_wait,var_wait,mean_qlen,"
                  "ci_halfwidth,n_samples"]
         for i, q in enumerate(model.queues):
-            for cls, lam in (("H", q.lambda_high), ("L", q.lambda_low)):
-                if lam <= 0.0:
-                    continue
+            for _, cls, _, _ in q.classes:
                 key = (i, cls)
                 lines.append(
                     f"{i + 1},{cls},{q.discipline},{self.wait_mean[key]:.6g},"
@@ -429,11 +424,8 @@ def _aggregate(model, reps, seed, n_cycles, warmup_cycles) -> SimStats:
     wait_mean, wait_var, wait_ci, wait_count = {}, {}, {}, {}
     qlen_mean, qlen_ci = {}, {}
     for i, q in enumerate(model.queues):
-        for cls_idx, (cls, lam) in enumerate((("H", q.lambda_high),
-                                              ("L", q.lambda_low))):
-            if lam <= 0.0:
-                continue
-            k2 = 2 * i + cls_idx
+        for c, cls, _, _ in q.classes:
+            k2 = 2 * i + c
             key = (i, cls)
             wait_mean[key], wait_ci[key] = _across(
                 waits, lambda w: w.s[k2], lambda w: w.n[k2])

@@ -58,7 +58,8 @@ class QueueTransforms:
         self.ev = d.mean_visit[i]
         self.svc_h = q.service_high
         self.svc_l = q.service_low
-        self._busy_h = BusyPeriod(q.service_high, q.lambda_high)
+        # the high busy period that extends a low service; None without highs
+        self._busy_h = BusyPeriod(q.service_high, q.lambda_high) if q.lambda_high > 0.0 else None
         # the span rule: the classes a visit clears (0 high, 1 low) count
         # arrivals over the intervisit time, the kept ones over the cycle.
         # The exact moments read a span at its first class listed: the cycle
@@ -66,8 +67,7 @@ class QueueTransforms:
         self.cleared = CLEARED[q.discipline]
         self.kept = tuple(c for c in (1, 0) if c not in self.cleared)
         # base differencing step: keeps GF arguments well inside [0, 1]
-        lam_pos = [x for x in (self.lam_h, self.lam_l) if x > 0.0]
-        self.h0 = 1e-3 * min(min(lam_pos), 1.0) / max(1.0, self.ec)
+        self.h0 = 1e-3 * min(min(lam for _, _, lam, _ in q.classes), 1.0) / max(1.0, self.ec)
 
     # ------------------------------------------------------------- helpers
 
@@ -76,9 +76,11 @@ class QueueTransforms:
         r = complement_at / (omega * mean)
         return r, 1.0 - r
 
-    def completion_complement(self, omega: float, warm: float = 0.0) -> float:
+    def completion_complement(self, omega: float) -> float:
         """1 - LST of a low service extended by high busy periods."""
-        u = self._busy_h.complement(omega, warm)
+        if self.lam_l <= 0.0:
+            raise UnsupportedEvaluation("queue has no low-priority class")
+        u = self._busy_h.complement(omega) if self._busy_h is not None else 0.0
         return self.svc_l.lst_complement(omega + self.lam_h * u)
 
     # ------------------------------------------------------------- periods
@@ -91,8 +93,9 @@ class QueueTransforms:
 
     def _span_complement(self, classes, omega: float, name: str) -> float:
         """1 - LST of the span that ``classes``' coordinates count arrivals
-        over: the exponent split across those with arrivals in proportion
-        to their rates, so each stays within its own rate bound."""
+        over: the exponent split across them in proportion to their rates,
+        so each stays within its own rate bound (a class without arrivals
+        has an inert coordinate)."""
         tot = self.span_rate(classes)
         if tot <= 0.0:
             raise UnsupportedEvaluation(
@@ -104,8 +107,7 @@ class QueueTransforms:
             raise UnsupportedEvaluation(
                 f"{name} transform evaluable only for omega <= {tot}")
         return self.gf.complement_pair(
-            self.i, *(omega / tot if c in classes and lam > 0.0 else 0.0
-                      for c, lam in enumerate((self.lam_h, self.lam_l))))
+            self.i, *(omega / tot if c in classes else 0.0 for c in (0, 1)))
 
     def cycle_complement(self, omega: float) -> float:
         """1 - LST of the cycle time anchored at this queue's visit beginning."""
@@ -163,7 +165,7 @@ class QueueTransforms:
         if omega > self.lam_l:
             raise UnsupportedEvaluation(
                 f"low-priority wait evaluable only for omega <= {self.lam_l}")
-        u = self._busy_h.complement(omega) if self.lam_h > 0 else 0.0
+        u = self._busy_h.complement(omega) if self._busy_h is not None else 0.0
         bstar_c = self.svc_l.lst_complement(omega + self.lam_h * u)
         rho_star = self.rho_l / (1.0 - self.rho_h)
         e_bstar = self.svc_l.mean / (1.0 - self.rho_h)

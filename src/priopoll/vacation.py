@@ -11,6 +11,8 @@ long enough (S > 2*rho/(1+rho)).
 
 from __future__ import annotations
 
+import math
+
 from .model import GATED, MIXED
 
 __all__ = ["vacation_mean_wait_low", "vacation_crossover"]
@@ -22,8 +24,8 @@ def vacation_mean_wait_low(rho_high: float, rho_low: float, s: float,
     rho = rho_high + rho_low
     if not 0.0 <= rho_high <= rho < 1.0:
         raise ValueError("need 0 <= rho_high <= rho < 1")
-    if s <= 0.0:
-        raise ValueError("vacation length must be > 0")
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"vacation length must be finite and > 0, got {s!r}")
     if discipline == GATED:
         return (1.0 + rho + rho_high) * (s / (2.0 * (1.0 - rho))
                                          + rho / (1.0 - rho * rho))
@@ -40,8 +42,8 @@ def vacation_crossover(rho: float, s: float) -> float | None:
     positive rate (short vacations, s <= 2*rho/(1+rho))."""
     if not 0.0 < rho < 1.0:
         raise ValueError("need 0 < rho < 1")
-    if s <= 0.0:
-        raise ValueError("vacation length must be > 0")
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"vacation length must be finite and > 0, got {s!r}")
     c = 2.0 * rho / (1.0 + rho)
     if s <= c:
         return None

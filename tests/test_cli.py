@@ -228,6 +228,18 @@ def test_sweep_equal_disciplines_at_zero_high_rate(capsys):
     assert len(lines) == 1 + 5 * 2
 
 
+def test_sweep_over_a_class_without_service_rejected(tmp_path, capsys):
+    # Q2 of example1 has no high class and no service_high to give it
+    out_path = tmp_path / "sweep.csv"
+    code = cli.main(["sweep", "--model", str(DATA / "example1.json"),
+                     "--sweep", "lambda_high:Q2:0:0.1:3", "--out", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "service_high" in captured.err
+    assert captured.out == ""
+    assert not out_path.exists()
+
+
 def test_sweep_bad_spec(capsys):
     code, _ = _run(["sweep", "--model", str(DATA / "example1.json"),
                     "--sweep", "nonsense"], capsys)
@@ -282,6 +294,15 @@ def test_vacation_rejects_empty_grid(points, capsys):
     assert code == 1
     assert captured.out == ""
     assert "--points" in captured.err
+
+
+@pytest.mark.parametrize("s", ["nan", "inf"])
+def test_vacation_rejects_nonfinite_length(s, capsys):
+    code = cli.main(["vacation", "--rho", "0.8", "--s", s])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "vacation length" in captured.err
 
 
 def test_console_entry_point():

@@ -225,7 +225,7 @@ def test_third_moments_are_the_cycle_fixed_point():
         else:
             pytest.fail("the full-tensor iteration did not settle")
         oracle = _third_moment_cycle(gf, m0, f0, t)[:-1]
-        thirds = gf.third_moments(m0, f0)
+        thirds = gf.third_moments(gf.moments())
         assert len(thirds) == gf.n
         for i, (block, full) in enumerate(zip(thirds, oracle)):
             k = (2 * i, 2 * i + 1)
@@ -245,4 +245,4 @@ def test_third_moments_near_critical_load_raise_no_convergence():
     )
     gf = GfEvaluator(model, max_cycles=200)
     with pytest.raises(NoConvergence):
-        gf.third_moments(*gf.moments()[0])
+        gf.third_moments(gf.moments())

@@ -1,12 +1,13 @@
 """Model validation, derived rates and JSON schema handling."""
 
+import dataclasses
 import json
 import math
 
 import pytest
 
 from zoo import example1, example2
-from priopoll import (Distribution, Erlang, Exponential, Hyperexponential,
+from priopoll import (GATED, Distribution, Erlang, Exponential, Hyperexponential,
                       NonpositiveParameter, PollingModel, QueueSpec, Uniform,
                       UnstableSystem, ZeroSwitchover, Deterministic,
                       load_model, model_from_config, model_to_config, validate)
@@ -62,6 +63,25 @@ def test_queue_needs_positive_rate():
         QueueSpec(-0.1, 0.2, Exponential(1.0), Exponential(1.0))
     with pytest.raises(NonpositiveParameter):
         QueueSpec(0.1, 0.0, None, None)  # missing service_high
+
+
+def test_classes_list_the_classes_with_arrivals():
+    q = QueueSpec(0.0, 0.2, None, Exponential(1.0), GATED)
+    assert q.service_high is None
+    assert q.rho_high == 0.0
+    assert q.classes == ((1, "L", 0.2, q.service_low),)
+    # a given service does not make a class without arrivals present
+    q = QueueSpec(0.3, 0.0, Exponential(1.0), Exponential(2.0))
+    assert q.classes == ((0, "H", 0.3, q.service_high),)
+    assert q.rho_low == 0.0
+    q = QueueSpec(0.3, 0.1, Exponential(1.0), Exponential(2.0))
+    assert [c[:3] for c in q.classes] == [(0, "H", 0.3), (1, "L", 0.1)]
+
+
+def test_rate_for_an_omitted_service_rejected():
+    q = QueueSpec(0.0, 0.2, None, Exponential(1.0), GATED)
+    with pytest.raises(NonpositiveParameter, match="service_high"):
+        dataclasses.replace(q, lambda_high=0.1)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

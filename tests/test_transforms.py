@@ -85,6 +85,9 @@ def test_unsupported_domains(ex1):
         ex1.intervisit_lst(1, 0.01)         # gated queue: no intervisit readout
     with pytest.raises(UnsupportedEvaluation):
         ex1.waiting_lst_high(1, 0.01)       # no high class in queue 2
+    with pytest.raises(UnsupportedEvaluation):
+        # no low class, although the model gives its service
+        Analyzer(single_vacation_queue(MIXED, lam_l=0.0)).completion_time_lst(0, 0.01)
     a_exh = Analyzer(example1(EXHAUSTIVE))
     with pytest.raises(UnsupportedEvaluation):
         a_exh.cycle_time_lst(0, 0.01)       # exhaustive queue: no cycle readout

@@ -1,5 +1,7 @@
 """Vacation-model closed forms and the discipline crossover rate."""
 
+import math
+
 import pytest
 
 from oracles import bisect_root
@@ -95,3 +97,11 @@ def test_invalid_arguments():
         vacation_mean_wait_low(0.1, 0.2, 0.0, MIXED)
     with pytest.raises(ValueError):
         vacation_crossover(1.0, 5.0)
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf])
+def test_nonfinite_vacation_length_rejected(s):
+    with pytest.raises(ValueError, match="vacation length"):
+        vacation_mean_wait_low(0.2, 0.3, s, GATED)
+    with pytest.raises(ValueError, match="vacation length"):
+        vacation_crossover(0.5, s)
