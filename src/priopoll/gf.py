@@ -28,13 +28,16 @@ the switch-over adds Poisson immigrants.  Both readings use the same T_c:
 ``period_complements`` gives its transform and ``period_rates`` its
 moments.  The moments of the visit-beginning state up to order three
 therefore follow one affine map per visit, which acts only through the mean
-visit time, so the cycle's mean map factors as P = U W through the N visit
-times: ``moments`` solves the first two orders' fixed points as linear
-systems in N and N^2 unknowns.  ``third_moments`` reads order three only
-where it is used, without forming a (2N)^3 tensor: it pulls rows back
-through the visits and projects each visit's contribution onto them, onto
-the N visit times for a doubling sum in N^3 and onto each queue's own two
-spans for its 2 x 2 x 2 block.
+visit time: its linear part is a rank-one update of the identity with the
+visited queue's coordinates zeroed, so a visit carries the second moments in
+one O(N^2) pass, and the cycle's mean map factors as P = U W through the N
+visit times.  ``moments`` solves the first two orders' fixed points as
+linear systems in N and, the second being symmetric, N(N+1)/2 unknowns.
+``third_moments`` reads order three only where it is used, without forming
+a (2N)^3 tensor: it pulls rows back through the visits and projects each
+visit's contribution onto them, onto the N visit times for a doubling sum
+in N^3, which ends once a bound proves that the next step would change no
+entry, and onto each queue's own two spans for its 2 x 2 x 2 block.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from .model import CLEARED, DerivedRates, PollingModel, validate
 __all__ = ["GfEvaluator"]
 
 _TOL = 1e-15  # log_value stops once a whole cycle adds less than this
+_STOP = 2.0 ** -55  # _power_series3 stops once the next step adds less than this
 
 
 class GfEvaluator:
@@ -102,6 +106,10 @@ class GfEvaluator:
             self.period_rates.append(tuple(map(tuple, rates)))
             self._keep.append([float(k not in self._cleared[j]) for k in range(2 * n)])
         self._swo = [(s.mean, s.moment(2), s.moment(3)) for s in model.switchovers]
+        # the cycle's mean map P = U W and the visit times' map M = W U, which
+        # both moment orders use
+        self._u, self._w = self._factors()
+        self._wu = _product(self._w, self._u)
 
     # ------------------------------------------------------------------ core
 
@@ -196,17 +204,27 @@ class GfEvaluator:
         is P = U W (``_factors``), so its fixed points m_0 = P m_0 + b and
         f_0 = P f_0 P^T + R are solved in the N visit times, with M = W U:
         m_0 = b + U q, q = M q + W b; f_0 = R + U Q U^T, Q = M Q M^T + W R W^T.
+        b is one pass of the means alone; Q is symmetric, so its solve has the
+        N(N+1)/2 unknowns Q_ab, a <= b, where Q_cd (c < d) enters row ab with
+        the coefficient M_ac M_bd + M_ad M_bc.
         """
         n, n2 = self.n, 2 * self.n
-        u, w = self._factors()
-        wu = _product(w, u)
-        zero = [[0.0] * n2 for _ in range(n2)]
-        b = self._cycle([0.0] * n2, zero)[-1][0]
+        u, w, wu = self._u, self._w, self._wu
+        b = [0.0] * n2
+        for j, (es, _, _) in enumerate(self._swo):
+            b = [y + es for y in self._visit(j, b)]
         m0 = [x + y for x, y in zip(b, _apply(u, _fixed_point(wu, _apply(w, b))))]
-        r = self._cycle(m0, zero)[-1][1]
-        q = _fixed_point([[x * y for x in ra for y in rb] for ra in wu for rb in wu],
-                         [v for row in _product(_product(w, r), list(zip(*w))) for v in row])
-        uqu = _product(_product(u, [q[a * n:(a + 1) * n] for a in range(n)]), list(zip(*u)))
+        r = self._cycle(m0, [[0.0] * n2 for _ in range(n2)])[-1][1]
+        v = _product(_product(w, r), list(zip(*w)))
+        pairs = [(a, b) for a in range(n) for b in range(a, n)]
+        x = _fixed_point([[ma[c] * mb[d] + ma[d] * mb[c] if c < d else ma[c] * mb[c]
+                           for c, d in pairs]
+                          for ma, mb in ((wu[a], wu[b]) for a, b in pairs)],
+                         [v[a][b] for a, b in pairs])
+        q = [[0.0] * n for _ in range(n)]
+        for (a, b), qab in zip(pairs, x):
+            q[a][b] = q[b][a] = qab
+        uqu = _product(_product(u, q), list(zip(*u)))
         f0 = [[x + y for x, y in zip(ra, qa)] for ra, qa in zip(r, uqu)]
         return self._cycle(m0, f0)[:-1]
 
@@ -222,17 +240,18 @@ class GfEvaluator:
         S_j^(x3) t_j + c_j, c_j from (m_j, f_j) and the switch-over, and a
         cycle maps t to P^(x3) t + r.  Its fixed point is t_0 = r + U^(x3) q,
         with the visit times' moments q = sum_k M^(x3 k) W^(x3) r
-        (``moments``) summed by doubling; raises NoConvergence past
-        ``max_cycles`` cycles, as ``log_value`` does.  Every tensor is read
-        through rows pulled back over the visits (``_project``): W^(x3) r
-        over one cycle, and queue i's block from its two unit rows over the
+        (``moments``) summed by doubling (``_power_series3``, which stops
+        once the next step provably changes no entry); raises NoConvergence
+        past ``max_cycles`` cycles, as ``log_value`` does.  Every tensor is
+        read through rows pulled back over the visits (``_project``): W^(x3)
+        r over one cycle, and queue i's block from its two unit rows over the
         visits since queue 0's, then U^(x3) q, then the cycle before.
         """
         n = self.n
-        u, w = self._factors()
+        u = self._u
         latest_first = range(n - 1, -1, -1)
-        _, wr = self._project(w, _zeros3(n), latest_first, states)
-        q = _power_series3(_product(w, u), wr, self.max_cycles)
+        _, wr = self._project(self._w, [0.0] * n**3, latest_first, states)
+        q = _power_series3(self._wu, wr, self.max_cycles)
         if q is None:
             raise NoConvergence(
                 f"third visit-beginning moments did not converge within "
@@ -240,15 +259,19 @@ class GfEvaluator:
         out = []
         for i in range(n):
             h = [[float(k == l) for l in range(2 * n)] for k in (2 * i, 2 * i + 1)]
-            h, t = self._project(h, _zeros3(2), range(i - 1, -1, -1), states)
-            t = _add3(t, _cube(_product(h, u), q))
-            out.append(self._project(h, t, latest_first, states)[1])
+            h, t = self._project(h, [0.0] * 8, range(i - 1, -1, -1), states)
+            t = [x + y for x, y in zip(t, _cube(_product(h, u), q))]
+            t = self._project(h, t, latest_first, states)[1]
+            out.append([[t[0:2], t[2:4]], [t[4:6], t[6:8]]])
         return out
 
     def _project(self, h: list, t: list, visits, states: list) -> tuple:
         """Adds the contributions of ``visits`` (latest first) to t as seen
-        through the rows h, pulling h back through each visit in turn: t +=
-        h^(x3) c_j, then h <- h S_j.  t is updated in place; returns (h, t).
+        through the p rows h, pulling h back through each visit in turn: t +=
+        h^(x3) c_j, then h <- h S_j.  t is a flat p^3 list, entry (a, b, c)
+        at (a p + b) p + c, updated in place; returns (h, t).  Each
+        contribution is symmetric, so the fibres a <= b are computed and
+        copied to b, a.
 
         Visit j's contribution, from its beginning state (m, f) = states[j],
         is c_j = sym(keep keep w) + d3 keep^3 + es sym(f' 1) + es2 sym(y 1 1)
@@ -259,6 +282,7 @@ class GfEvaluator:
         pulled-back rows h S, h w = (h S) f b, h y = (h S) m and h f' h^T =
         (h S) f (h S)^T + spread (h keep)(h keep)^T (f is symmetric).
         """
+        p = len(h)
         for j in visits:
             m, f = states[j]
             keep = self._keep[j]
@@ -277,18 +301,24 @@ class GfEvaluator:
             hf = [[sum(map(mul, x, row)) for row in f] for x in h]
             g = [[sum(map(mul, xf, y)) + spread * ka * kb for y, kb in zip(h, hk)]
                  for xf, ka in zip(hf, hk)]
-            for a, (ka, oa, wa, ya, ga) in enumerate(zip(hk, h1, hw, hy, g)):
-                for b, (kb, ob, wb, yb, gb) in enumerate(zip(hk, h1, hw, hy, g)):
+            rows = list(zip(hk, h1, hw, hy, g))
+            for a, (ka, oa, wa, ya, ga) in enumerate(rows):
+                for b in range(a, p):
+                    kb, ob, wb, yb, gb = rows[b]
                     # t[a][b][c] += the coefficients of (h keep)_c, (h 1)_c,
                     # (h w)_c, (h y)_c, g[a][c] and g[b][c]
                     kk = ka * kb
                     by_k = wa * kb + ka * wb + d3 * kk
                     by_1 = es * ga[b] + es2 * (ya * ob + oa * yb) + es3 * oa * ob
                     by_y = es2 * oa * ob
-                    t[a][b] = [x + by_k * kc + by_1 * oc + kk * wc + by_y * yc
-                               + es * (ob * gac + oa * gbc)
-                               for x, kc, oc, wc, yc, gac, gbc
-                               in zip(t[a][b], hk, h1, hw, hy, ga, gb)]
+                    s = (a * p + b) * p
+                    t[s:s + p] = fibre = [
+                        x + by_k * kc + by_1 * oc + kk * wc + by_y * yc
+                        + es * (ob * gac + oa * gbc)
+                        for x, kc, oc, wc, yc, gac, gbc
+                        in zip(t[s:s + p], hk, h1, hw, hy, ga, gb)]
+                    s = (b * p + a) * p
+                    t[s:s + p] = fibre
         return h, t
 
     def _factors(self) -> tuple:
@@ -318,18 +348,30 @@ class GfEvaluator:
         return y
 
     def _cycle(self, m: list, f: list) -> list:
-        """(m, f) at each visit beginning of one cycle from queue 0's."""
+        """(m, f) at each visit beginning of one cycle from queue 0's.
+
+        Visit j is the rank-one update S = B + keep a^T of B, which zeroes
+        queue j's two coordinates, with a = ``period_rates[j][0]`` there.  So
+        S f S^T = B f B + g keep^T + keep g^T + (a^T f a) keep keep^T with
+        g = B f a, one pass over f per visit, and the visit's own variance
+        term spread keep keep^T joins a^T f a."""
         out = [(m, f)]
         for j in range(self.n):
             es, es2, _ = self._swo[j]
             keep = self._keep[j]
-            _, (b_h, b_l), _ = self.period_rates[j]
-            spread = b_h * m[2 * j] + b_l * m[2 * j + 1]
+            (a_h, a_l), (b_h, b_l), _ = self.period_rates[j]
+            kh = 2 * j
+            g = [a_h * row[kh] + a_l * row[kh + 1] for row in f]
+            half = 0.5 * (a_h * g[kh] + a_l * g[kh + 1] + b_h * m[kh] + b_l * m[kh + 1])
+            g[kh:kh + 2] = 0.0, 0.0
+            # f' = B f B + u keep^T + keep u^T + e 1^T + 1 e^T
+            u = [gk + half * kk for gk, kk in zip(g, keep)]
             y = self._visit(j, m)
-            f = [self._visit(j, col) for col in zip(*[self._visit(j, row) for row in f])]
-            f = [[fab + spread * ka * kb + es * (ya + yb) + es2
-                  for fab, kb, yb in zip(row, keep, y)]
-                 for row, ka, ya in zip(f, keep, y)]
+            e = [es * yk + 0.5 * es2 for yk in y]
+            f = [row[:kh] + [0.0, 0.0] + row[kh + 2:] for row in f]
+            f[kh] = f[kh + 1] = [0.0] * len(f)
+            f = [[x + uk * kl + kk * ul + ek + el for x, kl, ul, el in zip(row, keep, u, e)]
+                 for row, kk, uk, ek in zip(f, keep, u, e)]
             m = [yk + es for yk in y]
             out.append((m, f))
         return out
@@ -356,37 +398,41 @@ def _product(a: list, b: list) -> list:
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def _add3(x: list, y: list) -> list:
-    return [[[p + q for p, q in zip(xr, yr)] for xr, yr in zip(xm, ym)]
-            for xm, ym in zip(x, y)]
-
-
-def _zeros3(n: int) -> list:
-    return [[[0.0] * n for _ in range(n)] for _ in range(n)]
-
-
 def _cube(a: list, t: list) -> list:
-    """a^(x3) t: the matrix a (p x n) applied along each index of an n x n x n
-    tensor, each pass turning the mapped last index into the first."""
+    """a^(x3) t: the matrix a (p x n) applied along each index of a flat
+    n x n x n tensor.  Each pass dots a's rows with the contiguous fibres of
+    the last index and rotates the mapped index to the front with strided
+    slices, so that after three passes the layout is (a b c) again."""
+    n, p = len(a[0]), len(a)
     for _ in range(3):
-        v = [[[sum(map(mul, row, fiber)) for row in a] for fiber in mat] for mat in t]
-        t = [[[vab[c] for vab in va] for va in v] for c in range(len(a))]
+        v = [sum(map(mul, row, fibre))
+             for fibre in [t[x:x + n] for x in range(0, len(t), n)] for row in a]
+        t = [x for c in range(p) for x in v[c::p]]
     return t
 
 
 def _power_series3(p: list, r: list, max_terms: int) -> list | None:
     """sum_k p^(x3 k) r, the fixed point of t = p^(x3) t + r, by doubling:
-    t <- t + a^(x3) t and a <- a a, so that t sums 2^s terms after s steps.
-    Every term is nonnegative; the sum ends at the first step that changes no
-    entry, and is None when that takes more than about ``max_terms`` terms.
-    ``third_moments`` passes the visit times' map M (N x N), so every step
-    works on N^3 entries."""
+    t <- t + a^(x3) t and a <- a a, so that t sums 2^s terms after s steps
+    (flat tensors, as ``_cube`` takes them).  Every term is nonnegative, so
+    each entry of the next step's increment is at most g^3 max(t), g the
+    largest row sum of the squared a.  Once g^3 max(t) < 2^-55 min(t) that
+    increment is below half an ulp of every entry, with a factor 2 to spare
+    for the rounding of the bound, so the next step would change no entry
+    and the sum ends here, with the same bits.  It also ends at a step that
+    changes no entry, and is None when either takes more than about
+    ``max_terms`` terms: the stop returns only where a further step is
+    allowed.  ``third_moments`` passes the visit times' map M (N x N), so
+    every step works on N^3 entries."""
     a, t = p, r
-    for _ in range(max_terms.bit_length()):
-        new = _add3(t, _cube(a, t))
+    steps = max_terms.bit_length()
+    for s in range(steps):
+        new = [x + y for x, y in zip(t, _cube(a, t))]
         if new == t:
             return t
         t, a = new, _product(a, a)
+        if s + 1 < steps and max(map(sum, a)) ** 3 * max(t) < _STOP * min(t):
+            return t
     return None
 
 

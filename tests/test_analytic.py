@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from zoo import example1, example2, random_model, single_vacation_queue
+from zoo import example1, example2, heavy_traffic, random_model, single_vacation_queue
 from priopoll import (Analyzer, EXHAUSTIVE, Exponential, GATED, MIXED,
                       PollingModel, QueueSpec, UnsupportedEvaluation, pcl_check)
 
@@ -214,14 +214,6 @@ def test_report_skips_the_dual_route(monkeypatch):
         assert all(r.var_wait > 0.0 for r in rep.classes)
 
 
-def _two_queue_heavy(rho):
-    lam = rho / 4.0
-    return PollingModel(
-        queues=(QueueSpec(lam, lam, Exponential(1.0), Exponential(1.0), MIXED),
-                QueueSpec(lam, lam, Exponential(1.0), Exponential(1.0), EXHAUSTIVE)),
-        switchovers=(Exponential(1.0), Exponential(1.0)))
-
-
 def test_heavy_traffic_variances(monkeypatch):
     # at rho = 0.999 the variances need no GF evaluation, so no cycle count
     # grows as 1/(1 - rho)
@@ -231,7 +223,7 @@ def test_heavy_traffic_variances(monkeypatch):
         raise AssertionError("report evaluated the GF")
 
     monkeypatch.setattr(GfEvaluator, "log_value", refuse)
-    rep = Analyzer(_two_queue_heavy(0.999)).report()
+    rep = Analyzer(heavy_traffic(0.999)).report()
     assert len(rep.classes) == 4
     for r in rep.classes:
         assert math.isfinite(r.var_wait) and r.var_wait > 0.0

@@ -2,14 +2,20 @@
 
 import dataclasses
 import math
+import time
+from operator import mul
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from zoo import example1, example2, random_model, single_vacation_queue
-from priopoll import (DISCIPLINES, EXHAUSTIVE, GATED, Analyzer, Exponential,
-                      GfEvaluator, NoConvergence, PollingModel, QueueSpec,
-                      TransformHandle, lst_moment, validate)
+from zoo import (example1, example2, heavy_traffic, published_models, random_model,
+                 single_vacation_queue)
+from priopoll import (DISCIPLINES, EXHAUSTIVE, GATED, Analyzer, Deterministic, Erlang,
+                      Exponential, GfEvaluator, Hyperexponential, NoConvergence,
+                      PollingModel, QueueSpec, TransformHandle, Uniform, lst_moment,
+                      validate)
+from priopoll.gf import _power_series3
 
 
 def test_normalized_at_all_ones():
@@ -246,3 +252,127 @@ def test_third_moments_near_critical_load_raise_no_convergence():
     gf = GfEvaluator(model, max_cycles=200)
     with pytest.raises(NoConvergence):
         gf.third_moments(gf.moments())
+
+
+def test_variances_stop_between_rho_0_9999_and_0_99999():
+    # the doubling's cap puts the boundary of the variances between these
+    # loads on the heavy-traffic model; beyond it report() fails fast and
+    # typed, and the means still answer
+    report = Analyzer(heavy_traffic(0.9999)).report()
+    assert len(report.classes) == 4
+    assert all(math.isfinite(r.var_wait) and r.var_wait > 0.0 for r in report.classes)
+    model = heavy_traffic(0.99999)
+    start = time.perf_counter()
+    with pytest.raises(NoConvergence):
+        Analyzer(model).report()
+    assert time.perf_counter() - start < 1.0
+    means = Analyzer(model).report(include_variances=False)
+    assert all(math.isfinite(r.mean_wait) and r.mean_wait > 0.0 for r in means.classes)
+
+
+def _power_series3_without_stop(p, r):
+    """sum_k p^(x3 k) r on nested n x n x n lists, doubled until a step
+    changes no entry: the sum with neither the early stop nor the cap, and
+    the number of steps it took, the confirming one included."""
+    a, t = p, r
+    for step in range(1, 200):
+        c = t
+        for _ in range(3):
+            v = [[[sum(map(mul, row, fibre)) for row in a] for fibre in mat] for mat in c]
+            c = [[[vab[k] for vab in va] for va in v] for k in range(len(a))]
+        new = [[[x + y for x, y in zip(xr, yr)] for xr, yr in zip(xm, ym)]
+               for xm, ym in zip(t, c)]
+        if new == t:
+            return t, step
+        t, a = new, [[sum(map(mul, row, col)) for col in zip(*a)] for row in a]
+    pytest.fail("the doubling did not settle")
+
+
+STOP_MODELS = {**published_models(), "baseline_5_rho_0.6": _baseline_family(5, 0.6)}
+
+
+@pytest.mark.parametrize("name", STOP_MODELS)
+def test_doubling_stop_returns_the_full_sum(name):
+    # the stop returns the bits of the step that would confirm it, and only
+    # where the cap allows that step: max_terms with bit length L allows L
+    gf = GfEvaluator(STOP_MODELS[name])
+    n = gf.n
+    _, wr = gf._project(gf._w, [0.0] * n**3, range(n - 1, -1, -1), gf.moments())
+    nested = [[wr[(a * n + b) * n:(a * n + b + 1) * n] for b in range(n)] for a in range(n)]
+    full, steps = _power_series3_without_stop(gf._wu, nested)
+    full = [x for mat in full for row in mat for x in row]
+    assert _power_series3(gf._wu, wr, gf.max_cycles) == full
+    assert _power_series3(gf._wu, wr, 2 ** (steps - 1)) == full
+    assert _power_series3(gf._wu, wr, 2 ** (steps - 2)) is None
+
+
+_FAMILIES = (Exponential, Deterministic, lambda mean: Erlang(3, mean),
+             lambda mean: Hyperexponential((0.4, 0.6), (0.5 * mean, 1.5 * mean)),
+             lambda mean: Uniform(0.0, 2.0 * mean))
+
+
+@st.composite
+def _models(draw, max_n):
+    """N <= max_n queues under any discipline, each with a high class, a
+    low class or both, services and switch-overs of every family, scaled to
+    a load of at most 0.99."""
+    def dist(lo, hi):
+        return draw(st.sampled_from(_FAMILIES))(draw(st.floats(lo, hi)))
+
+    n = draw(st.integers(1, max_n))
+    specs = []
+    for _ in range(n):
+        has_h, has_l = draw(st.sampled_from(((True, True), (True, False), (False, True))))
+        specs.append((draw(st.floats(0.05, 1.0)) if has_h else 0.0,
+                      draw(st.floats(0.05, 1.0)) if has_l else 0.0,
+                      dist(0.2, 2.0) if has_h else None, dist(0.2, 2.0) if has_l else None,
+                      draw(st.sampled_from(DISCIPLINES))))
+    load = sum(lh * sh.mean if sh else 0.0 for lh, _, sh, _, _ in specs) + \
+        sum(ll * sl.mean if sl else 0.0 for _, ll, _, sl, _ in specs)
+    scale = draw(st.floats(0.01, 0.99)) / load
+    return PollingModel(
+        queues=tuple(QueueSpec(lh * scale, ll * scale, sh, sl, d) for lh, ll, sh, sl, d in specs),
+        switchovers=tuple(dist(0.1, 10.0) for _ in range(n)))
+
+
+def _full_third_moments(gf, m0, f0):
+    """Every queue's full (2N)^3 third moments: the cycle map t <- P^(x3) t
+    + r of ``_third_moment_cycle``, its fixed point summed by doubling over
+    the full tensor with P carried around the cycle by ``_visit``."""
+    n2 = 2 * gf.n
+    r = np.array(_third_moment_cycle(gf, m0, f0, np.zeros((n2,) * 3).tolist())[-1])
+    cols = []
+    for c in range(n2):
+        col = [float(k == c) for k in range(n2)]
+        for j in range(gf.n):
+            col = gf._visit(j, col)
+        cols.append(col)
+    a, t = np.array(cols).T, r
+    for _ in range(200):
+        new = t + np.einsum("ai,bj,ck,ijk->abc", a, a, a, t)
+        if np.array_equal(new, t):
+            return _third_moment_cycle(gf, m0, f0, t.tolist())[:-1]
+        t, a = new, a @ a
+    pytest.fail("the full-tensor doubling did not settle")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_models(max_n=4))
+def test_moments_on_drawn_models(model):
+    # orders 1 and 2 are the one-cycle fixed point; for N <= 3 every queue's
+    # third-moment block is the full-tensor fixed point's
+    gf = GfEvaluator(model)
+    states = gf.moments()
+    for (m, f), (m_img, f_img) in zip(states + states[:1], gf._cycle(*states[0])):
+        assert m_img == pytest.approx(m, rel=1e-12)
+        for row, row_img in zip(f, f_img):
+            assert row_img == pytest.approx(row, rel=1e-12)
+    if gf.n > 3:
+        return
+    full = _full_third_moments(gf, *states[0])
+    for i, (block, t) in enumerate(zip(gf.third_moments(states), full)):
+        k = (2 * i, 2 * i + 1)
+        for a in range(2):
+            for b in range(2):
+                assert block[a][b] == pytest.approx([t[k[a]][k[b]][x] for x in k], rel=1e-12)

@@ -5,20 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from zoo import example1, example2, random_model, single_vacation_queue
+from zoo import example1, published_models, random_model, single_vacation_queue
 from priopoll import (Analyzer, DISCIPLINES, EXHAUSTIVE, GATED, MIXED,
                       TransformHandle, UnsupportedEvaluation, lst_moment)
 
 
 def _published_and_random_models(extended_dists=False):
-    cases = []
-    for disc in DISCIPLINES:
-        cases.append(pytest.param(example1(disc), id=f"example1-{disc}"))
-        cases.append(pytest.param(example1(disc, det_switchover=10.0),
-                                  id=f"example1_det-{disc}"))
-    for d1 in DISCIPLINES:
-        for d2 in DISCIPLINES:
-            cases.append(pytest.param(example2(d1, d2), id=f"example2-{d1}-{d2}"))
+    cases = [pytest.param(model, id=label) for label, model in published_models().items()]
     for disc in DISCIPLINES:
         cases.append(pytest.param(single_vacation_queue(disc), id=f"single-{disc}"))
         cases.append(pytest.param(single_vacation_queue(disc, lam_h=0.0),

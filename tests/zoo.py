@@ -1,6 +1,6 @@
 """Model builders shared across the test suite."""
 
-from priopoll import (DISCIPLINES, GATED, MIXED, Deterministic,
+from priopoll import (DISCIPLINES, EXHAUSTIVE, GATED, MIXED, Deterministic,
                       Erlang, Exponential, Hyperexponential, PollingModel,
                       QueueSpec, Uniform, validate)
 
@@ -23,6 +23,30 @@ def example2(d1=MIXED, d2=MIXED):
                 QueueSpec(0.35, 0.35, Exponential(1.0), Exponential(1.0), d2)),
         switchovers=(Exponential(10.0), Exponential(10.0)),
     )
+
+
+def published_models():
+    """The paper's 15 models by label: example1 under each discipline with
+    exponential and with deterministic (length 10) switch-overs, and example2
+    under each pair of disciplines."""
+    models = {}
+    for disc in DISCIPLINES:
+        models[f"example1-{disc}"] = example1(disc)
+        models[f"example1_det-{disc}"] = example1(disc, det_switchover=10.0)
+    for d1 in DISCIPLINES:
+        for d2 in DISCIPLINES:
+            models[f"example2-{d1}-{d2}"] = example2(d1, d2)
+    return models
+
+
+def heavy_traffic(rho):
+    """Two queues, mixed and exhaustive, lambda_H = lambda_L = rho/4 at each,
+    Exp(1) services and switch-overs."""
+    lam = rho / 4.0
+    return PollingModel(
+        queues=(QueueSpec(lam, lam, Exponential(1.0), Exponential(1.0), MIXED),
+                QueueSpec(lam, lam, Exponential(1.0), Exponential(1.0), EXHAUSTIVE)),
+        switchovers=(Exponential(1.0), Exponential(1.0)))
 
 
 def single_vacation_queue(disc=MIXED, lam_h=0.3, lam_l=0.5, s=10.0):
