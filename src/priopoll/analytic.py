@@ -4,14 +4,14 @@ The Analyzer wraps one validated model with a shared GF evaluator.  Every
 mean and variance rests on the exact factorial moments of the polling state
 at visit beginnings (``GfEvaluator.moments`` up to order two and
 ``third_moments``, each solved once per model, the latter only when a
-variance asks for it and only for each queue's own two spans), from which it
+variance asks for it and only on each queue's distinct spans), from which it
 also reads the cycle, intervisit and visit second moments and the
 polling-state cross moment.
 
 Each class's waiting-time LST of ``transforms`` is expanded in one power
-series about 0 (Faa di Bruno): the GF becomes the moments of queue i's two
-spans, and the service, busy-period and completion-time LSTs their moments.
-E(W) is minus its omega^1 coefficient and E(W^2) twice its omega^2
+series about 0 (Faa di Bruno): the GF becomes the moments of queue i's one
+or two spans, and the service, busy-period and completion-time LSTs their
+moments.  E(W) is minus its omega^1 coefficient and E(W^2) twice its omega^2
 coefficient.  A series taken to omega^k reads moments up to order k + 1, so
 means never solve ``third_moments``.  No report path differentiates a
 transform numerically or evaluates the GF.  ``mean_wait_low_alt``
@@ -146,8 +146,8 @@ class Analyzer:
 
     def _third(self, i: int):
         """Queue i's entry of ``GfEvaluator.third_moments``, the third
-        moments of its own two spans, solved for every queue once per model
-        when a variance first asks for it."""
+        moments of the spans of its two classes, solved for every queue once
+        per model when a variance first asks for it."""
         if self._third_moments is None:
             self._third_moments = self.gf.third_moments(
                 [self._state(j) for j in range(self.model.n)])
@@ -170,7 +170,7 @@ class Analyzer:
             raise UnsupportedEvaluation(
                 f"{name} second moment unavailable: no class with arrivals at "
                 f"queue {i + 1} counts them over the {name}")
-        k = 2 * i + classes[0]
+        k = 2 * i + self.gf.spans[i][classes[0]]
         return self._state(i)[1][k][k]
 
     def visit_m2(self, i: int) -> float:
@@ -231,24 +231,32 @@ class Analyzer:
         alpha and beta without constant term and of equal length 3 or 4, where
         S_H and S_L are the spans of queue i's coordinates at its visit
         beginning: the GF complement ``complement_pair(i, zh, zl)`` with
-        alpha = lam_h zh, beta = lam_l zl.  Only the omega^3 term reads the
-        third moments, queue i's 2 x 2 x 2 block of them."""
+        alpha = lam_h zh, beta = lam_l zl.  The series are first folded onto
+        the distinct spans (``GfEvaluator.spans``): where both coordinates
+        span one period S it is 1 - E exp(-(alpha + beta) S), read from E(S),
+        E(S^2) and E(S^3).  Only the omega^3 term reads the third moments."""
         m, f = self._state(i)
-        k = (2 * i, 2 * i + 1)
-        # E(L_s L_u ...) for L_s = alpha_s S_H + beta_s S_L
-        w = list(zip(alpha[1:], beta[1:]))
+        # E(L_s L_u ...) for L_s the omega^s coefficient of the exponent,
+        # a combination of the spans at coordinates k
+        if self.gf.spans[i][1]:
+            k = (2 * i, 2 * i + 1)
+            w = list(zip(alpha[1:], beta[1:]))
+        else:
+            k = (2 * i,)
+            w = [(a + b,) for a, b in zip(alpha[1:], beta[1:])]
+        idx = range(len(k))
 
         def e1(u):
-            return u[0] * m[k[0]] + u[1] * m[k[1]]
+            return sum(u[a] * m[k[a]] for a in idx)
 
         def e2(u, v):
-            return sum(u[a] * v[b] * f[k[a]][k[b]] for a in (0, 1) for b in (0, 1))
+            return sum(u[a] * v[b] * f[k[a]][k[b]] for a in idx for b in idx)
 
         out = [0.0, e1(w[0]), e1(w[1]) - e2(w[0], w[0]) / 2.0]
         if len(w) > 2:
             t = self._third(i)
             e3 = sum(w[0][a] * w[0][b] * w[0][c] * t[a][b][c]
-                     for a in (0, 1) for b in (0, 1) for c in (0, 1))
+                     for a in idx for b in idx for c in idx)
             out.append(e1(w[2]) - e2(w[0], w[1]) + e3 / 6.0)
         return out
 
@@ -260,9 +268,8 @@ class Analyzer:
         omega = _OMEGA[:n]
         bc_h = _complement_series(qt.svc_h, n)
         if qt.disc == GATED:
-            tot = qt.lam_h + qt.lam_l
-            cycle = self._span_complement(i, _scale(qt.lam_h / tot, omega),
-                                          _scale(qt.lam_l / tot, omega))
+            # both coordinates span the cycle
+            cycle = self._span_complement(i, omega, _ZERO[:n])
             served = self._span_complement(i, _scale(qt.lam_h, bc_h), _ZERO[:n])
             return _gate_wait(cycle, served, qt.ec, qt.rho_h, bc_h, qt.svc_h.mean)
         # M/G/1 factor times a vacation: an intervisit time, which the high
@@ -333,7 +340,7 @@ class Analyzer:
                 cross = self.cross_moment(i)
             periods.append(QueuePeriods(i, qt.ec, cyc2, qt.ei, iv2,
                                         qt.ev, self.visit_m2(i), cross))
-        lhs, rhs, residual = pcl_check(self.model, waits=waits)
+        lhs, rhs, residual = _pcl(self.model, self.derived, waits)
         return PerfReport(tuple(classes), tuple(periods), lhs, rhs, residual)
 
 
@@ -451,7 +458,12 @@ def pcl_check(model: PollingModel,
         analyzer = Analyzer(model)
         for i, cls in need:
             waits[(i, cls)] = analyzer.mean_wait(i, cls)
+    return _pcl(model, derived, waits)
 
+
+def _pcl(model: PollingModel, derived: DerivedRates,
+         waits: dict) -> tuple[float, float, float]:
+    """``pcl_check`` of a validated model, given every class's mean wait."""
     lhs = 0.0
     res_service = 0.0
     for i, q in enumerate(model.queues):

@@ -37,7 +37,9 @@ linear systems in N and, the second being symmetric, N(N+1)/2 unknowns.
 a (2N)^3 tensor: it pulls rows back through the visits and projects each
 visit's contribution onto them, onto the N visit times for a doubling sum
 in N^3, which ends once a bound proves that the next step would change no
-entry, and onto each queue's own two spans for its 2 x 2 x 2 block.
+entry, and onto each queue's distinct spans (``spans``): one for a gated or
+an exhaustive queue, whose two coordinates count arrivals over the same
+period, and two for a mixed one.
 """
 
 from __future__ import annotations
@@ -79,6 +81,11 @@ class GfEvaluator:
         # k = 1, 2, 3, and which coordinates its visit keeps
         self.period_rates = []
         self._keep = []
+        # the span rule: two of a queue's coordinates count arrivals over one
+        # span exactly when its visit keeps both or clears both.  Per queue,
+        # the span of its high and low class, numbered so that span s is read
+        # at class s's coordinate: (0, 0) for one span, (0, 1) for two
+        self.spans = []
         for j, q in enumerate(model.queues):
             cleared = CLEARED[q.discipline]
             self._lam.extend((q.lambda_high, q.lambda_low))
@@ -104,7 +111,9 @@ class GfEvaluator:
                                      + s.mean * (r3 / one**4 + 3.0 * r2 * r2 / one**5))
             self._lstc.append(tuple(lstc))
             self.period_rates.append(tuple(map(tuple, rates)))
-            self._keep.append([float(k not in self._cleared[j]) for k in range(2 * n)])
+            keep = [float(k not in self._cleared[j]) for k in range(2 * n)]
+            self._keep.append(keep)
+            self.spans.append((0, int(keep[2 * j] != keep[2 * j + 1])))
         self._swo = [(s.mean, s.moment(2), s.moment(3)) for s in model.switchovers]
         # the cycle's mean map P = U W and the visit times' map M = W U, which
         # both moment orders use
@@ -232,7 +241,7 @@ class GfEvaluator:
         """Exact third factorial moments of the state at every visit
         beginning, divided by the rates, given the states (m, f) that
         ``moments()`` returns: per queue i the 2 x 2 x 2 block ``t[a][b][c] =
-        E(S_a S_b S_c)`` of its own spans (0 high, 1 low).
+        E(S_a S_b S_c)`` of the spans of its two classes (0 high, 1 low).
 
         A visit maps the spans s to S s + keep D, where D, centred given s,
         has variance and third moment sum_c lam_c E(T_c^k) s_c (k = 2, 3), so
@@ -244,8 +253,10 @@ class GfEvaluator:
         once the next step provably changes no entry); raises NoConvergence
         past ``max_cycles`` cycles, as ``log_value`` does.  Every tensor is
         read through rows pulled back over the visits (``_project``): W^(x3)
-        r over one cycle, and queue i's block from its two unit rows over the
-        visits since queue 0's, then U^(x3) q, then the cycle before.
+        r over one cycle, and queue i's block from one unit row per distinct
+        span (``spans``) over the visits since queue 0's, then U^(x3) q, then
+        the cycle before.  Where both classes share a span, its one entry
+        fills the block.
         """
         n = self.n
         u = self._u
@@ -257,12 +268,13 @@ class GfEvaluator:
                 f"third visit-beginning moments did not converge within "
                 f"{self.max_cycles} cycles (load {self.derived.rho_total:.6g})")
         out = []
-        for i in range(n):
-            h = [[float(k == l) for l in range(2 * n)] for k in (2 * i, 2 * i + 1)]
-            h, t = self._project(h, [0.0] * 8, range(i - 1, -1, -1), states)
+        for i, span in enumerate(self.spans):
+            p = span[1] + 1
+            h = [[float(k == l) for l in range(2 * n)] for k in range(2 * i, 2 * i + p)]
+            h, t = self._project(h, [0.0] * p**3, range(i - 1, -1, -1), states)
             t = [x + y for x, y in zip(t, _cube(_product(h, u), q))]
             t = self._project(h, t, latest_first, states)[1]
-            out.append([[t[0:2], t[2:4]], [t[4:6], t[6:8]]])
+            out.append([[[t[(a * p + b) * p + c] for c in span] for b in span] for a in span])
         return out
 
     def _project(self, h: list, t: list, visits, states: list) -> tuple:

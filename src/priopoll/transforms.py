@@ -62,10 +62,10 @@ class QueueTransforms:
         self._busy_h = BusyPeriod(q.service_high, q.lambda_high) if q.lambda_high > 0.0 else None
         # the span rule: the classes a visit clears (0 high, 1 low) count
         # arrivals over the intervisit time, the kept ones over the cycle.
-        # The exact moments read a span at its first class listed: the cycle
-        # at the low class, kept by every discipline that keeps one
+        # Two coordinates share a span exactly when both are kept or both
+        # cleared (``GfEvaluator.spans``), and the exact moments read it once
         self.cleared = CLEARED[q.discipline]
-        self.kept = tuple(c for c in (1, 0) if c not in self.cleared)
+        self.kept = tuple(c for c in (0, 1) if c not in self.cleared)
         # base differencing step: keeps GF arguments well inside [0, 1]
         self.h0 = 1e-3 * min(min(lam for _, _, lam, _ in q.classes), 1.0) / max(1.0, self.ec)
 

@@ -11,11 +11,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from zoo import (example1, example2, heavy_traffic, published_models, random_model,
                  single_vacation_queue)
-from priopoll import (DISCIPLINES, EXHAUSTIVE, GATED, Analyzer, Deterministic, Erlang,
-                      Exponential, GfEvaluator, Hyperexponential, NoConvergence,
-                      PollingModel, QueueSpec, TransformHandle, Uniform, lst_moment,
-                      validate)
-from priopoll.gf import _power_series3
+from priopoll import (DISCIPLINES, EXHAUSTIVE, GATED, MIXED, Analyzer, Deterministic,
+                      Erlang, Exponential, GfEvaluator, Hyperexponential, NoConvergence,
+                      PollingModel, PriopollError, QueueSpec, TransformHandle, Uniform,
+                      lst_moment, validate)
+from priopoll.gf import _cube, _power_series3, _product
 
 
 def test_normalized_at_all_ones():
@@ -131,6 +131,17 @@ def _baseline_family(n, rho):
         switchovers=(Exponential(1.0),) * n)
 
 
+def _single_class_queues():
+    """An exhaustive queue without a high class, a gated queue without a low
+    class and a mixed queue with both, services and switch-overs of several
+    families."""
+    return PollingModel(
+        queues=(QueueSpec(0.0, 0.3, None, Erlang(2, 1.0), EXHAUSTIVE),
+                QueueSpec(0.25, 0.0, Hyperexponential((0.4, 0.6), (0.5, 1.5)), None, GATED),
+                QueueSpec(0.1, 0.15, Exponential(1.0), Uniform(0.0, 2.0), MIXED)),
+        switchovers=(Deterministic(0.5), Exponential(1.0), Erlang(3, 0.7)))
+
+
 MOMENT_MODELS = {
     "example1": example1(),
     "example2": example2(),
@@ -139,6 +150,7 @@ MOMENT_MODELS = {
     "single_without_highs": single_vacation_queue(lam_h=0.0),
     "random_extended": random_model(np.random.default_rng(5), extended_dists=True),
     "baseline_8_rho_0.99": _baseline_family(8, 0.99),
+    "single_class_queues": _single_class_queues(),
 }
 
 
@@ -167,6 +179,42 @@ def test_factors_compose_the_cycle_mean_map(name):
             col = gf._visit(j, col)
         assert [sum(x * row[c] for x, row in zip(uk, w)) for uk in u] == \
             pytest.approx(col, rel=1e-14, abs=1e-15)
+
+
+def _two_row_block(gf, states, i):
+    """Queue i's third moments read through both of its unit rows, whether
+    or not its coordinates share a span: flat, entry (a, b, c) at 4a + 2b + c."""
+    n = gf.n
+    latest_first = range(n - 1, -1, -1)
+    wr = gf._project(gf._w, [0.0] * n**3, latest_first, states)[1]
+    q = _power_series3(gf._wu, wr, gf.max_cycles)
+    h = [[float(k == l) for l in range(2 * n)] for k in (2 * i, 2 * i + 1)]
+    h, t = gf._project(h, [0.0] * 8, range(i - 1, -1, -1), states)
+    t = [x + y for x, y in zip(t, _cube(_product(h, gf._u), q))]
+    return gf._project(h, t, latest_first, states)[1]
+
+
+@pytest.mark.parametrize("name", MOMENT_MODELS)
+def test_one_span_coordinates_agree_to_the_bit(name):
+    # a gated or an exhaustive queue's two coordinates count arrivals over
+    # one span: their first, second and third moments agree exactly, and
+    # reading the third through one unit row gives the bits of reading
+    # through both
+    gf = GfEvaluator(MOMENT_MODELS[name])
+    states = gf.moments()
+    thirds = gf.third_moments(states)
+    one_span = [i for i, q in enumerate(gf.model.queues) if q.discipline != MIXED]
+    assert [i for i, s in enumerate(gf.spans) if s == (0, 0)] == one_span
+    assert all(s == (0, 1) for i, s in enumerate(gf.spans) if i not in one_span)
+    for i in one_span:
+        m, f = states[i]
+        k = 2 * i
+        assert m[k] == m[k + 1]
+        assert f[k] == f[k + 1]
+        assert [row[k] for row in f] == [row[k + 1] for row in f]
+        block = [x for mat in thirds[i] for row in mat for x in row]
+        assert block == [block[0]] * 8
+        assert _two_row_block(gf, states, i) == block
 
 
 def test_means_answer_near_critical_load():
@@ -215,10 +263,11 @@ def test_third_moments_are_the_cycle_fixed_point():
     # full-tensor cycle map t <- P^(x3) t + r, iterated from zero without
     # doubling until no entry changes (every term is nonnegative, so the
     # iterates increase to it), and is symmetric in its three indices; five
-    # queues make the sweeps wrap around past queue 0
+    # queues make the sweeps wrap around past queue 0, and a single-class
+    # queue's one span is read at its high coordinate, absent class or not
     for model in (example1(), example2("exhaustive", "gated"),
                   random_model(np.random.default_rng(11), extended_dists=True),
-                  _baseline_family(5, 0.6)):
+                  _baseline_family(5, 0.6), _single_class_queues()):
         gf = GfEvaluator(model)
         m0, f0 = gf.moments()[0]
         n2 = 2 * gf.n
@@ -376,3 +425,22 @@ def test_moments_on_drawn_models(model):
         for a in range(2):
             for b in range(2):
                 assert block[a][b] == pytest.approx([t[k[a]][k[b]][x] for x in k], rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_models(max_n=4))
+def test_report_on_drawn_models(model):
+    # every drawn model gets positive, finite means and variances of its
+    # waits and conserves work, or raises a typed error; each within a second
+    start = time.perf_counter()
+    try:
+        report = Analyzer(model).report()
+    except PriopollError:
+        return
+    assert time.perf_counter() - start < 1.0
+    for r in report.classes:
+        assert 0.0 < r.mean_wait < math.inf
+        assert 0.0 < r.var_wait < math.inf
+        assert math.isfinite(r.mean_qlen)
+    assert report.pcl_residual < 1e-9
