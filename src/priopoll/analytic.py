@@ -170,7 +170,7 @@ class Analyzer:
             raise UnsupportedEvaluation(
                 f"{name} second moment unavailable: no class with arrivals at "
                 f"queue {i + 1} counts them over the {name}")
-        k = 2 * i + self.gf.spans[i][classes[0]]
+        k = 2 * i + classes[0]
         return self._state(i)[1][k][k]
 
     def visit_m2(self, i: int) -> float:
