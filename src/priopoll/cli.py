@@ -24,7 +24,6 @@ from .errors import (IllConditioned, NoConvergence, NonpositiveParameter,
                      UnstableSystem, ZeroSwitchover)
 from .model import (DISCIPLINES, GATED, MIXED, PollingModel, QueueSpec,
                     load_model, validate)
-from .sim import replicate
 from .vacation import vacation_crossover, vacation_mean_wait_low
 
 CHECK_TOL = 1e-5
@@ -76,6 +75,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .sim import replicate  # the simulator and numpy load only here
+
     model = load_model(args.model)
     validate(model)
     stats = replicate(model, args.seed, args.reps, args.cycles, args.warmup)

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import NonpositiveParameter
+
+if TYPE_CHECKING:  # numpy loads with the first sample_block that needs it
+    import numpy as np
 
 __all__ = [
     "Distribution",
@@ -80,6 +82,7 @@ class Deterministic(Distribution):
         return self.value**k
 
     def sample_block(self, rng, n):
+        import numpy as np
         return np.full(n, self.value)
 
     def to_config(self):
@@ -173,6 +176,7 @@ class Hyperexponential(Distribution):
         return sum(p * fk * m**k for p, m in zip(self.probs, self.means))
 
     def sample_block(self, rng, n):
+        import numpy as np
         cum = np.cumsum(self.probs)
         idx = np.searchsorted(cum, rng.random(n), side="right")
         idx = np.minimum(idx, len(self.means) - 1)

@@ -413,13 +413,12 @@ def _product(a: list, b: list) -> list:
 def _cube(a: list, t: list) -> list:
     """a^(x3) t: the matrix a (p x n) applied along each index of a flat
     n x n x n tensor.  Each pass dots a's rows with the contiguous fibres of
-    the last index and rotates the mapped index to the front with strided
-    slices, so that after three passes the layout is (a b c) again."""
-    n, p = len(a[0]), len(a)
+    the last index, row-major over (row, fibre), so the mapped index comes
+    out in front and after three passes the layout is (a b c) again."""
+    n = len(a[0])
     for _ in range(3):
-        v = [sum(map(mul, row, fibre))
-             for fibre in [t[x:x + n] for x in range(0, len(t), n)] for row in a]
-        t = [x for c in range(p) for x in v[c::p]]
+        fibres = list(zip(*[iter(t)] * n))
+        t = [sum(map(mul, row, f)) for row in a for f in fibres]
     return t
 
 
@@ -435,16 +434,21 @@ def _power_series3(p: list, r: list, max_terms: int) -> list | None:
     changes no entry, and is None when either takes more than about
     ``max_terms`` terms: the stop returns only where a further step is
     allowed.  ``third_moments`` passes the visit times' map M (N x N), so
-    every step works on N^3 entries."""
+    every step works on N^3 entries.  g is read as the largest entry of
+    a (a 1) before squaring, so the sum ends without the squaring it would
+    not use."""
     a, t = p, r
     steps = max_terms.bit_length()
     for s in range(steps):
         new = [x + y for x, y in zip(t, _cube(a, t))]
         if new == t:
             return t
-        t, a = new, _product(a, a)
-        if s + 1 < steps and max(map(sum, a)) ** 3 * max(t) < _STOP * min(t):
+        t = new
+        if s + 1 == steps:
+            break
+        if max(_apply(a, list(map(sum, a)))) ** 3 * max(t) < _STOP * min(t):
             return t
+        a = _product(a, a)
     return None
 
 

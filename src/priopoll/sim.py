@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 
@@ -506,6 +505,7 @@ def replicate(model: PollingModel, base_seed: int, n_reps: int, n_cycles: int,
         parallel = n_reps >= 2 and n_cycles * ec * lam_tot >= 2e6
     workers = min(n_reps, os.cpu_count() or 1) if parallel else 1
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reps = list(pool.map(_run_star, jobs))
     else:

@@ -355,6 +355,35 @@ def test_doubling_stop_returns_the_full_sum(name):
     assert _power_series3(gf._wu, wr, 2 ** (steps - 2)) is None
 
 
+def _cube_by_rotation(a, t):
+    """a^(x3) t by rotation, the reference for ``_cube``'s layout: dot every
+    fibre with a's rows, then rotate the mapped index to the front with
+    strided slices."""
+    n, p = len(a[0]), len(a)
+    for _ in range(3):
+        v = [sum(map(mul, row, fibre))
+             for fibre in [t[x:x + n] for x in range(0, len(t), n)] for row in a]
+        t = [x for c in range(p) for x in v[c::p]]
+    return t
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_cube_is_the_rotation_form_to_the_bit(n):
+    # the same dot products in the same order, only laid out directly: the
+    # rotation form's bits, and the direct triple sum to rounding
+    rng = np.random.default_rng(n)
+    for p in sorted({1, 2, n}):
+        for _ in range(5):
+            a = rng.random((p, n)).tolist()
+            t = rng.random(n**3).tolist()
+            got = _cube(a, t)
+            assert got == _cube_by_rotation(a, t)
+            direct = [sum(a[i][x] * a[j][y] * a[k][z] * t[(x * n + y) * n + z]
+                          for x in range(n) for y in range(n) for z in range(n))
+                      for i in range(p) for j in range(p) for k in range(p)]
+            assert got == pytest.approx(direct, rel=1e-14, abs=0.0)
+
+
 _FAMILIES = (Exponential, Deterministic, lambda mean: Erlang(3, mean),
              lambda mean: Hyperexponential((0.4, 0.6), (0.5 * mean, 1.5 * mean)),
              lambda mean: Uniform(0.0, 2.0 * mean))
