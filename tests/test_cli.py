@@ -43,6 +43,14 @@ def test_analyze_golden(model, golden, tmp_path, capsys):
     assert out_path.read_text() == (GOLDEN / golden).read_text()
 
 
+def test_simulate_golden(capsys):
+    # the CI console-script step diffs the installed entry point against the same file
+    code, out = _run(["simulate", "--model", str(DATA / "example1.json"),
+                      "--cycles", "2000", "--reps", "2"], capsys)
+    assert code == 0
+    assert out == (GOLDEN / "example1_simulate.csv").read_text()
+
+
 def test_compare_golden_and_leftover_column(tmp_path):
     out_path = tmp_path / "cmp.csv"
     code = cli.main(["compare", "--model", str(DATA / "example1.json"),

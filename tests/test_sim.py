@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from zoo import example1, example2, single_vacation_queue
-from priopoll import (Analyzer, Deterministic, EXHAUSTIVE, Exponential, GATED,
-                      MIXED, PollingModel, QueueSpec, replicate, run)
+from priopoll import (Analyzer, Deterministic, EXHAUSTIVE, Erlang, Exponential,
+                      GATED, Hyperexponential, MIXED, PollingModel, QueueSpec,
+                      Uniform, replicate, run)
 
 
 def test_bit_reproducible():
@@ -41,7 +42,25 @@ _GOLDEN_MODELS = (
     ("single_high_mixed", lambda: single_vacation_queue(MIXED, lam_l=0.0)),
     ("single_high_exhaustive", lambda: single_vacation_queue(EXHAUSTIVE, lam_l=0.0)),
     ("example2_mixed_exhaustive", lambda: example2(MIXED, EXHAUSTIVE)),
+    ("erlang_mixed_exhaustive", lambda: _family_model(
+        lambda mean: Erlang(3, mean), MIXED, EXHAUSTIVE)),
+    ("hyperexponential_mixed_gated", lambda: _family_model(
+        lambda mean: Hyperexponential((0.25, 0.75), (0.4 * mean, 1.2 * mean)),
+        MIXED, GATED)),
+    ("uniform_exhaustive_mixed", lambda: _family_model(
+        lambda mean: Uniform(0.2 * mean, 1.8 * mean), EXHAUSTIVE, MIXED)),
 )
+
+
+def _family_model(dist, d1, d2):
+    """Two two-class queues (rho = 0.54) whose services and switch-overs all
+    come from one family; ``dist(mean)`` builds its member of that mean.  The
+    high class of a mixed or exhaustive queue is read both from the gate's
+    line and one customer at a time."""
+    return PollingModel(
+        queues=(QueueSpec(0.2, 0.2, dist(1.0), dist(0.5), d1),
+                QueueSpec(0.15, 0.1, dist(0.8), dist(1.2), d2)),
+        switchovers=(dist(1.5), dist(0.7)))
 
 
 def _plain(value):
