@@ -45,6 +45,7 @@ period, and two for a mixed one.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from operator import mul
 
 from .busyperiod import BusyPeriod, ServiceMix
@@ -61,7 +62,8 @@ class GfEvaluator:
     """Evaluates the visit-beginning GF of a validated polling model.
 
     All methods are pure; per-call scratch state only, so instances may be
-    shared across threads.
+    shared across threads.  The one attribute built on first use
+    (``_periods``) is the same whichever thread builds it.
     """
 
     def __init__(self, model: PollingModel, derived: DerivedRates | None = None,
@@ -71,12 +73,8 @@ class GfEvaluator:
         self.max_cycles = max_cycles
         self.n = n = model.n
         self._lam = []
-        self._lstc = []
-        self._busy = []          # the busy period of the classes a visit clears
-        self._cleared = []       # and their coordinates
+        self._cleared = []       # per queue, the coordinates its visit clears
         self._sigma_c = [s.lst_complement for s in model.switchovers]
-        # step order per starting queue: previous queue first, wrapping around
-        self._order = [[(i - 1 - k) % n for k in range(n)] for i in range(n)]
         # moment maps: per queue, lambda_c E(T_c^k) of its two classes for
         # k = 1, 2, 3, and which coordinates its visit keeps
         self.period_rates = []
@@ -89,27 +87,20 @@ class GfEvaluator:
         for j, q in enumerate(model.queues):
             cleared = CLEARED[q.discipline]
             self._lam.extend((q.lambda_high, q.lambda_low))
-            live = [(s, lam) for c, _, lam, s in q.classes if c in cleared]
-            if len(live) == 2:
-                busy = BusyPeriod(ServiceMix(*live[0], *live[1]), live[0][1] + live[1][1])
-            elif live:
-                busy = BusyPeriod(*live[0])
-            else:
-                busy = None
-            self._busy.append(busy)
             self._cleared.append([2 * j + c for c in cleared])
-            one = 1.0 - sum(lam * s.mean for s, lam in live)
-            r2 = sum(lam * s.moment(2) for s, lam in live)
-            r3 = sum(lam * s.moment(3) for s, lam in live)
-            # an absent class has no transform and zero rates
-            lstc, rates = [None, None], [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
-            for c, _, lam, s in q.classes:
-                lstc[c] = s.lst_complement
-                rates[0][c] = lam * s.mean / one
-                rates[1][c] = lam * (s.moment(2) / one**2 + s.mean * r2 / one**3)
-                rates[2][c] = lam * (s.moment(3) / one**3 + 3.0 * s.moment(2) * r2 / one**4
-                                     + s.mean * (r3 / one**4 + 3.0 * r2 * r2 / one**5))
-            self._lstc.append(tuple(lstc))
+            # each class's service moments E(B), E(B^2), E(B^3), read once
+            moms = {c: (lam, s.mean, s.moment(2), s.moment(3)) for c, _, lam, s in q.classes}
+            live = [moms[c] for c in cleared if c in moms]
+            one = 1.0 - sum(lam * b1 for lam, b1, _, _ in live)
+            r2 = sum(lam * b2 for lam, _, b2, _ in live)
+            r3 = sum(lam * b3 for lam, _, _, b3 in live)
+            # an absent class has zero rates
+            rates = [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+            for c, (lam, b1, b2, b3) in moms.items():
+                rates[0][c] = lam * b1 / one
+                rates[1][c] = lam * (b2 / one**2 + b1 * r2 / one**3)
+                rates[2][c] = lam * (b3 / one**3 + 3.0 * b2 * r2 / one**4
+                                     + b1 * (r3 / one**4 + 3.0 * r2 * r2 / one**5))
             self.period_rates.append(tuple(map(tuple, rates)))
             keep = [float(k not in self._cleared[j]) for k in range(2 * n)]
             self._keep.append(keep)
@@ -119,6 +110,28 @@ class GfEvaluator:
         # both moment orders use
         self._u, self._w = self._factors()
         self._wu = _product(self._w, self._u)
+
+    @cached_property
+    def _periods(self) -> list:
+        """Per queue, the busy period of the classes its visit clears (None
+        when it clears none) and its high and low class's LST complement
+        (None for an absent class): what ``period_complements`` reads.  Only
+        the reference route reads them, so they are built on first use."""
+        periods = []
+        for q in self.model.queues:
+            cleared = CLEARED[q.discipline]
+            live = [(s, lam) for c, _, lam, s in q.classes if c in cleared]
+            if len(live) == 2:
+                busy = BusyPeriod(ServiceMix(*live[0], *live[1]), live[0][1] + live[1][1])
+            elif live:
+                busy = BusyPeriod(*live[0])
+            else:
+                busy = None
+            lstc = [None, None]
+            for c, _, _, s in q.classes:
+                lstc[c] = s.lst_complement
+            periods.append((busy, *lstc))
+        return periods
 
     # ------------------------------------------------------------------ core
 
@@ -132,7 +145,8 @@ class GfEvaluator:
         cleared = self._cleared
         sigma_c = self._sigma_c
         period_complements = self.period_complements
-        order = self._order[i % n]
+        # previous queue first, wrapping around
+        order = [(i - 1 - k) % n for k in range(n)]
 
         w = [float(c) for c in zeta]
         for c in w:
@@ -191,10 +205,9 @@ class GfEvaluator:
         the classes the visit clears and u is that busy period's LST
         complement at omega (0 when none is cleared), a warm start for a
         nearby argument.  A class without arrivals gets 0."""
-        busy = self._busy[j]
+        busy, lstc_h, lstc_l = self._periods[j]
         u = 0.0 if busy is None else busy.complement(omega, warm)
         e = omega if busy is None else omega + busy.lam * u
-        lstc_h, lstc_l = self._lstc[j]
         return lstc_h(e) if lstc_h else 0.0, lstc_l(e) if lstc_l else 0.0, u
 
     # ------------------------------------------------------------ moments

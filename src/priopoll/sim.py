@@ -29,6 +29,10 @@ sequence) calendar and fully deterministic given the seed.  Simultaneous
 completion/arrival ties resolve in favour of the completion, so an arrival
 exactly at a visit-ending instant is not caught by the ending visit.
 
+Each random stream (a class's arrival gaps and service times, a queue's
+switch-overs) is one iterator over blocks from its own generator
+(``_stream``), read in C: ``next`` for one draw, ``islice`` for a gate's line.
+
 Waiting time is measured from arrival to service start.  Queue-length
 time-averages count a low-priority customer as "in system" until the server
 finishes clearing the high-priority work that arrived during that customer's
@@ -43,7 +47,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
+from numbers import Integral
 
 import numpy as np
 
@@ -119,8 +124,6 @@ class _RepResult:
 def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
               trace: bool = False) -> _RepResult:
     validate(model)
-    if not n_cycles > warmup_cycles >= 0:
-        raise ValueError("need n_cycles > warmup_cycles >= 0")
     n = model.n
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     # per queue: arr_h, arr_l, svc_h, svc_l, swo
@@ -142,7 +145,7 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
     next_t = [math.inf] * (2 * n)
     arrivals = [None] * (2 * n)
     # per queue: its class streams, whether a visit reads each stream, the
-    # streams' arrivals and service samplers, its switch-over sampler and
+    # streams' arrivals and service times, its switch-over times and
     # visit-beginning state sums
     queues = []
     for j, q in enumerate(model.queues):
@@ -151,11 +154,12 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
             k = 2 * j + c
             arrivals[k] = _arrivals(rngs[5 * j + c], 1.0 / rate).__next__
             next_t[k] = arrivals[k]()
-            svc[c] = _sampler(rngs[5 * j + 2 + c], dist)
+            svc[c] = _stream(dist.sample_block, rngs[5 * j + 2 + c])
         cleared = CLEARED[q.discipline]
         queues.append((2 * j, 2 * j + 1, 0 in cleared, 1 in cleared, arrivals[2 * j],
                        arrivals[2 * j + 1], *svc,
-                       _sampler(rngs[5 * j + 4], model.switchovers[j]), res.state[j]))
+                       _stream(model.switchovers[j].sample_block, rngs[5 * j + 4]).__next__,
+                       res.state[j]))
 
     t = 0.0
     t_warm = None
@@ -181,7 +185,7 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
             q0_begins += 1
 
         # the gate is what has arrived so far
-        kh, kl, read_h, read_l, nxt_h, nxt_l, draw_h, draw_l, swo, st = queues[j]
+        kh, kl, read_h, read_l, nxt_h, nxt_l, svc_h, svc_l, swo, st = queues[j]
         nh, nl = next_t[kh], next_t[kl]
         hline = []
         lline = []
@@ -219,8 +223,8 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
         # stays in system (pending) until the highs that arrived during its
         # service are done.
         nhg, nlg = len(hline), len(lline)
-        hdurs = draw_h(nhg) if nhg else ()
-        ldurs = draw_l(nlg) if nlg else ()
+        hdurs = list(islice(svc_h, nhg)) if nhg else ()
+        ldurs = list(islice(svc_l, nlg)) if nlg else ()
         hi = li = 0
         pending = None
         hn, hs, hs2, ha = wait_n[kh], wait_sum[kh], wait_sumsq[kh], area[kh]
@@ -234,7 +238,7 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
                 elif read_h and nh < t:
                     arr = nh
                     nh = nxt_h()
-                    dur = draw_h()
+                    dur = next(svc_h)
                 else:
                     break
                 if trace:
@@ -262,7 +266,7 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
             elif read_l and nl < t:
                 arr = nl
                 nl = nxt_l()
-                dur = draw_l()
+                dur = next(svc_l)
             else:
                 break
             if trace:
@@ -313,39 +317,19 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
     return res
 
 
-def _arrivals(gen, scale):
-    """Arrival times of a Poisson stream: running sums of gaps drawn a block at a time."""
-    gaps = iter(lambda: gen.exponential(scale, _BLOCK).tolist(), None)
-    return accumulate(chain.from_iterable(gaps))
+def _stream(draw, *args):
+    """One random stream: the values of ``draw(*args, _BLOCK)``, block after block.
 
-
-def _sampler(gen, dist, block=_BLOCK):
-    """``draw()`` returns the stream's next value, ``draw(m)`` a list of the next m.
-
-    Both read one buffer that is refilled a block at a time when a draw finds
-    it used up, so any mix of the two calls yields the same sequence.
+    A block is drawn once the values before it are used up.  ``next`` reads
+    one value and ``list(islice(stream, m))`` the next m; any mix of the two
+    reads the same blocks in the same order.
     """
-    buf = dist.sample_block(gen, block).tolist()
-    idx = 0
+    return chain.from_iterable(iter(lambda: draw(*args, _BLOCK).tolist(), None))
 
-    def draw(m=None):
-        nonlocal buf, idx
-        if m is None:
-            if idx == len(buf):
-                buf = dist.sample_block(gen, block).tolist()
-                idx = 0
-            v = buf[idx]
-            idx += 1
-            return v
-        out = buf[idx:idx + m]
-        idx += len(out)
-        while len(out) < m:
-            buf = dist.sample_block(gen, block).tolist()
-            idx = min(m - len(out), len(buf))
-            out += buf[:idx]
-        return out
 
-    return draw
+def _arrivals(gen, scale):
+    """Arrival times of a Poisson stream: running sums of its exponential gaps."""
+    return accumulate(_stream(gen.exponential, scale))
 
 
 # --------------------------------------------------------------- aggregation
@@ -462,16 +446,28 @@ def _aggregate(model, reps, seed, n_cycles, warmup_cycles) -> SimStats:
     )
 
 
+def _warmup(n_cycles, warmup_cycles):
+    """The warmup count, 10% of ``n_cycles`` by default; ValueError unless both
+    are integers with n_cycles > warmup_cycles >= 0 (a run ends at cycle
+    n_cycles, which 200.5 never reaches)."""
+    if warmup_cycles is None and isinstance(n_cycles, Integral):
+        warmup_cycles = n_cycles // 10
+    if not (isinstance(n_cycles, Integral) and isinstance(warmup_cycles, Integral)
+            and n_cycles > warmup_cycles >= 0):
+        raise ValueError("need integers n_cycles > warmup_cycles >= 0")
+    return warmup_cycles
+
+
 def run(model: PollingModel, seed: int, n_cycles: int,
         warmup_cycles: int | None = None, trace: bool = False):
     """One simulation run; warmup defaults to 10% of the requested cycles.
 
     Returns SimStats (confidence half-widths are nan with one replication).
     With ``trace=True`` returns (SimStats, list[Event]) for serve-order
-    inspection on short horizons.
+    inspection on short horizons.  Raises ValueError unless the cycle counts
+    are integers with n_cycles > warmup_cycles >= 0.
     """
-    if warmup_cycles is None:
-        warmup_cycles = n_cycles // 10
+    warmup_cycles = _warmup(n_cycles, warmup_cycles)
     rep = _simulate(model, seed, n_cycles, warmup_cycles, trace=trace)
     stats = _aggregate(model, [rep], seed, n_cycles, warmup_cycles)
     if trace:
@@ -491,12 +487,12 @@ def replicate(model: PollingModel, base_seed: int, n_reps: int, n_cycles: int,
 
     Replications run in worker processes when ``parallel`` is true (default:
     enabled for heavy workloads); results are merged in replication order so
-    the output never depends on scheduling.
+    the output never depends on scheduling.  Raises ValueError unless n_reps
+    is an integer >= 1 and the cycle counts are as ``run`` takes them.
     """
-    if n_reps < 1:
-        raise ValueError("n_reps must be >= 1")
-    if warmup_cycles is None:
-        warmup_cycles = n_cycles // 10
+    if not (isinstance(n_reps, Integral) and n_reps >= 1):
+        raise ValueError("n_reps must be an integer >= 1")
+    warmup_cycles = _warmup(n_cycles, warmup_cycles)
     children = np.random.SeedSequence(base_seed).spawn(n_reps)
     jobs = [(model, c, n_cycles, warmup_cycles) for c in children]
     if parallel is None:

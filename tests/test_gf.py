@@ -93,6 +93,23 @@ def test_log_value_matches_value():
         gf.value(0, [1 - c for c in zeta]), rel=1e-14)
 
 
+@pytest.mark.parametrize("model,logs,pair", [
+    (example1(), ("-0x1.1de4fe8f6aba8p-1", "-0x1.97ab1d14596c4p-1"), "0x1.27599007e542fp-1"),
+    (example2(EXHAUSTIVE, GATED), ("-0x1.b06d71634f296p+3", "-0x1.ec6192cc2d3c8p+3"),
+     "0x1.ffffff61b84f8p-1"),
+], ids=["example1", "example2-exhaustive-gated"])
+def test_report_leaves_the_reference_route_unbuilt(model, logs, pair):
+    # the busy periods and LST complements of log_value are built on first
+    # use, which report() never makes; once built they give the same bits
+    a = Analyzer(model)
+    a.report()
+    assert "_periods" not in vars(a.gf)
+    zeta = [0.05, 0.1, 0.2, 0.4]
+    assert tuple(a.gf.log_value(i, zeta).hex() for i in range(2)) == logs
+    assert "_periods" in vars(a.gf)
+    assert a.gf.complement_pair(1, 0.3, 0.6).hex() == pair
+
+
 def test_complement_precision_near_one():
     gf = GfEvaluator(example1())
     c = gf.complement_pair(0, 1e-9, 1e-9)

@@ -1,6 +1,7 @@
 """Simulator semantics, determinism, and agreement with the analytic engine."""
 
 import dataclasses
+import itertools
 import json
 import math
 import pathlib
@@ -249,23 +250,23 @@ def _counting(dist):
     [11, 20000, 1, 9000],       # batches longer than a block
 ], ids=["within", "crossing", "to_boundary", "longer_than_block"])
 def test_sampler_batch_matches_single_draws(batches):
-    # draw(m) returns the next m values of the stream draw() would give and
-    # refills the buffer from the same blocks, only once it is used up
-    from priopoll.sim import _sampler
+    # list(islice(stream, m)) returns the next m values of the stream next()
+    # would give and draws the same blocks, only once the last is used up
+    from priopoll.sim import _stream
     dist = Exponential(1.0)
     batched_dist, batched_calls = _counting(dist)
     single_dist, single_calls = _counting(dist)
-    batched = _sampler(np.random.default_rng(5), batched_dist)
-    single = _sampler(np.random.default_rng(5), single_dist)
+    batched = _stream(batched_dist.sample_block, np.random.default_rng(5))
+    single = _stream(single_dist.sample_block, np.random.default_rng(5))
     for i, m in enumerate(batches):
         if i % 2:
-            got = batched(m)
-            assert isinstance(got, list) and len(got) == m
+            got = list(itertools.islice(batched, m))
+            assert len(got) == m
         else:
-            got = [batched() for _ in range(m)]
-        assert got == [single() for _ in range(m)], (i, m)
+            got = [next(batched) for _ in range(m)]
+        assert got == [next(single) for _ in range(m)], (i, m)
         assert batched_calls == single_calls, (i, m)
-    assert batched() == single()
+    assert next(batched) == next(single)
 
 
 def _within(analytic, sim_mean, sim_ci, hw=3.0):
@@ -368,6 +369,16 @@ def test_invalid_cycle_arguments():
         run(example1(), seed=1, n_cycles=10, warmup_cycles=10)
     with pytest.raises(ValueError):
         replicate(example1(), 1, n_reps=0, n_cycles=10)
+    # a run ends at its n_cycles-th cycle, which a non-integral count never
+    # reaches: each is rejected before the first cycle, not left to hang
+    for counts in ({"n_cycles": 200.5}, {"n_cycles": math.inf},
+                   {"n_cycles": 200, "warmup_cycles": 20.5}):
+        with pytest.raises(ValueError):
+            run(example1(), seed=1, **counts)
+        with pytest.raises(ValueError):
+            replicate(example1(), 1, n_reps=2, parallel=True, **counts)
+    with pytest.raises(ValueError):
+        replicate(example1(), 1, n_reps=2.5, n_cycles=10)
 
 
 def test_t975_never_below_the_true_quantile():
