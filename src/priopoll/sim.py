@@ -10,20 +10,18 @@ high present).
 Rather than a binary-heap calendar, the event set is kept as one iterator of
 arrival times per Poisson stream plus the server's own clock, under one rule:
 a queue's two arrival streams are read only while the server is at that
-queue.  At a visit beginning both are read up to the current instant into
-the gate's two lines; during the visit the streams of the classes it clears
-(``CLEARED``: none under gated, the high stream under mixed, both under
-exhaustive) are read further.  Whatever stays in a stream arrived behind the gate, and nothing
-serves it before the queue's next visit reads it, in arrival order.  So one
-loop serves every visit, whatever its discipline, in one pass: the lines the
-gate fixed take one batch of service draws per class, and a stream read
-during the visit is served straight from its iterator while its next arrival
-lies before the current instant; a gated visit is one that reads neither.
-That keeps each class first-come first-served without a queue: a stream
-yields arrivals in increasing time, every customer in the gate's line
-arrived before any still in the stream, and the line is served first, so the
-next high customer served is always the earliest unserved arrival before the
-current instant, as a FIFO queue fed before each service would give it.
+queue.  The gate is the visit beginning ``t_vb``: the customers it lets in
+are exactly the prefix of each stream that arrived before it.  So one loop
+serves every visit, whatever its discipline, in one pass and without a
+queue: a class is served straight from its stream while the stream's next
+arrival is before the gate or, if the visit clears the class (``CLEARED``:
+none under gated, the high class under mixed, both under exhaustive), before
+the current instant.  Whatever stays in a stream arrived behind the gate,
+and nothing serves it before the queue's next visit, in arrival order.  A
+stream yields arrivals in increasing time, so the next high customer served
+is always the earliest unserved arrival before the current instant, as a
+FIFO queue fed before each service would give it.  The visit-beginning state
+(X_H, X_L) counts the served customers that arrived before the gate.
 Dequeue order is identical to a (timestamp, completion-before-arrival,
 sequence) calendar and fully deterministic given the seed.  Simultaneous
 completion/arrival ties resolve in favour of the completion, so an arrival
@@ -31,7 +29,10 @@ exactly at a visit-ending instant is not caught by the ending visit.
 
 Each random stream (a class's arrival gaps and service times, a queue's
 switch-overs) is one iterator over blocks from its own generator
-(``_stream``), read in C: ``next`` for one draw, ``islice`` for a gate's line.
+(``_stream``), read one value at a time.  Since no two streams share a
+generator and each is read in the same order, when a value is drawn
+relative to the other streams changes no number: reading a gate's line in
+one batch or one customer at a time gives the same results, bit for bit.
 
 Waiting time is measured from arrival to service start.  Queue-length
 time-averages count a low-priority customer as "in system" until the server
@@ -47,7 +48,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain
 from numbers import Integral
 
 import numpy as np
@@ -144,7 +145,7 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
     # arrival time and the arrivals after it
     next_t = [math.inf] * (2 * n)
     arrivals = [None] * (2 * n)
-    # per queue: its class streams, whether a visit reads each stream, the
+    # per queue: its class streams, whether a visit clears each class, the
     # streams' arrivals and service times, its switch-over times and
     # visit-beginning state sums
     queues = []
@@ -184,63 +185,37 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
                 break
             q0_begins += 1
 
-        # the gate is what has arrived so far
         kh, kl, read_h, read_l, nxt_h, nxt_l, svc_h, svc_l, swo, st = queues[j]
-        nh, nl = next_t[kh], next_t[kl]
-        hline = []
-        lline = []
-        if nh < t:
-            ap = hline.append
-            while nh < t:
-                ap(nh)
-                nh = nxt_h()
-        if nl < t:
-            ap = lline.append
-            while nl < t:
-                ap(nl)
-                nl = nxt_l()
-        if measured:
-            if prev_end[j] >= t_warm:
-                x = t - prev_end[j]
-                int_n[j] += 1
-                int_s[j] += x
-                int_s2[j] += x * x
-            xh = len(hline)
-            xl = len(lline)
-            st[0] += xh
-            st[1] += xl
-            st[2] += xh * xl
+        if measured and prev_end[j] >= t_warm:
+            x = t - prev_end[j]
+            int_n[j] += 1
+            int_s[j] += x
+            int_s2[j] += x * x
         prev_begin[j] = t
         t_vb = t
         if trace:
             events.append(Event(t, "visit_begin", seq, j))
             seq += 1
 
-        # highs first: the gate's line, then the stream while its next
-        # arrival is before t; then one low, from the gate's line or the
-        # stream.  A visit reads a stream only if it clears that class
-        # (read_h: mixed and exhaustive, read_l: exhaustive).  A served low
-        # stays in system (pending) until the highs that arrived during its
-        # service are done.
-        nhg, nlg = len(hline), len(lline)
-        hdurs = list(islice(svc_h, nhg)) if nhg else ()
-        ldurs = list(islice(svc_l, nlg)) if nlg else ()
-        hi = li = 0
+        # highs first, then one low, then highs again; each class is served
+        # straight from its stream while its next arrival is before the gate
+        # t_vb or, if the visit clears the class (read_h: mixed and
+        # exhaustive, read_l: exhaustive), before now.  xh and xl count the
+        # served customers that arrived before the gate: the visit-beginning
+        # state.  A served low stays in system (pending) until the highs that
+        # arrived during its service are done.
+        nh, nl = next_t[kh], next_t[kl]
+        xh = xl = 0
         pending = None
         hn, hs, hs2, ha = wait_n[kh], wait_sum[kh], wait_sumsq[kh], area[kh]
         ln, ls, ls2, la = wait_n[kl], wait_sum[kl], wait_sumsq[kl], area[kl]
         while True:
-            while True:
-                if hi < nhg:
-                    arr = hline[hi]
-                    dur = hdurs[hi]
-                    hi += 1
-                elif read_h and nh < t:
-                    arr = nh
-                    nh = nxt_h()
-                    dur = next(svc_h)
-                else:
-                    break
+            while nh < (t if read_h else t_vb):
+                arr = nh
+                nh = nxt_h()
+                dur = next(svc_h)
+                if arr < t_vb:
+                    xh += 1
                 if trace:
                     events.append(Event(t, "service_start", seq, j, "H", arr))
                     events.append(Event(t + dur, "service_end", seq + 1, j, "H", arr))
@@ -259,16 +234,13 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
             if pending is not None:
                 la += t - (pending if pending > t_warm else t_warm)
                 pending = None
-            if li < nlg:
-                arr = lline[li]
-                dur = ldurs[li]
-                li += 1
-            elif read_l and nl < t:
-                arr = nl
-                nl = nxt_l()
-                dur = next(svc_l)
-            else:
+            if nl >= (t if read_l else t_vb):
                 break
+            arr = nl
+            nl = nxt_l()
+            dur = next(svc_l)
+            if arr < t_vb:
+                xl += 1
             if trace:
                 events.append(Event(t, "service_start", seq, j, "L", arr))
                 events.append(Event(t + dur, "service_end", seq + 1, j, "L", arr))
@@ -294,6 +266,9 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
             vis_n[j] += 1
             vis_s[j] += x
             vis_s2[j] += x * x
+            st[0] += xh
+            st[1] += xl
+            st[2] += xh * xl
         prev_end[j] = t
 
         t += swo()
@@ -320,9 +295,10 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
 def _stream(draw, *args):
     """One random stream: the values of ``draw(*args, _BLOCK)``, block after block.
 
-    A block is drawn once the values before it are used up.  ``next`` reads
-    one value and ``list(islice(stream, m))`` the next m; any mix of the two
-    reads the same blocks in the same order.
+    The simulator reads it one value at a time with ``next``.  A block is
+    drawn once the values before it are used up, so any way of reading the
+    stream, one value or a batch at a time, reads the same blocks in the
+    same order.
     """
     return chain.from_iterable(iter(lambda: draw(*args, _BLOCK).tolist(), None))
 
@@ -446,13 +422,18 @@ def _aggregate(model, reps, seed, n_cycles, warmup_cycles) -> SimStats:
     )
 
 
+def _count(x) -> bool:
+    """Whether ``x`` is an integer count: an Integral that is not a bool."""
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
 def _warmup(n_cycles, warmup_cycles):
     """The warmup count, 10% of ``n_cycles`` by default; ValueError unless both
     are integers with n_cycles > warmup_cycles >= 0 (a run ends at cycle
     n_cycles, which 200.5 never reaches)."""
-    if warmup_cycles is None and isinstance(n_cycles, Integral):
+    if warmup_cycles is None and _count(n_cycles):
         warmup_cycles = n_cycles // 10
-    if not (isinstance(n_cycles, Integral) and isinstance(warmup_cycles, Integral)
+    if not (_count(n_cycles) and _count(warmup_cycles)
             and n_cycles > warmup_cycles >= 0):
         raise ValueError("need integers n_cycles > warmup_cycles >= 0")
     return warmup_cycles
@@ -490,7 +471,7 @@ def replicate(model: PollingModel, base_seed: int, n_reps: int, n_cycles: int,
     the output never depends on scheduling.  Raises ValueError unless n_reps
     is an integer >= 1 and the cycle counts are as ``run`` takes them.
     """
-    if not (isinstance(n_reps, Integral) and n_reps >= 1):
+    if not (_count(n_reps) and n_reps >= 1):
         raise ValueError("n_reps must be an integer >= 1")
     warmup_cycles = _warmup(n_cycles, warmup_cycles)
     children = np.random.SeedSequence(base_seed).spawn(n_reps)

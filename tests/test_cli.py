@@ -43,12 +43,16 @@ def test_analyze_golden(model, golden, tmp_path, capsys):
     assert out_path.read_text() == (GOLDEN / golden).read_text()
 
 
-def test_simulate_golden(capsys):
-    # the CI console-script step diffs the installed entry point against the same file
-    code, out = _run(["simulate", "--model", str(DATA / "example1.json"),
-                      "--cycles", "2000", "--reps", "2"], capsys)
+@pytest.mark.parametrize("model,cycles", [
+    ("example1", "2000"),   # about 4 customers per visit
+    ("example2", "300"),    # rho 0.9: tens per visit, overtaking highs
+], ids=["example1", "example2"])
+def test_simulate_golden(model, cycles, capsys):
+    # the CI console-script step diffs the installed entry point against the same files
+    code, out = _run(["simulate", "--model", str(DATA / f"{model}.json"),
+                      "--cycles", cycles, "--reps", "2"], capsys)
     assert code == 0
-    assert out == (GOLDEN / "example1_simulate.csv").read_text()
+    assert out == (GOLDEN / f"{model}_simulate.csv").read_text()
 
 
 def test_compare_golden_and_leftover_column(tmp_path):

@@ -1,6 +1,7 @@
 """Simulator semantics, determinism, and agreement with the analytic engine."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -9,7 +10,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from zoo import example1, example2, single_vacation_queue
+from zoo import example1, example2, random_model, single_vacation_queue
 from priopoll import (Analyzer, Deterministic, EXHAUSTIVE, Erlang, Exponential,
                       GATED, Hyperexponential, MIXED, PollingModel, QueueSpec,
                       Uniform, replicate, run)
@@ -56,8 +57,8 @@ _GOLDEN_MODELS = (
 def _family_model(dist, d1, d2):
     """Two two-class queues (rho = 0.54) whose services and switch-overs all
     come from one family; ``dist(mean)`` builds its member of that mean.  The
-    high class of a mixed or exhaustive queue is read both from the gate's
-    line and one customer at a time."""
+    high class of a mixed or exhaustive queue is served both from before the
+    gate and from arrivals during the visit."""
     return PollingModel(
         queues=(QueueSpec(0.2, 0.2, dist(1.0), dist(0.5), d1),
                 QueueSpec(0.15, 0.1, dist(0.8), dist(1.2), d2)),
@@ -101,6 +102,51 @@ def test_sim_stats_match_golden():
     assert sorted(got) == sorted(want)
     for case in want:
         assert _nan_free(got[case]) == _nan_free(want[case]), case
+
+
+TRACE_GOLDEN = GOLDEN.parent / "sim_trace_sha256.json"
+
+# (label, model builder) pairs whose serve order tests/golden/sim_trace_sha256.json pins
+_TRACED_MODELS = (
+    ("example1_mixed", lambda: example1(MIXED)),
+    ("example2_exhaustive_mixed", lambda: example2(EXHAUSTIVE, MIXED)),
+    ("hyperexponential_mixed_gated", dict(_GOLDEN_MODELS)["hyperexponential_mixed_gated"]),
+)
+
+
+def trace_digests():
+    """Event count and SHA-256 of the event list's repr, per traced model."""
+    out = {}
+    for label, build in _TRACED_MODELS:
+        _, events = run(build(), seed=5, n_cycles=400, warmup_cycles=40, trace=True)
+        out[label] = {"events": len(events),
+                      "sha256": hashlib.sha256(repr(events).encode()).hexdigest()}
+    return out
+
+
+def test_trace_matches_golden_digest():
+    # every event's time, sequence number, class and arrival, in serve order
+    assert trace_digests() == json.loads(TRACE_GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("disc", [GATED, MIXED, EXHAUSTIVE])
+def test_visit_beginning_state_matches_trace(disc):
+    # X_H and X_L at a visit beginning count the queue's customers that
+    # arrived before it; the visit serves every one of them, so they are its
+    # service_start events with an earlier arrival
+    for m in (example1(disc), example2(disc, disc)):
+        s, events = run(m, seed=4, n_cycles=300, warmup_cycles=0, trace=True)
+        visits = [[] for _ in range(m.n)]
+        for e in events:
+            if e.kind == "visit_begin":
+                t_vb, x = e.timestamp, {"H": 0, "L": 0}
+                visits[e.queue].append(x)
+            elif e.kind == "service_start" and e.arrival < t_vb:
+                x[e.cls] += 1
+        for i, xs in enumerate(visits):
+            assert s.vb_high[i] == sum(x["H"] for x in xs) / len(xs), i
+            assert s.vb_low[i] == sum(x["L"] for x in xs) / len(xs), i
+            assert s.vb_cross[i] == sum(x["H"] * x["L"] for x in xs) / len(xs), i
 
 
 def test_different_seeds_differ():
@@ -339,6 +385,19 @@ def test_agrees_with_analytic_example2_short():
     _within(a.derived.rho_total, s.busy_fraction, s.busy_ci, hw=3.5)
 
 
+def test_random_models_agree_with_analytic():
+    # every discipline and distribution family, rho up to 0.9; at this size
+    # the worst draw lies about 2.4 half-widths from the analytic mean
+    rng = np.random.default_rng(7)
+    for k in range(30):
+        m = random_model(rng, max_rho=0.9, extended_dists=True)
+        a = Analyzer(m)
+        s = replicate(m, 100 + k, n_reps=5, n_cycles=3000, parallel=False)
+        for (i, cls), mean in s.wait_mean.items():
+            _within(a.mean_wait(i, cls), mean, s.wait_ci[(i, cls)], hw=6.0)
+        _within(a.derived.rho_total, s.busy_fraction, s.busy_ci, hw=6.0)
+
+
 def test_warmup_excludes_early_customers():
     m = example1()
     full = run(m, seed=6, n_cycles=3000, warmup_cycles=0)
@@ -379,6 +438,14 @@ def test_invalid_cycle_arguments():
             replicate(example1(), 1, n_reps=2, parallel=True, **counts)
     with pytest.raises(ValueError):
         replicate(example1(), 1, n_reps=2.5, n_cycles=10)
+    # a bool is an Integral, but True is no cycle or replication count
+    for counts in ({"n_cycles": True}, {"n_cycles": 10, "warmup_cycles": False}):
+        with pytest.raises(ValueError):
+            run(example1(), seed=1, **counts)
+        with pytest.raises(ValueError):
+            replicate(example1(), 1, n_reps=2, **counts)
+    with pytest.raises(ValueError):
+        replicate(example1(), 1, n_reps=True, n_cycles=10)
 
 
 def test_t975_never_below_the_true_quantile():
