@@ -30,4 +30,6 @@ class UnsupportedEvaluation(PriopollError):
 
 
 class IllConditioned(PriopollError):
-    """A numerically extracted moment has an error estimate above tolerance."""
+    """A result's error bound is above tolerance: a numerically extracted
+    moment's error estimate, or the rounding bound 2^-53/(1 - rho) of the
+    exact moments on a load too close to saturation (``GfEvaluator.moments``)."""

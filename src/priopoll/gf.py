@@ -31,15 +31,24 @@ therefore follow one affine map per visit, which acts only through the mean
 visit time: its linear part is a rank-one update of the identity with the
 visited queue's coordinates zeroed, so a visit carries the second moments in
 one O(N^2) pass, and the cycle's mean map factors as P = U W through the N
-visit times.  ``moments`` solves the first two orders' fixed points as
-linear systems in N and, the second being symmetric, N(N+1)/2 unknowns.
-``third_moments`` reads order three only where it is used, without forming
-a (2N)^3 tensor: it pulls rows back through the visits and projects each
-visit's contribution onto them, onto the N visit times for a doubling sum
-in N^3, which ends once a bound proves that the next step would change no
-entry, and onto each queue's distinct spans (``spans``): one for a gated or
-an exhaustive queue, whose two coordinates count arrivals over the same
-period, and two for a mixed one.
+visit times.  Order one needs no solve: a coordinate's mean is the mean of
+the span it counts arrivals over, a sum of mean visit and switch-over times.
+Orders two and three are nonnegative series in the visit times' map M = W U,
+summed on N^k entries by one doubling (``_power_series``) that ends once a
+bound proves that the next step would change no entry.  ``third_moments``
+reads order three only where it is used, without forming a (2N)^3 tensor:
+it pulls rows back through the visits and projects each visit's
+contribution onto them, onto the N visit times for the doubling and onto
+each queue's distinct spans (``spans``): one for a gated or an exhaustive
+queue, whose two coordinates count arrivals over the same period, and two
+for a mixed one.
+
+Near saturation the moments grow like 1/(1 - rho), and so does the error
+that the rounding of the rates leaves in them: a relative 2^-53 in the
+load moves the moments by about 2^-53/(1 - rho) relative, which the
+conservation residual tracks within a factor of about 2.  ``moments``
+raises ``IllConditioned`` where that bound passes ``_GUARD`` = 1e-6, that
+is, for 1 - rho < 1.11e-10, rather than return numbers it cannot vouch for.
 """
 
 from __future__ import annotations
@@ -49,13 +58,15 @@ from functools import cached_property
 from operator import mul
 
 from .busyperiod import BusyPeriod, ServiceMix
-from .errors import NoConvergence
+from .errors import IllConditioned, NoConvergence
 from .model import CLEARED, DerivedRates, PollingModel, validate
 
 __all__ = ["GfEvaluator"]
 
 _TOL = 1e-15  # log_value stops once a whole cycle adds less than this
-_STOP = 2.0 ** -55  # _power_series3 stops once the next step adds less than this
+_STOP = 2.0 ** -55  # _power_series stops once the next step adds less than this
+_STEPS = 64  # doubling steps allowed per moment order: a time bound only
+_GUARD = 1e-6  # moments refuses loads whose rounding bound 2^-53/(1 - rho) passes this
 
 
 class GfEvaluator:
@@ -63,7 +74,8 @@ class GfEvaluator:
 
     All methods are pure; per-call scratch state only, so instances may be
     shared across threads.  The one attribute built on first use
-    (``_periods``) is the same whichever thread builds it.
+    (``_periods``) is the same whichever thread builds it.  ``max_cycles``
+    bounds ``log_value`` alone; the moments are bounded by the load guard.
     """
 
     def __init__(self, model: PollingModel, derived: DerivedRates | None = None,
@@ -220,34 +232,38 @@ class GfEvaluator:
 
         In these units coordinate k holds the moments of the span S_k it
         counts arrivals over (the cycle or intervisit of ``transforms``),
-        E(S_k) and E(S_k S_l), finite for every rate, zero included.  A visit
-        maps (m, f) to (S m, S f S^T + keep keep^T sum_c lam_c E(T_c^2) m_c)
-        and a switch-over adds its length to every span.  The cycle's mean map
-        is P = U W (``_factors``), so its fixed points m_0 = P m_0 + b and
-        f_0 = P f_0 P^T + R are solved in the N visit times, with M = W U:
-        m_0 = b + U q, q = M q + W b; f_0 = R + U Q U^T, Q = M Q M^T + W R W^T.
-        b is one pass of the means alone; Q is symmetric, so its solve has the
-        N(N+1)/2 unknowns Q_ab, a <= b, where Q_cd (c < d) enters row ab with
-        the coefficient M_ac M_bd + M_ad M_bc.
+        E(S_k) and E(S_k S_l), finite for every rate, zero included.  At
+        queue 0's visit beginning, E(S_k) of queue j's kept coordinate is the
+        time since queue j's visit began, sum_(l >= j) of the mean visit and
+        switch-over times l, and of a cleared one that less queue j's visit.
+        A visit maps (m, f) to (S m, S f S^T + keep keep^T sum_c lam_c
+        E(T_c^2) m_c) and a switch-over adds its length to every span.  The
+        cycle's mean map is P = U W (``_factors``), so the fixed point of f_0
+        = P f_0 P^T + R, R one cycle's contribution, is f_0 = R + U Q U^T
+        with Q = sum_k M^k W R W^T (M^T)^k, M = W U, summed by
+        ``_power_series`` on the N^2 entries of Q.
+
+        Raises IllConditioned when 2^-53/(1 - rho) passes ``_GUARD`` (see the
+        module docstring), before any work.
         """
-        n, n2 = self.n, 2 * self.n
-        u, w, wu = self._u, self._w, self._wu
-        b = [0.0] * n2
-        for j, (es, _, _) in enumerate(self._swo):
-            b = [y + es for y in self._visit(j, b)]
-        m0 = [x + y for x, y in zip(b, _apply(u, _fixed_point(wu, _apply(w, b))))]
+        rho = self.derived.rho_total
+        bound = 2.0 ** -53 / (1.0 - rho)
+        if bound > _GUARD:
+            raise IllConditioned(
+                f"load {rho!r} is too close to 1: rounding alone may move the "
+                f"moments by {bound:.3g} relative, above {_GUARD:g}")
+        n2 = 2 * self.n
+        m0, tail = [0.0] * n2, 0.0
+        for j in reversed(range(self.n)):
+            visit = self.derived.mean_visit[j]
+            tail += visit + self._swo[j][0]
+            m0[2 * j:2 * j + 2] = (tail if k else tail - visit
+                                   for k in self._keep[j][2 * j:2 * j + 2])
         r = self._cycle(m0, [[0.0] * n2 for _ in range(n2)])[-1][1]
-        v = _product(_product(w, r), list(zip(*w)))
-        pairs = [(a, b) for a in range(n) for b in range(a, n)]
-        x = _fixed_point([[ma[c] * mb[d] + ma[d] * mb[c] if c < d else ma[c] * mb[c]
-                           for c, d in pairs]
-                          for ma, mb in ((wu[a], wu[b]) for a, b in pairs)],
-                         [v[a][b] for a, b in pairs])
-        q = [[0.0] * n for _ in range(n)]
-        for (a, b), qab in zip(pairs, x):
-            q[a][b] = q[b][a] = qab
-        uqu = _product(_product(u, q), list(zip(*u)))
-        f0 = [[x + y for x, y in zip(ra, qa)] for ra, qa in zip(r, uqu)]
+        q = self._series(_cube(self._w, [x for row in r for x in row], 2), 2)
+        uqu = _cube(self._u, q, 2)
+        f0 = [[x + y for x, y in zip(row, uqu[k * n2:(k + 1) * n2])]
+              for k, row in enumerate(r)]
         return self._cycle(m0, f0)[:-1]
 
     def third_moments(self, states: list) -> list:
@@ -261,10 +277,8 @@ class GfEvaluator:
         the third moments t_j at queue j's visit beginning follow t_(j+1) =
         S_j^(x3) t_j + c_j, c_j from (m_j, f_j) and the switch-over, and a
         cycle maps t to P^(x3) t + r.  Its fixed point is t_0 = r + U^(x3) q,
-        with the visit times' moments q = sum_k M^(x3 k) W^(x3) r
-        (``moments``) summed by doubling (``_power_series3``, which stops
-        once the next step provably changes no entry); raises NoConvergence
-        past ``max_cycles`` cycles, as ``log_value`` does.  Every tensor is
+        with the visit times' moments q = sum_k M^(x3 k) W^(x3) r summed by
+        ``_power_series``, as ``moments`` sums order two.  Every tensor is
         read through rows pulled back over the visits (``_project``): W^(x3)
         r over one cycle, and queue i's block from one unit row per distinct
         span (``spans``) over the visits since queue 0's, then U^(x3) q, then
@@ -275,20 +289,26 @@ class GfEvaluator:
         u = self._u
         latest_first = range(n - 1, -1, -1)
         _, wr = self._project(self._w, [0.0] * n**3, latest_first, states)
-        q = _power_series3(self._wu, wr, self.max_cycles)
-        if q is None:
-            raise NoConvergence(
-                f"third visit-beginning moments did not converge within "
-                f"{self.max_cycles} cycles (load {self.derived.rho_total:.6g})")
+        q = self._series(wr, 3)
         out = []
         for i, span in enumerate(self.spans):
             p = span[1] + 1
             h = [[float(k == l) for l in range(2 * n)] for k in range(2 * i, 2 * i + p)]
             h, t = self._project(h, [0.0] * p**3, range(i - 1, -1, -1), states)
-            t = [x + y for x, y in zip(t, _cube(_product(h, u), q))]
+            t = [x + y for x, y in zip(t, _cube(_product(h, u), q, 3))]
             t = self._project(h, t, latest_first, states)[1]
             out.append([[[t[(a * p + b) * p + c] for c in span] for b in span] for a in span])
         return out
+
+    def _series(self, r: list, k: int) -> list:
+        """sum_j M^(xk j) r over the visit times, by ``_power_series``;
+        raises NoConvergence past ``_STEPS`` doubling steps."""
+        t = _power_series(self._wu, r, k, _STEPS)
+        if t is None:
+            raise NoConvergence(
+                f"order-{k} visit-beginning moments did not converge within {_STEPS} "
+                f"doubling steps (load {self.derived.rho_total:.6g})")
+        return t
 
     def _project(self, h: list, t: list, visits, states: list) -> tuple:
         """Adds the contributions of ``visits`` (latest first) to t as seen
@@ -414,71 +434,46 @@ class GfEvaluator:
         return -math.expm1(self.log_value(i, zeta))
 
 
-def _apply(a: list, x: list) -> list:
-    return [sum(map(mul, row, x)) for row in a]
-
-
 def _product(a: list, b: list) -> list:
     cols = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
-def _cube(a: list, t: list) -> list:
-    """a^(x3) t: the matrix a (p x n) applied along each index of a flat
-    n x n x n tensor.  Each pass dots a's rows with the contiguous fibres of
-    the last index, row-major over (row, fibre), so the mapped index comes
-    out in front and after three passes the layout is (a b c) again."""
+def _cube(a: list, t: list, k: int) -> list:
+    """a^(xk) t: the matrix a (p x n) applied along each index of a flat
+    order-k tensor of n^k entries.  Each pass dots a's rows with the
+    contiguous fibres of the last index, row-major over (row, fibre), so the
+    mapped index comes out in front and after k passes the layout is the
+    original one again."""
     n = len(a[0])
-    for _ in range(3):
+    for _ in range(k):
         fibres = list(zip(*[iter(t)] * n))
         t = [sum(map(mul, row, f)) for row in a for f in fibres]
     return t
 
 
-def _power_series3(p: list, r: list, max_terms: int) -> list | None:
-    """sum_k p^(x3 k) r, the fixed point of t = p^(x3) t + r, by doubling:
-    t <- t + a^(x3) t and a <- a a, so that t sums 2^s terms after s steps
-    (flat tensors, as ``_cube`` takes them).  Every term is nonnegative, so
-    each entry of the next step's increment is at most g^3 max(t), g the
-    largest row sum of the squared a.  Once g^3 max(t) < 2^-55 min(t) that
-    increment is below half an ulp of every entry, with a factor 2 to spare
-    for the rounding of the bound, so the next step would change no entry
-    and the sum ends here, with the same bits.  It also ends at a step that
-    changes no entry, and is None when either takes more than about
-    ``max_terms`` terms: the stop returns only where a further step is
-    allowed.  ``third_moments`` passes the visit times' map M (N x N), so
-    every step works on N^3 entries.  g is read as the largest entry of
-    a (a 1) before squaring, so the sum ends without the squaring it would
-    not use."""
+def _power_series(p: list, r: list, k: int, steps: int) -> list | None:
+    """sum_j p^(xk j) r, the fixed point of t = p^(xk) t + r, by doubling:
+    t <- t + a^(xk) t and a <- a a, so that t sums 2^s terms after s steps
+    (flat order-k tensors, as ``_cube`` takes them).  Every term is
+    nonnegative, so each entry of the next step's increment is at most g^k
+    max(t), g the largest row sum of the squared a.  Once g^k max(t) < 2^-55
+    min(t) that increment is below half an ulp of every entry, with a factor
+    2 to spare for the rounding of the bound, so the next step would change
+    no entry and the sum ends here, with the same bits.  It also ends at a
+    step that changes no entry, and is None when either takes more than
+    ``steps`` steps: the stop returns only where a further step is allowed.
+    ``moments`` (k = 2) and ``third_moments`` (k = 3) pass the visit times'
+    map M (N x N), so every step works on N^k entries."""
     a, t = p, r
-    steps = max_terms.bit_length()
     for s in range(steps):
-        new = [x + y for x, y in zip(t, _cube(a, t))]
+        new = [x + y for x, y in zip(t, _cube(a, t, k))]
         if new == t:
             return t
         t = new
         if s + 1 == steps:
             break
-        if max(_apply(a, list(map(sum, a)))) ** 3 * max(t) < _STOP * min(t):
-            return t
         a = _product(a, a)
+        if max(map(sum, a)) ** k * max(t) < _STOP * min(t):
+            return t
     return None
-
-
-def _fixed_point(a: list, b: list) -> list:
-    """x with x = a x + b by Gaussian elimination with partial pivoting."""
-    n = len(b)
-    rows = [[float(k == c) - x for c, x in enumerate(row)] + [v]
-            for k, (row, v) in enumerate(zip(a, b))]
-    for k in range(n):
-        p = max(range(k, n), key=lambda r: abs(rows[r][k]))
-        rows[k], rows[p] = rows[p], rows[k]
-        pivot = rows[k]
-        for row in rows[k + 1:]:
-            g = row[k] / pivot[k]
-            if g:
-                row[k:] = [v - g * pv for v, pv in zip(row[k:], pivot[k:])]
-    x = [0.0] * n
-    for k in reversed(range(n)):
-        x[k] = (rows[k][n] - sum(map(mul, rows[k][k + 1:n], x[k + 1:]))) / rows[k][k]
-    return x

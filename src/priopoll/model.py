@@ -70,6 +70,10 @@ class QueueSpec:
             raise NonpositiveParameter("service_high required when lambda_high > 0")
         if self.lambda_low > 0 and self.service_low is None:
             raise NonpositiveParameter("service_low required when lambda_low > 0")
+        for _, label, _, service in self.classes:
+            if service.mean <= 0.0:
+                raise NonpositiveParameter(
+                    f"class {label} has arrivals but a zero-mean service")
 
     @property
     def classes(self) -> tuple:

@@ -197,6 +197,18 @@ def test_malformed_model_exit_code(field, text, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", [["analyze"], ["check"], ["compare", "--queues", "1"]])
+def test_zero_mean_service_exit_code(command, tmp_path, capsys):
+    # a zero-length service is a legal distribution but not for a class
+    # with arrivals: a typed error, not a ZeroDivisionError traceback
+    cfg = json.loads((DATA / "example1.json").read_text())
+    cfg["queues"][0]["service_high"] = {"family": "deterministic", "params": {"value": 0.0}}
+    path = tmp_path / "zero_service.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main([command[0], "--model", str(path), *command[1:]]) == 1
+    assert capsys.readouterr().err.startswith("error: class H has arrivals but a zero-mean")
+
+
 def test_mixed_queue_without_low_class_exit_code(tmp_path):
     cfg = {"queues": [{"lambda_high": 0.3, "discipline": "mixed_ge",
                        "service_high": {"family": "exponential",

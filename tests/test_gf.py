@@ -1,6 +1,7 @@
 """Visit-beginning GF: normalization, monotonicity, first-moment identities."""
 
 import dataclasses
+import itertools
 import math
 import time
 from operator import mul
@@ -12,10 +13,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from zoo import (example1, example2, heavy_traffic, published_models, random_model,
                  single_vacation_queue)
 from priopoll import (DISCIPLINES, EXHAUSTIVE, GATED, MIXED, Analyzer, Deterministic,
-                      Erlang, Exponential, GfEvaluator, Hyperexponential, NoConvergence,
-                      PollingModel, PriopollError, QueueSpec, TransformHandle, Uniform,
+                      Erlang, Exponential, GfEvaluator, Hyperexponential, IllConditioned,
+                      NoConvergence, PollingModel, QueueSpec, TransformHandle, Uniform,
                       lst_moment, validate)
-from priopoll.gf import _cube, _power_series3, _product
+from priopoll.gf import _STEPS, _cube, _power_series, _product
 
 
 def test_normalized_at_all_ones():
@@ -184,6 +185,23 @@ def test_moments_are_the_cycle_fixed_point(name):
             assert row_img == pytest.approx(row, rel=1e-13)
 
 
+def test_means_only_report_at_32_queues():
+    # order 1 in closed form and order 2 summed on N^2 entries: the
+    # means-only report at N = 32 takes well under a second, and its states
+    # are the one-cycle fixed point
+    model = _baseline_family(32, 0.6)
+    start = time.perf_counter()
+    report = Analyzer(model).report(include_variances=False)
+    assert time.perf_counter() - start < 1.0
+    assert len(report.classes) == 64 and report.pcl_residual < 1e-9
+    gf = GfEvaluator(model)
+    states = gf.moments()
+    for (m, f), (m_img, f_img) in zip(states + states[:1], gf._cycle(*states[0])):
+        assert m_img == pytest.approx(m, rel=1e-12)
+        for row, row_img in zip(f, f_img):
+            assert row_img == pytest.approx(row, rel=1e-12)
+
+
 @pytest.mark.parametrize("name", MOMENT_MODELS)
 def test_factors_compose_the_cycle_mean_map(name):
     # U W equals P, whose columns are the unit spans carried around a cycle
@@ -204,10 +222,10 @@ def _two_row_block(gf, states, i):
     n = gf.n
     latest_first = range(n - 1, -1, -1)
     wr = gf._project(gf._w, [0.0] * n**3, latest_first, states)[1]
-    q = _power_series3(gf._wu, wr, gf.max_cycles)
+    q = _power_series(gf._wu, wr, 3, _STEPS)
     h = [[float(k == l) for l in range(2 * n)] for k in (2 * i, 2 * i + 1)]
     h, t = gf._project(h, [0.0] * 8, range(i - 1, -1, -1), states)
-    t = [x + y for x, y in zip(t, _cube(_product(h, gf._u), q))]
+    t = [x + y for x, y in zip(t, _cube(_product(h, gf._u), q, 3))]
     return gf._project(h, t, latest_first, states)[1]
 
 
@@ -234,16 +252,46 @@ def test_one_span_coordinates_agree_to_the_bit(name):
         assert _two_row_block(gf, states, i) == block
 
 
-def test_means_answer_near_critical_load():
-    # rho = 1 - 1e-10: means solve directly, variances hit the doubling cap
-    model = example1()
-    model = dataclasses.replace(model, queues=(
-        dataclasses.replace(model.queues[0], lambda_low=0.5999999999),) + model.queues[1:])
-    report = Analyzer(model).report(include_variances=False)
-    waits = [c.mean_wait for c in report.classes]
-    assert len(waits) == 3 and all(0.0 < w < math.inf for w in waits)
-    with pytest.raises(NoConvergence):
-        Analyzer(model).report()
+@pytest.mark.parametrize("gap", [1e-6, 1e-8, 1e-9, 2e-10, 1.2e-10])
+def test_heavy_traffic_answers_below_the_guard(gap):
+    # below the load guard, 1 - rho >= 1.11e-10, the means and variances
+    # answer and conserve work within the guard's bound 2^-53/(1 - rho)
+    report = Analyzer(heavy_traffic(1.0 - gap)).report()
+    assert len(report.classes) == 4
+    for r in report.classes:
+        assert 0.0 < r.mean_wait < math.inf
+        assert 0.0 < r.var_wait < math.inf
+    assert report.pcl_residual <= 1e-6
+
+
+@pytest.mark.parametrize("gap", [1e-10, 1e-12, 1e-14, 2.0 ** -53])
+def test_loads_past_the_guard_raise_ill_conditioned(gap):
+    # past the guard the moments refuse at once, for means and variances
+    # alike, where the rounding of the rates alone could move them by more
+    # than 1e-6; without the guard the means read a conservation residual
+    # of 1.95 at 1 - 2^-53 and 0.8% at 1 - 1e-14
+    model = heavy_traffic(1.0 - gap)
+    for include_variances in (False, True):
+        start = time.perf_counter()
+        with pytest.raises(IllConditioned, match="too close to 1"):
+            Analyzer(model).report(include_variances=include_variances)
+        assert time.perf_counter() - start < 1.0
+
+
+def test_guard_sits_where_rounding_reaches_1e_6():
+    # example1 at rho = 1 - 1e-10 (the exit-3 model of the CLI tests) is
+    # past the guard, and at a gap of 1.2e-10 it is not
+    for low, refused in ((0.5999999999, True), (0.59999999988, False)):
+        model = example1()
+        model = dataclasses.replace(model, queues=(
+            dataclasses.replace(model.queues[0], lambda_low=low),) + model.queues[1:])
+        gap = 1.0 - validate(model).rho_total
+        assert (2.0 ** -53 / gap > 1e-6) == refused
+        if refused:
+            with pytest.raises(IllConditioned):
+                GfEvaluator(model).moments()
+        else:
+            assert Analyzer(model).report(include_variances=False).pcl_residual <= 1e-6
 
 
 def _third_moment_cycle(gf, m, f, t):
@@ -309,45 +357,42 @@ def test_third_moments_are_the_cycle_fixed_point():
                         assert block[a][b][c] == pytest.approx(block[c][a][b], rel=1e-13)
 
 
-def test_third_moments_near_critical_load_raise_no_convergence():
-    from priopoll import Exponential, PollingModel, QueueSpec
+def test_third_moments_ignore_max_cycles():
+    # max_cycles bounds only the reference route, log_value: at rho = 1 -
+    # 1e-7 the moments sum in a few dozen doubling steps whatever it is
     model = PollingModel(
         queues=(QueueSpec(0.5, 0.4999999, Exponential(1.0), Exponential(1.0)),),
         switchovers=(Exponential(1.0),),
     )
-    gf = GfEvaluator(model, max_cycles=200)
-    with pytest.raises(NoConvergence):
-        gf.third_moments(gf.moments())
+    capped, free = GfEvaluator(model, max_cycles=200), GfEvaluator(model)
+    states = capped.moments()
+    assert states == free.moments()
+    assert capped.third_moments(states) == free.third_moments(states)
 
 
-def test_variances_stop_between_rho_0_9999_and_0_99999():
-    # the doubling's cap puts the boundary of the variances between these
-    # loads on the heavy-traffic model; beyond it report() fails fast and
-    # typed, and the means still answer
-    report = Analyzer(heavy_traffic(0.9999)).report()
-    assert len(report.classes) == 4
-    assert all(math.isfinite(r.var_wait) and r.var_wait > 0.0 for r in report.classes)
-    model = heavy_traffic(0.99999)
-    start = time.perf_counter()
-    with pytest.raises(NoConvergence):
-        Analyzer(model).report()
-    assert time.perf_counter() - start < 1.0
-    means = Analyzer(model).report(include_variances=False)
-    assert all(math.isfinite(r.mean_wait) and r.mean_wait > 0.0 for r in means.classes)
+def test_variances_answer_past_rho_0_99999():
+    # the order-3 doubling is bounded by the load guard, not by a cycle
+    # count: the variances answer at 0.99999 and on towards the guard, and
+    # (1 - rho) E(W_H) at the mixed queue settles at the rate 1 - rho
+    gaps, scaled = (1e-4, 1e-5, 1e-7, 1e-9), []
+    for gap in gaps:
+        start = time.perf_counter()
+        report = Analyzer(heavy_traffic(1.0 - gap)).report()
+        assert time.perf_counter() - start < 1.0
+        assert all(math.isfinite(r.var_wait) and r.var_wait > 0.0 for r in report.classes)
+        scaled.append(gap * report.classes[0].mean_wait)
+    for gap, x in zip(gaps, scaled):
+        assert abs(x - scaled[-1]) < 2.0 * gap
 
 
-def _power_series3_without_stop(p, r):
-    """sum_k p^(x3 k) r on nested n x n x n lists, doubled until a step
-    changes no entry: the sum with neither the early stop nor the cap, and
-    the number of steps it took, the confirming one included."""
+def _power_series_without_stop(p, r, k):
+    """sum_j p^(xk j) r doubled until a step changes no entry, each step
+    mapped by ``_cube_by_rotation``: the sum with neither the early stop nor
+    the step cap, and the number of steps it took, the confirming one
+    included."""
     a, t = p, r
     for step in range(1, 200):
-        c = t
-        for _ in range(3):
-            v = [[[sum(map(mul, row, fibre)) for row in a] for fibre in mat] for mat in c]
-            c = [[[vab[k] for vab in va] for va in v] for k in range(len(a))]
-        new = [[[x + y for x, y in zip(xr, yr)] for xr, yr in zip(xm, ym)]
-               for xm, ym in zip(t, c)]
+        new = [x + y for x, y in zip(t, _cube_by_rotation(a, t, k))]
         if new == t:
             return t, step
         t, a = new, [[sum(map(mul, row, col)) for col in zip(*a)] for row in a]
@@ -357,27 +402,44 @@ def _power_series3_without_stop(p, r):
 STOP_MODELS = {**published_models(), "baseline_5_rho_0.6": _baseline_family(5, 0.6)}
 
 
+def _series_source(gf, k):
+    """What ``moments`` (k = 2) and ``third_moments`` (k = 3) sum over the
+    visit times: W R W^T and W^(x3) r, flat."""
+    n = gf.n
+    states = gf.moments()
+    if k == 3:
+        return gf._project(gf._w, [0.0] * n**3, range(n - 1, -1, -1), states)[1]
+    r = gf._cycle(states[0][0], [[0.0] * 2 * n for _ in range(2 * n)])[-1][1]
+    return _cube(gf._w, [x for row in r for x in row], 2)
+
+
 @pytest.mark.parametrize("name", STOP_MODELS)
 def test_doubling_stop_returns_the_full_sum(name):
-    # the stop returns the bits of the step that would confirm it, and only
-    # where the cap allows that step: max_terms with bit length L allows L
+    # for both orders the stop returns the bits of the step that would
+    # confirm it, and only where the step cap allows that step
     gf = GfEvaluator(STOP_MODELS[name])
-    n = gf.n
-    _, wr = gf._project(gf._w, [0.0] * n**3, range(n - 1, -1, -1), gf.moments())
-    nested = [[wr[(a * n + b) * n:(a * n + b + 1) * n] for b in range(n)] for a in range(n)]
-    full, steps = _power_series3_without_stop(gf._wu, nested)
-    full = [x for mat in full for row in mat for x in row]
-    assert _power_series3(gf._wu, wr, gf.max_cycles) == full
-    assert _power_series3(gf._wu, wr, 2 ** (steps - 1)) == full
-    assert _power_series3(gf._wu, wr, 2 ** (steps - 2)) is None
+    for k in (2, 3):
+        r = _series_source(gf, k)
+        full, steps = _power_series_without_stop(gf._wu, r, k)
+        assert _power_series(gf._wu, r, k, _STEPS) == full
+        assert _power_series(gf._wu, r, k, steps) == full
+        assert _power_series(gf._wu, r, k, steps - 1) is None
 
 
-def _cube_by_rotation(a, t):
-    """a^(x3) t by rotation, the reference for ``_cube``'s layout: dot every
+def test_step_cap_raises_no_convergence(monkeypatch):
+    # the step cap is a time bound: a sum it cuts short is a typed error
+    gf = GfEvaluator(example2())
+    monkeypatch.setattr("priopoll.gf._STEPS", 3)
+    with pytest.raises(NoConvergence, match="order-2 .* within 3 doubling steps"):
+        gf.moments()
+
+
+def _cube_by_rotation(a, t, k):
+    """a^(xk) t by rotation, the reference for ``_cube``'s layout: dot every
     fibre with a's rows, then rotate the mapped index to the front with
     strided slices."""
     n, p = len(a[0]), len(a)
-    for _ in range(3):
+    for _ in range(k):
         v = [sum(map(mul, row, fibre))
              for fibre in [t[x:x + n] for x in range(0, len(t), n)] for row in a]
         t = [x for c in range(p) for x in v[c::p]]
@@ -387,17 +449,18 @@ def _cube_by_rotation(a, t):
 @pytest.mark.parametrize("n", range(1, 5))
 def test_cube_is_the_rotation_form_to_the_bit(n):
     # the same dot products in the same order, only laid out directly: the
-    # rotation form's bits, and the direct triple sum to rounding
+    # rotation form's bits, and the direct k-fold sum to rounding, for the
+    # orders 2 and 3 that the moments sum
     rng = np.random.default_rng(n)
-    for p in sorted({1, 2, n}):
+    for p, k in itertools.product(sorted({1, 2, n}), (2, 3)):
         for _ in range(5):
             a = rng.random((p, n)).tolist()
-            t = rng.random(n**3).tolist()
-            got = _cube(a, t)
-            assert got == _cube_by_rotation(a, t)
-            direct = [sum(a[i][x] * a[j][y] * a[k][z] * t[(x * n + y) * n + z]
-                          for x in range(n) for y in range(n) for z in range(n))
-                      for i in range(p) for j in range(p) for k in range(p)]
+            t = rng.random(n**k).tolist()
+            got = _cube(a, t, k)
+            assert got == _cube_by_rotation(a, t, k)
+            direct = [sum(math.prod(a[i][x] for i, x in zip(out, at)) * t[pos]
+                          for pos, at in enumerate(itertools.product(range(n), repeat=k)))
+                      for out in itertools.product(range(p), repeat=k)]
             assert got == pytest.approx(direct, rel=1e-14, abs=0.0)
 
 
@@ -410,7 +473,7 @@ _FAMILIES = (Exponential, Deterministic, lambda mean: Erlang(3, mean),
 def _models(draw, max_n):
     """N <= max_n queues under any discipline, each with a high class, a
     low class or both, services and switch-overs of every family, scaled to
-    a load of at most 0.99."""
+    a load of at most 0.9999."""
     def dist(lo, hi):
         return draw(st.sampled_from(_FAMILIES))(draw(st.floats(lo, hi)))
 
@@ -424,7 +487,7 @@ def _models(draw, max_n):
                       draw(st.sampled_from(DISCIPLINES))))
     load = sum(lh * sh.mean if sh else 0.0 for lh, _, sh, _, _ in specs) + \
         sum(ll * sl.mean if sl else 0.0 for _, ll, _, sl, _ in specs)
-    scale = draw(st.floats(0.01, 0.99)) / load
+    scale = draw(st.floats(0.01, 0.9999)) / load
     return PollingModel(
         queues=tuple(QueueSpec(lh * scale, ll * scale, sh, sl, d) for lh, ll, sh, sl, d in specs),
         switchovers=tuple(dist(0.1, 10.0) for _ in range(n)))
@@ -478,12 +541,9 @@ def test_moments_on_drawn_models(model):
 @given(_models(max_n=4))
 def test_report_on_drawn_models(model):
     # every drawn model gets positive, finite means and variances of its
-    # waits and conserves work, or raises a typed error; each within a second
+    # waits and conserves work, each within a second
     start = time.perf_counter()
-    try:
-        report = Analyzer(model).report()
-    except PriopollError:
-        return
+    report = Analyzer(model).report()
     assert time.perf_counter() - start < 1.0
     for r in report.classes:
         assert 0.0 < r.mean_wait < math.inf

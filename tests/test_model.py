@@ -65,6 +65,18 @@ def test_queue_needs_positive_rate():
         QueueSpec(0.1, 0.0, None, None)  # missing service_high
 
 
+def test_zero_mean_service_with_arrivals_rejected():
+    with pytest.raises(NonpositiveParameter, match="class H .* zero-mean service"):
+        QueueSpec(0.1, 0.2, Deterministic(0.0), Exponential(1.0))
+    with pytest.raises(NonpositiveParameter, match="class L .* zero-mean service"):
+        QueueSpec(0.0, 0.2, None, Deterministic(0.0), GATED)
+    # a class without arrivals may carry a zero-length service, and a
+    # zero-length switch-over stays legal beside a positive one
+    q = QueueSpec(0.0, 0.2, Deterministic(0.0), Exponential(1.0))
+    assert [c[0] for c in q.classes] == [1]
+    validate(PollingModel(queues=(q, q), switchovers=(Deterministic(0.0), Exponential(1.0))))
+
+
 def test_classes_list_the_classes_with_arrivals():
     q = QueueSpec(0.0, 0.2, None, Exponential(1.0), GATED)
     assert q.service_high is None
