@@ -81,7 +81,11 @@ def golden_sim_stats():
         for call, stats in (
                 ("run", run(m, seed=3, n_cycles=600)),
                 ("replicate", replicate(m, 7, n_reps=3, n_cycles=800,
-                                        parallel=False))):
+                                        parallel=False)),
+                # the warm-up boundary at the first visit, and a run that
+                # measures one cycle, closed by the final queue-0 beginning
+                ("run_warmup0", run(m, seed=3, n_cycles=60, warmup_cycles=0)),
+                ("run_one_cycle", run(m, seed=3, n_cycles=61, warmup_cycles=60))):
             out[f"{label}/{call}"] = {f.name: _plain(getattr(stats, f.name))
                                       for f in dataclasses.fields(stats)}
     return out
@@ -111,6 +115,8 @@ _TRACED_MODELS = (
     ("example1_mixed", lambda: example1(MIXED)),
     ("example2_exhaustive_mixed", lambda: example2(EXHAUSTIVE, MIXED)),
     ("hyperexponential_mixed_gated", dict(_GOLDEN_MODELS)["hyperexponential_mixed_gated"]),
+    # every visit is queue 0's, so each one closes a cycle
+    ("single_queue_mixed", lambda: single_vacation_queue(MIXED)),
 )
 
 
