@@ -40,7 +40,16 @@ finishes clearing the high-priority work that arrived during that customer's
 service (its completion time) under mixed/exhaustive service, matching the
 sojourn convention of the analytic queue-length results.
 
-Per-run sums are the ``_Tally`` fields of ``_RepResult``; ``_aggregate`` merges runs.
+Everything a visit reads and writes about its queue lives in one list, the
+queue's record: each class's next arrival, wait tally and queue-length area,
+the previous visit's beginning and end, the cycle, intervisit and visit
+tallies and the visit-beginning state sums.  A visit unpacks the record into
+locals in one statement and stores it back in one slice assignment.  The
+loop runs cycle by cycle over the queues, so the warm-up start is decided
+once per cycle; the final queue-0 visit beginning only closes queue 0's last
+cycle.  At the end the records are read out column by column into the
+``_Tally`` fields, areas and state sums of ``_RepResult``; ``_aggregate``
+merges runs.
 """
 
 from __future__ import annotations
@@ -50,6 +59,7 @@ import os
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,15 +97,12 @@ class Event:
     arrival: float = math.nan
 
 
-class _Tally:
+class _Tally(NamedTuple):
     """Count, sum and sum of squares of a sample, one entry per index."""
 
-    __slots__ = ("n", "s", "s2")
-
-    def __init__(self, size: int):
-        self.n = [0] * size
-        self.s = [0.0] * size
-        self.s2 = [0.0] * size
+    n: tuple
+    s: tuple
+    s2: tuple
 
 
 @dataclass
@@ -129,167 +136,150 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     # per queue: arr_h, arr_l, svc_h, svc_l, swo
     rngs = [np.random.default_rng(c) for c in ss.spawn(5 * n)]
-
-    res = _RepResult(wait=_Tally(2 * n), cycle=_Tally(n), intervisit=_Tally(n),
-                     visit=_Tally(n), area=[0.0] * (2 * n),
-                     state=[[0.0, 0.0, 0.0] for _ in range(n)])
-    wait_n, wait_sum, wait_sumsq = res.wait.n, res.wait.s, res.wait.s2
-    cyc_n, cyc_s, cyc_s2 = res.cycle.n, res.cycle.s, res.cycle.s2
-    int_n, int_s, int_s2 = res.intervisit.n, res.intervisit.s, res.intervisit.s2
-    vis_n, vis_s, vis_s2 = res.visit.n, res.visit.s, res.visit.s2
-    area = res.area
-    events = res.events
+    events = []
     seq = 0
 
-    # class streams k = 2*j + cls_idx, where the rate is positive: the next
-    # arrival time and the arrivals after it
-    next_t = [math.inf] * (2 * n)
-    arrivals = [None] * (2 * n)
-    # per queue: its class streams, whether a visit clears each class, the
-    # streams' arrivals and service times, its switch-over times and
-    # visit-beginning state sums
+    # per queue: whether a visit clears each class, the class streams'
+    # arrivals and service times, its switch-over times and its record.  The
+    # record holds, per class c (0 high, 1 low), the next arrival at 5c, the
+    # wait tally (n, sum, sum of squares) at 5c+1 and the area at 5c+4; the
+    # last visit's beginning and end at 10 and 11; the cycle, intervisit and
+    # visit tallies at 12, 15 and 18; the state sums at 21.
     queues = []
     for j, q in enumerate(model.queues):
-        svc = [None, None]
+        arrivals, svc = [None, None], [None, None]
+        rec = [math.inf, 0, 0.0, 0.0, 0.0] * 2 + [-math.inf] * 2 + [0, 0.0, 0.0] * 3 + [0.0] * 3
         for c, _, rate, dist in q.classes:
-            k = 2 * j + c
-            arrivals[k] = _arrivals(rngs[5 * j + c], 1.0 / rate).__next__
-            next_t[k] = arrivals[k]()
+            arrivals[c] = _arrivals(rngs[5 * j + c], 1.0 / rate)
+            rec[5 * c] = next(arrivals[c])
             svc[c] = _stream(dist.sample_block, rngs[5 * j + 2 + c])
         cleared = CLEARED[q.discipline]
-        queues.append((2 * j, 2 * j + 1, 0 in cleared, 1 in cleared, arrivals[2 * j],
-                       arrivals[2 * j + 1], *svc,
-                       _stream(model.switchovers[j].sample_block, rngs[5 * j + 4]).__next__,
-                       res.state[j]))
+        queues.append((j, 0 in cleared, 1 in cleared, *arrivals, *svc,
+                       _stream(model.switchovers[j].sample_block, rngs[5 * j + 4]), rec))
 
     t = 0.0
     t_warm = None
     busy = 0.0
-    prev_begin = [-math.inf] * n
-    prev_end = [-math.inf] * n
-    q0_begins = 0
-    j = 0
-
-    while True:
-        # ---- visit beginning
-        if j == 0 and t_warm is None and q0_begins == warmup_cycles:
+    for cyc in range(n_cycles):
+        if cyc == warmup_cycles:
             t_warm = t
         measured = t_warm is not None  # t never falls back below t_warm
-        if measured and prev_begin[j] >= t_warm:
-            x = t - prev_begin[j]
-            cyc_n[j] += 1
-            cyc_s[j] += x
-            cyc_s2[j] += x * x
-        if j == 0:
-            if q0_begins == n_cycles:
-                break
-            q0_begins += 1
+        for j, read_h, read_l, arr_h, arr_l, svc_h, svc_l, swo, rec in queues:
+            (nh, hn, hs, hs2, ha, nl, ln, ls, ls2, la, prev_begin, prev_end,
+             cn, cs, cs2, gn, gs, gs2, vn, vs, vs2, sh, sl, shl) = rec
+            # ---- visit beginning
+            t_vb = t
+            if measured:
+                if prev_begin >= t_warm:
+                    x = t - prev_begin
+                    cn += 1
+                    cs += x
+                    cs2 += x * x
+                if prev_end >= t_warm:
+                    x = t - prev_end
+                    gn += 1
+                    gs += x
+                    gs2 += x * x
+            if trace:
+                events.append(Event(t, "visit_begin", seq, j))
+                seq += 1
 
-        kh, kl, read_h, read_l, nxt_h, nxt_l, svc_h, svc_l, swo, st = queues[j]
-        if measured and prev_end[j] >= t_warm:
-            x = t - prev_end[j]
-            int_n[j] += 1
-            int_s[j] += x
-            int_s2[j] += x * x
-        prev_begin[j] = t
-        t_vb = t
-        if trace:
-            events.append(Event(t, "visit_begin", seq, j))
-            seq += 1
-
-        # highs first, then one low, then highs again; each class is served
-        # straight from its stream while its next arrival is before the gate
-        # t_vb or, if the visit clears the class (read_h: mixed and
-        # exhaustive, read_l: exhaustive), before now.  xh and xl count the
-        # served customers that arrived before the gate: the visit-beginning
-        # state.  A served low stays in system (pending) until the highs that
-        # arrived during its service are done.
-        nh, nl = next_t[kh], next_t[kl]
-        xh = xl = 0
-        pending = None
-        hn, hs, hs2, ha = wait_n[kh], wait_sum[kh], wait_sumsq[kh], area[kh]
-        ln, ls, ls2, la = wait_n[kl], wait_sum[kl], wait_sumsq[kl], area[kl]
-        while True:
-            while nh < (t if read_h else t_vb):
-                arr = nh
-                nh = nxt_h()
-                dur = next(svc_h)
+            # highs first, then one low, then highs again; each class is
+            # served straight from its stream while its next arrival is
+            # before the gate t_vb or, if the visit clears the class (read_h:
+            # mixed and exhaustive, read_l: exhaustive), before now.  xh and
+            # xl count the served customers that arrived before the gate: the
+            # visit-beginning state.  A served low stays in system (pending)
+            # until the highs that arrived during its service are done.
+            xh = xl = 0
+            pending = None
+            while True:
+                while nh < (t if read_h else t_vb):
+                    arr = nh
+                    nh = next(arr_h)
+                    dur = next(svc_h)
+                    if arr < t_vb:
+                        xh += 1
+                    if trace:
+                        events.append(Event(t, "service_start", seq, j, "H", arr))
+                        events.append(Event(t + dur, "service_end", seq + 1, j, "H", arr))
+                        seq += 2
+                    if measured:
+                        if arr >= t_warm:
+                            w = t - arr
+                            hn += 1
+                            hs += w
+                            hs2 += w * w
+                        busy += dur
+                        t += dur
+                        ha += t - (arr if arr > t_warm else t_warm)
+                    else:
+                        t += dur
+                if pending is not None:
+                    la += t - (pending if pending > t_warm else t_warm)
+                    pending = None
+                if nl >= (t if read_l else t_vb):
+                    break
+                arr = nl
+                nl = next(arr_l)
+                dur = next(svc_l)
                 if arr < t_vb:
-                    xh += 1
+                    xl += 1
                 if trace:
-                    events.append(Event(t, "service_start", seq, j, "H", arr))
-                    events.append(Event(t + dur, "service_end", seq + 1, j, "H", arr))
+                    events.append(Event(t, "service_start", seq, j, "L", arr))
+                    events.append(Event(t + dur, "service_end", seq + 1, j, "L", arr))
                     seq += 2
                 if measured:
                     if arr >= t_warm:
                         w = t - arr
-                        hn += 1
-                        hs += w
-                        hs2 += w * w
+                        ln += 1
+                        ls += w
+                        ls2 += w * w
                     busy += dur
                     t += dur
-                    ha += t - (arr if arr > t_warm else t_warm)
+                    pending = arr
                 else:
                     t += dur
-            if pending is not None:
-                la += t - (pending if pending > t_warm else t_warm)
-                pending = None
-            if nl >= (t if read_l else t_vb):
-                break
-            arr = nl
-            nl = nxt_l()
-            dur = next(svc_l)
-            if arr < t_vb:
-                xl += 1
-            if trace:
-                events.append(Event(t, "service_start", seq, j, "L", arr))
-                events.append(Event(t + dur, "service_end", seq + 1, j, "L", arr))
-                seq += 2
+
+            # ---- visit end
             if measured:
-                if arr >= t_warm:
-                    w = t - arr
-                    ln += 1
-                    ls += w
-                    ls2 += w * w
-                busy += dur
-                t += dur
-                pending = arr
-            else:
-                t += dur
-        next_t[kh], next_t[kl] = nh, nl
-        wait_n[kh], wait_sum[kh], wait_sumsq[kh], area[kh] = hn, hs, hs2, ha
-        wait_n[kl], wait_sum[kl], wait_sumsq[kl], area[kl] = ln, ls, ls2, la
+                x = t - t_vb
+                vn += 1
+                vs += x
+                vs2 += x * x
+                sh += xh
+                sl += xl
+                shl += xh * xl
+            rec[:] = (nh, hn, hs, hs2, ha, nl, ln, ls, ls2, la, t_vb, t,
+                      cn, cs, cs2, gn, gs, gs2, vn, vs, vs2, sh, sl, shl)
+            t += next(swo)
+            if trace:
+                events.append(Event(t, "switch_end", seq, (j + 1) % n))
+                seq += 1
 
-        # ---- visit end
-        if measured:
-            x = t - t_vb
-            vis_n[j] += 1
-            vis_s[j] += x
-            vis_s2[j] += x * x
-            st[0] += xh
-            st[1] += xl
-            st[2] += xh * xl
-        prev_end[j] = t
-
-        t += swo()
-        j += 1
-        if j == n:
-            j = 0
-        if trace:
-            events.append(Event(t, "switch_end", seq, j))
-            seq += 1
-
-    res.busy = busy
-    res.t_warm = t_warm
-    res.t_end = t
+    # the final queue-0 visit beginning closes queue 0's last measured cycle
+    rec = queues[0][-1]
+    x = t - rec[10]
+    rec[12:15] = rec[12] + 1, rec[13] + x, rec[14] + x * x
     # customers still in system contribute queue-length area up to the horizon
-    if t_warm is not None and t > t_warm:
-        for k in range(2 * n):
-            arr = next_t[k]
-            while arr < t:
-                area[k] += t - (arr if arr > t_warm else t_warm)
-                arr = arrivals[k]()
-    return res
+    if t > t_warm:
+        for q in queues:
+            rec = q[-1]
+            for c, it in ((0, q[3]), (5, q[4])):
+                arr = rec[c]
+                while arr < t:
+                    rec[c + 4] += t - (arr if arr > t_warm else t_warm)
+                    arr = next(it)
+
+    recs = [q[-1] for q in queues]
+
+    def tally(*offsets):
+        return _Tally(*zip(*(r[o:o + 3] for r in recs for o in offsets)))
+
+    return _RepResult(wait=tally(1, 6), cycle=tally(12), intervisit=tally(15),
+                      visit=tally(18), area=[r[o] for r in recs for o in (4, 9)],
+                      state=[r[21:] for r in recs], busy=busy, t_warm=t_warm,
+                      t_end=t, events=events)
 
 
 def _stream(draw, *args):
