@@ -260,10 +260,10 @@ def _config_numbers(value, what: str) -> tuple:
 def distribution_from_config(cfg: dict) -> Distribution:
     """Build a Distribution from ``{"family": ..., "params": {...}}``.
 
-    Unknown families, unknown or missing parameters, parameters that are not
-    JSON numbers (lists of numbers for hyperexponential) and a fractional
-    Erlang shape are rejected with a ValueError so that malformed model files
-    fail loudly.
+    Unknown or non-string families, unknown or missing parameters, parameters
+    that are not JSON numbers (lists of numbers for hyperexponential) and a
+    fractional Erlang shape are rejected with a ValueError so that malformed
+    model files fail loudly.
     """
     if not isinstance(cfg, dict):
         raise ValueError(f"distribution config must be an object, got {type(cfg).__name__}")
@@ -271,7 +271,7 @@ def distribution_from_config(cfg: dict) -> Distribution:
     if unknown:
         raise ValueError(f"unknown distribution keys: {sorted(unknown)}")
     family = cfg.get("family")
-    if family not in _FAMILIES:
+    if not isinstance(family, str) or family not in _FAMILIES:
         raise ValueError(f"unknown distribution family {family!r}; "
                          f"expected one of {sorted(_FAMILIES)}")
     cls, allowed = _FAMILIES[family]

@@ -182,8 +182,9 @@ def test_bad_rate_exit_code(rate, tmp_path):
     ("service_low", '{"family": "erlang", "params": {"shape": Infinity, "mean": 1.0}}'),
     ("service_low", '{"family": "hyperexponential", "params": {"probs": 0.5, "means": [1.0]}}'),
     ("service_low", '{"family": "deterministic", "params": {"value": [1.0]}}'),
+    ("service_low", '{"family": ["exponential"], "params": {"mean": 1.0}}'),
 ], ids=["rate-list", "rate-bool", "shape-2.7", "shape-str", "shape-bool", "shape-inf",
-        "probs-scalar", "value-list"])
+        "probs-scalar", "value-list", "family-list"])
 def test_malformed_model_exit_code(field, text, tmp_path):
     cfg = json.loads((DATA / "example1.json").read_text())
     cfg["queues"][0][field] = "VALUE"
