@@ -8,27 +8,31 @@ variance asks for it and only on each queue's distinct spans), from which it
 also reads the cycle, intervisit and visit second moments and the
 polling-state cross moment.
 
-Each class's waiting-time LST of ``transforms`` is expanded in one power
-series about 0 (Faa di Bruno): the GF becomes the moments of queue i's one
-or two spans, and the service, busy-period and completion-time LSTs their
-moments.  E(W) is minus its omega^1 coefficient and E(W^2) twice its omega^2
-coefficient.  A series taken to omega^k reads moments up to order k + 1, so
-means never solve ``third_moments``.  No report path differentiates a
-transform numerically or evaluates the GF.  ``mean_wait_low_alt``
-differentiates the low-priority waiting-time transform for E(W_low),
-independent of the exact moments, for the dual-route checks; no report path
-calls it.
+Each class's waiting-time LST is written once, in
+``QueueTransforms.wait_high`` and ``wait_low``, and read here as one power
+series about 0 (``_SeriesReading``): the GF becomes the moments of queue i's
+one or two spans, and the service, busy-period and completion-time LSTs
+their moments composed with their arguments (Faa di Bruno).  E(W) is minus
+its omega^1 coefficient and E(W^2) twice its omega^2 coefficient.  A series
+taken to omega^k reads moments up to order k + 1, so means never solve
+``third_moments``.  No report path differentiates a transform numerically
+or evaluates the GF.  ``mean_wait_low_alt`` differentiates the float reading
+of the same transform for E(W_low); no report path calls it.  The two
+readings share the decomposition, so comparing them checks the exact moment
+layer against the GF product and the busy-period fixed point, not the
+decomposition itself.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import UnsupportedEvaluation
 from .gf import GfEvaluator
-from .model import CLEARED, GATED, MIXED, DerivedRates, PollingModel, validate
+from .model import CLEARED, DerivedRates, PollingModel, validate
 from .moments import lst_moment
 # no longer called here; perfbench/tracing.py wraps it under this module's name
 from .moments import _neville_to_zero  # noqa: F401
@@ -198,8 +202,10 @@ class Analyzer:
         return self.mean_wait(i, "L")
 
     def mean_wait_low_alt(self, i: int) -> float:
-        """E(W_low) by differentiating the waiting-time transform, a route
-        independent of ``mean_wait_low``'s exact moments, for checks."""
+        """E(W_low) by differentiating the float reading of the waiting-time
+        transform, for checks.  It shares the decomposition with
+        ``mean_wait_low`` but none of its moments: the two check the exact
+        moment layer against the GF product and the busy-period fixed point."""
         if self.queues[i].lam_l <= 0.0:
             raise UnsupportedEvaluation("queue has no low-priority class")
         return lst_moment(self.queues[i].wait_low_handle(), 1).value
@@ -221,10 +227,12 @@ class Analyzer:
         exact moments up to omega^order (1 or 2)."""
         _check_class(cls)
         qt = self.queues[i]
-        n = order + 2  # the input series reach one order further
-        if cls == "H":
-            return self._wait_high_series(qt, n)
-        return self._wait_low_series(qt, n)
+        high = cls == "H"
+        if (qt.lam_h if high else qt.lam_l) <= 0.0:
+            raise UnsupportedEvaluation(
+                f"queue has no {'high' if high else 'low'}-priority class")
+        r = _SeriesReading(self, qt, order + 2)  # inputs reach one order further
+        return (qt.wait_high if high else qt.wait_low)(r, r.omega)
 
     def _span_complement(self, i: int, alpha: list, beta: list) -> list:
         """1 - E exp(-alpha S_H - beta S_L) as a series in omega, for series
@@ -252,65 +260,13 @@ class Analyzer:
         def e2(u, v):
             return sum(u[a] * v[b] * f[k[a]][k[b]] for a in idx for b in idx)
 
-        out = [0.0, e1(w[0]), e1(w[1]) - e2(w[0], w[0]) / 2.0]
+        out = _Series([0.0, e1(w[0]), e1(w[1]) - e2(w[0], w[0]) / 2.0])
         if len(w) > 2:
             t = self._third(i)
             e3 = sum(w[0][a] * w[0][b] * w[0][c] * t[a][b][c]
                      for a in idx for b in idx for c in idx)
             out.append(e1(w[2]) - e2(w[0], w[1]) + e3 / 6.0)
         return out
-
-    def _wait_high_series(self, qt, n: int) -> list:
-        """LST of W_H up to omega^(n - 2), from input series of length n."""
-        if qt.lam_h <= 0.0:
-            raise UnsupportedEvaluation("queue has no high-priority class")
-        i = qt.i
-        omega = _OMEGA[:n]
-        bc_h = _complement_series(qt.svc_h, n)
-        if qt.disc == GATED:
-            # both coordinates span the cycle
-            cycle = self._span_complement(i, omega, _ZERO[:n])
-            served = self._span_complement(i, _scale(qt.lam_h, bc_h), _ZERO[:n])
-            return _gate_wait(cycle, served, qt.ec, qt.rho_h, bc_h, qt.svc_h.mean)
-        # M/G/1 factor times a vacation: an intervisit time, which the high
-        # coordinate spans, or a low service
-        iv = self._span_complement(i, omega, _ZERO[:n])
-        vac = _scale((1.0 - qt.rho_i) / (1.0 - qt.rho_h), _residual(iv, qt.ei))
-        if qt.lam_l > 0.0:
-            vac = _add(vac, _scale(qt.rho_l / (1.0 - qt.rho_h),
-                                   _residual(_complement_series(qt.svc_l, n),
-                                             qt.svc_l.mean)))
-        return _div(_scale(1.0 - qt.rho_h, vac),
-                    _one_minus(qt.rho_h, _residual(bc_h, qt.svc_h.mean)))
-
-    def _wait_low_series(self, qt, n: int) -> list:
-        """LST of W_L up to omega^(n - 2), from input series of length n."""
-        if qt.lam_l <= 0.0:
-            raise UnsupportedEvaluation("queue has no low-priority class")
-        i = qt.i
-        omega = _OMEGA[:n]
-        bc_l = _complement_series(qt.svc_l, n)
-        # the high coordinate's series is zero without highs
-        if qt.disc == GATED:
-            a_h = (_scale(qt.lam_h, _complement_series(qt.svc_h, n)) if qt.lam_h > 0.0
-                   else _ZERO[:n])
-            cycle = self._span_complement(i, a_h, omega)
-            served = self._span_complement(i, a_h, _scale(qt.lam_l, bc_l))
-            return _gate_wait(cycle, served, qt.ec, qt.rho_l, bc_l, qt.svc_l.mean)
-        # a low service extended by the high busy periods it starts: the
-        # completion time B*
-        a_h = (_scale(qt.lam_h, _complement_series(qt._busy_h, n)) if qt._busy_h is not None
-               else _ZERO[:n])
-        bstar = _compose(bc_l, _add(omega, a_h))
-        rho_star = qt.rho_l / (1.0 - qt.rho_h)
-        e_bstar = qt.svc_l.mean / (1.0 - qt.rho_h)
-        at_omega = self._span_complement(i, a_h, omega)
-        if qt.disc == MIXED:
-            served = self._span_complement(i, a_h, _scale(qt.lam_l, bstar))
-            return _gate_wait(at_omega, served, qt.ec, rho_star, bstar, e_bstar)
-        # exhaustive: both coordinates span the intervisit time
-        return _div(_scale((1.0 - rho_star) * (1.0 - qt.rho_h) / qt.ei, at_omega[1:]),
-                    _one_minus(rho_star, _residual(bstar, e_bstar)))
 
     # --------------------------------------------------------------- report
 
@@ -360,66 +316,96 @@ def _little(qt, cls: str, wait: float) -> float:
     return qt.lam_l * (wait + sojourn_svc)
 
 
-# Truncated power series in omega: coefficient lists, omega^0 first, at most
-# up to omega^3; sliced to the length a series needs.
+class _Series(list):
+    """A power series in omega, omega^0 first, truncated after its last
+    coefficient.  Binary operations truncate to the shorter operand, and a
+    float on either side acts as a constant series."""
 
-_OMEGA = [0.0, 1.0, 0.0, 0.0]
-_ZERO = [0.0] * 4
+    def __add__(self, y):
+        if isinstance(y, _Series):
+            return _Series(map(operator.add, self, y))
+        return _Series([self[0] + y, *self[1:]])
 
+    __radd__ = __add__
 
-def _complement_series(x, n: int) -> list:
-    """1 - E exp(-omega X) up to omega^(n - 1), from the moments of X (a
-    Distribution or a BusyPeriod)."""
-    return [0.0] + [(-1) ** (k + 1) * x.moment(k) / math.factorial(k)
-                    for k in range(1, n)]
+    def __sub__(self, y):
+        if isinstance(y, _Series):
+            return _Series(map(operator.sub, self, y))
+        return _Series([self[0] - y, *self[1:]])
 
+    def __rsub__(self, y):
+        return _Series([y - self[0], *[-v for v in self[1:]]])
 
-def _residual(c: list, mean: float) -> list:
-    """LST c(omega)/(omega E(X)) of the residual of X, from the complement
-    series c of X; one order shorter."""
-    return [v / mean for v in c[1:]]
+    def __mul__(self, y):
+        if isinstance(y, _Series):
+            return _Series(sum(self[k] * y[n - k] for k in range(n + 1))
+                           for n in range(min(len(self), len(y))))
+        return _Series([v * y for v in self])
 
+    __rmul__ = __mul__
 
-def _scale(a: float, x: list) -> list:
-    return [a * v for v in x]
+    def __truediv__(self, y):
+        if not isinstance(y, _Series):
+            return _Series([v / y for v in self])
+        x = self
+        if y[0] == 0.0:
+            # by a multiple of omega: both operands shift down one order
+            x, y = x[1:], y[1:]
+        q = _Series()
+        for n in range(min(len(x), len(y))):
+            q.append((x[n] - sum(q[k] * y[n - k] for k in range(n))) / y[0])
+        return q
 
+    def __rtruediv__(self, y):
+        return _Series([y] + [0.0] * (len(self) - 1)) / self
 
-def _add(x: list, y: list) -> list:
-    return [a + b for a, b in zip(x, y)]
-
-
-def _one_minus(rho: float, x: list) -> list:
-    return [1.0 - rho * x[0]] + [-rho * v for v in x[1:]]
-
-
-def _mul(x: list, y: list) -> list:
-    return [sum(x[k] * y[n - k] for k in range(n + 1)) for n in range(min(len(x), len(y)))]
-
-
-def _div(x: list, y: list) -> list:
-    q = []
-    for n in range(min(len(x), len(y))):
-        q.append((x[n] - sum(q[k] * y[n - k] for k in range(n))) / y[0])
-    return q
-
-
-def _compose(c: list, x: list) -> list:
-    """c(x(omega)) for series c and x without constant term."""
-    out = [0.0] * len(x)
-    power = [1.0] + [0.0] * (len(x) - 1)
-    for ck in c[1:]:
-        power = _mul(power, x)
-        out = _add(out, _scale(ck, power))
-    return out
+    # not list's in-place concatenation and repetition
+    __iadd__ = __add__
+    __imul__ = __mul__
 
 
-def _gate_wait(cycle: list, served: list, ec: float, rho: float,
-               bc: list, mean: float) -> list:
-    """The wait of a gated class, (cycle - served)/(omega E(C) (1 - rho R_B)):
-    the GF complements at the cycle and the served arguments, and the
-    complement series bc of the class's (extended) service B."""
-    num = [(a - b) / ec for a, b in zip(cycle[1:], served[1:])]
-    return _div(num, _one_minus(rho, _residual(bc, mean)))
+class _SeriesReading:
+    """The reading of ``QueueTransforms.wait_high``/``wait_low`` that expands
+    them in power series about 0 up to omega^(n - 1), from exact moments: the
+    GF complement becomes the moments of queue qt's one or two spans
+    (``Analyzer._span_complement``), a service's or a busy period's
+    complement its moments composed with the argument (Faa di Bruno)."""
+
+    def __init__(self, analyzer, qt, n: int):
+        self.analyzer = analyzer
+        self.qt = qt
+        self.n = n
+        self.omega = _Series([0.0, 1.0, 0.0, 0.0][:n])
+        self.zero = _Series([0.0] * n)
+
+    def complement(self, x, arg):
+        """1 - E exp(-arg X) for a Distribution or BusyPeriod X and a series
+        ``arg`` without constant term: the series of X's moments composed
+        with ``arg`` (Faa di Bruno, up to omega^3)."""
+        c = [(-1) ** (k + 1) * x.moment(k) / math.factorial(k) for k in range(1, self.n)]
+        a1, a2 = arg[1], arg[2]
+        out = _Series([0.0, c[0] * a1, c[0] * a2 + c[1] * (a1 * a1)])
+        if self.n > 3:
+            out.append(c[0] * arg[3] + c[1] * (2.0 * a1 * a2) + c[2] * (a1 * a1 * a1))
+        return out
+
+    def residual(self, c, w, mean):
+        """c/(omega mean): the complement series c shifted down one order."""
+        return _Series([v / mean for v in c[1:]])
+
+    def gf_complement(self, zh, zl):
+        """1 - GF at z-complements zh, zl of queue qt's own coordinates, a
+        float 0 for an inert one: the exponents are lam_h zh and lam_l zl."""
+        qt = self.qt
+        return self.analyzer._span_complement(qt.i, *(
+            lam * z if isinstance(z, _Series) else self.zero
+            for lam, z in ((qt.lam_h, zh), (qt.lam_l, zl))))
+
+    def span(self, classes, w):
+        """1 - LST of the span of ``classes``: the exponent on the first of
+        their coordinates, which all span it."""
+        pair = (w, self.zero) if classes[0] == 0 else (self.zero, w)
+        return self.analyzer._span_complement(self.qt.i, *pair)
 
 
 def leftover_work(model: PollingModel, derived: DerivedRates, i: int) -> float:

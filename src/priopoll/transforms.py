@@ -18,8 +18,14 @@ Waiting-time transforms follow the decomposition of a vacation queue: an
 M/G/1 factor for the customer's own class (with completion-time services
 where high-priority overtaking extends a low-priority customer's effective
 service) times a residual term for the periods in which the class is not
-served.  All evaluators return complements 1 - f(w) assembled from
-complement building blocks so small-w differencing stays accurate.
+served.  ``wait_high`` and ``wait_low`` write it once, one branch per
+discipline, against a reading ``r``: ``complement`` of a service or a busy
+period, ``gf_complement`` at the queue's own z-complements, ``span`` and
+``residual``; plain arithmetic does the rest.  ``QueueTransforms`` itself is
+the float reading, and ``analytic`` reads the same code as power series in
+omega.  The period evaluators return complements assembled from complement
+building blocks, so small-w differencing stays accurate; the waiting-time
+complements are 1 - W, about 1e-16 off in absolute terms.
 """
 
 from __future__ import annotations
@@ -69,20 +75,6 @@ class QueueTransforms:
         # base differencing step: keeps GF arguments well inside [0, 1]
         self.h0 = 1e-3 * min(min(lam for _, _, lam, _ in q.classes), 1.0) / max(1.0, self.ec)
 
-    # ------------------------------------------------------------- helpers
-
-    def _residual(self, complement_at, mean, omega):
-        """(R, 1 - R) of the residual time of a period with given complement."""
-        r = complement_at / (omega * mean)
-        return r, 1.0 - r
-
-    def completion_complement(self, omega: float) -> float:
-        """1 - LST of a low service extended by high busy periods."""
-        if self.lam_l <= 0.0:
-            raise UnsupportedEvaluation("queue has no low-priority class")
-        u = self._busy_h.complement(omega) if self._busy_h is not None else 0.0
-        return self.svc_l.lst_complement(omega + self.lam_h * u)
-
     # ------------------------------------------------------------- periods
 
     def span_rate(self, classes) -> float:
@@ -91,11 +83,12 @@ class QueueTransforms:
         that span is unavailable."""
         return sum((self.lam_h, self.lam_l)[c] for c in classes)
 
-    def _span_complement(self, classes, omega: float, name: str) -> float:
+    def span(self, classes, omega: float) -> float:
         """1 - LST of the span that ``classes``' coordinates count arrivals
         over: the exponent split across them in proportion to their rates,
         so each stays within its own rate bound (a class without arrivals
         has an inert coordinate)."""
+        name = "cycle" if classes == self.kept else "intervisit"
         tot = self.span_rate(classes)
         if tot <= 0.0:
             raise UnsupportedEvaluation(
@@ -111,11 +104,11 @@ class QueueTransforms:
 
     def cycle_complement(self, omega: float) -> float:
         """1 - LST of the cycle time anchored at this queue's visit beginning."""
-        return self._span_complement(self.kept, omega, "cycle")
+        return self.span(self.kept, omega)
 
     def intervisit_complement(self, omega: float) -> float:
         """1 - LST of the intervisit time (visit end to next visit start)."""
-        return self._span_complement(self.cleared, omega, "intervisit")
+        return self.span(self.cleared, omega)
 
     def visit_complement(self, omega: float) -> float:
         """1 - LST of the visit time: the sum of one period T_c per class-c
@@ -127,85 +120,93 @@ class QueueTransforms:
 
     # ------------------------------------------------------- waiting times
 
-    def wait_high_complement(self, omega: float) -> float:
-        """1 - LST of the high-priority waiting time (mixed or exhaustive).
+    # the float reading of ``wait_high`` and ``wait_low``, with ``span``
 
-        Vacation decomposition: M/G/1 factor for the high class, vacations
-        being a low service (weight rho_l/(1-rho_h)) or an intervisit period
-        (weight (1-rho_i)/(1-rho_h)).
-        """
-        if self.lam_h <= 0.0:
-            raise UnsupportedEvaluation("queue has no high-priority class")
-        if self.disc == GATED:
-            return self._wait_gated_complement(omega, high=True)
-        if omega == 0.0:
-            return 0.0
-        r_bh, rc_bh = self._residual(self.svc_h.lst_complement(omega),
-                                     self.svc_h.mean, omega)
-        w_i = (1.0 - self.rho_i) / (1.0 - self.rho_h)
-        r_ic = self.intervisit_complement(omega)
-        _, rc_i = self._residual(r_ic, self.ei, omega)
-        acc = w_i * rc_i
-        if self.lam_l > 0.0:
-            w_bl = self.rho_l / (1.0 - self.rho_h)
-            _, rc_bl = self._residual(self.svc_l.lst_complement(omega),
-                                      self.svc_l.mean, omega)
-            acc += w_bl * rc_bl
-        num = self.rho_h * rc_bh + (1.0 - self.rho_h) * acc
-        return num / (1.0 - self.rho_h * r_bh)
+    def complement(self, x, arg: float) -> float:
+        """1 - E exp(-arg X) of a service or a busy period X."""
+        return x.complement(arg) if isinstance(x, BusyPeriod) else x.lst_complement(arg)
 
-    def wait_low_complement(self, omega: float) -> float:
-        """1 - LST of the low-priority waiting time (discipline specific)."""
+    def gf_complement(self, zh: float, zl: float) -> float:
+        """1 - GF at z-complements zh, zl of this queue's own coordinates."""
+        return self.gf.complement_pair(self.i, zh, zl)
+
+    def residual(self, c: float, omega: float, mean: float) -> float:
+        """LST of the residual of a period X, from its complement c at omega."""
+        return c / (omega * mean)
+
+    def _completion(self, r, w):
+        """(u, B*): the complement u of the high busy period at w, and that
+        of the completion time B*, a low service extended by the high busy
+        periods it starts, at w."""
+        u = r.complement(self._busy_h, w) if self._busy_h is not None else 0.0
+        return u, r.complement(self.svc_l, w + self.lam_h * u)
+
+    def completion_complement(self, omega: float) -> float:
+        """1 - LST of a low service extended by high busy periods."""
         if self.lam_l <= 0.0:
             raise UnsupportedEvaluation("queue has no low-priority class")
+        return self._completion(self, omega)[1]
+
+    def wait_high(self, r, w):
+        """LST of the high-priority waiting time at w, read by ``r``: gated,
+        or an M/G/1 factor with vacations that are a low service (weight
+        rho_l/(1 - rho_h)) or an intervisit time (weight (1 - rho_i)/(1 - rho_h))."""
+        c_h = r.complement(self.svc_h, w)
         if self.disc == GATED:
-            return self._wait_gated_complement(omega, high=False)
+            # the residual cycle, less the services of the earlier high
+            # arrivals of the customer's own cycle
+            served = r.gf_complement(c_h, 0.0)
+            return (r.residual(r.span(self.kept, w) - served, w, self.ec)
+                    / (1.0 - self.rho_h * r.residual(c_h, w, self.svc_h.mean)))
+        # M/G/1 factor times a vacation: an intervisit time, which the high
+        # coordinate spans, or a low service
+        vac = ((1.0 - self.rho_i) / (1.0 - self.rho_h)
+               * r.residual(r.span(self.cleared, w), w, self.ei))
+        if self.lam_l > 0.0:
+            vac = vac + (self.rho_l / (1.0 - self.rho_h)
+                         * r.residual(r.complement(self.svc_l, w), w, self.svc_l.mean))
+        return ((1.0 - self.rho_h) * vac
+                / (1.0 - self.rho_h * r.residual(c_h, w, self.svc_h.mean)))
+
+    def wait_low(self, r, w):
+        """LST of the low-priority waiting time at w, read by ``r``."""
+        if self.disc == GATED:
+            # the residual cycle, less the services of every high arrival
+            # and of the earlier low arrivals of the customer's own cycle
+            c_h = r.complement(self.svc_h, w) if self.lam_h > 0.0 else 0.0
+            c_l = r.complement(self.svc_l, w)
+            served = r.gf_complement(c_h, c_l)
+            return (r.residual(r.gf_complement(c_h, w / self.lam_l) - served, w, self.ec)
+                    / (1.0 - self.rho_l * r.residual(c_l, w, self.svc_l.mean)))
+        # the low class waits gated-like in the completion time B*
+        u, c_star = self._completion(r, w)
+        rho_star = self.rho_l / (1.0 - self.rho_h)
+        at_w = r.gf_complement(u, w / self.lam_l)
+        den = 1.0 - rho_star * r.residual(c_star, w, self.svc_l.mean / (1.0 - self.rho_h))
+        if self.disc == MIXED:
+            return r.residual(at_w - r.gf_complement(u, c_star), w, self.ec) / den
+        # exhaustive: both coordinates span the intervisit time
+        p = (1.0 - rho_star) / den
+        return p * (1.0 - self.rho_h) * r.residual(at_w, w, self.ei)
+
+    def wait_high_complement(self, omega: float) -> float:
+        """1 - LST of the high-priority waiting time (``wait_high``)."""
+        if self.lam_h <= 0.0:
+            raise UnsupportedEvaluation("queue has no high-priority class")
+        if omega == 0.0:
+            return 0.0
+        return 1.0 - self.wait_high(self, omega)
+
+    def wait_low_complement(self, omega: float) -> float:
+        """1 - LST of the low-priority waiting time (``wait_low``)."""
+        if self.lam_l <= 0.0:
+            raise UnsupportedEvaluation("queue has no low-priority class")
         if omega == 0.0:
             return 0.0
         if omega > self.lam_l:
             raise UnsupportedEvaluation(
                 f"low-priority wait evaluable only for omega <= {self.lam_l}")
-        u = self._busy_h.complement(omega) if self._busy_h is not None else 0.0
-        bstar_c = self.svc_l.lst_complement(omega + self.lam_h * u)
-        rho_star = self.rho_l / (1.0 - self.rho_h)
-        e_bstar = self.svc_l.mean / (1.0 - self.rho_h)
-        r_bstar = bstar_c / (omega * e_bstar)
-        if self.disc == MIXED:
-            vc_served = self.gf.complement_pair(self.i, u, bstar_c)
-            vc_cycle = self.gf.complement_pair(self.i, u, omega / self.lam_l)
-            f = (vc_cycle - vc_served) / (omega * self.ec * (1.0 - rho_star * r_bstar))
-        else:  # exhaustive
-            vc = self.gf.complement_pair(self.i, u, omega / self.lam_l)
-            p = (1.0 - rho_star) / (1.0 - rho_star * r_bstar)
-            f = p * (1.0 - self.rho_h) * vc / (omega * self.ei)
-        return 1.0 - f
-
-    def _wait_gated_complement(self, omega: float, high: bool) -> float:
-        """Gated queue: wait = residual cycle + services scheduled ahead.
-
-        A high customer waits behind the earlier high arrivals of its own
-        cycle; a low customer additionally waits behind every high arrival of
-        that cycle.
-        """
-        if omega == 0.0:
-            return 0.0
-        lam = self.lam_h if high else self.lam_l
-        svc = self.svc_h if high else self.svc_l
-        zh_served = self.svc_h.lst_complement(omega) if self.lam_h > 0 else 0.0
-        if high:
-            vc_served = self.gf.complement_pair(self.i, zh_served, 0.0)
-            vc_cycle = self.cycle_complement(omega)
-        else:
-            zl_served = self.svc_l.lst_complement(omega)
-            vc_served = self.gf.complement_pair(self.i, zh_served, zl_served)
-            if omega > self.lam_l:
-                raise UnsupportedEvaluation(
-                    f"low-priority wait evaluable only for omega <= {self.lam_l}")
-            vc_cycle = self.gf.complement_pair(self.i, zh_served, omega / self.lam_l)
-        r_b = svc.lst_complement(omega) / (omega * svc.mean)
-        rho_own = lam * svc.mean
-        f = (vc_cycle - vc_served) / (omega * self.ec * (1.0 - rho_own * r_b))
-        return 1.0 - f
+        return 1.0 - self.wait_low(self, omega)
 
     # ------------------------------------------------------------ handles
 

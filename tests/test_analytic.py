@@ -1,6 +1,7 @@
 """Means, variances, dual derivations, reductions, Little's law, PCL."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from zoo import example1, example2, heavy_traffic, random_model, single_vacation_queue
 from priopoll import (Analyzer, EXHAUSTIVE, Exponential, GATED, MIXED,
                       PollingModel, QueueSpec, UnsupportedEvaluation, pcl_check)
+from priopoll.analytic import _Series, _SeriesReading
 
 
 @pytest.fixture(scope="module")
@@ -242,3 +244,39 @@ def test_wait_variance_vacation_closed_form(disc):
     assert a.wait_m2(0, "H") == pytest.approx(wq2 + s * wq + s * s / 3.0, rel=1e-13)
     assert a.var_wait(0, "H") == pytest.approx(
         wq2 + s * wq + s * s / 3.0 - (wq + s / 2.0) ** 2, rel=1e-12)
+
+
+def test_series_division_by_a_multiple_of_omega_shifts_both_operands():
+    # (2 w + 4 w^2 + 6 w^3)/(2 w) = 1 + 2 w + 3 w^2: one order shorter
+    assert _Series([0.0, 2.0, 4.0, 6.0]) / _Series([0.0, 2.0, 0.0, 0.0]) == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "truediv"])
+def test_series_binary_operations_truncate_to_the_shorter_operand(op):
+    long, short = _Series([1.0, 2.0, 3.0, 4.0]), _Series([2.0, 1.0])
+    assert len(getattr(operator, op)(long, short)) == 2
+    assert len(getattr(operator, op)(short, long)) == 2
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "truediv"])
+def test_series_float_acts_as_a_constant_series(op):
+    fn = getattr(operator, op)
+    x, c = _Series([2.0, -1.0, 0.5]), 4.0
+    constant = _Series([c, 0.0, 0.0])
+    assert fn(x, c) == fn(x, constant)
+    assert fn(c, x) == fn(constant, x)
+
+
+def test_series_division_inverts_multiplication():
+    x, y = _Series([0.3, -1.7, 2.9, 0.4]), _Series([1.5, 0.2, -0.8, 3.1])
+    assert (x * y) / y == pytest.approx(x, rel=1e-15, abs=1e-15)
+
+
+def test_series_reading_composes_a_complement():
+    # Exponential(m): 1 - E exp(-x X) = 1 - 1/(1 + m x), at x = w + a w^2
+    m, a = 1.7, 0.6
+    r = _SeriesReading(None, None, 4)
+    got = r.complement(Exponential(m), r.omega + a * r.omega * r.omega)
+    # y = m x: y - y^2 + y^3 up to w^3
+    assert got == pytest.approx([0.0, m, m * a - m * m, m ** 3 - 2.0 * m * m * a],
+                                rel=1e-15)

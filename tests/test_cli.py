@@ -34,6 +34,7 @@ def test_analyze_stdout(capsys):
     ("example1.json", "example1_analyze.csv"),
     ("example1_det.json", "example1_det_analyze.csv"),
     ("example2.json", "example2_analyze.csv"),
+    ("vacation.json", "vacation_analyze.csv"),
 ])
 def test_analyze_golden(model, golden, tmp_path, capsys):
     out_path = tmp_path / "out.csv"

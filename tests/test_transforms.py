@@ -1,6 +1,8 @@
 """Period and waiting-time transforms: identities, axioms, domain errors."""
 
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -158,6 +160,26 @@ def test_exact_wait_variance_matches_transform_route(model):
             assert a.wait_m2(i, cls) == pytest.approx(lst_moment(handle(), 2).value,
                                                       rel=2e-7)
 
+
+
+def test_wait_complements_match_golden():
+    # the float waiting-time transforms of every class of the published
+    # models at omega = f lambda, with lambda the class's own rate
+    golden = json.loads((pathlib.Path(__file__).resolve().parent / "golden"
+                         / "wait_complements.json").read_text())
+    models = published_models()
+    assert set(golden["models"]) == set(models)
+    for label, classes in golden["models"].items():
+        a = Analyzer(models[label])
+        got = {}
+        for i, qt in enumerate(a.queues):
+            for cls, lam, complement in (("H", qt.lam_h, qt.wait_high_complement),
+                                         ("L", qt.lam_l, qt.wait_low_complement)):
+                if lam > 0.0:
+                    got[f"{i + 1}{cls}"] = [complement(f * lam) for f in golden["factors"]]
+        assert got.keys() == classes.keys(), label
+        for key, values in classes.items():
+            assert got[key] == pytest.approx(values, rel=0.0, abs=1e-15), (label, key)
 
 def test_cross_moment_identity_mixed(ex1):
     # cross/(lam_h lam_l E(C)) = (E(I^2) + E(I V)) / E(C)
