@@ -14,8 +14,8 @@ from .busyperiod import BusyPeriod, busy_period_lst, completion_time_lst
 from .distributions import (Deterministic, Distribution, Erlang, Exponential,
                             Hyperexponential, Uniform, distribution_from_config)
 from .errors import (IllConditioned, NoConvergence, NonpositiveParameter,
-                     PriopollError, UnstableSystem, UnsupportedEvaluation,
-                     ZeroSwitchover)
+                     OutOfRange, PriopollError, UnstableSystem,
+                     UnsupportedEvaluation, ZeroSwitchover)
 from .gf import GfEvaluator
 from .model import (DISCIPLINES, EXHAUSTIVE, GATED, MIXED, DerivedRates,
                     PollingModel, QueueSpec, load_model, model_from_config,
@@ -36,6 +36,7 @@ __all__ = [
     "vacation_mean_wait_low", "vacation_crossover",
     "PriopollError", "NonpositiveParameter", "ZeroSwitchover",
     "UnstableSystem", "NoConvergence", "UnsupportedEvaluation", "IllConditioned",
+    "OutOfRange",
 ]
 
 __version__ = "0.1.0"

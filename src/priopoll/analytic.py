@@ -30,7 +30,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .errors import UnsupportedEvaluation
+from .errors import OutOfRange, UnsupportedEvaluation
 from .gf import GfEvaluator
 from .model import CLEARED, DerivedRates, PollingModel, validate
 from .moments import lst_moment
@@ -382,7 +382,10 @@ class _SeriesReading:
         """1 - E exp(-arg X) for a Distribution or BusyPeriod X and a series
         ``arg`` without constant term: the series of X's moments composed
         with ``arg`` (Faa di Bruno, up to omega^3)."""
-        c = [(-1) ** (k + 1) * x.moment(k) / math.factorial(k) for k in range(1, self.n)]
+        try:
+            c = [(-1) ** (k + 1) * x.moment(k) / math.factorial(k) for k in range(1, self.n)]
+        except OverflowError as exc:
+            raise OutOfRange("a service or busy-period moment does not fit in a float") from exc
         a1, a2 = arg[1], arg[2]
         out = _Series([0.0, c[0] * a1, c[0] * a2 + c[1] * (a1 * a1)])
         if self.n > 3:

@@ -21,7 +21,7 @@ import sys
 
 from .analytic import Analyzer, leftover_work, pcl_check
 from .errors import (IllConditioned, NoConvergence, NonpositiveParameter,
-                     UnstableSystem, ZeroSwitchover)
+                     OutOfRange, UnstableSystem, ZeroSwitchover)
 from .model import (DISCIPLINES, GATED, MIXED, PollingModel, QueueSpec,
                     load_model, validate)
 from .vacation import vacation_crossover, vacation_mean_wait_low
@@ -248,7 +248,7 @@ def main(argv=None) -> int:
     except (NoConvergence, IllConditioned) as exc:
         print(f"error: convergence failure: {exc}", file=sys.stderr)
         return 3
-    except (OSError, ValueError, NonpositiveParameter, ZeroSwitchover) as exc:
+    except (OSError, ValueError, NonpositiveParameter, ZeroSwitchover, OutOfRange) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -25,6 +25,11 @@ class NoConvergence(PriopollError):
     """A fixed-point or product iteration hit its cap without converging."""
 
 
+class OutOfRange(PriopollError):
+    """A moment of the model's times does not fit in a float: a service,
+    switch-over or busy-period moment past about 1.8e308."""
+
+
 class UnsupportedEvaluation(PriopollError):
     """A transform was requested outside its evaluable domain."""
 

@@ -58,7 +58,7 @@ from functools import cached_property
 from operator import mul
 
 from .busyperiod import BusyPeriod, ServiceMix
-from .errors import IllConditioned, NoConvergence
+from .errors import IllConditioned, NoConvergence, OutOfRange
 from .model import CLEARED, DerivedRates, PollingModel, validate
 
 __all__ = ["GfEvaluator"]
@@ -96,12 +96,18 @@ class GfEvaluator:
         # the span of its high and low class, numbered so that span s is read
         # at class s's coordinate: (0, 0) for one span, (0, 1) for two
         self.spans = []
-        for j, q in enumerate(model.queues):
+        # each class's rate and service moments E(B), E(B^2), E(B^3), and
+        # each switch-over's moments, read once
+        try:
+            services = [{c: (lam, s.mean, s.moment(2), s.moment(3)) for c, _, lam, s in q.classes}
+                        for q in model.queues]
+            self._swo = [(s.mean, s.moment(2), s.moment(3)) for s in model.switchovers]
+        except OverflowError as exc:
+            raise OutOfRange("a service or switch-over moment does not fit in a float") from exc
+        for j, (q, moms) in enumerate(zip(model.queues, services)):
             cleared = CLEARED[q.discipline]
             self._lam.extend((q.lambda_high, q.lambda_low))
             self._cleared.append([2 * j + c for c in cleared])
-            # each class's service moments E(B), E(B^2), E(B^3), read once
-            moms = {c: (lam, s.mean, s.moment(2), s.moment(3)) for c, _, lam, s in q.classes}
             live = [moms[c] for c in cleared if c in moms]
             one = 1.0 - sum(lam * b1 for lam, b1, _, _ in live)
             r2 = sum(lam * b2 for lam, _, b2, _ in live)
@@ -117,7 +123,6 @@ class GfEvaluator:
             keep = [float(k not in self._cleared[j]) for k in range(2 * n)]
             self._keep.append(keep)
             self.spans.append((0, int(keep[2 * j] != keep[2 * j + 1])))
-        self._swo = [(s.mean, s.moment(2), s.moment(3)) for s in model.switchovers]
         # the cycle's mean map P = U W and the visit times' map M = W U, which
         # both moment orders use
         self._u, self._w = self._factors()

@@ -28,11 +28,15 @@ completion/arrival ties resolve in favour of the completion, so an arrival
 exactly at a visit-ending instant is not caught by the ending visit.
 
 Each random stream (a class's arrival gaps and service times, a queue's
-switch-overs) is one iterator over blocks from its own generator
-(``_stream``), read one value at a time.  Since no two streams share a
+switch-overs) is one iterator over blocks of ``_BLOCK`` values from its own
+generator (``_stream``), read one value at a time.  A block is drawn whole,
+but becomes Python floats ``_PIECE`` values at a time, only as far as the
+run reads it: a switch-over stream reads one value a cycle, so a run of a
+few thousand cycles uses a small part of its one block.  The block size is
+part of the output (Hyperexponential draws a block's uniforms before its
+exponentials); the piece size is not.  Since no two streams share a
 generator and each is read in the same order, when a value is drawn
-relative to the other streams changes no number: reading a gate's line in
-one batch or one customer at a time gives the same results, bit for bit.
+relative to the other streams changes no number, bit for bit.
 
 Waiting time is measured from arrival to service start.  Queue-length
 time-averages count a low-priority customer as "in system" until the server
@@ -57,7 +61,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat, starmap
 from numbers import Integral
 from typing import NamedTuple
 
@@ -68,6 +72,7 @@ from .model import CLEARED, PollingModel, validate
 __all__ = ["Event", "SimStats", "run", "replicate"]
 
 _BLOCK = 8192
+_PIECE = 256  # a drawn block becomes Python floats this many values at a time
 
 # two-sided 97.5% Student-t quantiles for df 1..30, then the rows at df 40/60/120
 _T975 = (12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228,
@@ -286,11 +291,18 @@ def _stream(draw, *args):
     """One random stream: the values of ``draw(*args, _BLOCK)``, block after block.
 
     The simulator reads it one value at a time with ``next``.  A block is
-    drawn once the values before it are used up, so any way of reading the
-    stream, one value or a batch at a time, reads the same blocks in the
-    same order.
+    drawn whole once the values before it are used up, so any way of reading
+    the stream, one value or a batch at a time, reads the same blocks in the
+    same order.  ``_BLOCK`` is part of the output: Hyperexponential's
+    ``sample_block(gen, n)`` draws n uniforms before n exponentials, so
+    another block size gives other values.  A block becomes Python floats
+    ``_PIECE`` values at a time, each piece once the one before it is used
+    up, so the values a run never reads (most of a switch-over block) are
+    drawn but not converted.
     """
-    return chain.from_iterable(iter(lambda: draw(*args, _BLOCK).tolist(), None))
+    return chain.from_iterable(block[i:i + _PIECE].tolist()
+                               for block in starmap(draw, repeat((*args, _BLOCK)))
+                               for i in range(0, _BLOCK, _PIECE))
 
 
 def _arrivals(gen, scale):

@@ -6,8 +6,9 @@ import operator
 import numpy as np
 import pytest
 
-from zoo import example1, example2, heavy_traffic, random_model, single_vacation_queue
-from priopoll import (Analyzer, EXHAUSTIVE, Exponential, GATED, MIXED,
+from zoo import (example1, example2, heavy_traffic, huge_switchover, random_model,
+                 single_vacation_queue, time_scaled_probe)
+from priopoll import (Analyzer, EXHAUSTIVE, Exponential, GATED, MIXED, OutOfRange,
                       PollingModel, QueueSpec, UnsupportedEvaluation, pcl_check)
 from priopoll.analytic import _Series, _SeriesReading
 
@@ -244,6 +245,18 @@ def test_wait_variance_vacation_closed_form(disc):
     assert a.wait_m2(0, "H") == pytest.approx(wq2 + s * wq + s * s / 3.0, rel=1e-13)
     assert a.var_wait(0, "H") == pytest.approx(
         wq2 + s * wq + s * s / 3.0 - (wq + s / 2.0) ** 2, rel=1e-12)
+
+
+def test_moment_past_the_float_range_is_a_typed_error():
+    # the evaluator reads the Exp(1e120) switch-over's E(S^3) = 6e360
+    with pytest.raises(OutOfRange):
+        Analyzer(huge_switchover())
+    # the scaled probe's means fit, but its variances need the third moment
+    # of queue 1's high busy period, which squares the service's E(B^2) = 2e180
+    analyzer = Analyzer(time_scaled_probe(1e90))
+    assert math.isfinite(analyzer.report(include_variances=False).wait(0, "L"))
+    with pytest.raises(OutOfRange):
+        analyzer.report()
 
 
 def test_series_division_by_a_multiple_of_omega_shifts_both_operands():

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from priopoll import cli
+from zoo import huge_switchover, time_scaled_probe
+from priopoll import cli, model_to_config
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "priopoll" / "data"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -238,6 +239,18 @@ def test_convergence_failure_exit_code(tmp_path, capsys):
     code = cli.main(["analyze", "--model", str(path)])
     assert code == 3
     assert "convergence" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("build", [huge_switchover, lambda: time_scaled_probe(1e90)],
+                         ids=["huge_switchover", "probe_1e90"])
+def test_moment_past_the_float_range_exit_code(build, tmp_path, capsys):
+    # a moment past the float range is a parameter error, not an
+    # OverflowError traceback
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(model_to_config(build())))
+    assert cli.main(["analyze", "--model", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a service or") and "does not fit in a float" in err
 
 
 def test_sweep_equal_disciplines_at_zero_high_rate(capsys):

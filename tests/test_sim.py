@@ -321,6 +321,49 @@ def test_sampler_batch_matches_single_draws(batches):
     assert next(batched) == next(single)
 
 
+_FAMILIES = (Deterministic(1.5), Exponential(2.0), Erlang(3, 1.0),
+             Hyperexponential((0.3, 0.7), (0.5, 2.0)), Uniform(0.5, 1.5))
+
+
+@pytest.mark.parametrize("dist", _FAMILIES, ids=lambda d: type(d).__name__)
+def test_stream_is_the_concatenation_of_whole_blocks(dist):
+    # converting a block piece by piece yields the whole block's tolist(),
+    # Hyperexponential's too, whose values depend on the block size; the
+    # reads cross piece boundaries and two block boundaries
+    from priopoll.sim import _BLOCK, _PIECE, _stream
+    gen = np.random.default_rng(12)
+    whole = [x for _ in range(3) for x in dist.sample_block(gen, _BLOCK).tolist()]
+    stream = _stream(dist.sample_block, np.random.default_rng(12))
+    got = [next(stream) for _ in range(_PIECE + 3)]
+    got += itertools.islice(stream, _BLOCK)
+    got += [next(stream) for _ in range(2 * _PIECE)]
+    got += itertools.islice(stream, 2 * _BLOCK - len(got) + 1)
+    assert len(got) == 2 * _BLOCK + 1
+    assert got == whole[:len(got)]
+
+
+def test_stream_converts_only_what_is_read():
+    # after k values are read, at most k plus one piece have become floats
+    from priopoll.sim import _BLOCK, _PIECE, _stream
+    sizes = []
+
+    class Recorded(np.ndarray):
+        def tolist(self):
+            sizes.append(len(self))
+            return super().tolist()
+
+    stream = _stream(lambda gen, n: gen.exponential(1.0, n).view(Recorded),
+                     np.random.default_rng(4))
+    k = 0
+    for m in (0, 1, _PIECE - 2, 1, 1, 3 * _PIECE + 7, _BLOCK - 4 * _PIECE - 6, 1,
+              _PIECE, 5):
+        for _ in range(m):
+            next(stream)
+        k += m
+        assert k <= sum(sizes) <= k + _PIECE, (k, sizes)
+    assert set(sizes) == {_PIECE}
+
+
 def _within(analytic, sim_mean, sim_ci, hw=3.0):
     assert sim_mean == pytest.approx(analytic, abs=hw * sim_ci), \
         f"analytic {analytic} outside {sim_mean} +- {hw}*{sim_ci}"

@@ -49,6 +49,23 @@ def heavy_traffic(rho):
         switchovers=(Exponential(1.0), Exponential(1.0)))
 
 
+def time_scaled_probe(s):
+    """Queue 1 mixed (0.2/0.4), queue 2 exhaustive with a low class only
+    (0.2), Exp(1) services, an Exp(1) and a Deterministic(1) switch-over:
+    every time multiplied by s and every rate divided by s."""
+    return PollingModel(
+        queues=(QueueSpec(0.2 / s, 0.4 / s, Exponential(s), Exponential(s), MIXED),
+                QueueSpec(0.0, 0.2 / s, None, Exponential(s), EXHAUSTIVE)),
+        switchovers=(Exponential(s), Deterministic(s)))
+
+
+def huge_switchover():
+    """example1 with its first switch-over Exp(1e120): finite mean, but a
+    second moment past the float range."""
+    m = example1()
+    return PollingModel(m.queues, (Exponential(1e120), m.switchovers[1]))
+
+
 def single_vacation_queue(disc=MIXED, lam_h=0.3, lam_l=0.5, s=10.0):
     """One queue plus a deterministic switch-over: an M/G/1 vacation queue."""
     return PollingModel(
