@@ -232,7 +232,12 @@ class Analyzer:
             raise UnsupportedEvaluation(
                 f"queue has no {'high' if high else 'low'}-priority class")
         r = _SeriesReading(self, qt, order + 2)  # inputs reach one order further
-        return (qt.wait_high if high else qt.wait_low)(r, r.omega)
+        series = (qt.wait_high if high else qt.wait_low)(r, r.omega)
+        # moments that fit in a float can still overflow in their products
+        if not all(map(math.isfinite, series)):
+            raise OutOfRange(
+                f"queue {i + 1} class {cls}: a waiting-time moment does not fit in a float")
+        return series
 
     def _span_complement(self, i: int, alpha: list, beta: list) -> list:
         """1 - E exp(-alpha S_H - beta S_L) as a series in omega, for series
@@ -319,7 +324,8 @@ def _little(qt, cls: str, wait: float) -> float:
 class _Series(list):
     """A power series in omega, omega^0 first, truncated after its last
     coefficient.  Binary operations truncate to the shorter operand, and a
-    float on either side acts as a constant series."""
+    float on either side acts as a constant series.  A divisor needs a
+    nonzero constant term: ``_SeriesReading.residual`` divides by omega."""
 
     def __add__(self, y):
         if isinstance(y, _Series):
@@ -347,13 +353,9 @@ class _Series(list):
     def __truediv__(self, y):
         if not isinstance(y, _Series):
             return _Series([v / y for v in self])
-        x = self
-        if y[0] == 0.0:
-            # by a multiple of omega: both operands shift down one order
-            x, y = x[1:], y[1:]
         q = _Series()
-        for n in range(min(len(x), len(y))):
-            q.append((x[n] - sum(q[k] * y[n - k] for k in range(n))) / y[0])
+        for n in range(min(len(self), len(y))):
+            q.append((self[n] - sum(q[k] * y[n - k] for k in range(n))) / y[0])
         return q
 
     def __rtruediv__(self, y):

@@ -21,7 +21,7 @@ import math
 from .distributions import Distribution
 from .errors import NoConvergence
 
-__all__ = ["BusyPeriod", "ServiceMix", "busy_period_lst", "completion_time_lst"]
+__all__ = ["BusyPeriod", "busy_period_lst", "completion_time_lst"]
 
 _CAP = 1_000_000
 _RTOL = 5e-16
@@ -47,33 +47,47 @@ def _solve_complement(lstc, lam: float, omega: float, warm: float) -> float:
 
 
 class BusyPeriod:
-    """Busy period of an M/G/1 queue with rate ``lam`` and service ``service``.
+    """Busy period of an M/G/1 queue serving ``service`` at Poisson rate ``lam``.
 
-    ``complement(omega)`` returns 1 - pi(omega) for 0 <= omega < inf and
-    raises ValueError otherwise; an optional warm start (a complement value
-    from a nearby argument) cuts the iteration count when the transform is
-    evaluated along a slowly varying path.  ``moment(k)`` is
+    ``more`` may add a second class's service and rate.  The time to empty
+    the queue does not depend on the order of service, so two classes make
+    the busy period of one service, class c's with probability lam_c / lam,
+    at the total rate lam; one class is read directly, so its rate may be 0.
+
+    ``lst_complement(omega)`` returns 1 - pi(omega) for 0 <= omega < inf
+    and raises ValueError otherwise; an optional warm start (a complement
+    value from a nearby argument) cuts the iteration count when the
+    transform is evaluated along a slowly varying path.  ``moment(k)`` is
     exact for k <= 3.
     """
 
-    def __init__(self, service: Distribution, lam: float):
-        self.service = service
+    def __init__(self, service: Distribution, lam: float, *more):
+        if more:
+            service_2, lam_2 = more
+            total = lam + lam_2
+            p, p_2 = lam / total, lam_2 / total
+            c, c_2 = service.lst_complement, service_2.lst_complement
+            self._lstc = lambda w: p * c(w) + p_2 * c_2(w)
+            self._service_moment = lambda k: p * service.moment(k) + p_2 * service_2.moment(k)
+            lam = total
+        else:
+            self._lstc = service.lst_complement
+            self._service_moment = service.moment
         self.lam = lam
-        self._lstc = service.lst_complement
-        self.rho = lam * service.mean
+        self.rho = lam * self._service_moment(1)
 
-    def complement(self, omega: float, warm: float = 0.0) -> float:
+    def lst_complement(self, omega: float, warm: float = 0.0) -> float:
         if not 0.0 <= omega < math.inf:
             raise ValueError(f"busy-period transform needs 0 <= omega < inf, got {omega!r}")
         return _solve_complement(self._lstc, self.lam, omega, warm)
 
     def lst(self, omega: float) -> float:
-        return 1.0 - self.complement(omega)
+        return 1.0 - self.lst_complement(omega)
 
     def moment(self, k: int) -> float:
         """Raw moment E(Theta^k) for k in {1, 2, 3}, from the service moments
         b_k: b1/(1-rho), b2/(1-rho)^3 and b3/(1-rho)^4 + 3 lam b2^2/(1-rho)^5."""
-        b = self.service.moment
+        b = self._service_moment
         one = 1.0 - self.rho
         if k == 1:
             return b(1) / one
@@ -86,31 +100,6 @@ class BusyPeriod:
     @property
     def mean(self) -> float:
         return self.moment(1)
-
-
-class ServiceMix(Distribution):
-    """Service time of a customer drawn from two classes in proportion to
-    their arrival rates.
-
-    The time to empty an exhaustively served queue does not depend on the
-    order of service, so its busy period is the ``BusyPeriod`` of this mix
-    with the total rate.
-    """
-
-    def __init__(self, service_high: Distribution, lam_high: float,
-                 service_low: Distribution, lam_low: float):
-        lam = lam_high + lam_low
-        self._p = (lam_high / lam, lam_low / lam)
-        self._parts = (service_high, service_low)
-        self._c = (service_high.lst_complement, service_low.lst_complement)
-
-    def lst_complement(self, omega: float) -> float:
-        (p_h, p_l), (c_h, c_l) = self._p, self._c
-        return p_h * c_h(omega) + p_l * c_l(omega)
-
-    def moment(self, k: int) -> float:
-        (p_h, p_l), (s_h, s_l) = self._p, self._parts
-        return p_h * s_h.moment(k) + p_l * s_l.moment(k)
 
 
 def busy_period_lst(service: Distribution, lam: float, omega: float) -> float:
@@ -128,5 +117,5 @@ def completion_time_lst(service_low: Distribution, service_high: Distribution,
     arriving while the low-priority one is served; its mean is
     E(B_low) / (1 - lam_high * E(B_high)).
     """
-    u = BusyPeriod(service_high, lam_high).complement(omega)
+    u = BusyPeriod(service_high, lam_high).lst_complement(omega)
     return service_low.lst(omega + lam_high * u)

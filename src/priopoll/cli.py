@@ -15,6 +15,7 @@ Exit codes: 0 ok, 1 I/O, schema or parameter error, 2 unstable model,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import math
 import sys
@@ -22,8 +23,7 @@ import sys
 from .analytic import Analyzer, leftover_work, pcl_check
 from .errors import (IllConditioned, NoConvergence, NonpositiveParameter,
                      OutOfRange, UnstableSystem, ZeroSwitchover)
-from .model import (DISCIPLINES, GATED, MIXED, PollingModel, QueueSpec,
-                    load_model, validate)
+from .model import DISCIPLINES, GATED, MIXED, load_model, validate
 from .vacation import vacation_crossover, vacation_mean_wait_low
 
 CHECK_TOL = 1e-5
@@ -151,9 +151,9 @@ def cmd_sweep(args) -> int:
                 lines.append(f"{param},{qi + 1},{x:.6g},{disc},")
                 continue
             queues = list(model.queues)
-            queues[qi] = QueueSpec(lam_h, lam_l, base.service_high,
-                                   base.service_low, disc)
-            analyzer = Analyzer(PollingModel(tuple(queues), model.switchovers))
+            queues[qi] = dataclasses.replace(base, lambda_high=lam_h, lambda_low=lam_l,
+                                             discipline=disc)
+            analyzer = Analyzer(dataclasses.replace(model, queues=tuple(queues)))
             wl = analyzer.mean_wait_low(qi)
             lines.append(f"{param},{qi + 1},{x:.6g},{disc},{wl:.6g}")
     _emit("\n".join(lines) + "\n", args)

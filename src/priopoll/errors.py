@@ -35,6 +35,7 @@ class UnsupportedEvaluation(PriopollError):
 
 
 class IllConditioned(PriopollError):
-    """A result's error bound is above tolerance: a numerically extracted
-    moment's error estimate, or the rounding bound 2^-53/(1 - rho) of the
-    exact moments on a load too close to saturation (``GfEvaluator.moments``)."""
+    """A result cannot be vouched for: a transform whose evaluable range is
+    too small for numerical moment extraction (``lst_moment``), or exact
+    moments whose rounding bound 2^-53/(1 - rho) passes tolerance on a load
+    too close to saturation (``GfEvaluator.moments``)."""

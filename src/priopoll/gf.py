@@ -57,7 +57,7 @@ import math
 from functools import cached_property
 from operator import mul
 
-from .busyperiod import BusyPeriod, ServiceMix
+from .busyperiod import BusyPeriod
 from .errors import IllConditioned, NoConvergence, OutOfRange
 from .model import CLEARED, DerivedRates, PollingModel, validate
 
@@ -67,6 +67,7 @@ _TOL = 1e-15  # log_value stops once a whole cycle adds less than this
 _STOP = 2.0 ** -55  # _power_series stops once the next step adds less than this
 _STEPS = 64  # doubling steps allowed per moment order: a time bound only
 _GUARD = 1e-6  # moments refuses loads whose rounding bound 2^-53/(1 - rho) passes this
+_MAX_CYCLES = 100_000  # log_value's cycle cap: a time bound only
 
 
 class GfEvaluator:
@@ -74,15 +75,13 @@ class GfEvaluator:
 
     All methods are pure; per-call scratch state only, so instances may be
     shared across threads.  The one attribute built on first use
-    (``_periods``) is the same whichever thread builds it.  ``max_cycles``
+    (``_periods``) is the same whichever thread builds it.  ``_MAX_CYCLES``
     bounds ``log_value`` alone; the moments are bounded by the load guard.
     """
 
-    def __init__(self, model: PollingModel, derived: DerivedRates | None = None,
-                 max_cycles: int = 100_000):
+    def __init__(self, model: PollingModel, derived: DerivedRates | None = None):
         self.model = model
         self.derived = derived if derived is not None else validate(model)
-        self.max_cycles = max_cycles
         self.n = n = model.n
         self._lam = []
         self._cleared = []       # per queue, the coordinates its visit clears
@@ -137,13 +136,8 @@ class GfEvaluator:
         periods = []
         for q in self.model.queues:
             cleared = CLEARED[q.discipline]
-            live = [(s, lam) for c, _, lam, s in q.classes if c in cleared]
-            if len(live) == 2:
-                busy = BusyPeriod(ServiceMix(*live[0], *live[1]), live[0][1] + live[1][1])
-            elif live:
-                busy = BusyPeriod(*live[0])
-            else:
-                busy = None
+            live = [x for c, _, lam, s in q.classes if c in cleared for x in (s, lam)]
+            busy = BusyPeriod(*live) if live else None
             lstc = [None, None]
             for c, _, _, s in q.classes:
                 lstc[c] = s.lst_complement
@@ -174,7 +168,7 @@ class GfEvaluator:
         warm = [0.0] * n
         log1p = math.log1p
         prev_csum = 0.0
-        for _cycle in range(self.max_cycles):
+        for _cycle in range(_MAX_CYCLES):
             # refresh the exponent from scratch: the incremental updates below
             # would otherwise leave a rounding-error floor that never decays
             lam_tot = 0.0
@@ -213,7 +207,7 @@ class GfEvaluator:
                 return math.fsum(terms)
             prev_csum = csum
         raise NoConvergence(
-            f"visit-beginning GF did not converge within {self.max_cycles} cycles "
+            f"visit-beginning GF did not converge within {_MAX_CYCLES} cycles "
             f"(load {self.derived.rho_total:.6g})")
 
     def period_complements(self, j: int, omega: float, warm: float = 0.0):
@@ -223,7 +217,7 @@ class GfEvaluator:
         complement at omega (0 when none is cleared), a warm start for a
         nearby argument.  A class without arrivals gets 0."""
         busy, lstc_h, lstc_l = self._periods[j]
-        u = 0.0 if busy is None else busy.complement(omega, warm)
+        u = 0.0 if busy is None else busy.lst_complement(omega, warm)
         e = omega if busy is None else omega + busy.lam * u
         return lstc_h(e) if lstc_h else 0.0, lstc_l(e) if lstc_l else 0.0, u
 

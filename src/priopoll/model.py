@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .distributions import Distribution, config_number, distribution_from_config
 from .errors import NonpositiveParameter, UnstableSystem, ZeroSwitchover
@@ -117,12 +117,9 @@ class PollingModel:
 
     def replace_discipline(self, i: int, discipline: str) -> "PollingModel":
         """Copy of the model with queue i's discipline swapped."""
-        q = self.queues[i]
-        new_q = QueueSpec(q.lambda_high, q.lambda_low, q.service_high,
-                          q.service_low, discipline)
         queues = list(self.queues)
-        queues[i] = new_q
-        return PollingModel(tuple(queues), self.switchovers)
+        queues[i] = replace(queues[i], discipline=discipline)
+        return replace(self, queues=tuple(queues))
 
 
 @dataclass(frozen=True)

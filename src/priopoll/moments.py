@@ -35,9 +35,6 @@ class TransformHandle:
     omega_max: float = math.inf
     name: str = ""
 
-    def value(self, omega: float) -> float:
-        return 1.0 - self.complement(omega)
-
 
 @dataclass(frozen=True)
 class MomentEstimate:
@@ -94,14 +91,13 @@ def _grid(handle: TransformHandle):
     return hs
 
 
-def lst_moment(handle: TransformHandle, k: int,
-               rel_tol: float | None = None) -> MomentEstimate:
+def lst_moment(handle: TransformHandle, k: int) -> MomentEstimate:
     """k-th raw moment (-1)^k f^(k)(0) of the random variable behind ``handle``.
 
     k = 1 returns the mean, k = 2 the second raw moment.  The estimate's
     ``error`` is the spread of the Neville tableau, a heuristic rather than a
-    bound (see ``MomentEstimate``).  Raises IllConditioned when ``rel_tol``
-    is given and that spread exceeds rel_tol * |value|.
+    bound (see ``MomentEstimate``).  Raises IllConditioned when the handle's
+    evaluable range is too small for the step grid.
     """
     if k not in (1, 2):
         raise ValueError("only first and second moments are supported")
@@ -110,15 +106,9 @@ def lst_moment(handle: TransformHandle, k: int,
     g = [c / h for c, h in zip(cs, hs)]          # m1 - m2/2*h + m3/6*h^2 - ...
     m1, err1 = _neville_to_zero(hs, g)
     if k == 1:
-        est = MomentEstimate(m1, err1)
-    else:
-        q = [2.0 * (m1 - gj) / h for gj, h in zip(g, hs)]  # m2 - m3/3*h + ...
-        m2, err2 = _neville_to_zero(hs, q)
-        # the shared m1 estimate biases every node by 2*err1/h
-        err2 += 2.0 * err1 / hs[len(hs) // 2]
-        est = MomentEstimate(m2, err2)
-    if rel_tol is not None and est.error > rel_tol * abs(est.value):
-        raise IllConditioned(
-            f"moment k={k} of {handle.name or '<anon>'}: error estimate "
-            f"{est.error:.3g} exceeds {rel_tol:.3g} * |{est.value:.6g}|")
-    return est
+        return MomentEstimate(m1, err1)
+    q = [2.0 * (m1 - gj) / h for gj, h in zip(g, hs)]  # m2 - m3/3*h + ...
+    m2, err2 = _neville_to_zero(hs, q)
+    # the shared m1 estimate biases every node by 2*err1/h
+    err2 += 2.0 * err1 / hs[len(hs) // 2]
+    return MomentEstimate(m2, err2)

@@ -82,9 +82,7 @@ _T975_ROWS = ((120, 1.980), (60, 2.000), (40, 2.021))
 
 
 def _t975(df: int) -> float:
-    """97.5% Student-t quantile; off-table df round down, so intervals err wide."""
-    if df <= 0:
-        return math.nan
+    """97.5% Student-t quantile, df >= 1; off-table df round down, so intervals err wide."""
     if df <= 30:
         return _T975[df - 1]
     return next((t for d, t in _T975_ROWS if df >= d), _T975[-1])

@@ -124,7 +124,7 @@ class QueueTransforms:
 
     def complement(self, x, arg: float) -> float:
         """1 - E exp(-arg X) of a service or a busy period X."""
-        return x.complement(arg) if isinstance(x, BusyPeriod) else x.lst_complement(arg)
+        return x.lst_complement(arg)
 
     def gf_complement(self, zh: float, zl: float) -> float:
         """1 - GF at z-complements zh, zl of this queue's own coordinates."""

@@ -183,6 +183,15 @@ def test_report_mixed_queue_without_low_class():
     assert rep.periods[0].intervisit_m2 == pytest.approx(100.0, rel=1e-12)
     with pytest.raises(UnsupportedEvaluation):
         a.cycle_m2(0)
+    # the absent low class has no row, no cross moment and no transform
+    with pytest.raises(KeyError):
+        rep.wait(0, "L")
+    with pytest.raises(KeyError):
+        rep.var(0, "L")
+    with pytest.raises(UnsupportedEvaluation, match="both classes"):
+        a.cross_moment(0)
+    with pytest.raises(UnsupportedEvaluation, match="no low-priority class"):
+        a.mean_wait_low_alt(0)
 
 
 def test_randomized_pcl_and_dual_derivation_small():
@@ -209,7 +218,7 @@ def test_report_skips_the_dual_route(monkeypatch):
 
     monkeypatch.setattr(analytic, "lst_moment", refuse)
     monkeypatch.setattr(GfEvaluator, "log_value", refuse)
-    monkeypatch.setattr(BusyPeriod, "complement", refuse)
+    monkeypatch.setattr(BusyPeriod, "lst_complement", refuse)
     for model in (example1(GATED), example1(MIXED), example2(EXHAUSTIVE, GATED),
                   example2(MIXED, EXHAUSTIVE)):
         Analyzer(model).report(include_variances=False)
@@ -257,11 +266,12 @@ def test_moment_past_the_float_range_is_a_typed_error():
     assert math.isfinite(analyzer.report(include_variances=False).wait(0, "L"))
     with pytest.raises(OutOfRange):
         analyzer.report()
-
-
-def test_series_division_by_a_multiple_of_omega_shifts_both_operands():
-    # (2 w + 4 w^2 + 6 w^3)/(2 w) = 1 + 2 w + 3 w^2: one order shorter
-    assert _Series([0.0, 2.0, 4.0, 6.0]) / _Series([0.0, 2.0, 0.0, 0.0]) == [1.0, 2.0, 3.0]
+    # every moment of Deterministic(1e102) switch-overs fits, but the
+    # variances square E(C^2) ~ 1e204 past the float range; at 1e100 they fit
+    with pytest.raises(OutOfRange, match="waiting-time moment"):
+        Analyzer(example1(det_switchover=1e102)).report()
+    assert Analyzer(example1(det_switchover=1e100)).report().var(0, "H") == \
+        pytest.approx(1.6667e200, rel=1e-4)
 
 
 @pytest.mark.parametrize("op", ["add", "sub", "mul", "truediv"])

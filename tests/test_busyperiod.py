@@ -8,7 +8,7 @@ from oracles import busy_period_by_bisection
 from priopoll import (BusyPeriod, Deterministic, Erlang, Exponential,
                       TransformHandle, Uniform, busy_period_lst,
                       completion_time_lst, lst_moment)
-from priopoll.busyperiod import ServiceMix, _solve_complement
+from priopoll.busyperiod import _solve_complement
 
 # root of pi = (1 + 0.5 + 0.5*(1 - pi))^(-1), i.e. 0.5 pi^2 - 2 pi + 1 = 0
 _EXP_HALF_ROOT = 2.0 - math.sqrt(2.0)  # 0.5857864376269049
@@ -56,13 +56,13 @@ def test_fixed_point_stops_on_a_rounding_two_cycle():
     oracle = 1.0 - busy_period_by_bisection(dist.lst, 0.4, 0.1)
     assert got == pytest.approx(oracle, rel=1e-13)
     assert len(steps) < 100
-    assert BusyPeriod(dist, 0.4).complement(0.1) == got
+    assert BusyPeriod(dist, 0.4).lst_complement(0.1) == got
 
 
 def test_mean_busy_period():
     # E = E(B) / (1 - rho): exponential(1), lam = 0.2 -> 1.25
     bp = BusyPeriod(Exponential(1.0), 0.2)
-    handle = TransformHandle(bp.complement, h0=1e-4)
+    handle = TransformHandle(bp.lst_complement, h0=1e-4)
     est = lst_moment(handle, 1)
     assert est.value == pytest.approx(1.25, rel=1e-10)
     assert bp.mean == pytest.approx(1.25, rel=1e-15)
@@ -75,10 +75,10 @@ def test_unstable_busy_period_rejected():
 
 @pytest.mark.parametrize("omega", [math.nan, math.inf, -0.1, -1.0])
 def test_busy_period_rejects_arguments_outside_its_domain(omega):
-    # every public busy-period path goes through BusyPeriod.complement, which
+    # every public busy-period path goes through BusyPeriod.lst_complement, which
     # refuses at once: no fixed-point steps, no LST above 1
     bp = BusyPeriod(Exponential(1.0), 0.5)
-    for evaluate in (bp.complement, bp.lst,
+    for evaluate in (bp.lst_complement, bp.lst,
                      lambda w: busy_period_lst(Exponential(1.0), 0.5, w),
                      lambda w: completion_time_lst(Exponential(1.0), Exponential(1.0),
                                                    0.3, w)):
@@ -98,7 +98,7 @@ def test_completion_time_mean():
     # E(B*) = E(B_low) / (1 - rho_high) = 1/(1 - 0.2) = 1.25 on the benchmark
     def comp_c(w):
         bp = BusyPeriod(Exponential(1.0), 0.2)
-        u = bp.complement(w)
+        u = bp.lst_complement(w)
         return Exponential(1.0).lst_complement(w + 0.2 * u)
 
     est = lst_moment(TransformHandle(comp_c, h0=1e-4), 1)
@@ -114,15 +114,15 @@ def test_completion_time_value_composes_oracle_root():
     assert got == pytest.approx(0.47506218943955496, abs=1e-9)
 
 
-@pytest.mark.parametrize("service,lam", [
+@pytest.mark.parametrize("classes", [
     (Exponential(1.0), 0.2),
     (Erlang(2, 1.5), 0.5),
     (Uniform(0.0, 2.0), 0.4),
-    (ServiceMix(Exponential(1.0), 0.3, Deterministic(0.5), 0.6), 0.9),
+    (Exponential(1.0), 0.3, Deterministic(0.5), 0.6),
 ], ids=["exponential", "erlang", "uniform", "two-class-mix"])
-def test_exact_moments_match_transform(service, lam):
-    bp = BusyPeriod(service, lam)
-    handle = TransformHandle(bp.complement, h0=1e-4, omega_max=1.0)
+def test_exact_moments_match_transform(classes):
+    bp = BusyPeriod(*classes)
+    handle = TransformHandle(bp.lst_complement, h0=1e-4, omega_max=1.0)
     for k in (1, 2):
         assert bp.moment(k) == pytest.approx(lst_moment(handle, k).value, rel=1e-7)
 
@@ -136,3 +136,5 @@ def test_third_moment_exponential_closed_form():
                                          rel=1e-13)
     assert bp.moment(2) == pytest.approx(2.0 * mu / (mu - lam) ** 3, rel=1e-13)
     assert bp.mean == bp.moment(1) == pytest.approx(1.0 / (mu - lam), rel=1e-13)
+    with pytest.raises(ValueError, match="k in"):
+        bp.moment(4)

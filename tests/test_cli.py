@@ -1,5 +1,6 @@
 """Command-line interface: outputs, golden regressions, exit codes."""
 
+import dataclasses
 import json
 import pathlib
 import subprocess
@@ -7,8 +8,8 @@ import sys
 
 import pytest
 
-from zoo import huge_switchover, time_scaled_probe
-from priopoll import cli, model_to_config
+from zoo import example1, huge_switchover, time_scaled_probe
+from priopoll import Analyzer, cli, load_model, model_to_config
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "priopoll" / "data"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -84,6 +85,16 @@ def test_compare_rejects_duplicate_queue_indices(capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: duplicate queue index")
+
+
+@pytest.mark.parametrize("queues", ["3", "0"])
+def test_compare_rejects_queue_indices_out_of_range(queues, capsys):
+    code = cli.main(["compare", "--model", str(DATA / "example2.json"),
+                     "--queues", queues])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: queue index {queues} out of range")
 
 
 def test_compare_no_high_class_gated_equals_mixed(tmp_path, capsys):
@@ -185,13 +196,43 @@ def test_bad_rate_exit_code(rate, tmp_path):
     ("service_low", '{"family": "hyperexponential", "params": {"probs": 0.5, "means": [1.0]}}'),
     ("service_low", '{"family": "deterministic", "params": {"value": [1.0]}}'),
     ("service_low", '{"family": ["exponential"], "params": {"mean": 1.0}}'),
+    ("service_low", '"exponential"'),
+    ("service_low", '{"family": "exponential", "params": [1.0]}'),
+    ("service_low", '{"family": "exponential", "params": {}}'),
+    ("service_low", "null"),
+    ("discipline", '"fifo"'),
 ], ids=["rate-list", "rate-bool", "shape-2.7", "shape-str", "shape-bool", "shape-inf",
-        "probs-scalar", "value-list", "family-list"])
+        "probs-scalar", "value-list", "family-list", "service-str", "params-list",
+        "params-missing", "service-null", "discipline-unknown"])
 def test_malformed_model_exit_code(field, text, tmp_path):
     cfg = json.loads((DATA / "example1.json").read_text())
     cfg["queues"][0][field] = "VALUE"
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(cfg).replace('"VALUE"', text))
+    proc = subprocess.run(
+        [sys.executable, "-m", "priopoll.cli", "analyze", "--model", str(path)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+_EXP = {"family": "exponential", "params": {"mean": 1.0}}
+_QUEUE = {"lambda_low": 0.2, "service_low": _EXP}
+
+
+@pytest.mark.parametrize("cfg", [
+    [_QUEUE],
+    {"switchovers": [_EXP]},
+    {"queues": [], "switchovers": []},
+    {"queues": [_QUEUE], "switchovers": _EXP},
+    {"queues": [0.2], "switchovers": [_EXP]},
+    {"queues": [_QUEUE], "switchovers": [_EXP, _EXP]},
+], ids=["not-an-object", "no-queues-key", "empty-queues", "switchovers-object",
+        "queue-number", "switchover-count"])
+def test_malformed_model_document_exit_code(cfg, tmp_path):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(cfg))
     proc = subprocess.run(
         [sys.executable, "-m", "priopoll.cli", "analyze", "--model", str(path)],
         capture_output=True, text=True, timeout=120)
@@ -241,16 +282,20 @@ def test_convergence_failure_exit_code(tmp_path, capsys):
     assert "convergence" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("build", [huge_switchover, lambda: time_scaled_probe(1e90)],
-                         ids=["huge_switchover", "probe_1e90"])
-def test_moment_past_the_float_range_exit_code(build, tmp_path, capsys):
+@pytest.mark.parametrize("build,prefix", [
+    (huge_switchover, "error: a service or"),
+    (lambda: time_scaled_probe(1e90), "error: a service or"),
+    (lambda: example1(det_switchover=1e102), "error: queue 1 class H: a waiting-time"),
+], ids=["huge_switchover", "probe_1e90", "det_1e102"])
+def test_moment_past_the_float_range_exit_code(build, prefix, tmp_path, capsys):
     # a moment past the float range is a parameter error, not an
-    # OverflowError traceback
+    # OverflowError traceback or a NaN variance
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(model_to_config(build())))
     assert cli.main(["analyze", "--model", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: a service or") and "does not fit in a float" in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(prefix) and "does not fit in a float" in captured.err
 
 
 def test_sweep_equal_disciplines_at_zero_high_rate(capsys):
@@ -279,10 +324,44 @@ def test_sweep_over_a_class_without_service_rejected(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_sweep_hold_total_over_the_low_rate(capsys):
+    # the high rate takes up what the low one leaves of queue 1's total; at
+    # a zero low rate no low class exists and the row has no wait
+    code, out = _run(["sweep", "--model", str(DATA / "example1.json"),
+                      "--sweep", "lambda_low:Q1:0:0.4:3", "--hold-total"], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [r[2:4] for r in rows] == [[x, d] for x in ("0", "0.2", "0.4")
+                                      for d in ("gated", "mixed_ge")]
+    assert [r[4] for r in rows[:2]] == ["", ""]
+    base = load_model(DATA / "example1.json")
+    q = base.queues[0]
+    for r in rows[2:]:
+        x = float(r[2])
+        queue = dataclasses.replace(q, lambda_high=q.lambda_high + q.lambda_low - x,
+                                    lambda_low=x, discipline=r[3])
+        model = dataclasses.replace(base, queues=(queue, *base.queues[1:]))
+        assert r[4] == f"{Analyzer(model).mean_wait_low(0):.6g}"
+
+
 def test_sweep_bad_spec(capsys):
     code, _ = _run(["sweep", "--model", str(DATA / "example1.json"),
                     "--sweep", "nonsense"], capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("mu:Q1:0:0.5:3", "unsupported sweep parameter"),
+    ("lambda_high:Q3:0:0.1:3", "queue index 3 out of range"),
+    ("lambda_high:Q1:0.2:0.2:3", "sweep grid must be strictly increasing"),
+    ("lambda_high:Q1:0:0.2:1", "sweep grid must be strictly increasing"),
+], ids=["parameter", "queue", "empty-range", "one-point"])
+def test_sweep_rejects_specs_outside_the_model(spec, message, capsys):
+    code = cli.main(["sweep", "--model", str(DATA / "example1.json"), "--sweep", spec])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
 
 
 def test_vacation_sweep_brackets_crossover(capsys):

@@ -158,8 +158,12 @@ def _erlang(shape):
     {"family": "deterministic", "params": {"value": [1.0]}},
     {"family": "exponential", "params": {"mean": None}},
     {"family": "uniform", "params": {"low": 0.0, "high": "2"}},
+    "exponential",
+    {"family": "exponential", "params": [1.0]},
+    {"family": "uniform", "params": {"low": 0.0}},
 ], ids=["shape-2.7", "shape-str", "shape-bool", "shape-inf", "shape-huge",
-        "probs-scalar", "means-str", "value-list", "mean-null", "high-str"])
+        "probs-scalar", "means-str", "value-list", "mean-null", "high-str",
+        "config-str", "params-list", "param-missing"])
 def test_malformed_config_values_rejected(cfg):
     with pytest.raises(ValueError):
         distribution_from_config(cfg)

@@ -16,6 +16,7 @@ from priopoll import (DISCIPLINES, EXHAUSTIVE, GATED, MIXED, Analyzer, Determini
                       Erlang, Exponential, GfEvaluator, Hyperexponential, IllConditioned,
                       NoConvergence, PollingModel, QueueSpec, TransformHandle, Uniform,
                       lst_moment, validate)
+import priopoll.gf as gf_module
 from priopoll.gf import _STEPS, _cube, _power_series, _product
 
 
@@ -118,13 +119,14 @@ def test_complement_precision_near_one():
     assert c == pytest.approx((0.8 + 4.0) * 1e-9, rel=1e-5)
 
 
-def test_near_critical_load_raises_no_convergence():
+def test_near_critical_load_raises_no_convergence(monkeypatch):
     from priopoll import Exponential, PollingModel, QueueSpec
     model = PollingModel(
         queues=(QueueSpec(0.5, 0.4999999, Exponential(1.0), Exponential(1.0)),),
         switchovers=(Exponential(1.0),),
     )
-    gf = GfEvaluator(model, max_cycles=200)
+    monkeypatch.setattr(gf_module, "_MAX_CYCLES", 200)
+    gf = GfEvaluator(model)
     with pytest.raises(NoConvergence):
         gf.complement_pair(0, 0.01, 0.01)
 
@@ -357,17 +359,20 @@ def test_third_moments_are_the_cycle_fixed_point():
                         assert block[a][b][c] == pytest.approx(block[c][a][b], rel=1e-13)
 
 
-def test_third_moments_ignore_max_cycles():
-    # max_cycles bounds only the reference route, log_value: at rho = 1 -
+def test_third_moments_ignore_max_cycles(monkeypatch):
+    # _MAX_CYCLES bounds only the reference route, log_value: at rho = 1 -
     # 1e-7 the moments sum in a few dozen doubling steps whatever it is
     model = PollingModel(
         queues=(QueueSpec(0.5, 0.4999999, Exponential(1.0), Exponential(1.0)),),
         switchovers=(Exponential(1.0),),
     )
-    capped, free = GfEvaluator(model, max_cycles=200), GfEvaluator(model)
-    states = capped.moments()
-    assert states == free.moments()
-    assert capped.third_moments(states) == free.third_moments(states)
+    free = GfEvaluator(model)
+    states = free.moments()
+    third = free.third_moments(states)
+    monkeypatch.setattr(gf_module, "_MAX_CYCLES", 200)
+    capped = GfEvaluator(model)
+    assert capped.moments() == states
+    assert capped.third_moments(states) == third
 
 
 def test_variances_answer_past_rho_0_99999():

@@ -63,6 +63,21 @@ def test_queue_needs_positive_rate():
         QueueSpec(-0.1, 0.2, Exponential(1.0), Exponential(1.0))
     with pytest.raises(NonpositiveParameter):
         QueueSpec(0.1, 0.0, None, None)  # missing service_high
+    with pytest.raises(NonpositiveParameter):
+        QueueSpec(0.0, 0.1, None, None)  # missing service_low
+
+
+def test_unknown_discipline_rejected():
+    with pytest.raises(ValueError, match="unknown discipline"):
+        QueueSpec(0.1, 0.1, Exponential(1.0), Exponential(1.0), "fifo")
+
+
+def test_model_needs_one_switchover_per_queue():
+    q = QueueSpec(0.1, 0.1, Exponential(1.0), Exponential(1.0))
+    with pytest.raises(NonpositiveParameter, match="at least one queue"):
+        PollingModel(queues=(), switchovers=())
+    with pytest.raises(NonpositiveParameter, match="one switch-over time per queue"):
+        PollingModel(queues=(q,), switchovers=(Exponential(1.0),) * 2)
 
 
 def test_zero_mean_service_with_arrivals_rejected():
@@ -143,6 +158,23 @@ def test_unknown_keys_rejected():
         model_from_config(cfg)
     cfg = model_to_config(example1())
     cfg["queues"][0]["priority"] = 3
+    with pytest.raises(ValueError):
+        model_from_config(cfg)
+
+
+_EXP = {"family": "exponential", "params": {"mean": 1.0}}
+_QUEUE = {"lambda_low": 0.2, "service_low": _EXP}
+
+
+@pytest.mark.parametrize("cfg", [
+    [_QUEUE],
+    {"switchovers": [_EXP]},
+    {"queues": [], "switchovers": []},
+    {"queues": [_QUEUE], "switchovers": _EXP},
+    {"queues": [0.2], "switchovers": [_EXP]},
+], ids=["not-an-object", "no-queues-key", "empty-queues", "switchovers-object",
+        "queue-number"])
+def test_malformed_model_config_rejected(cfg):
     with pytest.raises(ValueError):
         model_from_config(cfg)
 

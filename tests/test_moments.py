@@ -44,12 +44,10 @@ def test_error_estimate_is_honest():
     assert abs(est.value - 1.0) < 50.0 * max(est.error, 1e-12)
 
 
-def test_ill_conditioned_raises():
-    def garbage(w):
-        return Exponential(1.0).lst_complement(w) * (1.0 + 1e-3 * math.sin(1e8 * w))
-
-    with pytest.raises(IllConditioned):
-        lst_moment(TransformHandle(garbage, h0=1e-6), 2, rel_tol=1e-6)
+@pytest.mark.parametrize("k", [0, 3])
+def test_unsupported_order_rejected(k):
+    with pytest.raises(ValueError, match="first and second"):
+        lst_moment(_handle(Exponential(1.0)), k)
 
 
 def test_degenerate_domain_rejected():

@@ -86,6 +86,17 @@ def test_unsupported_domains(ex1):
     a_exh = Analyzer(example1(EXHAUSTIVE))
     with pytest.raises(UnsupportedEvaluation):
         a_exh.cycle_time_lst(0, 0.01)       # exhaustive queue: no cycle readout
+    no_low = Analyzer(single_vacation_queue(MIXED, lam_l=0.0))
+    with pytest.raises(UnsupportedEvaluation):
+        no_low.waiting_lst_low(0, 0.01)
+    with pytest.raises(UnsupportedEvaluation):
+        no_low.qlen_gf_low(0, 0.5)
+    with pytest.raises(UnsupportedEvaluation):
+        ex1.qlen_gf_high(1, 0.5)            # no high class in queue 2
+    for qlen_gf in (ex1.qlen_gf_high, ex1.qlen_gf_low):
+        for z in (-0.1, 1.5):
+            with pytest.raises(UnsupportedEvaluation, match="z must lie"):
+                qlen_gf(0, z)
 
 
 def _or_none(fn, *args):

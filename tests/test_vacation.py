@@ -5,7 +5,7 @@ import math
 import pytest
 
 from oracles import bisect_root
-from priopoll import GATED, MIXED, vacation_crossover, vacation_mean_wait_low
+from priopoll import EXHAUSTIVE, GATED, MIXED, vacation_crossover, vacation_mean_wait_low
 
 
 def test_no_high_class_disciplines_coincide():
@@ -97,6 +97,8 @@ def test_invalid_arguments():
         vacation_mean_wait_low(0.1, 0.2, 0.0, MIXED)
     with pytest.raises(ValueError):
         vacation_crossover(1.0, 5.0)
+    with pytest.raises(ValueError, match="unsupported discipline"):
+        vacation_mean_wait_low(0.1, 0.2, 1.0, EXHAUSTIVE)
 
 
 @pytest.mark.parametrize("s", [math.nan, math.inf])
