@@ -469,5 +469,8 @@ def _pcl(model: PollingModel, derived: DerivedRates,
     rhs += (rho * rho - sum(r * r for r in derived.rho_queue)) * es / (2.0 * (1.0 - rho))
     for i in range(model.n):
         rhs += leftover_work(model, derived, i)
+    if not rhs > 0.0:
+        raise OutOfRange(f"conservation sum {rhs!r} is not positive: the "
+                         "model's loads and times underflow a float")
     residual = abs(lhs - rhs) / rhs
     return lhs, rhs, residual

@@ -21,8 +21,7 @@ import math
 import sys
 
 from .analytic import Analyzer, leftover_work, pcl_check
-from .errors import (IllConditioned, NoConvergence, NonpositiveParameter,
-                     OutOfRange, UnstableSystem, ZeroSwitchover)
+from .errors import IllConditioned, NoConvergence, PriopollError, UnstableSystem
 from .model import DISCIPLINES, GATED, MIXED, load_model, validate
 from .vacation import vacation_crossover, vacation_mean_wait_low
 
@@ -61,7 +60,7 @@ def _csv_to_table(csv_text: str) -> str:
 
 
 def _emit(csv_text: str, args) -> None:
-    if getattr(args, "format", "csv") == "table":
+    if args.format == "table":
         _write(_csv_to_table(csv_text), args.out)
     else:
         _write(csv_text, args.out)
@@ -248,7 +247,7 @@ def main(argv=None) -> int:
     except (NoConvergence, IllConditioned) as exc:
         print(f"error: convergence failure: {exc}", file=sys.stderr)
         return 3
-    except (OSError, ValueError, NonpositiveParameter, ZeroSwitchover, OutOfRange) as exc:
+    except (OSError, ValueError, PriopollError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,7 +10,7 @@ and reproducible sampling from a caller-owned RNG stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 from .errors import NonpositiveParameter
@@ -61,7 +61,12 @@ class Distribution:
         raise NotImplementedError
 
     def to_config(self) -> dict:
-        raise NotImplementedError
+        """``{"family": ..., "params": {...}}``, as ``distribution_from_config`` reads it."""
+        family, keys = next((name, keys) for name, (cls, keys) in _FAMILIES.items()
+                            if cls is type(self))
+        values = (getattr(self, f.name) for f in fields(self))
+        return {"family": family, "params": {
+            k: list(v) if isinstance(v, tuple) else v for k, v in zip(keys, values)}}
 
 
 @dataclass(frozen=True)
@@ -85,9 +90,6 @@ class Deterministic(Distribution):
         import numpy as np
         return np.full(n, self.value)
 
-    def to_config(self):
-        return {"family": "deterministic", "params": {"value": self.value}}
-
 
 @dataclass(frozen=True)
 class Exponential(Distribution):
@@ -109,9 +111,6 @@ class Exponential(Distribution):
 
     def sample_block(self, rng, n):
         return rng.exponential(self.mean_, n)
-
-    def to_config(self):
-        return {"family": "exponential", "params": {"mean": self.mean_}}
 
 
 @dataclass(frozen=True)
@@ -143,9 +142,6 @@ class Erlang(Distribution):
 
     def sample_block(self, rng, n):
         return rng.gamma(self.shape, self.mean_ / self.shape, n)
-
-    def to_config(self):
-        return {"family": "erlang", "params": {"shape": self.shape, "mean": self.mean_}}
 
 
 @dataclass(frozen=True)
@@ -181,10 +177,6 @@ class Hyperexponential(Distribution):
         idx = np.searchsorted(cum, rng.random(n), side="right")
         idx = np.minimum(idx, len(self.means) - 1)
         return rng.exponential(1.0, n) * np.asarray(self.means)[idx]
-
-    def to_config(self):
-        return {"family": "hyperexponential",
-                "params": {"probs": list(self.probs), "means": list(self.means)}}
 
 
 def _one_minus_expm1_ratio(x: float) -> float:
@@ -228,16 +220,14 @@ class Uniform(Distribution):
     def sample_block(self, rng, n):
         return rng.uniform(self.low, self.high, n)
 
-    def to_config(self):
-        return {"family": "uniform", "params": {"low": self.low, "high": self.high}}
 
-
+# family name: its class and config keys, one per dataclass field in field order
 _FAMILIES = {
-    "deterministic": (Deterministic, {"value"}),
-    "exponential": (Exponential, {"mean"}),
-    "erlang": (Erlang, {"shape", "mean"}),
-    "hyperexponential": (Hyperexponential, {"probs", "means"}),
-    "uniform": (Uniform, {"low", "high"}),
+    "deterministic": (Deterministic, ("value",)),
+    "exponential": (Exponential, ("mean",)),
+    "erlang": (Erlang, ("shape", "mean")),
+    "hyperexponential": (Hyperexponential, ("probs", "means")),
+    "uniform": (Uniform, ("low", "high")),
 }
 
 
@@ -274,26 +264,20 @@ def distribution_from_config(cfg: dict) -> Distribution:
     if not isinstance(family, str) or family not in _FAMILIES:
         raise ValueError(f"unknown distribution family {family!r}; "
                          f"expected one of {sorted(_FAMILIES)}")
-    cls, allowed = _FAMILIES[family]
+    cls, keys = _FAMILIES[family]
     params = cfg.get("params")
     if not isinstance(params, dict):
         raise ValueError(f"distribution {family!r} needs a params object")
-    unknown = set(params) - allowed
+    unknown = set(params) - set(keys)
     if unknown:
         raise ValueError(f"unknown parameters for {family!r}: {sorted(unknown)}")
-    missing = allowed - set(params)
+    missing = set(keys) - set(params)
     if missing:
         raise ValueError(f"missing parameters for {family!r}: {sorted(missing)}")
-    if family == "hyperexponential":
-        return cls(probs=_config_numbers(params["probs"], f"{family} probs"),
-                   means=_config_numbers(params["means"], f"{family} means"))
-    num = {key: config_number(params[key], f"{family} {key}") for key in sorted(allowed)}
-    if family == "deterministic":
-        return cls(value=num["value"])
-    if family == "exponential":
-        return cls(mean_=num["mean"])
+    read = _config_numbers if family == "hyperexponential" else config_number
+    values = [read(params[key], f"{family} {key}") for key in keys]
     if family == "erlang":
-        if not num["shape"].is_integer():
+        if not values[0].is_integer():
             raise ValueError(f"erlang shape must be a whole number, got {params['shape']!r}")
-        return cls(shape=int(num["shape"]), mean_=num["mean"])
-    return cls(low=num["low"], high=num["high"])
+        values[0] = int(values[0])
+    return cls(*values)

@@ -26,8 +26,10 @@ class NoConvergence(PriopollError):
 
 
 class OutOfRange(PriopollError):
-    """A moment of the model's times does not fit in a float: a service,
-    switch-over or busy-period moment past about 1.8e308."""
+    """A quantity of the model does not fit in a float: a service,
+    switch-over or busy-period moment past about 1.8e308, a workload
+    conservation sum that underflows to 0, or a simulation horizon that the
+    simulator's clock cannot advance by the model's shortest mean time."""
 
 
 class UnsupportedEvaluation(PriopollError):

@@ -49,11 +49,16 @@ queue's record: each class's next arrival, wait tally and queue-length area,
 the previous visit's beginning and end, the cycle, intervisit and visit
 tallies and the visit-beginning state sums.  A visit unpacks the record into
 locals in one statement and stores it back in one slice assignment.  The
-loop runs cycle by cycle over the queues, so the warm-up start is decided
-once per cycle; the final queue-0 visit beginning only closes queue 0's last
-cycle.  At the end the records are read out column by column into the
-``_Tally`` fields, areas and state sums of ``_RepResult``; ``_aggregate``
-merges runs.
+loop runs cycle by cycle over the queues; the final queue-0 visit beginning
+only closes queue 0's last cycle.  At the end the records are read out
+column by column into the ``_Tally`` fields, areas and state sums of
+``_RepResult``; ``_aggregate`` merges runs.
+
+Warm-up and measured cycles run the same loop.  The measurement window
+[t_warm, inf) is empty (t_warm = inf) until cycle ``warmup_cycles`` sets
+t_warm to the clock.  Wait, cycle and intervisit tallies test the window;
+the busy time, areas (-inf until then: an area adds ``t - max(arrival,
+t_warm)``), visit tallies and state sums are zeroed when it opens.
 """
 
 from __future__ import annotations
@@ -67,6 +72,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import OutOfRange
 from .model import CLEARED, PollingModel, validate
 
 __all__ = ["Event", "SimStats", "run", "replicate"]
@@ -94,7 +100,7 @@ class Event:
 
     timestamp: float
     kind: str          # visit_begin | service_start | service_end | switch_end
-    sequence: int
+    sequence: int      # the entry's position in the trace list
     queue: int
     cls: str = ""
     arrival: float = math.nan
@@ -134,13 +140,21 @@ class _RepResult:
 
 def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
               trace: bool = False) -> _RepResult:
-    validate(model)
+    # a clock that cannot advance by the shortest mean time would never end
+    horizon = n_cycles * validate(model).mean_cycle
+    means = [d.mean for d in model.switchovers]
+    for q in model.queues:
+        for _, _, rate, dist in q.classes:
+            means += dist.mean, 1.0 / rate
+    shortest = min(m for m in means if m > 0.0)
+    if horizon + shortest == horizon:
+        raise OutOfRange(f"the simulator's clock cannot advance a horizon of "
+                         f"{horizon:.3g} by the model's shortest mean time {shortest:.3g}")
     n = model.n
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     # per queue: arr_h, arr_l, svc_h, svc_l, swo
     rngs = [np.random.default_rng(c) for c in ss.spawn(5 * n)]
     events = []
-    seq = 0
 
     # per queue: whether a visit clears each class, the class streams'
     # arrivals and service times, its switch-over times and its record.  The
@@ -161,31 +175,33 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
                        _stream(model.switchovers[j].sample_block, rngs[5 * j + 4]), rec))
 
     t = 0.0
-    t_warm = None
+    t_warm = math.inf  # the measurement window [t_warm, inf) is empty in the warm-up
     busy = 0.0
     for cyc in range(n_cycles):
-        if cyc == warmup_cycles:
+        if cyc == warmup_cycles:  # open it; zero the tallies it does not test
             t_warm = t
-        measured = t_warm is not None  # t never falls back below t_warm
+            busy = 0.0
+            for q in queues:
+                rec = q[-1]
+                rec[4] = rec[9] = 0.0
+                rec[18:] = 0, 0.0, 0.0, 0.0, 0.0, 0.0
         for j, read_h, read_l, arr_h, arr_l, svc_h, svc_l, swo, rec in queues:
             (nh, hn, hs, hs2, ha, nl, ln, ls, ls2, la, prev_begin, prev_end,
              cn, cs, cs2, gn, gs, gs2, vn, vs, vs2, sh, sl, shl) = rec
             # ---- visit beginning
             t_vb = t
-            if measured:
-                if prev_begin >= t_warm:
-                    x = t - prev_begin
-                    cn += 1
-                    cs += x
-                    cs2 += x * x
-                if prev_end >= t_warm:
-                    x = t - prev_end
-                    gn += 1
-                    gs += x
-                    gs2 += x * x
+            if prev_begin >= t_warm:
+                x = t - prev_begin
+                cn += 1
+                cs += x
+                cs2 += x * x
+            if prev_end >= t_warm:
+                x = t - prev_end
+                gn += 1
+                gs += x
+                gs2 += x * x
             if trace:
-                events.append(Event(t, "visit_begin", seq, j))
-                seq += 1
+                events.append(Event(t, "visit_begin", len(events), j))
 
             # highs first, then one low, then highs again; each class is
             # served straight from its stream while its next arrival is
@@ -204,20 +220,16 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
                     if arr < t_vb:
                         xh += 1
                     if trace:
-                        events.append(Event(t, "service_start", seq, j, "H", arr))
-                        events.append(Event(t + dur, "service_end", seq + 1, j, "H", arr))
-                        seq += 2
-                    if measured:
-                        if arr >= t_warm:
-                            w = t - arr
-                            hn += 1
-                            hs += w
-                            hs2 += w * w
-                        busy += dur
-                        t += dur
-                        ha += t - (arr if arr > t_warm else t_warm)
-                    else:
-                        t += dur
+                        events.append(Event(t, "service_start", len(events), j, "H", arr))
+                        events.append(Event(t + dur, "service_end", len(events), j, "H", arr))
+                    if arr >= t_warm:
+                        w = t - arr
+                        hn += 1
+                        hs += w
+                        hs2 += w * w
+                    busy += dur
+                    t += dur
+                    ha += t - (arr if arr > t_warm else t_warm)
                 if pending is not None:
                     la += t - (pending if pending > t_warm else t_warm)
                     pending = None
@@ -229,50 +241,43 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
                 if arr < t_vb:
                     xl += 1
                 if trace:
-                    events.append(Event(t, "service_start", seq, j, "L", arr))
-                    events.append(Event(t + dur, "service_end", seq + 1, j, "L", arr))
-                    seq += 2
-                if measured:
-                    if arr >= t_warm:
-                        w = t - arr
-                        ln += 1
-                        ls += w
-                        ls2 += w * w
-                    busy += dur
-                    t += dur
-                    pending = arr
-                else:
-                    t += dur
+                    events.append(Event(t, "service_start", len(events), j, "L", arr))
+                    events.append(Event(t + dur, "service_end", len(events), j, "L", arr))
+                if arr >= t_warm:
+                    w = t - arr
+                    ln += 1
+                    ls += w
+                    ls2 += w * w
+                busy += dur
+                t += dur
+                pending = arr
 
             # ---- visit end
-            if measured:
-                x = t - t_vb
-                vn += 1
-                vs += x
-                vs2 += x * x
-                sh += xh
-                sl += xl
-                shl += xh * xl
+            x = t - t_vb
+            vn += 1
+            vs += x
+            vs2 += x * x
+            sh += xh
+            sl += xl
+            shl += xh * xl
             rec[:] = (nh, hn, hs, hs2, ha, nl, ln, ls, ls2, la, t_vb, t,
                       cn, cs, cs2, gn, gs, gs2, vn, vs, vs2, sh, sl, shl)
             t += next(swo)
             if trace:
-                events.append(Event(t, "switch_end", seq, (j + 1) % n))
-                seq += 1
+                events.append(Event(t, "switch_end", len(events), (j + 1) % n))
 
     # the final queue-0 visit beginning closes queue 0's last measured cycle
     rec = queues[0][-1]
     x = t - rec[10]
     rec[12:15] = rec[12] + 1, rec[13] + x, rec[14] + x * x
     # customers still in system contribute queue-length area up to the horizon
-    if t > t_warm:
-        for q in queues:
-            rec = q[-1]
-            for c, it in ((0, q[3]), (5, q[4])):
-                arr = rec[c]
-                while arr < t:
-                    rec[c + 4] += t - (arr if arr > t_warm else t_warm)
-                    arr = next(it)
+    for q in queues:
+        rec = q[-1]
+        for c, it in ((0, q[3]), (5, q[4])):
+            arr = rec[c]
+            while arr < t:
+                rec[c + 4] += t - (arr if arr > t_warm else t_warm)
+                arr = next(it)
 
     recs = [q[-1] for q in queues]
 
@@ -456,11 +461,6 @@ def run(model: PollingModel, seed: int, n_cycles: int,
     return stats
 
 
-def _run_star(args):
-    model, child, n_cycles, warmup_cycles = args
-    return _simulate(model, child, n_cycles, warmup_cycles)
-
-
 def replicate(model: PollingModel, base_seed: int, n_reps: int, n_cycles: int,
               warmup_cycles: int | None = None,
               parallel: bool | None = None) -> SimStats:
@@ -475,16 +475,16 @@ def replicate(model: PollingModel, base_seed: int, n_reps: int, n_cycles: int,
         raise ValueError("n_reps must be an integer >= 1")
     warmup_cycles = _warmup(n_cycles, warmup_cycles)
     children = np.random.SeedSequence(base_seed).spawn(n_reps)
-    jobs = [(model, c, n_cycles, warmup_cycles) for c in children]
     if parallel is None:
         lam_tot = sum(q.lambda_high + q.lambda_low for q in model.queues)
         ec = validate(model).mean_cycle
         parallel = n_reps >= 2 and n_cycles * ec * lam_tot >= 2e6
+    args = (repeat(model), children, repeat(n_cycles), repeat(warmup_cycles))
     workers = min(n_reps, os.cpu_count() or 1) if parallel else 1
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            reps = list(pool.map(_run_star, jobs))
+            reps = list(pool.map(_simulate, *args))
     else:
-        reps = [_run_star(job) for job in jobs]
+        reps = list(map(_simulate, *args))
     return _aggregate(model, reps, base_seed, n_cycles, warmup_cycles)

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from zoo import example1, huge_switchover, time_scaled_probe
-from priopoll import Analyzer, cli, load_model, model_to_config
+from priopoll import Analyzer, UnsupportedEvaluation, cli, load_model, model_to_config
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "priopoll" / "data"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -280,6 +280,25 @@ def test_convergence_failure_exit_code(tmp_path, capsys):
     code = cli.main(["analyze", "--model", str(path)])
     assert code == 3
     assert "convergence" in capsys.readouterr().err
+
+
+def test_simulate_horizon_past_the_clock_exit_code(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(model_to_config(huge_switchover())))
+    assert cli.main(["simulate", "--model", str(path), "--cycles", "200", "--reps", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the simulator's clock")
+
+
+def test_error_without_an_exit_code_of_its_own(monkeypatch, capsys):
+    # every PriopollError is caught: one without a code of its own exits 1
+    def fail(args):
+        raise UnsupportedEvaluation("outside the evaluable domain")
+
+    monkeypatch.setattr(cli, "cmd_analyze", fail)
+    assert cli.main(["analyze", "--model", str(DATA / "example1.json")]) == 1
+    assert capsys.readouterr().err == "error: outside the evaluable domain\n"
 
 
 @pytest.mark.parametrize("build,prefix", [

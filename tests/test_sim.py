@@ -10,10 +10,11 @@ import pathlib
 import numpy as np
 import pytest
 
-from zoo import example1, example2, random_model, single_vacation_queue
+from zoo import (example1, example2, huge_switchover, random_model,
+                 single_vacation_queue, time_scaled_probe)
 from priopoll import (Analyzer, Deterministic, EXHAUSTIVE, Erlang, Exponential,
-                      GATED, Hyperexponential, MIXED, PollingModel, QueueSpec,
-                      Uniform, replicate, run)
+                      GATED, Hyperexponential, MIXED, OutOfRange, PollingModel,
+                      QueueSpec, Uniform, replicate, run)
 
 
 def test_bit_reproducible():
@@ -495,6 +496,24 @@ def test_invalid_cycle_arguments():
             replicate(example1(), 1, n_reps=2, **counts)
     with pytest.raises(ValueError):
         replicate(example1(), 1, n_reps=True, n_cycles=10)
+
+
+def test_horizon_past_the_clock_is_a_typed_error():
+    # an Exp(1e120) switch-over makes E(C) about 1e121: 200 cycles would hold
+    # about 1e123 arrivals, and a clock near 1e123 cannot add a unit-scale
+    # service, so the run would never end
+    with pytest.raises(OutOfRange, match="clock"):
+        run(huge_switchover(), seed=1, n_cycles=200)
+
+
+@pytest.mark.parametrize("s", [1e-110, 1e90])
+def test_clock_check_has_no_time_unit(s):
+    # the check is relative: scaling every time by s leaves it passing, and
+    # the scaled run draws the unscaled run's values times s
+    scaled = run(time_scaled_probe(s), seed=1, n_cycles=500)
+    unscaled = run(time_scaled_probe(1.0), seed=1, n_cycles=500)
+    for key, mean in unscaled.wait_mean.items():
+        assert scaled.wait_mean[key] / s == pytest.approx(mean, rel=1e-9)
 
 
 def test_t975_never_below_the_true_quantile():
