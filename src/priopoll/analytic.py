@@ -1,7 +1,8 @@
 """Analytic performance measures: means, variances, queue lengths, PCL.
 
-The Analyzer wraps one validated model with a shared GF evaluator.  Every
-mean and variance rests on the exact factorial moments of the polling state
+The Analyzer wraps one model with a shared GF evaluator, which validates it
+and checks its service and switch-over moments; ``pcl_check`` goes through
+an Analyzer too.  Every mean and variance rests on the exact factorial moments of the polling state
 at visit beginnings (``GfEvaluator.moments`` up to order two and
 ``third_moments``, each solved once per model, the latter only when a
 variance asks for it and only on each queue's distinct spans), from which it
@@ -29,10 +30,11 @@ import io
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import OutOfRange, UnsupportedEvaluation
 from .gf import GfEvaluator
-from .model import CLEARED, DerivedRates, PollingModel, validate
+from .model import CLEARED, DerivedRates, PollingModel
 from .moments import lst_moment
 # no longer called here; perfbench/tracing.py wraps it under this module's name
 from .moments import _neville_to_zero  # noqa: F401
@@ -105,11 +107,9 @@ class Analyzer:
 
     def __init__(self, model: PollingModel):
         self.model = model
-        self.derived = validate(model)
-        self.gf = GfEvaluator(model, self.derived)
+        self.gf = GfEvaluator(model)
+        self.derived = self.gf.derived
         self.queues = [QueueTransforms(self.gf, i) for i in range(model.n)]
-        self._moments = None
-        self._third_moments = None
 
     # ------------------------------------------------------------ transforms
 
@@ -142,20 +142,18 @@ class Analyzer:
 
     # --------------------------------------------------------- period moments
 
-    def _state(self, i: int):
-        """Queue i's entry of ``GfEvaluator.moments``, solved once per model."""
-        if self._moments is None:
-            self._moments = self.gf.moments()
-        return self._moments[i]
+    @cached_property
+    def _states(self) -> list:
+        """``GfEvaluator.moments``: per queue, the state (m, f) at its visit
+        beginning, solved once per model."""
+        return self.gf.moments()
 
-    def _third(self, i: int):
-        """Queue i's entry of ``GfEvaluator.third_moments``, the third
-        moments of the spans of its two classes, solved for every queue once
-        per model when a variance first asks for it."""
-        if self._third_moments is None:
-            self._third_moments = self.gf.third_moments(
-                [self._state(j) for j in range(self.model.n)])
-        return self._third_moments[i]
+    @cached_property
+    def _thirds(self) -> list:
+        """``GfEvaluator.third_moments``: per queue, the third moments of the
+        spans of its two classes, solved once per model when a variance
+        first asks for them."""
+        return self.gf.third_moments(self._states)
 
     def cycle_m2(self, i: int) -> float:
         """E(C^2) of the cycle starting at queue i's visit beginning: the span
@@ -175,12 +173,12 @@ class Analyzer:
                 f"{name} second moment unavailable: no class with arrivals at "
                 f"queue {i + 1} counts them over the {name}")
         k = 2 * i + classes[0]
-        return self._state(i)[1][k][k]
+        return self._states[i][1][k][k]
 
     def visit_m2(self, i: int) -> float:
         """E(V^2): the visit is the sum of one period T_c per class-c customer
         present at its beginning."""
-        m, f = self._state(i)
+        m, f = self._states[i]
         (a_h, a_l), (b_h, b_l), _ = self.gf.period_rates[i]
         k = 2 * i
         return (b_h * m[k] + b_l * m[k + 1] + a_h * a_h * f[k][k]
@@ -191,7 +189,10 @@ class Analyzer:
         qt = self.queues[i]
         if len(qt.q.classes) < 2:
             raise UnsupportedEvaluation("cross moment needs both classes present")
-        return qt.lam_h * qt.lam_l * self._state(i)[1][2 * i][2 * i + 1]
+        cross = qt.lam_h * qt.lam_l * self._states[i][1][2 * i][2 * i + 1]
+        if not math.isfinite(cross):
+            raise OutOfRange(f"queue {i + 1}: the cross moment {cross!r} does not fit in a float")
+        return cross
 
     # ------------------------------------------------------- waiting times
 
@@ -224,7 +225,9 @@ class Analyzer:
 
     def _wait_series(self, i: int, cls: str, order: int) -> list:
         """LST of queue i's class ``cls`` waiting time, expanded about 0 from
-        exact moments up to omega^order (1 or 2)."""
+        exact moments up to omega^order (1 or 2).  Raises OutOfRange unless
+        every coefficient is finite, the mean positive and, at order 2, the
+        variance nonnegative."""
         _check_class(cls)
         qt = self.queues[i]
         high = cls == "H"
@@ -237,6 +240,12 @@ class Analyzer:
         if not all(map(math.isfinite, series)):
             raise OutOfRange(
                 f"queue {i + 1} class {cls}: a waiting-time moment does not fit in a float")
+        # and times too small for a float can underflow in them
+        if not -series[1] > 0.0 or order == 2 and _variance(series) < 0.0:
+            raise OutOfRange(
+                f"queue {i + 1} class {cls}: the waiting-time moments {series[1:]!r} give "
+                "no positive mean and nonnegative variance: the model's times underflow "
+                "a float")
         return series
 
     def _span_complement(self, i: int, alpha: list, beta: list) -> list:
@@ -248,7 +257,7 @@ class Analyzer:
         the distinct spans (``GfEvaluator.spans``): where both coordinates
         span one period S it is 1 - E exp(-(alpha + beta) S), read from E(S),
         E(S^2) and E(S^3).  Only the omega^3 term reads the third moments."""
-        m, f = self._state(i)
+        m, f = self._states[i]
         # E(L_s L_u ...) for L_s the omega^s coefficient of the exponent,
         # a combination of the spans at coordinates k
         if self.gf.spans[i][1]:
@@ -267,7 +276,7 @@ class Analyzer:
 
         out = _Series([0.0, e1(w[0]), e1(w[1]) - e2(w[0], w[0]) / 2.0])
         if len(w) > 2:
-            t = self._third(i)
+            t = self._thirds[i]
             e3 = sum(w[0][a] * w[0][b] * w[0][c] * t[a][b][c]
                      for a in idx for b in idx for c in idx)
             out.append(e1(w[2]) - e2(w[0], w[1]) + e3 / 6.0)
@@ -314,11 +323,16 @@ def _little(qt, cls: str, wait: float) -> float:
     """Mean number of class ``cls`` customers at queue qt, waiting or in
     service, by Little's law from the class's mean wait."""
     if cls == "H":
-        return qt.lam_h * (wait + qt.svc_h.mean)
-    sojourn_svc = qt.svc_l.mean
-    if 0 in qt.cleared:
-        sojourn_svc /= (1.0 - qt.rho_h)
-    return qt.lam_l * (wait + sojourn_svc)
+        qlen = qt.lam_h * (wait + qt.svc_h.mean)
+    else:
+        sojourn_svc = qt.svc_l.mean
+        if 0 in qt.cleared:
+            sojourn_svc /= (1.0 - qt.rho_h)
+        qlen = qt.lam_l * (wait + sojourn_svc)
+    if not math.isfinite(qlen):
+        raise OutOfRange(f"queue {qt.i + 1} class {cls}: the mean queue length {qlen!r} "
+                         "does not fit in a float")
+    return qlen
 
 
 class _Series(list):
@@ -383,11 +397,9 @@ class _SeriesReading:
     def complement(self, x, arg):
         """1 - E exp(-arg X) for a Distribution or BusyPeriod X and a series
         ``arg`` without constant term: the series of X's moments composed
-        with ``arg`` (Faa di Bruno, up to omega^3)."""
-        try:
-            c = [(-1) ** (k + 1) * x.moment(k) / math.factorial(k) for k in range(1, self.n)]
-        except OverflowError as exc:
-            raise OutOfRange("a service or busy-period moment does not fit in a float") from exc
+        with ``arg`` (Faa di Bruno, up to omega^3).  A busy-period moment past
+        the float range is inf, which ``_wait_series`` checks for."""
+        c = [(-1) ** (k + 1) * x.moment(k) / math.factorial(k) for k in range(1, self.n)]
         a1, a2 = arg[1], arg[2]
         out = _Series([0.0, c[0] * a1, c[0] * a2 + c[1] * (a1 * a1)])
         if self.n > 3:
@@ -425,7 +437,7 @@ def leftover_work(model: PollingModel, derived: DerivedRates, i: int) -> float:
 def _switchover_total_moments(model: PollingModel) -> tuple[float, float]:
     """Mean and second moment of the summed (independent) switch-over times."""
     means = [s.mean for s in model.switchovers]
-    var = sum(s.moment(2) - s.mean**2 for s in model.switchovers)
+    var = sum(s.moment(2) - s.mean * s.mean for s in model.switchovers)
     total = sum(means)
     return total, var + total * total
 
@@ -439,17 +451,14 @@ def pcl_check(model: PollingModel,
     per-discipline leftover work E(Z) of ``leftover_work``.
 
     ``waits`` may inject mean waits keyed by (queue_index, "H"|"L"); missing
-    entries come from an ``Analyzer`` of the model, built on demand.
+    entries come from the ``Analyzer`` of the model, which also validates it
+    and checks its moments, as every analytic entry does.
     """
-    derived = validate(model)
-    waits = dict(waits) if waits else {}
-    need = [(i, cls) for i, q in enumerate(model.queues) for _, cls, _, _ in q.classes
-            if (i, cls) not in waits]
-    if need:
-        analyzer = Analyzer(model)
-        for i, cls in need:
-            waits[(i, cls)] = analyzer.mean_wait(i, cls)
-    return _pcl(model, derived, waits)
+    analyzer = Analyzer(model)
+    given = waits or {}
+    waits = {(i, cls): given[(i, cls)] if (i, cls) in given else analyzer.mean_wait(i, cls)
+             for i, q in enumerate(model.queues) for _, cls, _, _ in q.classes}
+    return _pcl(model, analyzer.derived, waits)
 
 
 def _pcl(model: PollingModel, derived: DerivedRates,

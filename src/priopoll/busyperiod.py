@@ -94,7 +94,8 @@ class BusyPeriod:
         if k == 2:
             return b(2) / one**3
         if k == 3:
-            return b(3) / one**4 + 3.0 * self.lam * b(2) ** 2 / one**5
+            b2 = b(2)
+            return b(3) / one**4 + 3.0 * self.lam * b2 * b2 / one**5
         raise ValueError("busy-period moments are exact for k in {1, 2, 3}")
 
     @property

@@ -5,6 +5,13 @@ hyperexponential and uniform.  Every family exposes the Laplace-Stieltjes
 transform ``lst``, its complement ``1 - lst`` evaluated without cancellation
 (needed when transforms are differenced near 0), raw moments up to order 3,
 and reproducible sampling from a caller-owned RNG stream.
+
+A moment is a product of the parameters, never a ``**`` power: a moment past
+the float range is then inf, which ``GfEvaluator`` checks for, rather than
+an ``OverflowError`` from wherever it is first read, and every moment scales
+exactly when every time is scaled by a power of two (libm's ``pow`` does
+not).  The uniform's moments are sums of nonnegative terms, without the
+cancellation of the textbook difference quotient.
 """
 
 from __future__ import annotations
@@ -32,6 +39,15 @@ __all__ = [
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise NonpositiveParameter(msg)
+
+
+def _power(x: float, k: int) -> float:
+    """x^k for k >= 1 by repeated multiplication."""
+    p = x
+    while k > 1:
+        p *= x
+        k -= 1
+    return p
 
 
 class Distribution:
@@ -84,7 +100,7 @@ class Deterministic(Distribution):
         return -math.expm1(-omega * self.value)
 
     def moment(self, k: int) -> float:
-        return self.value**k
+        return _power(self.value, k)
 
     def sample_block(self, rng, n):
         import numpy as np
@@ -107,7 +123,7 @@ class Exponential(Distribution):
         return om / (1.0 + om)
 
     def moment(self, k: int) -> float:
-        return math.factorial(k) * self.mean_**k
+        return math.factorial(k) * _power(self.mean_, k)
 
     def sample_block(self, rng, n):
         return rng.exponential(self.mean_, n)
@@ -138,7 +154,7 @@ class Erlang(Distribution):
         prod = 1.0
         for t in range(k):
             prod *= n + t
-        return theta**k * prod
+        return _power(theta, k) * prod
 
     def sample_block(self, rng, n):
         return rng.gamma(self.shape, self.mean_ / self.shape, n)
@@ -169,7 +185,7 @@ class Hyperexponential(Distribution):
 
     def moment(self, k: int) -> float:
         fk = math.factorial(k)
-        return sum(p * fk * m**k for p, m in zip(self.probs, self.means))
+        return sum(p * fk * _power(m, k) for p, m in zip(self.probs, self.means))
 
     def sample_block(self, rng, n):
         import numpy as np
@@ -214,8 +230,14 @@ class Uniform(Distribution):
         return a + (1.0 - a) * _one_minus_expm1_ratio(c * omega)
 
     def moment(self, k: int) -> float:
+        # (b^(k+1) - a^(k+1)) / ((k+1)(b - a)) as (a^k + a^(k-1) b + ... +
+        # b^k) / (k+1), by h <- a^i + b h: every term is nonnegative
         a, b = self.low, self.high
-        return (b ** (k + 1) - a ** (k + 1)) / ((k + 1) * (b - a))
+        h = a_i = 1.0
+        for _ in range(k):
+            a_i *= a
+            h = a_i + b * h
+        return h / (k + 1)
 
     def sample_block(self, rng, n):
         return rng.uniform(self.low, self.high, n)

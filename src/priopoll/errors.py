@@ -26,10 +26,14 @@ class NoConvergence(PriopollError):
 
 
 class OutOfRange(PriopollError):
-    """A quantity of the model does not fit in a float: a service,
-    switch-over or busy-period moment past about 1.8e308, a workload
-    conservation sum that underflows to 0, or a simulation horizon that the
-    simulator's clock cannot advance by the model's shortest mean time."""
+    """A quantity of the model does not fit in a float.  The analytic engine
+    raises it for a service or switch-over moment past about 1.8e308
+    (``GfEvaluator`` checks them as it reads them), for a waiting-time
+    moment, mean queue length or cross moment that is not finite, for a mean
+    wait that is not positive or a variance that is negative (lost to
+    underflow), and for a workload conservation sum that underflows to 0.
+    The simulator raises it for a horizon that its clock cannot advance by
+    the model's shortest mean time."""
 
 
 class UnsupportedEvaluation(PriopollError):

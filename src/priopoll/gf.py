@@ -59,7 +59,7 @@ from operator import mul
 
 from .busyperiod import BusyPeriod
 from .errors import IllConditioned, NoConvergence, OutOfRange
-from .model import CLEARED, DerivedRates, PollingModel, validate
+from .model import CLEARED, PollingModel, validate
 
 __all__ = ["GfEvaluator"]
 
@@ -71,7 +71,12 @@ _MAX_CYCLES = 100_000  # log_value's cycle cap: a time bound only
 
 
 class GfEvaluator:
-    """Evaluates the visit-beginning GF of a validated polling model.
+    """Evaluates the visit-beginning GF of a polling model, which it
+    validates (``derived``).
+
+    The constructor is where the analytic engine reads the service and
+    switch-over moments, and it raises ``OutOfRange`` when one is not finite,
+    so that every layer built on it reads only finite input moments.
 
     All methods are pure; per-call scratch state only, so instances may be
     shared across threads.  The one attribute built on first use
@@ -79,9 +84,9 @@ class GfEvaluator:
     bounds ``log_value`` alone; the moments are bounded by the load guard.
     """
 
-    def __init__(self, model: PollingModel, derived: DerivedRates | None = None):
+    def __init__(self, model: PollingModel):
         self.model = model
-        self.derived = derived if derived is not None else validate(model)
+        self.derived = validate(model)
         self.n = n = model.n
         self._lam = []
         self._cleared = []       # per queue, the coordinates its visit clears
@@ -97,12 +102,13 @@ class GfEvaluator:
         self.spans = []
         # each class's rate and service moments E(B), E(B^2), E(B^3), and
         # each switch-over's moments, read once
-        try:
-            services = [{c: (lam, s.mean, s.moment(2), s.moment(3)) for c, _, lam, s in q.classes}
-                        for q in model.queues]
-            self._swo = [(s.mean, s.moment(2), s.moment(3)) for s in model.switchovers]
-        except OverflowError as exc:
-            raise OutOfRange("a service or switch-over moment does not fit in a float") from exc
+        services = [{c: (lam, s.mean, s.moment(2), s.moment(3)) for c, _, lam, s in q.classes}
+                    for q in model.queues]
+        self._swo = [(s.mean, s.moment(2), s.moment(3)) for s in model.switchovers]
+        # a moment past the float range is inf (the rates are finite already)
+        read = [x for moms in services for v in moms.values() for x in v]
+        if not all(map(math.isfinite, read + [x for es in self._swo for x in es])):
+            raise OutOfRange("a service or switch-over moment does not fit in a float")
         for j, (q, moms) in enumerate(zip(model.queues, services)):
             cleared = CLEARED[q.discipline]
             self._lam.extend((q.lambda_high, q.lambda_low))

@@ -6,10 +6,11 @@ import operator
 import numpy as np
 import pytest
 
-from zoo import (example1, example2, heavy_traffic, huge_switchover, random_model,
-                 single_vacation_queue, time_scaled_probe)
-from priopoll import (Analyzer, EXHAUSTIVE, Exponential, GATED, MIXED, OutOfRange,
-                      PollingModel, QueueSpec, UnsupportedEvaluation, pcl_check)
+from zoo import (example1, example2, heavy_traffic, huge_switchover, published_models,
+                 random_model, single_vacation_queue, swamped_queue, time_scaled,
+                 time_scaled_probe)
+from priopoll import (Analyzer, EXHAUSTIVE, Exponential, GATED, MIXED,
+                      OutOfRange, PollingModel, QueueSpec, UnsupportedEvaluation, pcl_check)
 from priopoll.analytic import _Series, _SeriesReading
 
 
@@ -258,20 +259,70 @@ def test_wait_variance_vacation_closed_form(disc):
 
 def test_moment_past_the_float_range_is_a_typed_error():
     # the evaluator reads the Exp(1e120) switch-over's E(S^3) = 6e360
-    with pytest.raises(OutOfRange):
+    with pytest.raises(OutOfRange, match="a service or switch-over"):
         Analyzer(huge_switchover())
-    # the scaled probe's means fit, but its variances need the third moment
-    # of queue 1's high busy period, which squares the service's E(B^2) = 2e180
-    analyzer = Analyzer(time_scaled_probe(1e90))
-    assert math.isfinite(analyzer.report(include_variances=False).wait(0, "L"))
-    with pytest.raises(OutOfRange):
-        analyzer.report()
+    with pytest.raises(OutOfRange, match="a service or switch-over"):
+        Analyzer(time_scaled_probe(1e120))
+    # the third moment of queue 1's high busy period holds 3 lam E(B^2)^2,
+    # E(B^2) = 2 s^2: at s = 2^300 and 1e90 the product fits, though E(B^2)^2
+    # alone would not, and the probe answers with the s = 1 numbers scaled
+    unit = [(r.mean_wait, r.var_wait) for r in Analyzer(time_scaled_probe(1.0)).report().classes]
+    assert [(r.mean_wait, r.var_wait)
+            for r in Analyzer(time_scaled_probe(2.0 ** 300)).report().classes] == \
+        [(math.ldexp(w, 300), math.ldexp(v, 600)) for w, v in unit]
+    near = Analyzer(time_scaled_probe(1e90)).report().classes
+    assert [x for r in near for x in (r.mean_wait, r.var_wait)] == \
+        pytest.approx([x for w, v in unit for x in (w * 1e90, v * 1e180)], rel=1e-14)
     # every moment of Deterministic(1e102) switch-overs fits, but the
     # variances square E(C^2) ~ 1e204 past the float range; at 1e100 they fit
     with pytest.raises(OutOfRange, match="waiting-time moment"):
         Analyzer(example1(det_switchover=1e102)).report()
     assert Analyzer(example1(det_switchover=1e100)).report().var(0, "H") == \
         pytest.approx(1.6667e200, rel=1e-4)
+
+
+def test_power_of_two_time_unit_scales_exactly():
+    # every time times 2^k and every rate over 2^k: every moment is a
+    # product, so each class's mean and variance scale by 2^k and 2^2k bit
+    # for bit and its queue length not at all.  Past about k = -300 the
+    # order-3 moments underflow.
+    rng = np.random.default_rng(11)
+    models = [*published_models().values(),
+              *(random_model(rng, extended_dists=True) for _ in range(40))]
+    for model in models:
+        unit = [(r.mean_wait, r.var_wait, r.mean_qlen) for r in Analyzer(model).report().classes]
+        for k in (-250, -200, -60, -3, 1, 5, 60, 200, 250):
+            scaled = Analyzer(time_scaled(model, math.ldexp(1.0, k))).report().classes
+            assert [(r.mean_wait, r.var_wait, r.mean_qlen) for r in scaled] == \
+                [(math.ldexp(w, k), math.ldexp(v, 2 * k), q) for w, v, q in unit], (k, model)
+
+
+@pytest.mark.parametrize("s", [1e-110, 1e-200])
+def test_underflowing_time_scale_is_a_typed_error(s):
+    # at 1e-110 the third moments underflow and Var(W) reads -4.60 s^2, at
+    # 1e-200 every mean reads -0.0
+    with pytest.raises(OutOfRange, match="no positive mean and nonnegative variance"):
+        Analyzer(time_scaled_probe(s)).report()
+
+
+def test_infinite_queue_length_is_a_typed_error():
+    analyzer = Analyzer(swamped_queue())
+    assert math.isfinite(analyzer.mean_wait(0, "H"))
+    with pytest.raises(OutOfRange, match="mean queue length"):
+        analyzer.mean_qlen(0, "H")
+    with pytest.raises(OutOfRange, match="cross moment"):
+        analyzer.cross_moment(0)
+    with pytest.raises(OutOfRange, match="mean queue length"):
+        analyzer.report()
+
+
+def test_pcl_check_with_given_waits_checks_the_moments():
+    # the Exp(1e160) switch-over's E(S^2) = 2e320; the waits do not matter
+    m = example1()
+    model = PollingModel(m.queues, (Exponential(1e160), m.switchovers[1]))
+    waits = {(0, "H"): 1.0, (0, "L"): 1.0, (1, "L"): 1.0}
+    with pytest.raises(OutOfRange, match="a service or switch-over"):
+        pcl_check(model, waits=waits)
 
 
 @pytest.mark.parametrize("op", ["add", "sub", "mul", "truediv"])

@@ -8,8 +8,9 @@ import sys
 
 import pytest
 
-from zoo import example1, huge_switchover, time_scaled_probe
-from priopoll import Analyzer, UnsupportedEvaluation, cli, load_model, model_to_config
+from zoo import example1, huge_switchover, swamped_queue, time_scaled_probe
+from priopoll import (Analyzer, Exponential, PollingModel, Uniform, UnsupportedEvaluation, cli,
+                      load_model, model_to_config)
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "priopoll" / "data"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -303,9 +304,13 @@ def test_error_without_an_exit_code_of_its_own(monkeypatch, capsys):
 
 @pytest.mark.parametrize("build,prefix", [
     (huge_switchover, "error: a service or"),
-    (lambda: time_scaled_probe(1e90), "error: a service or"),
+    (lambda: time_scaled_probe(1e120), "error: a service or"),
     (lambda: example1(det_switchover=1e102), "error: queue 1 class H: a waiting-time"),
-], ids=["huge_switchover", "probe_1e90", "det_1e102"])
+    # mean 5e159, E(S^2) past the float range
+    (lambda: PollingModel(example1().queues, (Uniform(0.0, 1e160), Exponential(1.0))),
+     "error: a service or"),
+    (swamped_queue, "error: queue 1 class H: the mean queue length"),
+], ids=["huge_switchover", "probe_1e120", "det_1e102", "uniform_1e160", "swamped_queue"])
 def test_moment_past_the_float_range_exit_code(build, prefix, tmp_path, capsys):
     # a moment past the float range is a parameter error, not an
     # OverflowError traceback or a NaN variance

@@ -1,6 +1,7 @@
 """Distribution families: transforms, moments, complements, sampling."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -188,3 +189,23 @@ def test_third_moment_matches_scipy(dist):
     else:
         ref = stats.uniform(loc=dist.low, scale=dist.high - dist.low).moment(3)
     assert dist.moment(3) == pytest.approx(ref, rel=1e-12)
+
+
+def test_uniform_moments_without_cancellation():
+    # the difference quotient (b^(k+1) - a^(k+1)) / ((k+1)(b - a)) read this
+    # mean 1.3e-8 relative off; the closed form in exact rationals is the
+    # reference
+    a, b = 1e6, 1e6 + 1e-3
+    fa, fb = Fraction(a), Fraction(b)
+    for k in (1, 2, 3):
+        exact = (fb ** (k + 1) - fa ** (k + 1)) / ((k + 1) * (fb - fa))
+        assert abs(Fraction(Uniform(a, b).moment(k)) - exact) <= 2 * math.ulp(float(exact))
+    # b^2 alone is past the float range, the mean is not
+    assert Uniform(0.0, 1e160).mean == 5e159
+
+
+def test_moments_are_products_that_overflow_to_inf():
+    # ``**`` raises OverflowError past the float range; a product is inf
+    for dist in (Deterministic(1e160), Exponential(1e160), Erlang(3, 1e160),
+                 Hyperexponential((0.5, 0.5), (1.0, 1e160)), Uniform(0.0, 1e160)):
+        assert dist.moment(2) == math.inf

@@ -1,6 +1,7 @@
 """Fuzzing the input surface: mutated bundled models fail only with typed errors."""
 
 import copy
+import dataclasses
 import json
 import math
 import pathlib
@@ -46,17 +47,30 @@ def _mutate(rng):
     return cfg
 
 
-@pytest.mark.parametrize("seed", [1, 2])
+def _valid(report):
+    """Every number of the report is finite, every mean wait positive and
+    every variance nonnegative; the pcl residual is not held to a bound."""
+    numbers = [report.pcl_lhs, report.pcl_rhs, report.pcl_residual]
+    numbers += [x for r in report.classes for x in (r.mean_wait, r.var_wait, r.mean_qlen)]
+    numbers += [x for p in report.periods for x in dataclasses.astuple(p) if x is not None]
+    return (all(map(math.isfinite, numbers))
+            and all(r.mean_wait > 0.0 and r.var_wait >= 0.0 for r in report.classes))
+
+
+# seed 3 drew a -0.0 mean wait and seed 8 an infinite queue length, both
+# answered before the engine checked them
+@pytest.mark.parametrize("seed", [1, 2, 3, 8])
 def test_mutated_models_raise_only_typed_errors(seed):
     rng = random.Random(seed)
     for _ in range(5000):
         cfg = _mutate(rng)
         try:
-            Analyzer(model_from_config(cfg)).report()
+            report = Analyzer(model_from_config(cfg)).report()
         except (ValueError, PriopollError):
-            pass
+            continue
         except Exception as exc:  # name the model that raised it
             pytest.fail(f"{type(exc).__name__}: {exc} on {json.dumps(cfg)}")
+        assert _valid(report), json.dumps(cfg)
 
 
 def test_cli_on_mutated_models_exits_with_a_code(tmp_path, capsys):
@@ -99,3 +113,17 @@ def test_underflowing_conservation_sum_exit_code(command, tmp_path, capsys):
     path.write_text(json.dumps(_underflowing_vacation()))
     assert cli.main([command, "--model", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: conservation sum")
+
+
+def test_subnormal_switchover_is_a_typed_error():
+    # vacation.json with a Deterministic(7.6e-311) switch-over: queue 1 L's
+    # mean wait, about 1e-134, read -0.0 with a 0 variance and pcl residual
+    cfg = json.loads((DATA / "vacation.json").read_text())
+    cfg["queues"][0]["lambda_high"] = 2.2e-134
+    cfg["queues"][0]["service_low"]["params"]["mean"] = 3.7e-201
+    cfg["switchovers"][0]["params"]["value"] = 7.6e-311
+    model = model_from_config(cfg)
+    with pytest.raises(OutOfRange, match="no positive mean"):
+        Analyzer(model).mean_wait(0, "L")
+    with pytest.raises(OutOfRange, match="no positive mean"):
+        Analyzer(model).report()

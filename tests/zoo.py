@@ -1,5 +1,7 @@
 """Model builders shared across the test suite."""
 
+from dataclasses import fields
+
 from priopoll import (DISCIPLINES, EXHAUSTIVE, GATED, MIXED, Deterministic,
                       Erlang, Exponential, Hyperexponential, PollingModel,
                       QueueSpec, Uniform, validate)
@@ -49,14 +51,32 @@ def heavy_traffic(rho):
         switchovers=(Exponential(1.0), Exponential(1.0)))
 
 
+def time_scaled(model, s):
+    """``model`` with every time multiplied by s and every rate divided by s."""
+    def time(v):
+        return tuple(x * s for x in v) if isinstance(v, tuple) else v * s
+
+    def times(d):
+        # every distribution parameter is a time, or a tuple of times, but an
+        # Erlang shape and hyperexponential probabilities
+        return None if d is None else type(d)(*(
+            getattr(d, f.name) if f.name in ("shape", "probs") else time(getattr(d, f.name))
+            for f in fields(d)))
+
+    return PollingModel(
+        tuple(QueueSpec(q.lambda_high / s, q.lambda_low / s, times(q.service_high),
+                        times(q.service_low), q.discipline) for q in model.queues),
+        tuple(map(times, model.switchovers)))
+
+
 def time_scaled_probe(s):
     """Queue 1 mixed (0.2/0.4), queue 2 exhaustive with a low class only
     (0.2), Exp(1) services, an Exp(1) and a Deterministic(1) switch-over:
     every time multiplied by s and every rate divided by s."""
-    return PollingModel(
-        queues=(QueueSpec(0.2 / s, 0.4 / s, Exponential(s), Exponential(s), MIXED),
-                QueueSpec(0.0, 0.2 / s, None, Exponential(s), EXHAUSTIVE)),
-        switchovers=(Exponential(s), Deterministic(s)))
+    return time_scaled(PollingModel(
+        queues=(QueueSpec(0.2, 0.4, Exponential(1.0), Exponential(1.0), MIXED),
+                QueueSpec(0.0, 0.2, None, Exponential(1.0), EXHAUSTIVE)),
+        switchovers=(Exponential(1.0), Deterministic(1.0))), s)
 
 
 def huge_switchover():
@@ -64,6 +84,14 @@ def huge_switchover():
     second moment past the float range."""
     m = example1()
     return PollingModel(m.queues, (Exponential(1e120), m.switchovers[1]))
+
+
+def swamped_queue():
+    """One mixed queue with both rates 1e300 and Exp(1e-301) services (load
+    0.2) and a Deterministic(1e10) switch-over: its mean queue lengths, 1e300
+    times a finite wait, are past the float range."""
+    return PollingModel((QueueSpec(1e300, 1e300, Exponential(1e-301), Exponential(1e-301),
+                                   MIXED),), (Deterministic(1e10),))
 
 
 def single_vacation_queue(disc=MIXED, lam_h=0.3, lam_l=0.5, s=10.0):
