@@ -6,8 +6,7 @@ the joint queue-length GF at visit beginnings, and the period transforms.
 """
 
 from priopoll import (Analyzer, BusyPeriod, Exponential, GATED, MIXED,
-                      PollingModel, QueueSpec, TransformHandle,
-                      busy_period_lst, lst_moment)
+                      PollingModel, QueueSpec, TransformHandle, lst_moment)
 
 # --- busy period of an M/G/1 queue: root of pi = beta(w + lam*(1 - pi))
 bp = BusyPeriod(Exponential(1.0), lam=0.5)
@@ -15,7 +14,6 @@ print("busy period, exponential(1) services at rate 0.5:")
 for w in (0.0, 0.1, 0.5, 2.0):
     print(f"   pi({w:3.1f}) = {bp.lst(w):.10f}")
 print(f"   mean busy period = {bp.mean:.4f} (= 1/(1-rho))")
-print(f"   same via module function: {busy_period_lst(Exponential(1.0), 0.5, 0.5):.10f}")
 
 # --- the two-queue benchmark again
 model = PollingModel(

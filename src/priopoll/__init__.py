@@ -10,7 +10,7 @@ analyses models never imports them.
 """
 
 from .analytic import Analyzer, ClassResult, PerfReport, QueuePeriods, pcl_check
-from .busyperiod import BusyPeriod, busy_period_lst, completion_time_lst
+from .busyperiod import BusyPeriod
 from .distributions import (Deterministic, Distribution, Erlang, Exponential,
                             Hyperexponential, Uniform, distribution_from_config)
 from .errors import (IllConditioned, NoConvergence, NonpositiveParameter,
@@ -25,7 +25,7 @@ from .vacation import vacation_crossover, vacation_mean_wait_low
 
 __all__ = [
     "Analyzer", "PerfReport", "ClassResult", "QueuePeriods", "pcl_check",
-    "BusyPeriod", "busy_period_lst", "completion_time_lst",
+    "BusyPeriod",
     "Distribution", "Deterministic", "Exponential", "Erlang",
     "Hyperexponential", "Uniform", "distribution_from_config",
     "GfEvaluator", "TransformHandle", "MomentEstimate", "lst_moment",

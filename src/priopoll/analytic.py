@@ -114,7 +114,8 @@ class Analyzer:
     # ------------------------------------------------------------ transforms
 
     def gf_visit_beginning(self, i: int, z) -> float:
-        return self.gf.value(i, z)
+        """The joint queue-length GF at queue i's visit beginning, at z in [0, 1]^(2N)."""
+        return math.exp(self.gf.log_value(i, [1.0 - float(v) for v in z]))
 
     def cycle_time_lst(self, i: int, omega: float) -> float:
         return 1.0 - self.queues[i].cycle_complement(omega)

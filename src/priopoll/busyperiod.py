@@ -1,4 +1,4 @@
-"""Busy-period and completion-time transforms for M/G/1-type workloads.
+"""Busy-period transform and moments for M/G/1-type workloads.
 
 The busy-period LST pi(omega) initiated by one service B in a queue with
 Poisson rate lam solves pi = beta(omega + lam*(1 - pi)).  We iterate the
@@ -9,9 +9,11 @@ equivalent complement form u = 1 - pi,
 which starts from u = 0 (pi = 1), increases monotonically to the root in
 (0, 1], and keeps full relative precision for small omega where 1 - pi is
 tiny.  Successive substitution is a global contraction with factor
-lam*E(B) < 1, so any warm start in [0, 1] converges, each step smaller than
-the one before; the iteration stops at the first step that is not, where
-rounding has taken over.
+lam*E(B) < 1, which ``BusyPeriod`` checks on construction, so any warm
+start in [0, 1] converges, each step smaller than the one before; the
+iteration stops at the first step that is not, where rounding has taken
+over.  A low-priority service extended by high-priority busy periods (the
+completion time) is composed from these by ``QueueTransforms``.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from __future__ import annotations
 import math
 
 from .distributions import Distribution
-from .errors import NoConvergence
+from .errors import NoConvergence, NonpositiveParameter, UnstableSystem
 
-__all__ = ["BusyPeriod", "busy_period_lst", "completion_time_lst"]
+__all__ = ["BusyPeriod"]
 
 _CAP = 1_000_000
 _RTOL = 5e-16
@@ -54,6 +56,11 @@ class BusyPeriod:
     the busy period of one service, class c's with probability lam_c / lam,
     at the total rate lam; one class is read directly, so its rate may be 0.
 
+    The constructor checks its input before any transform is evaluated: a
+    rate that is negative, NaN or infinite, or two rates that sum to 0,
+    raise ``NonpositiveParameter``, and a load lam E(B) that is not below 1
+    raises ``UnstableSystem``.
+
     ``lst_complement(omega)`` returns 1 - pi(omega) for 0 <= omega < inf
     and raises ValueError otherwise; an optional warm start (a complement
     value from a nearby argument) cuts the iteration count when the
@@ -62,9 +69,16 @@ class BusyPeriod:
     """
 
     def __init__(self, service: Distribution, lam: float, *more):
+        if not 0.0 <= lam < math.inf:
+            raise NonpositiveParameter(f"busy-period rate must be finite and >= 0, got {lam!r}")
         if more:
             service_2, lam_2 = more
+            if not 0.0 <= lam_2 < math.inf:
+                raise NonpositiveParameter(
+                    f"busy-period rate must be finite and >= 0, got {lam_2!r}")
             total = lam + lam_2
+            if total == 0.0:
+                raise NonpositiveParameter("a two-class busy period needs a positive rate")
             p, p_2 = lam / total, lam_2 / total
             c, c_2 = service.lst_complement, service_2.lst_complement
             self._lstc = lambda w: p * c(w) + p_2 * c_2(w)
@@ -75,6 +89,8 @@ class BusyPeriod:
             self._service_moment = service.moment
         self.lam = lam
         self.rho = lam * self._service_moment(1)
+        if not self.rho < 1.0:
+            raise UnstableSystem(self.rho)
 
     def lst_complement(self, omega: float, warm: float = 0.0) -> float:
         if not 0.0 <= omega < math.inf:
@@ -102,21 +118,3 @@ class BusyPeriod:
     def mean(self) -> float:
         return self.moment(1)
 
-
-def busy_period_lst(service: Distribution, lam: float, omega: float) -> float:
-    """pi(omega) in (0, 1]; requires lam * E(B) < 1 and omega >= 0."""
-    if lam * service.mean >= 1.0:
-        raise ValueError("busy period requires lam * E(B) < 1")
-    return BusyPeriod(service, lam).lst(omega)
-
-
-def completion_time_lst(service_low: Distribution, service_high: Distribution,
-                        lam_high: float, omega: float) -> float:
-    """LST of a low-priority service extended by high-priority busy periods.
-
-    The extended service absorbs the clearing of every high-priority customer
-    arriving while the low-priority one is served; its mean is
-    E(B_low) / (1 - lam_high * E(B_high)).
-    """
-    u = BusyPeriod(service_high, lam_high).lst_complement(omega)
-    return service_low.lst(omega + lam_high * u)

@@ -69,11 +69,8 @@ class Distribution:
     def mean(self) -> float:
         return self.moment(1)
 
-    def sample(self, rng: np.random.Generator) -> float:
-        """One draw from the caller's stream."""
-        return float(self.sample_block(rng, 1)[0])
-
     def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """``n`` draws from the caller's stream."""
         raise NotImplementedError
 
     def to_config(self) -> dict:
@@ -148,13 +145,14 @@ class Erlang(Distribution):
         return -math.expm1(-self.shape * math.log1p(omega * self.mean_ / self.shape))
 
     def moment(self, k: int) -> float:
-        # theta^k * n（n+1)...(n+k-1) with per-phase scale theta = mean/n
+        # mean^k (n+1)/n ... (n+k-1)/n: each ratio is one correctly rounded
+        # division of ints, so k = 1 is the mean itself and a huge shape
+        # gives mean^k, not an underflowed scale times an overflowed product
         n = self.shape
-        theta = self.mean_ / n
-        prod = 1.0
-        for t in range(k):
-            prod *= n + t
-        return _power(theta, k) * prod
+        m = _power(self.mean_, k)
+        for t in range(1, k):
+            m *= (n + t) / n
+        return m
 
     def sample_block(self, rng, n):
         return rng.gamma(self.shape, self.mean_ / self.shape, n)
@@ -197,8 +195,6 @@ class Hyperexponential(Distribution):
 
 def _one_minus_expm1_ratio(x: float) -> float:
     """1 - (1 - exp(-x))/x for x >= 0, stable near 0."""
-    if x == 0.0:
-        return 0.0
     if x < 1e-2:
         # alternating series x/2 - x^2/6 + x^3/24 - x^4/120 + x^5/720 - x^6/5040
         return x * (0.5 + x * (-1.0 / 6 + x * (1.0 / 24 + x * (-1.0 / 120 + x * (1.0 / 720 - x / 5040)))))
@@ -216,11 +212,11 @@ class Uniform(Distribution):
                  f"uniform needs finite high > low, got [{self.low}, {self.high}]")
 
     def lst(self, omega: float) -> float:
-        if omega == 0.0:
-            return 1.0
-        c = self.high - self.low
-        x = c * omega
-        return math.exp(-self.low * omega) * (-math.expm1(-x)) / x
+        # (1 - exp(-x))/x tends to 1 where x = (high - low) omega is 0,
+        # underflowed or not
+        x = (self.high - self.low) * omega
+        e = math.exp(-self.low * omega)
+        return e * (-math.expm1(-x)) / x if x else e
 
     def lst_complement(self, omega: float) -> float:
         if omega == 0.0:

@@ -428,10 +428,6 @@ class GfEvaluator:
 
     # ------------------------------------------------------- convenience API
 
-    def value(self, i: int, z) -> float:
-        """GF value at z in [0, 1]^(2N)."""
-        return math.exp(self.log_value(i, [1.0 - float(v) for v in z]))
-
     def complement_pair(self, i: int, zeta_high: float, zeta_low: float) -> float:
         """1 - GF with only queue i's own coordinates displaced from 1."""
         zeta = [0.0] * (2 * self.n)

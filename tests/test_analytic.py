@@ -9,7 +9,7 @@ import pytest
 from zoo import (example1, example2, heavy_traffic, huge_switchover, published_models,
                  random_model, single_vacation_queue, swamped_queue, time_scaled,
                  time_scaled_probe)
-from priopoll import (Analyzer, EXHAUSTIVE, Exponential, GATED, MIXED,
+from priopoll import (Analyzer, Deterministic, EXHAUSTIVE, Erlang, Exponential, GATED, MIXED,
                       OutOfRange, PollingModel, QueueSpec, UnsupportedEvaluation, pcl_check)
 from priopoll.analytic import _Series, _SeriesReading
 
@@ -295,6 +295,22 @@ def test_power_of_two_time_unit_scales_exactly():
             scaled = Analyzer(time_scaled(model, math.ldexp(1.0, k))).report().classes
             assert [(r.mean_wait, r.var_wait, r.mean_qlen) for r in scaled] == \
                 [(math.ldexp(w, k), math.ldexp(v, 2 * k), q) for w, v, q in unit], (k, model)
+
+
+def test_huge_erlang_shape_reports_as_deterministic():
+    # Erlang(10^200, m) has the moments of Deterministic(m), which theta^k
+    # n(n+1)... with theta = m/n read as NaN, and the report reads only moments
+    def with_family(model, family):
+        def to(d):
+            return None if d is None else family(d.mean)
+        return PollingModel(
+            tuple(QueueSpec(q.lambda_high, q.lambda_low, to(q.service_high),
+                            to(q.service_low), q.discipline) for q in model.queues),
+            tuple(map(to, model.switchovers)))
+
+    for model in published_models().values():
+        erlang = Analyzer(with_family(model, lambda m: Erlang(10**200, m))).report()
+        assert repr(erlang) == repr(Analyzer(with_family(model, Deterministic)).report())
 
 
 @pytest.mark.parametrize("s", [1e-110, 1e-200])

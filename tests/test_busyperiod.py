@@ -5,9 +5,10 @@ import math
 import pytest
 
 from oracles import busy_period_by_bisection
-from priopoll import (BusyPeriod, Deterministic, Erlang, Exponential,
-                      TransformHandle, Uniform, busy_period_lst,
-                      completion_time_lst, lst_moment)
+from zoo import single_vacation_queue
+from priopoll import (MIXED, Analyzer, BusyPeriod, Deterministic, Erlang, Exponential,
+                      NonpositiveParameter, PollingModel, QueueSpec, TransformHandle,
+                      Uniform, UnstableSystem, lst_moment)
 from priopoll.busyperiod import _solve_complement
 
 # root of pi = (1 + 0.5 + 0.5*(1 - pi))^(-1), i.e. 0.5 pi^2 - 2 pi + 1 = 0
@@ -17,11 +18,11 @@ _EXP_HALF_ROOT = 2.0 - math.sqrt(2.0)  # 0.5857864376269049
 def test_value_at_zero_is_one():
     for dist in (Exponential(1.0), Deterministic(0.7), Erlang(3, 1.2)):
         for lam in (0.0, 0.3, 0.9 / dist.mean):
-            assert busy_period_lst(dist, lam, 0.0) == 1.0
+            assert BusyPeriod(dist, lam).lst(0.0) == 1.0
 
 
 def test_exponential_fixed_point_closed_form():
-    got = busy_period_lst(Exponential(1.0), 0.5, 0.5)
+    got = BusyPeriod(Exponential(1.0), 0.5).lst(0.5)
     assert got == pytest.approx(_EXP_HALF_ROOT, abs=1e-13)
     oracle = busy_period_by_bisection(Exponential(1.0).lst, 0.5, 0.5)
     assert got == pytest.approx(oracle, abs=1e-10)
@@ -35,7 +36,7 @@ def test_exponential_fixed_point_closed_form():
 ])
 @pytest.mark.parametrize("omega", [0.05, 0.3, 1.7])
 def test_fixed_point_matches_bisection(dist, lam, omega):
-    got = busy_period_lst(dist, lam, omega)
+    got = BusyPeriod(dist, lam).lst(omega)
     oracle = busy_period_by_bisection(dist.lst, lam, omega)
     assert got == pytest.approx(oracle, abs=5e-11)
     assert 0.0 < got <= 1.0
@@ -69,8 +70,44 @@ def test_mean_busy_period():
 
 
 def test_unstable_busy_period_rejected():
-    with pytest.raises(ValueError):
-        busy_period_lst(Exponential(1.0), 1.0, 0.1)
+    with pytest.raises(UnstableSystem):
+        BusyPeriod(Exponential(1.0), 1.0)
+
+
+@pytest.mark.parametrize("args,error", [
+    ((Exponential(1.0), -1.0), NonpositiveParameter),
+    ((Exponential(1.0), math.nan), NonpositiveParameter),
+    ((Exponential(1.0), math.inf), NonpositiveParameter),
+    ((Exponential(1.0), 0.0, Deterministic(0.5), 0.0), NonpositiveParameter),
+    ((Exponential(1.0), 1.0), UnstableSystem),
+    ((Exponential(1.0), 1.5), UnstableSystem),
+], ids=["negative", "nan", "inf", "two-zero-rates", "load-1", "load-1.5"])
+def test_busy_period_rejects_rates_outside_its_domain(args, error, monkeypatch):
+    # the constructor refuses before any transform or moment is evaluated
+    def refuse(self, omega):
+        raise AssertionError("a transform was evaluated")
+
+    for cls in (Exponential, Deterministic):
+        monkeypatch.setattr(cls, "lst_complement", refuse)
+    with pytest.raises(error):
+        BusyPeriod(*args)
+
+
+def test_busy_period_with_a_zero_rate_answers():
+    # one class at rate 0 is its own service; a second class at rate 0 adds nothing
+    bp = BusyPeriod(Exponential(1.0), 0.0)
+    assert bp.mean == 1.0
+    assert bp.lst_complement(0.5) == Exponential(1.0).lst_complement(0.5)
+    two = BusyPeriod(Exponential(1.0), 0.3, Deterministic(0.5), 0.0)
+    one = BusyPeriod(Exponential(1.0), 0.3)
+    assert (two.rho, two.mean, two.moment(3)) == (one.rho, one.mean, one.moment(3))
+    assert two.lst(0.5) == one.lst(0.5)
+
+
+def _completion_queue(lam_h):
+    """One mixed queue with Exp(1) services and a low class at rate 0.5; its
+    ``Analyzer.completion_time_lst(0, w)`` is the engine's completion time."""
+    return Analyzer(single_vacation_queue(MIXED, lam_h=lam_h))
 
 
 @pytest.mark.parametrize("omega", [math.nan, math.inf, -0.1, -1.0])
@@ -78,10 +115,8 @@ def test_busy_period_rejects_arguments_outside_its_domain(omega):
     # every public busy-period path goes through BusyPeriod.lst_complement, which
     # refuses at once: no fixed-point steps, no LST above 1
     bp = BusyPeriod(Exponential(1.0), 0.5)
-    for evaluate in (bp.lst_complement, bp.lst,
-                     lambda w: busy_period_lst(Exponential(1.0), 0.5, w),
-                     lambda w: completion_time_lst(Exponential(1.0), Exponential(1.0),
-                                                   0.3, w)):
+    completion = _completion_queue(0.3).completion_time_lst
+    for evaluate in (bp.lst_complement, bp.lst, lambda w: completion(0, w)):
         with pytest.raises(ValueError, match="omega"):
             evaluate(omega)
 
@@ -89,9 +124,11 @@ def test_busy_period_rejects_arguments_outside_its_domain(omega):
 def test_completion_time_reduces_without_high_class():
     # no high-priority interference: completion time is the plain service
     dist = Erlang(2, 1.0)
+    model = PollingModel(queues=(QueueSpec(0.0, 0.5, None, dist, MIXED),),
+                         switchovers=(Deterministic(10.0),))
+    a = Analyzer(model)
     for w in (0.0, 0.4, 2.0):
-        assert completion_time_lst(dist, Exponential(1.0), 0.0, w) == \
-            pytest.approx(dist.lst(w), rel=1e-14)
+        assert a.completion_time_lst(0, w) == pytest.approx(dist.lst(w), rel=1e-14)
 
 
 def test_completion_time_mean():
@@ -109,7 +146,7 @@ def test_completion_time_value_composes_oracle_root():
     # compose beta_low with a bisection-located busy-period root at omega = 1
     pi = busy_period_by_bisection(Exponential(1.0).lst, 0.2, 1.0)
     expected = Exponential(1.0).lst(1.0 + 0.2 * (1.0 - pi))
-    got = completion_time_lst(Exponential(1.0), Exponential(1.0), 0.2, 1.0)
+    got = _completion_queue(0.2).completion_time_lst(0, 1.0)
     assert got == pytest.approx(expected, abs=1e-10)
     assert got == pytest.approx(0.47506218943955496, abs=1e-9)
 

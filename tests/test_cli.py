@@ -59,6 +59,18 @@ def test_simulate_golden(model, cycles, capsys):
     assert out == (GOLDEN / f"{model}_simulate.csv").read_text()
 
 
+@pytest.mark.parametrize("argv,golden", [
+    (["sweep", "--model", str(DATA / "example1.json"),
+      "--sweep", "lambda_high:Q1:0:0.5:6", "--hold-total"], "example1_sweep.csv"),
+    (["vacation", "--rho", "0.8", "--s", "10", "--points", "10"], "vacation_sweep.csv"),
+], ids=["sweep", "vacation"])
+def test_sweep_golden(argv, golden, tmp_path):
+    # the CI console-script step diffs the installed entry point against the same files
+    out_path = tmp_path / "out.csv"
+    assert cli.main([*argv, "--out", str(out_path)]) == 0
+    assert out_path.read_text() == (GOLDEN / golden).read_text()
+
+
 def test_compare_golden_and_leftover_column(tmp_path):
     out_path = tmp_path / "cmp.csv"
     code = cli.main(["compare", "--model", str(DATA / "example1.json"),

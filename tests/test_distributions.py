@@ -83,7 +83,7 @@ def test_moments_match_lst_curvature(dist):
 
 def test_deterministic_sampling_constant():
     rng = np.random.default_rng(0)
-    assert all(Deterministic(10.0).sample(rng) == 10.0 for _ in range(5))
+    assert (Deterministic(10.0).sample_block(rng, 5) == 10.0).all()
 
 
 def test_exponential_sample_mean_lln():
@@ -202,6 +202,30 @@ def test_uniform_moments_without_cancellation():
         assert abs(Fraction(Uniform(a, b).moment(k)) - exact) <= 2 * math.ulp(float(exact))
     # b^2 alone is past the float range, the mean is not
     assert Uniform(0.0, 1e160).mean == 5e159
+
+
+def test_uniform_lst_where_its_spread_underflows():
+    # (high - low) omega underflows to 0: the ratio (1 - exp(-x))/x is its limit 1
+    assert Uniform(0.0, 1e-200).lst(1e-200) == 1.0
+    assert Uniform(0.0, 1e-200).lst_complement(1e-200) == 0.0
+    assert Uniform(1.0, 3.0).lst(0.0) == 1.0
+
+
+def test_erlang_mean_is_exact():
+    # moment(k) = mean^k (n+1)/n ... (n+k-1)/n, so moment(1) is the mean itself
+    rng = np.random.default_rng(27)
+    for n, m in zip(rng.integers(1, 51, 20000).tolist(), rng.uniform(0.01, 100.0, 20000).tolist()):
+        dist = Erlang(n, m)
+        assert dist.mean == m
+        exact = Fraction(m) ** 3 * Fraction((n + 1) * (n + 2), n * n)
+        assert abs(Fraction(dist.moment(3)) - exact) <= 4 * math.ulp(float(exact))
+
+
+def test_erlang_with_a_huge_shape_has_the_deterministic_moments():
+    # the per-phase scale mean/n underflows and n(n+1)(n+2) overflows; each
+    # ratio (n+t)/n rounds to 1
+    for k in (1, 2, 3):
+        assert Erlang(10**200, 1.5).moment(k) == Deterministic(1.5).moment(k)
 
 
 def test_moments_are_products_that_overflow_to_inf():

@@ -21,19 +21,19 @@ from priopoll.gf import _STEPS, _cube, _power_series, _product
 
 
 def test_normalized_at_all_ones():
-    gf = GfEvaluator(example1())
-    assert gf.value(0, [1.0] * 4) == 1.0
-    assert gf.value(1, [1.0] * 4) == 1.0
+    a = Analyzer(example1())
+    assert a.gf_visit_beginning(0, [1.0] * 4) == 1.0
+    assert a.gf_visit_beginning(1, [1.0] * 4) == 1.0
 
 
 def test_range_and_monotonicity_along_coordinates():
-    gf = GfEvaluator(example1())
+    a = Analyzer(example1())
     for coord in range(4):
         prev = -1.0
         for z in (0.0, 0.25, 0.5, 0.75, 1.0):
             vec = [1.0] * 4
             vec[coord] = z
-            val = gf.value(0, vec)
+            val = a.gf_visit_beginning(0, vec)
             assert 0.0 <= val <= 1.0
             assert val >= prev  # nondecreasing in each coordinate
             prev = val
@@ -89,10 +89,10 @@ def test_gated_high_coordinate_counts_cycle():
 
 
 def test_log_value_matches_value():
-    gf = GfEvaluator(example2())
+    a = Analyzer(example2())
     zeta = [0.1, 0.02, 0.3, 0.0]
-    assert math.exp(gf.log_value(0, zeta)) == pytest.approx(
-        gf.value(0, [1 - c for c in zeta]), rel=1e-14)
+    assert math.exp(a.gf.log_value(0, zeta)) == pytest.approx(
+        a.gf_visit_beginning(0, [1 - c for c in zeta]), rel=1e-14)
 
 
 @pytest.mark.parametrize("model,logs,pair", [
@@ -132,9 +132,10 @@ def test_near_critical_load_raises_no_convergence(monkeypatch):
 
 
 def test_rejects_out_of_range_arguments():
-    gf = GfEvaluator(example1())
+    a = Analyzer(example1())
+    gf = a.gf
     with pytest.raises(ValueError):
-        gf.value(0, [1.0, 1.0, 1.5, 1.0])
+        a.gf_visit_beginning(0, [1.0, 1.0, 1.5, 1.0])
     with pytest.raises(ValueError):
         gf.log_value(0, [0.0, 0.0, -0.1, 0.0])
     with pytest.raises(ValueError):
