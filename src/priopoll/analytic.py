@@ -168,11 +168,8 @@ class Analyzer:
 
     def _span_m2(self, i: int, classes: tuple, name: str) -> float:
         """E(S^2) of the span ``classes``' coordinates count arrivals over,
-        available where one of them has arrivals, as its transform is."""
-        if self.queues[i].span_rate(classes) <= 0.0:
-            raise UnsupportedEvaluation(
-                f"{name} second moment unavailable: no class with arrivals at "
-                f"queue {i + 1} counts them over the {name}")
+        available where its transform is (``omega_max`` raises elsewhere)."""
+        self.queues[i].omega_max(name)
         k = 2 * i + classes[0]
         return self._states[i][1][k][k]
 
@@ -208,9 +205,7 @@ class Analyzer:
         transform, for checks.  It shares the decomposition with
         ``mean_wait_low`` but none of its moments: the two check the exact
         moment layer against the GF product and the busy-period fixed point."""
-        if self.queues[i].lam_l <= 0.0:
-            raise UnsupportedEvaluation("queue has no low-priority class")
-        return lst_moment(self.queues[i].wait_low_handle(), 1).value
+        return lst_moment(self.queues[i].handle("wait_low"), 1).value
 
     def mean_wait(self, i: int, cls: str) -> float:
         """E(W): minus the omega^1 coefficient of the waiting-time LST."""
@@ -232,9 +227,7 @@ class Analyzer:
         _check_class(cls)
         qt = self.queues[i]
         high = cls == "H"
-        if (qt.lam_h if high else qt.lam_l) <= 0.0:
-            raise UnsupportedEvaluation(
-                f"queue has no {'high' if high else 'low'}-priority class")
+        qt.omega_max("wait_high" if high else "wait_low")  # raises without the class
         r = _SeriesReading(self, qt, order + 2)  # inputs reach one order further
         series = (qt.wait_high if high else qt.wait_low)(r, r.omega)
         # moments that fit in a float can still overflow in their products

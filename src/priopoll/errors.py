@@ -37,7 +37,9 @@ class OutOfRange(PriopollError):
 
 
 class UnsupportedEvaluation(PriopollError):
-    """A transform was requested outside its evaluable domain."""
+    """A transform was requested where it is unavailable (a waiting time
+    of a class without arrivals, say), or at an argument past its range
+    (``QueueTransforms.omega_max``)."""
 
 
 class IllConditioned(PriopollError):

@@ -154,8 +154,10 @@ class GfEvaluator:
 
     def log_value(self, i: int, zeta) -> float:
         """log of the GF at visit beginning of queue i, arguments given as
-        complements zeta_k = 1 - z_k (length 2N, each in [0, 1])."""
+        complements zeta_k = 1 - z_k (length 2N, each in [0, 1]).  Raises
+        IndexError for i outside [-N, N), as a list of the queues would."""
         n = self.n
+        i = range(n)[i]
         if len(zeta) != 2 * n:
             raise ValueError(f"expected {2 * n} coordinates, got {len(zeta)}")
         lam = self._lam

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .distributions import Distribution, config_number, distribution_from_config
 from .errors import NonpositiveParameter, UnstableSystem, ZeroSwitchover
@@ -131,8 +131,8 @@ class DerivedRates:
     rho_queue: tuple[float, ...]
     rho_total: float
     mean_cycle: float
-    mean_intervisit: tuple[float, ...] = field(default=())
-    mean_visit: tuple[float, ...] = field(default=())
+    mean_intervisit: tuple[float, ...]
+    mean_visit: tuple[float, ...]
 
 
 def validate(model: PollingModel) -> DerivedRates:

@@ -26,6 +26,10 @@ the float reading, and ``analytic`` reads the same code as power series in
 omega.  The period evaluators return complements assembled from complement
 building blocks, so small-w differencing stays accurate; the waiting-time
 complements are 1 - W, about 1e-16 off in absolute terms.
+
+``QueueTransforms.omega_max(name)`` says where each float transform can be
+evaluated; every complement applies one argument rule against it, and
+``handle(name)`` hands a complement with that range to ``lst_moment``.
 """
 
 from __future__ import annotations
@@ -78,45 +82,73 @@ class QueueTransforms:
     # ------------------------------------------------------------- periods
 
     def span_rate(self, classes) -> float:
-        """The total arrival rate of ``classes``: the largest argument at
-        which the span they count arrivals over is evaluable, zero where
-        that span is unavailable."""
+        """The total arrival rate of ``classes``, which scales the span they
+        count arrivals over into their GF coordinates (``omega_max`` reads it
+        as the span transform's range)."""
         return sum((self.lam_h, self.lam_l)[c] for c in classes)
+
+    def omega_max(self, name: str) -> float:
+        """The largest argument at which transform ``name`` (``cycle``,
+        ``intervisit``, ``visit``, ``wait_high``, ``wait_low`` or
+        ``completion``) can be evaluated.  Raises UnsupportedEvaluation where
+        it is unavailable: a span no class counts arrivals over, or a wait
+        or completion time without its class."""
+        if name in ("cycle", "intervisit"):
+            rate = self.span_rate(self.kept if name == "cycle" else self.cleared)
+            if rate <= 0.0:
+                raise UnsupportedEvaluation(
+                    f"{name} transform unavailable at queue {self.i + 1}: no class "
+                    f"with arrivals counts them over the {name}")
+            return rate
+        if name == "wait_high":
+            if self.lam_h <= 0.0:
+                raise UnsupportedEvaluation("queue has no high-priority class")
+            return self.omega_max("cycle" if self.disc == GATED else "intervisit")
+        if name in ("wait_low", "completion"):
+            if self.lam_l <= 0.0:
+                raise UnsupportedEvaluation("queue has no low-priority class")
+            return self.lam_l if name == "wait_low" else math.inf
+        if name == "visit":
+            return math.inf
+        raise ValueError(f"unknown transform {name!r}")
+
+    def _nonzero(self, name: str, omega: float) -> bool:
+        """The argument rule of every complement: whether omega, in transform
+        ``name``'s domain, is nonzero (the complement is 0 at 0).  A NaN or
+        negative omega, or inf where the range is infinite, raises ValueError;
+        one past ``omega_max(name)`` UnsupportedEvaluation."""
+        top = self.omega_max(name)
+        if not omega >= 0.0:
+            raise ValueError(f"{name} transform needs omega >= 0, got {omega!r}")
+        if omega > top:
+            raise UnsupportedEvaluation(
+                f"{name} transform evaluable only for omega <= {top}")
+        if omega == math.inf:
+            raise ValueError(f"{name} transform needs a finite omega, got {omega!r}")
+        return omega != 0.0
 
     def span(self, classes, omega: float) -> float:
         """1 - LST of the span that ``classes``' coordinates count arrivals
-        over: the exponent split across them in proportion to their rates,
-        so each stays within its own rate bound (a class without arrivals
-        has an inert coordinate)."""
-        name = "cycle" if classes == self.kept else "intervisit"
+        over, for 0 < omega <= their rate: the exponent split across them in
+        proportion to their rates (a class without arrivals is inert)."""
         tot = self.span_rate(classes)
-        if tot <= 0.0:
-            raise UnsupportedEvaluation(
-                f"{name} transform unavailable at queue {self.i + 1}: no class "
-                "with arrivals counts them over it")
-        if omega == 0.0:
-            return 0.0
-        if omega > tot:
-            raise UnsupportedEvaluation(
-                f"{name} transform evaluable only for omega <= {tot}")
         return self.gf.complement_pair(
             self.i, *(omega / tot if c in classes else 0.0 for c in (0, 1)))
 
     def cycle_complement(self, omega: float) -> float:
         """1 - LST of the cycle time anchored at this queue's visit beginning."""
-        return self.span(self.kept, omega)
+        return self.span(self.kept, omega) if self._nonzero("cycle", omega) else 0.0
 
     def intervisit_complement(self, omega: float) -> float:
         """1 - LST of the intervisit time (visit end to next visit start)."""
-        return self.span(self.cleared, omega)
+        return self.span(self.cleared, omega) if self._nonzero("intervisit", omega) else 0.0
 
     def visit_complement(self, omega: float) -> float:
         """1 - LST of the visit time: the sum of one period T_c per class-c
         customer present at the visit beginning."""
-        if omega == 0.0:
+        if not self._nonzero("visit", omega):
             return 0.0
-        zh, zl, _ = self.gf.period_complements(self.i, omega)
-        return self.gf.complement_pair(self.i, zh, zl)
+        return self.gf_complement(*self.gf.period_complements(self.i, omega)[:2])
 
     # ------------------------------------------------------- waiting times
 
@@ -143,9 +175,7 @@ class QueueTransforms:
 
     def completion_complement(self, omega: float) -> float:
         """1 - LST of a low service extended by high busy periods."""
-        if self.lam_l <= 0.0:
-            raise UnsupportedEvaluation("queue has no low-priority class")
-        return self._completion(self, omega)[1]
+        return self._completion(self, omega)[1] if self._nonzero("completion", omega) else 0.0
 
     def wait_high(self, r, w):
         """LST of the high-priority waiting time at w, read by ``r``: gated,
@@ -191,59 +221,26 @@ class QueueTransforms:
 
     def wait_high_complement(self, omega: float) -> float:
         """1 - LST of the high-priority waiting time (``wait_high``)."""
-        if self.lam_h <= 0.0:
-            raise UnsupportedEvaluation("queue has no high-priority class")
-        if omega == 0.0:
-            return 0.0
-        return 1.0 - self.wait_high(self, omega)
+        return 1.0 - self.wait_high(self, omega) if self._nonzero("wait_high", omega) else 0.0
 
     def wait_low_complement(self, omega: float) -> float:
         """1 - LST of the low-priority waiting time (``wait_low``)."""
-        if self.lam_l <= 0.0:
-            raise UnsupportedEvaluation("queue has no low-priority class")
-        if omega == 0.0:
-            return 0.0
-        if omega > self.lam_l:
-            raise UnsupportedEvaluation(
-                f"low-priority wait evaluable only for omega <= {self.lam_l}")
-        return 1.0 - self.wait_low(self, omega)
+        return 1.0 - self.wait_low(self, omega) if self._nonzero("wait_low", omega) else 0.0
 
     # ------------------------------------------------------------ handles
 
-    def _handle(self, complement, omega_max: float, name: str) -> TransformHandle:
-        """A handle on ``complement``, evaluable up to ``omega_max``: the rate
-        that scales the transform's GF arguments, so zero means the transform
-        is unavailable, as its complement says for any positive argument."""
-        if omega_max <= 0.0:
-            raise UnsupportedEvaluation(
-                f"transform {name}[{self.i}] unavailable: its evaluable range is empty "
-                "(zero arrival rate)")
-        return TransformHandle(complement, self.h0, omega_max, name=f"{name}[{self.i}]")
-
-    def cycle_handle(self) -> TransformHandle:
-        return self._handle(self.cycle_complement, self.span_rate(self.kept),
-                            "cycle")
-
-    def intervisit_handle(self) -> TransformHandle:
-        return self._handle(self.intervisit_complement,
-                            self.span_rate(self.cleared), "intervisit")
-
-    def visit_handle(self) -> TransformHandle:
-        return self._handle(self.visit_complement, math.inf, "visit")
-
-    def wait_high_handle(self) -> TransformHandle:
-        om = self.lam_h if 0 in self.cleared else max(self.lam_h, self.lam_l)
-        return self._handle(self.wait_high_complement, om, "wait_high")
-
-    def wait_low_handle(self) -> TransformHandle:
-        return self._handle(self.wait_low_complement, self.lam_l, "wait_low")
+    def handle(self, name: str) -> TransformHandle:
+        """A handle on the complement of transform ``name``, evaluable up to
+        ``omega_max(name)``, for ``lst_moment``."""
+        top = self.omega_max(name)
+        return TransformHandle(getattr(self, f"{name}_complement"), self.h0, top,
+                               name=f"{name}[{self.i}]")
 
     # -------------------------------------------------- queue-length GFs
 
     def qlen_gf_high(self, z: float) -> float:
         """E[z^(number of high-priority customers present)]."""
-        if self.lam_h <= 0.0:
-            raise UnsupportedEvaluation("queue has no high-priority class")
+        self.omega_max("wait_high")  # raises without the class
         if not 0.0 <= z <= 1.0:
             raise UnsupportedEvaluation("z must lie in [0, 1]")
         if z == 1.0:
@@ -259,8 +256,7 @@ class QueueTransforms:
         extends a low customer's effective service and the sojourn uses the
         completion time.
         """
-        if self.lam_l <= 0.0:
-            raise UnsupportedEvaluation("queue has no low-priority class")
+        self.omega_max("wait_low")  # raises without the class
         if not 0.0 <= z <= 1.0:
             raise UnsupportedEvaluation("z must lie in [0, 1]")
         if z == 1.0:

@@ -69,10 +69,10 @@ def test_mean_route_matches_transform_derivative(name):
     a = Analyzer(PUBLISHED[name])
     for i, qt in enumerate(a.queues):
         if qt.lam_h > 0.0:
-            got = lst_moment(qt.wait_high_handle(), 1).value
+            got = lst_moment(qt.handle("wait_high"), 1).value
             assert got == pytest.approx(a.mean_wait_high(i), rel=1e-8)
         if qt.lam_l > 0.0:
-            got = lst_moment(qt.wait_low_handle(), 1).value
+            got = lst_moment(qt.handle("wait_low"), 1).value
             assert got == pytest.approx(a.mean_wait_low(i), rel=1e-8)
 
 

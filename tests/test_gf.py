@@ -140,6 +140,13 @@ def test_rejects_out_of_range_arguments():
         gf.log_value(0, [0.0, 0.0, -0.1, 0.0])
     with pytest.raises(ValueError):
         gf.log_value(0, [0.0, 0.0])
+    # a queue index past the model, as Analyzer.queues[i] does (2 and -3 once
+    # wrapped onto queues 1 and 2), while -1 still means the last queue
+    z = (0.5,) * 4
+    for i in (2, -3):
+        with pytest.raises(IndexError):
+            a.gf_visit_beginning(i, z)
+    assert a.gf_visit_beginning(-1, z) == a.gf_visit_beginning(1, z)
 
 
 def _baseline_family(n, rho):

@@ -8,18 +8,18 @@ from priopoll import (Deterministic, Erlang, Exponential, IllConditioned,
                       TransformHandle, Uniform, lst_moment)
 
 
-def _handle(dist, h0=1e-4):
+def _dist_handle(dist, h0=1e-4):
     return TransformHandle(dist.lst_complement, h0=h0, name=type(dist).__name__)
 
 
 def test_exponential_mean():
-    est = lst_moment(_handle(Exponential(1.0)), 1)
+    est = lst_moment(_dist_handle(Exponential(1.0)), 1)
     assert est.value == pytest.approx(1.0, abs=1e-8)
     assert est.error < 1e-8
 
 
 def test_deterministic_second_moment():
-    est = lst_moment(_handle(Deterministic(10.0), h0=1e-5), 2)
+    est = lst_moment(_dist_handle(Deterministic(10.0), h0=1e-5), 2)
     assert est.value == pytest.approx(100.0, rel=1e-6)
 
 
@@ -28,7 +28,7 @@ def test_deterministic_second_moment():
 ])
 @pytest.mark.parametrize("k", [1, 2])
 def test_closed_form_families(dist, k):
-    est = lst_moment(_handle(dist, h0=1e-4 / dist.mean), k)
+    est = lst_moment(_dist_handle(dist, h0=1e-4 / dist.mean), k)
     assert est.value == pytest.approx(dist.moment(k), rel=1e-7)
     assert est.error < 1e-5 * dist.moment(k) + 1e-12
 
@@ -47,7 +47,7 @@ def test_error_estimate_is_honest():
 @pytest.mark.parametrize("k", [0, 3])
 def test_unsupported_order_rejected(k):
     with pytest.raises(ValueError, match="first and second"):
-        lst_moment(_handle(Exponential(1.0)), k)
+        lst_moment(_dist_handle(Exponential(1.0)), k)
 
 
 def test_degenerate_domain_rejected():

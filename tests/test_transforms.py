@@ -40,34 +40,34 @@ def test_transforms_equal_one_at_zero(ex1):
 
 
 def test_cycle_mean_is_ten(ex1):
-    est = lst_moment(ex1.queues[0].cycle_handle(), 1)
+    est = lst_moment(ex1.queues[0].handle("cycle"), 1)
     assert est.value == pytest.approx(10.0, rel=1e-8)
 
 
 def test_cycle_mean_same_for_all_queues(ex1):
     # E(C_i) is queue independent even though higher moments are not
-    m0 = lst_moment(ex1.queues[0].cycle_handle(), 1).value
-    m1 = lst_moment(ex1.queues[1].cycle_handle(), 1).value
+    m0 = lst_moment(ex1.queues[0].handle("cycle"), 1).value
+    m1 = lst_moment(ex1.queues[1].handle("cycle"), 1).value
     assert m0 == pytest.approx(m1, rel=1e-8)
     assert ex1.cycle_m2(0) != pytest.approx(ex1.cycle_m2(1), rel=1e-3)
 
 
 def test_intervisit_mean_identity(ex1):
     # E(I_1) = (1 - rho_1) E(C) = 4
-    est = lst_moment(ex1.queues[0].intervisit_handle(), 1)
+    est = lst_moment(ex1.queues[0].handle("intervisit"), 1)
     assert est.value == pytest.approx(4.0, rel=1e-8)
 
 
 def test_visit_mean_identity(ex1):
     # E(V_i) = rho_i E(C): 6 and 2 on the two-queue benchmark
-    assert lst_moment(ex1.queues[0].visit_handle(), 1).value == pytest.approx(6.0, rel=1e-8)
-    assert lst_moment(ex1.queues[1].visit_handle(), 1).value == pytest.approx(2.0, rel=1e-8)
+    assert lst_moment(ex1.queues[0].handle("visit"), 1).value == pytest.approx(6.0, rel=1e-8)
+    assert lst_moment(ex1.queues[1].handle("visit"), 1).value == pytest.approx(2.0, rel=1e-8)
 
 
 def test_completion_time_mean(ex1):
-    from priopoll import TransformHandle
-    qt = ex1.queues[0]
-    est = lst_moment(TransformHandle(qt.completion_complement, qt.h0), 1)
+    handle = ex1.queues[0].handle("completion")
+    assert handle.omega_max == math.inf
+    est = lst_moment(handle, 1)
     assert est.value == pytest.approx(1.25, rel=1e-9)  # E(B_L)/(1-rho_H)
 
 
@@ -114,12 +114,11 @@ def test_exact_period_moments_match_transform_route(model):
     a = Analyzer(model)
     periods = a.report(include_variances=False).periods
     for i, qt in enumerate(a.queues):
-        for field, exact, handle in (("cycle_m2", a.cycle_m2, qt.cycle_handle),
-                                     ("intervisit_m2", a.intervisit_m2,
-                                      qt.intervisit_handle),
-                                     ("visit_m2", a.visit_m2, qt.visit_handle)):
+        for field, exact, name in (("cycle_m2", a.cycle_m2, "cycle"),
+                                   ("intervisit_m2", a.intervisit_m2, "intervisit"),
+                                   ("visit_m2", a.visit_m2, "visit")):
             value = _or_none(exact, i)
-            route = _or_none(lambda: lst_moment(handle(), 2).value)
+            route = _or_none(lambda: lst_moment(qt.handle(name), 2).value)
             assert (value is None) == (route is None), field
             assert getattr(periods[i], field) == value
             if value is not None:
@@ -141,16 +140,38 @@ def test_period_complements_match_period_moments(model):
                     a.gf.period_rates[j][k - 1][c] / lam, rel=1e-8)
 
 
-@pytest.mark.parametrize("omega", [math.nan, math.inf, -0.1])
-def test_transforms_reject_arguments_outside_their_domain(ex1, omega):
-    # at once, not after a million fixed-point steps ending in NoConvergence;
-    # the low wait's own bound omega <= lambda_low is checked first
-    for transform in (ex1.visit_time_lst, ex1.waiting_lst_low, ex1.completion_time_lst):
-        expected = (UnsupportedEvaluation
-                    if transform == ex1.waiting_lst_low and omega == math.inf
-                    else ValueError)
-        with pytest.raises(expected):
-            transform(0, omega)
+_TRANSFORMS = (("cycle", "cycle_time_lst"), ("intervisit", "intervisit_lst"),
+               ("visit", "visit_time_lst"), ("wait_high", "waiting_lst_high"),
+               ("wait_low", "waiting_lst_low"), ("completion", "completion_time_lst"))
+
+
+@pytest.mark.parametrize("omega", [math.nan, math.inf, -0.1, -0.5, -1.0])
+def test_transforms_reject_arguments_outside_their_domain(omega):
+    # every transform at once, not after a million fixed-point steps ending in
+    # NoConvergence, and never a number: an unavailable transform, or omega
+    # past its range (inf for the low wait, bounded by lambda_low), raises
+    # UnsupportedEvaluation, and any other NaN, negative or infinite omega
+    # ValueError
+    models = [example1(d) for d in DISCIPLINES]
+    models += [single_vacation_queue(d, lam_h, lam_l) for d in DISCIPLINES
+               for lam_h, lam_l in ((0.3, 0.5), (0.0, 0.5), (0.3, 0.0))]
+    for model in models:
+        a = Analyzer(model)
+        for i, qt in enumerate(a.queues):
+            for name, transform in _TRANSFORMS:
+                try:
+                    top = qt.omega_max(name)
+                except UnsupportedEvaluation:
+                    expected = UnsupportedEvaluation
+                    with pytest.raises(UnsupportedEvaluation):
+                        qt.handle(name)
+                else:
+                    assert qt.handle(name).omega_max == top
+                    expected = UnsupportedEvaluation if omega > top else ValueError
+                with pytest.raises(expected):
+                    getattr(a, transform)(i, omega)
+    # the high wait reads its span up to the span's rate, past lambda_high
+    assert Analyzer(example1(GATED)).waiting_lst_high(0, 0.5) == 0.10950188102711245
 
 
 @pytest.mark.parametrize("model", _published_and_random_models(extended_dists=True))
@@ -162,35 +183,55 @@ def test_exact_wait_variance_matches_transform_route(model):
     # reproduces to 1e-15, while its error estimate reads 4e-10.
     a = Analyzer(model)
     for i, qt in enumerate(a.queues):
-        for cls, lam, handle in (("H", qt.lam_h, qt.wait_high_handle),
-                                 ("L", qt.lam_l, qt.wait_low_handle)):
+        for cls, lam, name in (("H", qt.lam_h, "wait_high"), ("L", qt.lam_l, "wait_low")):
             if lam <= 0.0:
                 with pytest.raises(UnsupportedEvaluation):
                     a.var_wait(i, cls)
                 continue
-            assert a.wait_m2(i, cls) == pytest.approx(lst_moment(handle(), 2).value,
+            assert a.wait_m2(i, cls) == pytest.approx(lst_moment(qt.handle(name), 2).value,
                                                       rel=2e-7)
 
+
+
+def _match_golden(filename, complements):
+    # complements(qt) yields (key, complement, rate) for each transform of
+    # queue qt that is available; the golden holds it at omega = f rate
+    golden = json.loads((pathlib.Path(__file__).resolve().parent / "golden"
+                         / filename).read_text())
+    models = published_models()
+    assert set(golden["models"]) == set(models)
+    for label, expected in golden["models"].items():
+        a = Analyzer(models[label])
+        got = {f"{i + 1}{key}": [complement(f * rate) for f in golden["factors"]]
+               for i, qt in enumerate(a.queues) for key, complement, rate in complements(qt)}
+        assert got.keys() == expected.keys(), label
+        for key, values in expected.items():
+            assert got[key] == pytest.approx(values, rel=0.0, abs=1e-15), (label, key)
 
 
 def test_wait_complements_match_golden():
     # the float waiting-time transforms of every class of the published
     # models at omega = f lambda, with lambda the class's own rate
-    golden = json.loads((pathlib.Path(__file__).resolve().parent / "golden"
-                         / "wait_complements.json").read_text())
-    models = published_models()
-    assert set(golden["models"]) == set(models)
-    for label, classes in golden["models"].items():
-        a = Analyzer(models[label])
-        got = {}
-        for i, qt in enumerate(a.queues):
-            for cls, lam, complement in (("H", qt.lam_h, qt.wait_high_complement),
-                                         ("L", qt.lam_l, qt.wait_low_complement)):
-                if lam > 0.0:
-                    got[f"{i + 1}{cls}"] = [complement(f * lam) for f in golden["factors"]]
-        assert got.keys() == classes.keys(), label
-        for key, values in classes.items():
-            assert got[key] == pytest.approx(values, rel=0.0, abs=1e-15), (label, key)
+    _match_golden("wait_complements.json", lambda qt: [
+        (cls, complement, lam)
+        for cls, lam, complement in (("H", qt.lam_h, qt.wait_high_complement),
+                                     ("L", qt.lam_l, qt.wait_low_complement))
+        if lam > 0.0])
+
+
+def test_period_complements_match_golden():
+    # the float cycle, intervisit, visit and completion-time transforms of
+    # every queue of the published models, where available, at omega = f r,
+    # with r the span's rate for a cycle or an intervisit time and the
+    # queue's total rate else
+    _match_golden("period_complements.json", lambda qt: [
+        (name, getattr(qt, f"{name}_complement"), rate)
+        for name, rate in (("cycle", qt.span_rate(qt.kept)),
+                           ("intervisit", qt.span_rate(qt.cleared)),
+                           ("visit", qt.lam_h + qt.lam_l),
+                           ("completion", qt.lam_h + qt.lam_l))
+        if _or_none(qt.omega_max, name) is not None])
+
 
 def test_cross_moment_identity_mixed(ex1):
     # cross/(lam_h lam_l E(C)) = (E(I^2) + E(I V)) / E(C)
