@@ -52,6 +52,12 @@ _GOLDEN_MODELS = (
         MIXED, GATED)),
     ("uniform_exhaustive_mixed", lambda: _family_model(
         lambda mean: Uniform(0.2 * mean, 1.8 * mean), EXHAUSTIVE, MIXED)),
+    # N > 2: each has every discipline and every family, and queues with one
+    # class absent (a high-only queue in each, a low-only one at N = 5)
+    ("random_n3", lambda: random_model(np.random.default_rng(8), extended_dists=True, n=3)),
+    ("random_n5", lambda: random_model(np.random.default_rng(5), extended_dists=True, n=5)),
+    ("random_n12", lambda: random_model(np.random.default_rng(12), extended_dists=True,
+                                        n=12)),
 )
 
 
@@ -118,6 +124,7 @@ _TRACED_MODELS = (
     ("hyperexponential_mixed_gated", dict(_GOLDEN_MODELS)["hyperexponential_mixed_gated"]),
     # every visit is queue 0's, so each one closes a cycle
     ("single_queue_mixed", lambda: single_vacation_queue(MIXED)),
+    *((label, dict(_GOLDEN_MODELS)[label]) for label in ("random_n3", "random_n5", "random_n12")),
 )
 
 

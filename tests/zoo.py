@@ -117,9 +117,11 @@ def random_distribution(rng, extended=False):
     return Uniform(0.0, 2.0 * mean)
 
 
-def random_model(rng, max_rho=0.9, extended_dists=False):
-    """Stable random model: N in {1,2,3}, every discipline, mixed families."""
-    n = int(rng.integers(1, 4))
+def random_model(rng, max_rho=0.9, extended_dists=False, n=None):
+    """Stable random model: N queues (drawn from {1,2,3} unless given),
+    every discipline, mixed families."""
+    if n is None:
+        n = int(rng.integers(1, 4))
     specs = []
     for _ in range(n):
         disc = DISCIPLINES[int(rng.integers(3))]
