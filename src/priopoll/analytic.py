@@ -294,9 +294,9 @@ class Analyzer:
                 classes.append(ClassResult(i, cls, qt.disc, mean, var,
                                            _little(qt, cls, mean)))
             cyc2 = iv2 = cross = None
-            if qt.span_rate(qt.kept) > 0.0:
+            if _available(qt, "cycle"):
                 cyc2 = self.cycle_m2(i)
-            if qt.span_rate(qt.cleared) > 0.0:
+            if _available(qt, "intervisit"):
                 iv2 = self.intervisit_m2(i)
             if cyc2 is not None and iv2 is not None:
                 # the coordinates span different periods; where both span
@@ -306,6 +306,16 @@ class Analyzer:
                                         qt.ev, self.visit_m2(i), cross))
         lhs, rhs, residual = _pcl(self.model, self.derived, waits)
         return PerfReport(tuple(classes), tuple(periods), lhs, rhs, residual)
+
+
+def _available(qt, name: str) -> bool:
+    """Whether queue qt's transform ``name`` can be evaluated, as
+    ``omega_max`` decides it."""
+    try:
+        qt.omega_max(name)
+    except UnsupportedEvaluation:
+        return False
+    return True
 
 
 def _variance(series: list) -> float:

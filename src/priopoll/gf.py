@@ -431,7 +431,9 @@ class GfEvaluator:
     # ------------------------------------------------------- convenience API
 
     def complement_pair(self, i: int, zeta_high: float, zeta_low: float) -> float:
-        """1 - GF with only queue i's own coordinates displaced from 1."""
+        """1 - GF with only queue i's own coordinates displaced from 1.
+        Raises IndexError for i outside [-N, N), as ``log_value`` does."""
+        i = range(self.n)[i]
         zeta = [0.0] * (2 * self.n)
         zeta[2 * i:2 * i + 2] = zeta_high, zeta_low
         return -math.expm1(self.log_value(i, zeta))

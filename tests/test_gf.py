@@ -146,7 +146,10 @@ def test_rejects_out_of_range_arguments():
     for i in (2, -3):
         with pytest.raises(IndexError):
             a.gf_visit_beginning(i, z)
+        with pytest.raises(IndexError):
+            gf.complement_pair(i, 0.1, 0.1)
     assert a.gf_visit_beginning(-1, z) == a.gf_visit_beginning(1, z)
+    assert gf.complement_pair(-1, 0.1, 0.1) == gf.complement_pair(1, 0.1, 0.1)
 
 
 def _baseline_family(n, rho):

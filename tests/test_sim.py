@@ -268,13 +268,42 @@ def test_visit_reads_streams_per_discipline(disc):
     lambda: example2(EXHAUSTIVE, EXHAUSTIVE),
     lambda: single_vacation_queue(MIXED, lam_l=0.0),
     lambda: single_vacation_queue(EXHAUSTIVE, lam_l=0.0),
+    dict(_GOLDEN_MODELS)["random_n12"],
 ], ids=["example1_gated", "example2_gated_gated", "single_class_gated",
         "example1_mixed", "example1_exhaustive", "example2_mixed_mixed",
         "example2_exhaustive_exhaustive", "single_high_mixed",
-        "single_high_exhaustive"])
+        "single_high_exhaustive", "random_n12"])
 def test_trace_does_not_perturb_runs(build):
     m = build()
     assert run(m, seed=21, n_cycles=500, trace=True)[0] == run(m, seed=21, n_cycles=500)
+
+
+def test_kernel_is_compiled_once_per_structure():
+    # the cycle loop's source depends on which classes each visit clears and
+    # on trace alone: a model with other rates and families, the same
+    # disciplines, runs the kernel compiled for the first
+    from priopoll.sim import _kernel
+    run(example1(MIXED), seed=1, n_cycles=50)
+    info = _kernel.cache_info()
+    other = PollingModel(
+        queues=(QueueSpec(0.1, 0.3, Erlang(2, 0.5), Uniform(0.5, 1.5), MIXED),
+                QueueSpec(0.0, 0.3, None, Deterministic(1.0), GATED)),
+        switchovers=(Hyperexponential((0.3, 0.7), (0.5, 2.0)), Deterministic(2.0)))
+    run(other, seed=1, n_cycles=50)
+    assert _kernel.cache_info().hits == info.hits + 1
+    assert _kernel.cache_info().misses == info.misses
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_kernel_source_holds_no_model_value(trace):
+    # no float literal, and every integer is a queue index
+    import ast
+    from priopoll.sim import _render
+    cleared = ((False, False), (True, False), (True, True)) * 4
+    constants = [node.value for node in ast.walk(ast.parse(_render(cleared, trace)))
+                 if isinstance(node, ast.Constant)]
+    assert not [c for c in constants if isinstance(c, float)]
+    assert {c for c in constants if isinstance(c, int)} <= set(range(len(cleared)))
 
 
 def test_arrivals_are_the_running_sum_of_gap_blocks():
