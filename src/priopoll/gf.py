@@ -79,8 +79,8 @@ class GfEvaluator:
     so that every layer built on it reads only finite input moments.
 
     All methods are pure; per-call scratch state only, so instances may be
-    shared across threads.  The one attribute built on first use
-    (``_periods``) is the same whichever thread builds it.  ``_MAX_CYCLES``
+    shared across threads.  The attributes built on first use (``_periods``,
+    ``_sigma_c``) are the same whichever thread builds them.  ``_MAX_CYCLES``
     bounds ``log_value`` alone; the moments are bounded by the load guard.
     """
 
@@ -90,7 +90,6 @@ class GfEvaluator:
         self.n = n = model.n
         self._lam = []
         self._cleared = []       # per queue, the coordinates its visit clears
-        self._sigma_c = [s.lst_complement for s in model.switchovers]
         # moment maps: per queue, lambda_c E(T_c^k) of its two classes for
         # k = 1, 2, 3, and which coordinates its visit keeps
         self.period_rates = []
@@ -149,6 +148,12 @@ class GfEvaluator:
                 lstc[c] = s.lst_complement
             periods.append((busy, *lstc))
         return periods
+
+    @cached_property
+    def _sigma_c(self) -> list:
+        """Per queue, its switch-over's LST complement, which only
+        ``log_value`` reads."""
+        return [s.lst_complement for s in self.model.switchovers]
 
     # ------------------------------------------------------------------ core
 

@@ -44,26 +44,27 @@ finishes clearing the high-priority work that arrived during that customer's
 service (its completion time) under mixed/exhaustive service, matching the
 sojourn convention of the analytic queue-length results.
 
-Everything a visit reads and writes about its queue is the queue's record
-(``_FIELDS``): each class's next arrival, wait tally and queue-length area,
+Everything a visit reads and writes about its queue is one of the queue's
+``_FIELDS``: each class's next arrival, wait tally and queue-length area,
 the previous visit's beginning and end, the cycle, intervisit and visit
-tallies and the visit-beginning state sums.  The cycle loop is rendered
-from one source template (``_render``) per model structure, keyed on what
-the loop branches on: each queue's two ``CLEARED`` flags, and whether the
-run is traced.  The rendered function unrolls the queues inside the cycle
-loop and keeps every record field in a local variable (``nh_0``, ``hs_0``,
-...), read from the records before the first cycle and written back after
-the last.  Each class's bound is written out as the gate ``t_vb`` or the
-current instant ``t``, and the trace events are rendered only into a traced
-kernel.  The source holds identifiers and queue indices, never a model value
-(even its float constants come in as names), so ``_kernel`` compiles it once
-per key and caches the compiled code, never a result.  Rendering and
-compiling take about 1.5 ms at N = 2, 7 ms at N = 12, 22 ms at N = 32 and
-70 ms at N = 100, a quarter more when traced (median of five, Python 3.11 on
-the 2-core x86 host of BENCH_30.json).  The final queue-0 visit beginning
-only closes queue 0's last cycle.  At the end the records are read out
-column by column into the ``_Tally`` fields, areas and state sums of
-``_RepResult``; ``_aggregate`` merges runs.
+tallies and the visit-beginning state sums.  A whole replication runs in one
+function, rendered from one source template (``_render``) per model
+structure, keyed on what the loop branches on: each queue's two ``CLEARED``
+flags, and whether the run is traced.  The rendered kernel keeps every field
+in a local variable (``nh_0``, ``hs_0``, ...) that its prologue sets to the
+field's start value and unrolls the queues inside the cycle loop.  Each
+class's bound is written out as the gate ``t_vb`` or the current instant
+``t``, and the trace events are rendered only into a traced kernel.  Its
+epilogue closes queue 0's last cycle at the final queue-0 visit beginning,
+adds the area of the customers still in system, and returns each queue's
+fields as a dict keyed by name: ``_RepResult`` holds them, and
+``_aggregate`` reads them by name to merge runs.  The source holds
+identifiers and queue indices, never a model value (even its float
+constants come in as names), so ``_kernel`` compiles it once per key and
+caches the compiled code, never a result.  Rendering and compiling take
+about 1.1-2 ms at N = 2, 6-10 ms at N = 12, 17-24 ms at N = 32 and 57-76 ms
+at N = 100, about a fifth more when traced (medians of seven in three
+runs, Python 3.11 on a shared 2-core x86 host).
 
 Warm-up and measured cycles run the same loop.  The measurement window
 [t_warm, inf) is empty (t_warm = inf) until cycle ``warmup_cycles`` sets
@@ -76,11 +77,11 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import accumulate, chain, repeat, starmap
 from numbers import Integral
-from typing import NamedTuple
+from operator import itemgetter
 
 import numpy as np
 
@@ -118,36 +119,25 @@ class Event:
     arrival: float = math.nan
 
 
-class _Tally(NamedTuple):
-    """Count, sum and sum of squares of a sample, one entry per index."""
-
-    n: tuple
-    s: tuple
-    s2: tuple
-
-
 @dataclass
 class _RepResult:
-    """Post-warmup sums of one run; class streams are 2*j (high), 2*j+1 (low)."""
+    """One run's post-warm-up state: per queue, the kernel's ``_FIELDS`` by
+    name; the busy time; the measurement window [t_warm, t_end); the trace."""
 
-    wait: _Tally        # per class stream: arrival to service start
-    cycle: _Tally       # per queue: visit beginning to the next one
-    intervisit: _Tally  # per queue: visit end to the next visit beginning
-    visit: _Tally       # per queue: visit beginning to visit end
-    area: list          # per class stream: queue-length time integral
-    state: list         # per queue: [sum X_H, sum X_L, sum X_H*X_L] at visit beginnings
-    busy: float = 0.0
-    t_warm: float = math.nan
-    t_end: float = math.nan
-    events: list = field(default_factory=list)
+    queues: list  # per queue: {field: value}
+    busy: float
+    t_warm: float
+    t_end: float
+    events: list
 
+    # the measured waits and visits, per class and per queue
     @property
     def wait_n(self) -> list:
-        return self.wait.n
+        return [f[n] for f in self.queues for n in ("hn", "ln")]
 
     @property
     def visit_n(self) -> list:
-        return self.visit.n
+        return [f["vn"] for f in self.queues]
 
 
 def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
@@ -166,65 +156,42 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     # per queue: arr_h, arr_l, svc_h, svc_l, swo
     rngs = [np.random.default_rng(c) for c in ss.spawn(5 * n)]
-    events = []
 
-    # per queue: the class streams' arrivals and service times, its
-    # switch-over times and its record (``_FIELDS``; an absent class's next
-    # arrival stays inf, so no visit reads its streams)
+    # per queue: its classes' arrival and service streams and its switch-over
+    # stream; an absent class arrives at inf, so no visit serves it
     queues = []
     for j, q in enumerate(model.queues):
-        arrivals, svc = [None, None], [None, None]
-        rec = [math.inf, 0, 0.0, 0.0, 0.0] * 2 + [-math.inf] * 2 + [0, 0.0, 0.0] * 3 + [0.0] * 3
+        streams = [repeat(math.inf)] * 4
         for c, _, rate, dist in q.classes:
-            arrivals[c] = _arrivals(rngs[5 * j + c], 1.0 / rate)
-            rec[5 * c] = next(arrivals[c])
-            svc[c] = _stream(dist.sample_block, rngs[5 * j + 2 + c])
-        queues.append((*arrivals, *svc,
-                       _stream(model.switchovers[j].sample_block, rngs[5 * j + 4]), rec))
+            streams[c] = _arrivals(rngs[5 * j + c], 1.0 / rate)
+            streams[2 + c] = _stream(dist.sample_block, rngs[5 * j + 2 + c])
+        queues.append((*streams, _stream(model.switchovers[j].sample_block, rngs[5 * j + 4])))
 
     cleared = tuple((0 in CLEARED[q.discipline], 1 in CLEARED[q.discipline])
                     for q in model.queues)
-    t, t_warm, busy = _kernel(cleared, trace)(queues, n_cycles, warmup_cycles, events)
-
-    # the final queue-0 visit beginning closes queue 0's last measured cycle
-    rec = queues[0][-1]
-    x = t - rec[10]
-    rec[12:15] = rec[12] + 1, rec[13] + x, rec[14] + x * x
-    # customers still in system contribute queue-length area up to the horizon
-    for q in queues:
-        rec = q[-1]
-        for c, it in ((0, q[0]), (5, q[1])):
-            arr = rec[c]
-            while arr < t:
-                rec[c + 4] += t - (arr if arr > t_warm else t_warm)
-                arr = next(it)
-
-    recs = [q[-1] for q in queues]
-
-    def tally(*offsets):
-        return _Tally(*zip(*(r[o:o + 3] for r in recs for o in offsets)))
-
-    return _RepResult(wait=tally(1, 6), cycle=tally(12), intervisit=tally(15),
-                      visit=tally(18), area=[r[o] for r in recs for o in (4, 9)],
-                      state=[r[21:] for r in recs], busy=busy, t_warm=t_warm,
-                      t_end=t, events=events)
+    events = []
+    return _RepResult(*_kernel(cleared, trace)(queues, n_cycles, warmup_cycles, events),
+                      events)
 
 
-# --------------------------------------------------------------- cycle loop
+# --------------------------------------------------------------- kernel
 
-# A queue's record, which ``_simulate`` reads by position: per class c (0
-# high, 1 low) the next arrival, the wait tally (count, sum, sum of squares)
-# and the queue-length area; the last visit's beginning and end; the cycle,
-# intervisit and visit tallies; the visit-beginning state sums.  The kernel
-# keeps queue j's field f in the local f_j.
-_FIELDS = ("nh", "hn", "hs", "hs2", "ha", "nl", "ln", "ls", "ls2", "la", "pb", "pe",
-           "cn", "cs", "cs2", "gn", "gs", "gs2", "vn", "vs", "vs2", "sh", "sl", "shl")
-_RECORD = ", ".join(f"{f}_{{j}}" for f in _FIELDS)
+# A queue's state, which the kernel keeps in the local f_j for field f of
+# queue j and returns by name: per class (h high, l low) the next arrival
+# (nh, nl), the wait tally (count n, sum s, sum of squares s2) and the
+# queue-length area (a); the last visit's beginning pb and end pe; the cycle
+# (c), intervisit (g) and visit (v) tallies; the visit-beginning state sums
+# (sh, sl, shl).  Each field maps to its value before the first cycle.
+_FIELDS = {"nh": "next(arr_h_{j})", "hn": "0", "hs": "zero", "hs2": "zero", "ha": "zero",
+           "nl": "next(arr_l_{j})", "ln": "0", "ls": "zero", "ls2": "zero", "la": "zero",
+           "pb": "-inf", "pe": "-inf",
+           "cn": "0", "cs": "zero", "cs2": "zero", "gn": "0", "gs": "zero", "gs2": "zero",
+           "vn": "0", "vs": "zero", "vs2": "zero", "sh": "zero", "sl": "zero", "shl": "zero"}
 
-# ``_render`` fills {load}, {open}, {visits} and {store} with one copy per
-# queue of the templates below.  Lines marked "# trace" are kept only in a
-# traced kernel.  Float constants come in as names (inf, zero), never as
-# literals, so the source depends on nothing but the key.
+# ``_render`` fills {load}, {open}, {visits}, {close} and {fields} with one
+# copy per queue of the templates below.  Lines marked "# trace" are kept
+# only in a traced kernel.  Float constants come in as names (inf, zero),
+# never as literals, so the source depends on nothing but the key.
 _LOOP = """\
 def kernel(queues, n_cycles, warmup_cycles, events):
     append = events.append  # trace
@@ -237,12 +204,18 @@ def kernel(queues, n_cycles, warmup_cycles, events):
             busy = zero
 {open}\
 {visits}\
-{store}\
-    return t, t_warm, busy
+    # the final queue-0 visit beginning closes queue 0's last measured cycle
+    x = t - pb_0
+    cn_0 += 1
+    cs_0 += x
+    cs2_0 += x * x
+{close}\
+    return [{fields}], busy, t_warm, t
 """
 
-_LOAD = "    arr_h_{j}, arr_l_{j}, svc_h_{j}, svc_l_{j}, swo_{j}, rec_{j} = queues[{j}]\n" \
-        "    " + _RECORD + " = rec_{j}\n"
+# queue j's streams, then every field at its start value in one assignment
+_LOAD = ("    arr_h_{j}, arr_l_{j}, svc_h_{j}, svc_l_{j}, swo_{j} = queues[{j}]\n    "
+         + ", ".join(f"{f}_{{j}}" for f in _FIELDS) + " = " + ", ".join(_FIELDS.values()) + "\n")
 
 _OPEN = """\
             ha_{j} = la_{j} = vs_{j} = vs2_{j} = sh_{j} = sl_{j} = shl_{j} = zero
@@ -321,18 +294,28 @@ _VISIT = """\
         append(Event(t, "switch_end", len(events), {next_j}))  # trace
 """
 
-_STORE = "    rec_{j}[:] = " + _RECORD + "\n"
+# customers still in system add queue-length area up to the end
+_CLOSE = """\
+    while nh_{j} < t:
+        ha_{j} += t - (nh_{j} if nh_{j} > t_warm else t_warm)
+        nh_{j} = next(arr_h_{j})
+    while nl_{j} < t:
+        la_{j} += t - (nl_{j} if nl_{j} > t_warm else t_warm)
+        nl_{j} = next(arr_l_{j})
+"""
+
+_RETURN = "dict(" + ", ".join(f"{f}={f}_{{j}}" for f in _FIELDS) + "), "
 
 
 def _render(cleared: tuple, trace: bool) -> str:
-    """Source of the cycle loop: ``cleared[j]`` flags (high, low) the classes
-    that queue j's visits clear, and ``trace`` adds the trace events.
+    """Source of the simulation kernel: ``cleared[j]`` flags (high, low) the
+    classes that queue j's visits clear, and ``trace`` adds the trace events.
 
     The function it defines, ``kernel(queues, n_cycles, warmup_cycles,
-    events)``, runs ``n_cycles`` cycles over ``queues`` (per queue: the
-    arrival and service streams of its high and low class, its switch-over
-    stream and its record), stores the records back and returns the clock,
-    the start of the measurement window and the busy time.
+    events)``, runs one replication of ``n_cycles`` cycles over ``queues``
+    (per queue: the arrival and service streams of its high and low class
+    and its switch-over stream).  It returns each queue's ``_FIELDS`` as a
+    dict, the busy time, the start of the measurement window and the clock.
     """
     n = len(cleared)
 
@@ -345,7 +328,7 @@ def _render(cleared: tuple, trace: bool) -> str:
         bound_l="t" if l else "t_vb", gate_l="if arr < t_vb: " if l else "")
         for j, (h, l) in enumerate(cleared))
     source = _LOOP.format(load=each(_LOAD), open=each(_OPEN), visits=visits,
-                          store=each(_STORE))
+                          close=each(_CLOSE), fields=each(_RETURN))
     if trace:
         return source
     return "".join(line for line in source.splitlines(True)
@@ -455,43 +438,33 @@ def _aggregate(model, reps, seed, n_cycles, warmup_cycles) -> SimStats:
     def horizon(r):
         return r.t_end - r.t_warm
 
-    waits = [r.wait for r in reps]
-    wait_mean, wait_var, wait_ci, wait_count = {}, {}, {}, {}
-    qlen_mean, qlen_ci = {}, {}
+    # every per-class and per-queue SimStats field, filled queue by queue
+    out = {f.name: {} for f in fields(SimStats) if f.type == "dict"}
     for i, q in enumerate(model.queues):
-        for c, cls, _, _ in q.classes:
-            k2 = 2 * i + c
-            key = (i, cls)
-            wait_mean[key], wait_ci[key] = _across(
-                waits, lambda w: w.s[k2], lambda w: w.n[k2])
-            # per-replication variance m2 - mean**2, not a ratio of sums
-            variances = [w.s2[k2] / w.n[k2] - (w.s[k2] / w.n[k2]) ** 2
-                         for w in waits if w.n[k2]]
-            wait_var[key] = _ci(variances)[0] if variances else math.nan
-            wait_count[key] = sum(w.n[k2] for w in waits)
-            qlen_mean[key], qlen_ci[key] = _across(
-                reps, lambda r: r.area[k2], horizon)
+        runs = [r.queues[i] for r in reps]
 
-    periods = {}  # SimStats fields {cycle,intervisit,visit}_{mean,m2,ci}
-    for name in ("cycle", "intervisit", "visit"):
-        tallies = [getattr(r, name) for r in reps]
-        mean, m2, ci = {}, {}, {}
-        for i in range(model.n):
-            mean[i], ci[i] = _across(tallies, lambda t: t.s[i], lambda t: t.n[i])
-            m2[i] = _across(tallies, lambda t: t.s2[i], lambda t: t.n[i])[0]
-        periods.update({f"{name}_mean": mean, f"{name}_m2": m2, f"{name}_ci": ci})
-    vb_high, vb_low, vb_cross = {}, {}, {}
-    for i in range(model.n):
-        for c, out in enumerate((vb_high, vb_low, vb_cross)):
-            out[i] = _across(reps, lambda r: r.state[i][c],
-                             lambda r: r.visit.n[i])[0]
+        def across(num, den):
+            return _across(runs, itemgetter(num), itemgetter(den))
+
+        for c, cls, _, _ in q.classes:
+            key, p = (i, cls), "hl"[c]
+            n, s, s2 = p + "n", p + "s", p + "s2"
+            out["wait_mean"][key], out["wait_ci"][key] = across(s, n)
+            # per-replication variance m2 - mean**2, not a ratio of sums
+            variances = [f[s2] / f[n] - (f[s] / f[n]) ** 2 for f in runs if f[n]]
+            out["wait_var"][key] = _ci(variances)[0] if variances else math.nan
+            out["wait_count"][key] = sum(f[n] for f in runs)
+            out["qlen_mean"][key], out["qlen_ci"][key] = _across(
+                reps, lambda r: r.queues[i][p + "a"], horizon)
+        for name, p in (("cycle", "c"), ("intervisit", "g"), ("visit", "v")):
+            out[f"{name}_mean"][i], out[f"{name}_ci"][i] = across(p + "s", p + "n")
+            out[f"{name}_m2"][i] = across(p + "s2", p + "n")[0]
+        for name, num in (("vb_high", "sh"), ("vb_low", "sl"), ("vb_cross", "shl")):
+            out[name][i] = across(num, "vn")[0]
 
     busy_fraction, busy_ci = _across(reps, lambda r: r.busy, horizon)
     return SimStats(
-        wait_mean=wait_mean, wait_var=wait_var, wait_ci=wait_ci,
-        wait_count=wait_count, qlen_mean=qlen_mean, qlen_ci=qlen_ci,
-        **periods, vb_cross=vb_cross, vb_high=vb_high, vb_low=vb_low,
-        busy_fraction=busy_fraction, busy_ci=busy_ci,
+        **out, busy_fraction=busy_fraction, busy_ci=busy_ci,
         seed=seed, n_reps=len(reps), n_cycles=n_cycles,
         warmup_cycles=warmup_cycles,
         horizon=sum(map(horizon, reps)) / len(reps),

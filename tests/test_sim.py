@@ -163,6 +163,43 @@ def test_visit_beginning_state_matches_trace(disc):
             assert s.vb_cross[i] == sum(x["H"] * x["L"] for x in xs) / len(xs), i
 
 
+@pytest.mark.parametrize("warmup", [0, 30])
+@pytest.mark.parametrize("disc", [GATED, MIXED, EXHAUSTIVE])
+def test_tallies_match_trace(disc, warmup):
+    # the wait, cycle, intervisit and visit tallies, recomputed from the
+    # trace: the window opens at queue 0's visit beginning number warmup; a
+    # visit ends at its last service_end (at its beginning if it serves no
+    # one); the run's last event closes queue 0's last cycle
+    for m in (example1(disc), example2(disc, disc)):
+        s, events = run(m, seed=4, n_cycles=300, warmup_cycles=warmup, trace=True)
+        visits = [[] for _ in range(m.n)]  # per queue, [begin, end] per visit
+        for e in events:
+            if e.kind == "visit_begin":
+                visits[e.queue].append([e.timestamp, e.timestamp])
+            elif e.kind == "service_end":
+                visits[e.queue][-1][1] = e.timestamp
+        t_warm = visits[0][warmup][0]
+        waits = {}
+        for e in events:
+            if e.kind == "service_start" and e.arrival >= t_warm:
+                waits.setdefault((e.queue, e.cls), []).append(e.timestamp - e.arrival)
+        assert sorted(waits) == sorted(s.wait_count)
+        for key, w in waits.items():
+            assert s.wait_count[key] == len(w), key
+            assert s.wait_mean[key] == pytest.approx(sum(w) / len(w), rel=1e-12), key
+        for i, vs in enumerate(visits):
+            begins = [b for b, _ in vs]
+            if i == 0:
+                begins.append(events[-1].timestamp)
+            periods = (
+                (s.cycle_mean, [b2 - b1 for b1, b2 in zip(begins, begins[1:]) if b1 >= t_warm]),
+                (s.intervisit_mean, [b2 - e1 for (_, e1), (b2, _) in zip(vs, vs[1:])
+                                     if e1 >= t_warm]),
+                (s.visit_mean, [e1 - b1 for b1, e1 in vs if b1 >= t_warm]))
+            for got, xs in periods:
+                assert got[i] == pytest.approx(sum(xs) / len(xs), rel=1e-12), i
+
+
 def test_different_seeds_differ():
     m = example1()
     a = run(m, seed=1, n_cycles=1000, warmup_cycles=0)
