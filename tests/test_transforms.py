@@ -194,8 +194,9 @@ def test_exact_wait_variance_matches_transform_route(model):
 
 
 def _match_golden(filename, complements):
-    # complements(qt) yields (key, complement, rate) for each transform of
-    # queue qt that is available; the golden holds it at omega = f rate
+    # complements(a, qt) yields (key, complement, rate) for each transform of
+    # queue qt of analyzer a that is available; the golden holds it at
+    # omega = f rate
     golden = json.loads((pathlib.Path(__file__).resolve().parent / "golden"
                          / filename).read_text())
     models = published_models()
@@ -203,7 +204,7 @@ def _match_golden(filename, complements):
     for label, expected in golden["models"].items():
         a = Analyzer(models[label])
         got = {f"{i + 1}{key}": [complement(f * rate) for f in golden["factors"]]
-               for i, qt in enumerate(a.queues) for key, complement, rate in complements(qt)}
+               for i, qt in enumerate(a.queues) for key, complement, rate in complements(a, qt)}
         assert got.keys() == expected.keys(), label
         for key, values in expected.items():
             assert got[key] == pytest.approx(values, rel=0.0, abs=1e-15), (label, key)
@@ -212,7 +213,7 @@ def _match_golden(filename, complements):
 def test_wait_complements_match_golden():
     # the float waiting-time transforms of every class of the published
     # models at omega = f lambda, with lambda the class's own rate
-    _match_golden("wait_complements.json", lambda qt: [
+    _match_golden("wait_complements.json", lambda a, qt: [
         (cls, complement, lam)
         for cls, lam, complement in (("H", qt.lam_h, qt.wait_high_complement),
                                      ("L", qt.lam_l, qt.wait_low_complement))
@@ -224,13 +225,22 @@ def test_period_complements_match_golden():
     # every queue of the published models, where available, at omega = f r,
     # with r the span's rate for a cycle or an intervisit time and the
     # queue's total rate else
-    _match_golden("period_complements.json", lambda qt: [
+    _match_golden("period_complements.json", lambda a, qt: [
         (name, getattr(qt, f"{name}_complement"), rate)
         for name, rate in (("cycle", qt.span_rate(qt.kept)),
                            ("intervisit", qt.span_rate(qt.cleared)),
                            ("visit", qt.lam_h + qt.lam_l),
                            ("completion", qt.lam_h + qt.lam_l))
         if _or_none(qt.omega_max, name) is not None])
+
+
+def test_qlen_gfs_match_golden():
+    # the queue-length GF of every class of the published models at each
+    # z = f of the golden (rate 1)
+    _match_golden("qlen_gfs.json", lambda a, qt: [
+        (cls, lambda z, gf=gf: gf(qt.i, z), 1.0)
+        for cls, lam, gf in (("H", qt.lam_h, a.qlen_gf_high), ("L", qt.lam_l, a.qlen_gf_low))
+        if lam > 0.0])
 
 
 def test_cross_moment_identity_mixed(ex1):
