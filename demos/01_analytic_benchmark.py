@@ -26,8 +26,8 @@ def main():
           f" {'Var(W_1H)':>10s} {'Var(W_1L)':>10s} {'Var(W_2)':>10s}")
     for disc in (GATED, EXHAUSTIVE, MIXED):
         a = Analyzer(build_model(disc))
-        print(f"{disc:12s} {a.mean_wait_high(0):9.3f} "
-              f"{a.mean_wait_low(0):9.3f} {a.mean_wait_low(1):9.3f} "
+        print(f"{disc:12s} {a.mean_wait(0, 'H'):9.3f} "
+              f"{a.mean_wait(0, 'L'):9.3f} {a.mean_wait(1, 'L'):9.3f} "
               f"{a.var_wait(0, 'H'):10.3f} {a.var_wait(0, 'L'):10.3f} "
               f"{a.var_wait(1, 'L'):10.3f}")
 

@@ -23,9 +23,9 @@ sim = replicate(model, base_seed=7, n_reps=6, n_cycles=20_000,
 
 print(f"\n{'quantity':14s} {'analytic':>10s} {'simulated':>10s} {'95% hw':>9s}")
 rows = [
-    ("E(W_1H)", analytic.mean_wait_high(0), sim.wait_mean[(0, 'H')], sim.wait_ci[(0, 'H')]),
-    ("E(W_1L)", analytic.mean_wait_low(0), sim.wait_mean[(0, 'L')], sim.wait_ci[(0, 'L')]),
-    ("E(W_2)", analytic.mean_wait_low(1), sim.wait_mean[(1, 'L')], sim.wait_ci[(1, 'L')]),
+    ("E(W_1H)", analytic.mean_wait(0, 'H'), sim.wait_mean[(0, 'H')], sim.wait_ci[(0, 'H')]),
+    ("E(W_1L)", analytic.mean_wait(0, 'L'), sim.wait_mean[(0, 'L')], sim.wait_ci[(0, 'L')]),
+    ("E(W_2)", analytic.mean_wait(1, 'L'), sim.wait_mean[(1, 'L')], sim.wait_ci[(1, 'L')]),
     ("E(N_1H)", analytic.mean_qlen(0, 'H'), sim.qlen_mean[(0, 'H')], sim.qlen_ci[(0, 'H')]),
     ("E(N_1L)", analytic.mean_qlen(0, 'L'), sim.qlen_mean[(0, 'L')], sim.qlen_ci[(0, 'L')]),
     ("E(C)", analytic.derived.mean_cycle, sim.cycle_mean[0], sim.cycle_ci[0]),

@@ -30,7 +30,7 @@ for lam_h in GRID:
         break
     w = {}
     for disc in (GATED, MIXED):
-        w[disc] = Analyzer(build(lam_h, disc)).mean_wait_low(0)
+        w[disc] = Analyzer(build(lam_h, disc)).mean_wait(0, "L")
     print(f"{lam_h:8.2f} {w[GATED]:10.4f} {w[MIXED]:10.4f} "
           f"{w[MIXED] - w[GATED]:+12.4f}")
 

@@ -25,22 +25,19 @@ a = Analyzer(model)
 
 print("\ncompletion time of a low service (high work absorbed):")
 for w in (0.0, 0.5, 1.0):
-    print(f"   beta*(w={w:3.1f}) = {a.completion_time_lst(0, w):.8f}")
+    print(f"   beta*(w={w:3.1f}) = {a.lst(0, 'completion', w):.8f}")
 
 print("\njoint queue-length GF at a visit beginning of queue 1:")
 for z in ((1.0, 1.0, 1.0, 1.0), (0.9, 0.9, 1.0, 1.0), (0.5, 0.5, 0.5, 0.5)):
     print(f"   V_b{z} = {a.gf_visit_beginning(0, z):.8f}")
 
-print("\nperiod transforms at w = 0.05:")
-print(f"   cycle      {a.cycle_time_lst(0, 0.05):.8f}")
-print(f"   intervisit {a.intervisit_lst(0, 0.05):.8f}")
-print(f"   visit      {a.visit_time_lst(0, 0.05):.8f}")
-print(f"   wait high  {a.waiting_lst_high(0, 0.05):.8f}")
-print(f"   wait low   {a.waiting_lst_low(0, 0.05):.8f}")
+print("\ntransforms at w = 0.05, by the name Analyzer.lst takes:")
+for name in ("cycle", "intervisit", "visit", "wait_high", "wait_low"):
+    print(f"   {name:10s} {a.lst(0, name, 0.05):.8f}")
 
-print("\nmarginal queue-length GFs at z = 0.5:")
-print(f"   high class {a.qlen_gf_high(0, 0.5):.8f}")
-print(f"   low  class {a.qlen_gf_low(0, 0.5):.8f}")
+print("\nmarginal queue-length GFs of queue 1 at z = 0.5:")
+for cls in ("H", "L"):
+    print(f"   class {cls} {a.qlen_gf(0, cls, 0.5):.8f}")
 
 # --- numerical moment extraction from any transform handle
 handle = TransformHandle(Exponential(2.0).lst_complement, h0=1e-4,

@@ -17,8 +17,8 @@ their moments composed with their arguments (Faa di Bruno).  E(W) is minus
 its omega^1 coefficient and E(W^2) twice its omega^2 coefficient.  A series
 taken to omega^k reads moments up to order k + 1, so means never solve
 ``third_moments``.  No report path differentiates a transform numerically
-or evaluates the GF.  ``mean_wait_low_alt`` differentiates the float reading
-of the same transform for E(W_low); no report path calls it.  The two
+or evaluates the GF.  ``mean_wait_alt`` differentiates the float reading
+of the same transform for E(W); no report path calls it.  The two
 readings share the decomposition, so comparing them checks the exact moment
 layer against the GF product and the busy-period fixed point, not the
 decomposition itself.
@@ -97,9 +97,11 @@ class PerfReport:
         return self._row(queue, cls).var_wait
 
 
-def _check_class(cls: str) -> None:
+def _wait_name(cls: str) -> str:
+    """The name of class ``cls``'s waiting-time transform."""
     if cls not in ("H", "L"):
         raise ValueError(f"class must be 'H' or 'L', got {cls!r}")
+    return "wait_high" if cls == "H" else "wait_low"
 
 
 class Analyzer:
@@ -117,29 +119,11 @@ class Analyzer:
         """The joint queue-length GF at queue i's visit beginning, at z in [0, 1]^(2N)."""
         return math.exp(self.gf.log_value(i, [1.0 - float(v) for v in z]))
 
-    def cycle_time_lst(self, i: int, omega: float) -> float:
-        return 1.0 - self.queues[i].cycle_complement(omega)
-
-    def intervisit_lst(self, i: int, omega: float) -> float:
-        return 1.0 - self.queues[i].intervisit_complement(omega)
-
-    def visit_time_lst(self, i: int, omega: float) -> float:
-        return 1.0 - self.queues[i].visit_complement(omega)
-
-    def waiting_lst_high(self, i: int, omega: float) -> float:
-        return 1.0 - self.queues[i].wait_high_complement(omega)
-
-    def waiting_lst_low(self, i: int, omega: float) -> float:
-        return 1.0 - self.queues[i].wait_low_complement(omega)
-
-    def completion_time_lst(self, i: int, omega: float) -> float:
-        return 1.0 - self.queues[i].completion_complement(omega)
-
-    def qlen_gf_high(self, i: int, z: float) -> float:
-        return self.queues[i].qlen_gf_high(z)
-
-    def qlen_gf_low(self, i: int, z: float) -> float:
-        return self.queues[i].qlen_gf_low(z)
+    def lst(self, i: int, name: str, omega: float) -> float:
+        """LST at omega of queue i's transform ``name``, one of the names
+        ``QueueTransforms.omega_max`` takes, which also says where it can be
+        evaluated."""
+        return 1.0 - self.queues[i].handle(name).complement(omega)
 
     # --------------------------------------------------------- period moments
 
@@ -194,18 +178,12 @@ class Analyzer:
 
     # ------------------------------------------------------- waiting times
 
-    def mean_wait_high(self, i: int) -> float:
-        return self.mean_wait(i, "H")
-
-    def mean_wait_low(self, i: int) -> float:
-        return self.mean_wait(i, "L")
-
-    def mean_wait_low_alt(self, i: int) -> float:
-        """E(W_low) by differentiating the float reading of the waiting-time
+    def mean_wait_alt(self, i: int, cls: str) -> float:
+        """E(W) by differentiating the float reading of the waiting-time
         transform, for checks.  It shares the decomposition with
-        ``mean_wait_low`` but none of its moments: the two check the exact
+        ``mean_wait`` but none of its moments: the two check the exact
         moment layer against the GF product and the busy-period fixed point."""
-        return lst_moment(self.queues[i].handle("wait_low"), 1).value
+        return lst_moment(self.queues[i].handle(_wait_name(cls)), 1).value
 
     def mean_wait(self, i: int, cls: str) -> float:
         """E(W): minus the omega^1 coefficient of the waiting-time LST."""
@@ -224,12 +202,11 @@ class Analyzer:
         exact moments up to omega^order (1 or 2).  Raises OutOfRange unless
         every coefficient is finite, the mean positive and, at order 2, the
         variance nonnegative."""
-        _check_class(cls)
         qt = self.queues[i]
-        high = cls == "H"
-        qt.omega_max("wait_high" if high else "wait_low")  # raises without the class
+        name = _wait_name(cls)
+        qt.omega_max(name)  # raises without the class
         r = _SeriesReading(self, qt, order + 2)  # inputs reach one order further
-        series = (qt.wait_high if high else qt.wait_low)(r, r.omega)
+        series = getattr(qt, name)(r, r.omega)
         # moments that fit in a float can still overflow in their products
         if not all(map(math.isfinite, series)):
             raise OutOfRange(
@@ -280,6 +257,28 @@ class Analyzer:
 
     def mean_qlen(self, i: int, cls: str) -> float:
         return _little(self.queues[i], cls, self.mean_wait(i, cls))
+
+    def qlen_gf(self, i: int, cls: str, z: float) -> float:
+        """E[z^(number of class ``cls`` customers at queue i)], waiting or in
+        service, for z in [0, 1]: the waiting-time LST times that of the
+        service at lam (1 - z).  Where the visit clears the high class,
+        high-priority overtaking extends a low customer's service to the
+        completion time, as in ``_little``."""
+        name = _wait_name(cls)
+        qt = self.queues[i]
+        qt.omega_max(name)  # raises without the class
+        if math.isnan(z):
+            raise ValueError(f"z must be a number, got {z!r}")
+        if not 0.0 <= z <= 1.0:
+            raise UnsupportedEvaluation("z must lie in [0, 1]")
+        if z == 1.0:
+            return 1.0
+        high = cls == "H"
+        omega = (qt.lam_h if high else qt.lam_l) * (1.0 - z)
+        wait = self.lst(i, name, omega)
+        if not high and 0 in qt.cleared:
+            return wait * self.lst(i, "completion", omega)
+        return wait * (qt.svc_h if high else qt.svc_l).lst(omega)
 
     def report(self, include_variances: bool = True) -> PerfReport:
         classes = []

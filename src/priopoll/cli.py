@@ -153,7 +153,7 @@ def cmd_sweep(args) -> int:
             queues[qi] = dataclasses.replace(base, lambda_high=lam_h, lambda_low=lam_l,
                                              discipline=disc)
             analyzer = Analyzer(dataclasses.replace(model, queues=tuple(queues)))
-            wl = analyzer.mean_wait_low(qi)
+            wl = analyzer.mean_wait(qi, "L")
             lines.append(f"{param},{qi + 1},{x:.6g},{disc},{wl:.6g}")
     _emit("\n".join(lines) + "\n", args)
     return 0

@@ -35,6 +35,7 @@ evaluated; every complement applies one argument rule against it, and
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 from .busyperiod import BusyPeriod
 from .errors import UnsupportedEvaluation
@@ -76,8 +77,6 @@ class QueueTransforms:
         # cleared (``GfEvaluator.spans``), and the exact moments read it once
         self.cleared = CLEARED[q.discipline]
         self.kept = tuple(c for c in (0, 1) if c not in self.cleared)
-        # base differencing step: keeps GF arguments well inside [0, 1]
-        self.h0 = 1e-3 * min(min(lam for _, _, lam, _ in q.classes), 1.0) / max(1.0, self.ec)
 
     # ------------------------------------------------------------- periods
 
@@ -229,40 +228,15 @@ class QueueTransforms:
 
     # ------------------------------------------------------------ handles
 
+    @cached_property
+    def h0(self) -> float:
+        """The base differencing step of ``handle``: keeps GF arguments well
+        inside [0, 1]."""
+        return 1e-3 * min(min(lam for _, _, lam, _ in self.q.classes), 1.0) / max(1.0, self.ec)
+
     def handle(self, name: str) -> TransformHandle:
         """A handle on the complement of transform ``name``, evaluable up to
         ``omega_max(name)``, for ``lst_moment``."""
         top = self.omega_max(name)
         return TransformHandle(getattr(self, f"{name}_complement"), self.h0, top,
                                name=f"{name}[{self.i}]")
-
-    # -------------------------------------------------- queue-length GFs
-
-    def qlen_gf_high(self, z: float) -> float:
-        """E[z^(number of high-priority customers present)]."""
-        self.omega_max("wait_high")  # raises without the class
-        if not 0.0 <= z <= 1.0:
-            raise UnsupportedEvaluation("z must lie in [0, 1]")
-        if z == 1.0:
-            return 1.0
-        omega = self.lam_h * (1.0 - z)
-        wait = 1.0 - self.wait_high_complement(omega)
-        return wait * self.svc_h.lst(omega)
-
-    def qlen_gf_low(self, z: float) -> float:
-        """E[z^(number of low-priority customers present)].
-
-        Where the visit clears the high class, high-priority overtaking
-        extends a low customer's effective service and the sojourn uses the
-        completion time.
-        """
-        self.omega_max("wait_low")  # raises without the class
-        if not 0.0 <= z <= 1.0:
-            raise UnsupportedEvaluation("z must lie in [0, 1]")
-        if z == 1.0:
-            return 1.0
-        omega = self.lam_l * (1.0 - z)
-        wait = 1.0 - self.wait_low_complement(omega)
-        if 0 in self.cleared:
-            return wait * (1.0 - self.completion_complement(omega))
-        return wait * self.svc_l.lst(omega)

@@ -101,8 +101,8 @@ def criterion_3():
         analyzer = Analyzer(example2(d1, d2))
         for i, (wl, wh, vl, vh) in enumerate(per_queue):
             worst_mean = max(worst_mean,
-                             abs(analyzer.mean_wait_low(i) - wl),
-                             abs(analyzer.mean_wait_high(i) - wh))
+                             abs(analyzer.mean_wait(i, "L") - wl),
+                             abs(analyzer.mean_wait(i, "H") - wh))
             worst_var = max(worst_var,
                             abs(analyzer.var_wait(i, "L") - vl) / vl,
                             abs(analyzer.var_wait(i, "H") - vh) / vh)
@@ -156,8 +156,8 @@ def _random_suite():
             duals = []
             for i, q in enumerate(model.queues):
                 if q.lambda_low > 0:
-                    duals.append((analyzer.mean_wait_low(i),
-                                  analyzer.mean_wait_low_alt(i)))
+                    duals.append((analyzer.mean_wait(i, "L"),
+                                  analyzer.mean_wait_alt(i, "L")))
             residual = analyzer.report(include_variances=False).pcl_residual
             rows.append((model, residual, duals))
         _RANDOM_SUITE = rows
@@ -227,14 +227,14 @@ def criterion_8():
     exh = Analyzer(PollingModel(
         (QueueSpec(0.2, 0.0, Exponential(1.0), None, EXHAUSTIVE), q2), swo))
     gaps = [
-        abs(mixed_h.mean_wait_low(0) - gated.mean_wait_low(0))
-        / gated.mean_wait_low(0),
-        abs(mixed_h.mean_wait_low(1) - gated.mean_wait_low(1))
-        / gated.mean_wait_low(1),
-        abs(mixed_l.mean_wait_high(0) - exh.mean_wait_high(0))
-        / exh.mean_wait_high(0),
-        abs(mixed_l.mean_wait_low(1) - exh.mean_wait_low(1))
-        / exh.mean_wait_low(1),
+        abs(mixed_h.mean_wait(0, "L") - gated.mean_wait(0, "L"))
+        / gated.mean_wait(0, "L"),
+        abs(mixed_h.mean_wait(1, "L") - gated.mean_wait(1, "L"))
+        / gated.mean_wait(1, "L"),
+        abs(mixed_l.mean_wait(0, "H") - exh.mean_wait(0, "H"))
+        / exh.mean_wait(0, "H"),
+        abs(mixed_l.mean_wait(1, "L") - exh.mean_wait(1, "L"))
+        / exh.mean_wait(1, "L"),
     ]
     worst = max(gaps)
     return worst < 1e-4, f"worst reduction gap {worst:.2e} (<1e-4)"
@@ -263,17 +263,17 @@ def criterion_9():
         analyzer = Analyzer(model)
         for i, q in enumerate(model.queues):
             qt = analyzer.queues[i]
-            probe(lambda w: analyzer.visit_time_lst(i, w), 3.0)
+            probe(lambda w: analyzer.lst(i, "visit", w), 3.0)
             if q.discipline == GATED or (q.discipline == MIXED and qt.lam_l > 0):
                 hi = qt.lam_l + qt.lam_h if q.discipline == GATED else qt.lam_l
-                probe(lambda w: analyzer.cycle_time_lst(i, w), hi)
+                probe(lambda w: analyzer.lst(i, "cycle", w), hi)
             if q.discipline != GATED and q.lambda_high > 0:
-                probe(lambda w: analyzer.intervisit_lst(i, w), qt.lam_h)
-                probe(lambda w: analyzer.waiting_lst_high(i, w), qt.lam_h)
+                probe(lambda w: analyzer.lst(i, "intervisit", w), qt.lam_h)
+                probe(lambda w: analyzer.lst(i, "wait_high", w), qt.lam_h)
             if q.discipline == GATED and q.lambda_high > 0:
-                probe(lambda w: analyzer.waiting_lst_high(i, w), qt.lam_h)
+                probe(lambda w: analyzer.lst(i, "wait_high", w), qt.lam_h)
             if q.lambda_low > 0:
-                probe(lambda w: analyzer.waiting_lst_low(i, w), qt.lam_l)
+                probe(lambda w: analyzer.lst(i, "wait_low", w), qt.lam_l)
     return bad == 0, f"{probes} probes, {bad} axiom violations"
 
 

@@ -20,9 +20,9 @@ def ex1_mixed():
 
 
 def test_mean_waits_match_published_mixed(ex1_mixed):
-    assert ex1_mixed.mean_wait_high(0) == pytest.approx(2.338, abs=5e-4)
-    assert ex1_mixed.mean_wait_low(0) == pytest.approx(14.575, abs=5e-4)
-    assert ex1_mixed.mean_wait_low(1) == pytest.approx(10.513, abs=5e-4)
+    assert ex1_mixed.mean_wait(0, "H") == pytest.approx(2.338, abs=5e-4)
+    assert ex1_mixed.mean_wait(0, "L") == pytest.approx(14.575, abs=5e-4)
+    assert ex1_mixed.mean_wait(1, "L") == pytest.approx(10.513, abs=5e-4)
 
 
 def test_variances_match_published_mixed(ex1_mixed):
@@ -33,25 +33,25 @@ def test_variances_match_published_mixed(ex1_mixed):
 
 def test_mean_waits_deterministic_switchovers():
     a = Analyzer(example1(MIXED, det_switchover=10.0))
-    assert a.mean_wait_high(0) == pytest.approx(11.167, abs=1e-3)
-    assert a.mean_wait_low(0) == pytest.approx(90.417, abs=1e-3)
-    assert a.mean_wait_low(1) == pytest.approx(64.000, abs=1e-3)
+    assert a.mean_wait(0, "H") == pytest.approx(11.167, abs=1e-3)
+    assert a.mean_wait(0, "L") == pytest.approx(90.417, abs=1e-3)
+    assert a.mean_wait(1, "L") == pytest.approx(64.000, abs=1e-3)
     g = Analyzer(example1(GATED, det_switchover=10.0))
-    assert g.mean_wait_low(0) == pytest.approx(94.781, abs=1e-3)
+    assert g.mean_wait(0, "L") == pytest.approx(94.781, abs=1e-3)
 
 
 def test_two_queue_high_load_spot_values():
     a = Analyzer(example2(GATED, EXHAUSTIVE))
-    assert a.mean_wait_high(1) == pytest.approx(17.83, abs=5e-3)
+    assert a.mean_wait(1, "H") == pytest.approx(17.83, abs=5e-3)
     b = Analyzer(example2(EXHAUSTIVE, MIXED))
-    assert b.mean_wait_low(0) == pytest.approx(102.18, abs=5e-3)
+    assert b.mean_wait(0, "L") == pytest.approx(102.18, abs=5e-3)
     c = Analyzer(example2(MIXED, MIXED))
-    assert c.mean_wait_high(1) == pytest.approx(17.10, abs=5e-3)
-    assert c.mean_wait_low(1) == pytest.approx(210.82, abs=5e-3)
+    assert c.mean_wait(1, "H") == pytest.approx(17.10, abs=5e-3)
+    assert c.mean_wait(1, "L") == pytest.approx(210.82, abs=5e-3)
 
 
 def test_dual_derivation_agrees_on_benchmark(ex1_mixed):
-    value, alt = ex1_mixed.mean_wait_low(0), ex1_mixed.mean_wait_low_alt(0)
+    value, alt = ex1_mixed.mean_wait(0, "L"), ex1_mixed.mean_wait_alt(0, "L")
     assert value == pytest.approx(alt, rel=1e-9)
 
 
@@ -65,15 +65,10 @@ PUBLISHED.update({f"example2-{d1}-{d2}": example2(d1, d2)
 def test_mean_route_matches_transform_derivative(name):
     # series means vs direct differentiation of the waiting transforms, for
     # every class of every published model
-    from priopoll import lst_moment
     a = Analyzer(PUBLISHED[name])
-    for i, qt in enumerate(a.queues):
-        if qt.lam_h > 0.0:
-            got = lst_moment(qt.handle("wait_high"), 1).value
-            assert got == pytest.approx(a.mean_wait_high(i), rel=1e-8)
-        if qt.lam_l > 0.0:
-            got = lst_moment(qt.handle("wait_low"), 1).value
-            assert got == pytest.approx(a.mean_wait_low(i), rel=1e-8)
+    for i, q in enumerate(a.model.queues):
+        for _, cls, _, _ in q.classes:
+            assert a.mean_wait_alt(i, cls) == pytest.approx(a.mean_wait(i, cls), rel=1e-8)
 
 
 def test_pcl_example1_all_disciplines():
@@ -113,10 +108,10 @@ def test_reduction_tiny_high_class_matches_gated():
         queues=(QueueSpec(0.0, 0.4, None, Exponential(1.0), GATED),
                 QueueSpec(0.0, 0.2, None, Exponential(1.0), GATED)),
         switchovers=(Exponential(1.0), Exponential(1.0))))
-    assert mixed.mean_wait_low(0) == pytest.approx(
-        gated.mean_wait_low(0), rel=1e-4)
-    assert mixed.mean_wait_low(1) == pytest.approx(
-        gated.mean_wait_low(1), rel=1e-4)
+    assert mixed.mean_wait(0, "L") == pytest.approx(
+        gated.mean_wait(0, "L"), rel=1e-4)
+    assert mixed.mean_wait(1, "L") == pytest.approx(
+        gated.mean_wait(1, "L"), rel=1e-4)
 
 
 def test_reduction_tiny_low_class_matches_exhaustive():
@@ -129,25 +124,27 @@ def test_reduction_tiny_low_class_matches_exhaustive():
         queues=(QueueSpec(0.2, 0.0, Exponential(1.0), None, EXHAUSTIVE),
                 QueueSpec(0.0, 0.2, None, Exponential(1.0), GATED)),
         switchovers=(Exponential(1.0), Exponential(1.0))))
-    assert mixed.mean_wait_high(0) == pytest.approx(
-        exh.mean_wait_high(0), rel=1e-4)
-    assert mixed.mean_wait_low(1) == pytest.approx(
-        exh.mean_wait_low(1), rel=1e-4)
+    assert mixed.mean_wait(0, "H") == pytest.approx(
+        exh.mean_wait(0, "H"), rel=1e-4)
+    assert mixed.mean_wait(1, "L") == pytest.approx(
+        exh.mean_wait(1, "L"), rel=1e-4)
 
 
 def test_littles_law_consistency(ex1_mixed):
     # E(N) = lam * E(sojourn) with completion-time service for the low class
     assert ex1_mixed.mean_qlen(0, "H") == pytest.approx(
-        0.2 * (ex1_mixed.mean_wait_high(0) + 1.0), rel=1e-12)
+        0.2 * (ex1_mixed.mean_wait(0, "H") + 1.0), rel=1e-12)
     assert ex1_mixed.mean_qlen(0, "L") == pytest.approx(
-        0.4 * (ex1_mixed.mean_wait_low(0) + 1.25), rel=1e-12)
+        0.4 * (ex1_mixed.mean_wait(0, "L") + 1.25), rel=1e-12)
 
 
-@pytest.mark.parametrize("method", ["mean_wait", "var_wait", "wait_m2", "mean_qlen"])
+@pytest.mark.parametrize("method", ["mean_wait", "var_wait", "wait_m2", "mean_qlen",
+                                    "mean_wait_alt", "qlen_gf"])
 @pytest.mark.parametrize("cls", ["h", "l", "", "HL"])
 def test_class_outside_h_and_l_is_rejected(ex1_mixed, method, cls):
+    z = (0.5,) if method == "qlen_gf" else ()
     with pytest.raises(ValueError, match="class must be"):
-        getattr(ex1_mixed, method)(0, cls)
+        getattr(ex1_mixed, method)(0, cls, *z)
 
 
 def test_report_structure_and_invariants(ex1_mixed):
@@ -192,7 +189,7 @@ def test_report_mixed_queue_without_low_class():
     with pytest.raises(UnsupportedEvaluation, match="both classes"):
         a.cross_moment(0)
     with pytest.raises(UnsupportedEvaluation, match="no low-priority class"):
-        a.mean_wait_low_alt(0)
+        a.mean_wait_alt(0, "L")
 
 
 def test_randomized_pcl_and_dual_derivation_small():
@@ -204,7 +201,7 @@ def test_randomized_pcl_and_dual_derivation_small():
         assert res < 1e-6
         for i, q in enumerate(model.queues):
             if q.lambda_low > 0:
-                value, alt = analyzer.mean_wait_low(i), analyzer.mean_wait_low_alt(i)
+                value, alt = analyzer.mean_wait(i, "L"), analyzer.mean_wait_alt(i, "L")
                 assert abs(value - alt) / value < 1e-6
 
 

@@ -79,9 +79,11 @@ def test_unstable_busy_period_rejected():
     ((Exponential(1.0), math.nan), NonpositiveParameter),
     ((Exponential(1.0), math.inf), NonpositiveParameter),
     ((Exponential(1.0), 0.0, Deterministic(0.5), 0.0), NonpositiveParameter),
+    ((Exponential(1.0), 0.5, Exponential(1.0), -1.0), NonpositiveParameter),
     ((Exponential(1.0), 1.0), UnstableSystem),
     ((Exponential(1.0), 1.5), UnstableSystem),
-], ids=["negative", "nan", "inf", "two-zero-rates", "load-1", "load-1.5"])
+], ids=["negative", "nan", "inf", "two-zero-rates", "second-negative", "load-1",
+        "load-1.5"])
 def test_busy_period_rejects_rates_outside_its_domain(args, error, monkeypatch):
     # the constructor refuses before any transform or moment is evaluated
     def refuse(self, omega):
@@ -106,7 +108,7 @@ def test_busy_period_with_a_zero_rate_answers():
 
 def _completion_queue(lam_h):
     """One mixed queue with Exp(1) services and a low class at rate 0.5; its
-    ``Analyzer.completion_time_lst(0, w)`` is the engine's completion time."""
+    ``Analyzer.lst(0, "completion", w)`` is the engine's completion time."""
     return Analyzer(single_vacation_queue(MIXED, lam_h=lam_h))
 
 
@@ -115,8 +117,8 @@ def test_busy_period_rejects_arguments_outside_its_domain(omega):
     # every public busy-period path goes through BusyPeriod.lst_complement, which
     # refuses at once: no fixed-point steps, no LST above 1
     bp = BusyPeriod(Exponential(1.0), 0.5)
-    completion = _completion_queue(0.3).completion_time_lst
-    for evaluate in (bp.lst_complement, bp.lst, lambda w: completion(0, w)):
+    a = _completion_queue(0.3)
+    for evaluate in (bp.lst_complement, bp.lst, lambda w: a.lst(0, "completion", w)):
         with pytest.raises(ValueError, match="omega"):
             evaluate(omega)
 
@@ -128,7 +130,7 @@ def test_completion_time_reduces_without_high_class():
                          switchovers=(Deterministic(10.0),))
     a = Analyzer(model)
     for w in (0.0, 0.4, 2.0):
-        assert a.completion_time_lst(0, w) == pytest.approx(dist.lst(w), rel=1e-14)
+        assert a.lst(0, "completion", w) == pytest.approx(dist.lst(w), rel=1e-14)
 
 
 def test_completion_time_mean():
@@ -146,7 +148,7 @@ def test_completion_time_value_composes_oracle_root():
     # compose beta_low with a bisection-located busy-period root at omega = 1
     pi = busy_period_by_bisection(Exponential(1.0).lst, 0.2, 1.0)
     expected = Exponential(1.0).lst(1.0 + 0.2 * (1.0 - pi))
-    got = _completion_queue(0.2).completion_time_lst(0, 1.0)
+    got = _completion_queue(0.2).lst(0, "completion", 1.0)
     assert got == pytest.approx(expected, abs=1e-10)
     assert got == pytest.approx(0.47506218943955496, abs=1e-9)
 

@@ -377,7 +377,7 @@ def test_sweep_hold_total_over_the_low_rate(capsys):
         queue = dataclasses.replace(q, lambda_high=q.lambda_high + q.lambda_low - x,
                                     lambda_low=x, discipline=r[3])
         model = dataclasses.replace(base, queues=(queue, *base.queues[1:]))
-        assert r[4] == f"{Analyzer(model).mean_wait_low(0):.6g}"
+        assert r[4] == f"{Analyzer(model).mean_wait(0, 'L'):.6g}"
 
 
 def test_sweep_bad_spec(capsys):

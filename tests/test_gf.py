@@ -107,6 +107,8 @@ def test_report_leaves_the_reference_route_unbuilt(model, logs, pair):
     a.report()
     assert "_periods" not in vars(a.gf)
     assert "_sigma_c" not in vars(a.gf)
+    # nor does it build a differencing step for a transform handle
+    assert all("h0" not in vars(qt) for qt in a.queues)
     zeta = [0.05, 0.1, 0.2, 0.4]
     assert tuple(a.gf.log_value(i, zeta).hex() for i in range(2)) == logs
     assert "_periods" in vars(a.gf)

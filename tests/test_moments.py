@@ -54,6 +54,10 @@ def test_degenerate_domain_rejected():
     with pytest.raises(IllConditioned):
         lst_moment(TransformHandle(Exponential(1.0).lst_complement,
                                    h0=1e-4, omega_max=0.0), 1)
+    # a step grid from 0.3 up to half of omega_max holds one step, not four
+    with pytest.raises(IllConditioned, match="too small an evaluable range"):
+        lst_moment(TransformHandle(Exponential(1.0).lst_complement,
+                                   h0=0.3, omega_max=1.0), 1)
 
 
 def test_tiny_domain_still_works():

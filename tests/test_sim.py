@@ -448,9 +448,9 @@ def test_agrees_with_analytic_example1():
     a = Analyzer(m)
     s = replicate(m, 20260808, n_reps=8, n_cycles=15000, warmup_cycles=1500,
                   parallel=True)
-    _within(a.mean_wait_high(0), s.wait_mean[(0, "H")], s.wait_ci[(0, "H")])
-    _within(a.mean_wait_low(0), s.wait_mean[(0, "L")], s.wait_ci[(0, "L")])
-    _within(a.mean_wait_low(1), s.wait_mean[(1, "L")], s.wait_ci[(1, "L")])
+    _within(a.mean_wait(0, "H"), s.wait_mean[(0, "H")], s.wait_ci[(0, "H")])
+    _within(a.mean_wait(0, "L"), s.wait_mean[(0, "L")], s.wait_ci[(0, "L")])
+    _within(a.mean_wait(1, "L"), s.wait_mean[(1, "L")], s.wait_ci[(1, "L")])
     _within(a.derived.mean_cycle, s.cycle_mean[0], s.cycle_ci[0])
     _within(a.derived.mean_intervisit[0], s.intervisit_mean[0], s.intervisit_ci[0])
     _within(a.derived.mean_visit[0], s.visit_mean[0], s.visit_ci[0])
@@ -478,9 +478,9 @@ def test_agrees_with_analytic_example1_variants(disc):
     a = Analyzer(m)
     s = replicate(m, 4242, n_reps=6, n_cycles=12000, warmup_cycles=1200,
                   parallel=True)
-    _within(a.mean_wait_high(0), s.wait_mean[(0, "H")], s.wait_ci[(0, "H")])
-    _within(a.mean_wait_low(0), s.wait_mean[(0, "L")], s.wait_ci[(0, "L")])
-    _within(a.mean_wait_low(1), s.wait_mean[(1, "L")], s.wait_ci[(1, "L")])
+    _within(a.mean_wait(0, "H"), s.wait_mean[(0, "H")], s.wait_ci[(0, "H")])
+    _within(a.mean_wait(0, "L"), s.wait_mean[(0, "L")], s.wait_ci[(0, "L")])
+    _within(a.mean_wait(1, "L"), s.wait_mean[(1, "L")], s.wait_ci[(1, "L")])
     _within(a.derived.rho_total, s.busy_fraction, s.busy_ci)
     # gated: arrivals over a cycle; exhaustive: over an intervisit period
     q = m.queues[0]

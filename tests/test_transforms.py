@@ -32,11 +32,11 @@ def ex1():
 
 
 def test_transforms_equal_one_at_zero(ex1):
-    assert ex1.cycle_time_lst(0, 0.0) == 1.0
-    assert ex1.intervisit_lst(0, 0.0) == 1.0
-    assert ex1.visit_time_lst(0, 0.0) == 1.0
-    assert ex1.waiting_lst_high(0, 0.0) == 1.0
-    assert ex1.waiting_lst_low(0, 0.0) == 1.0
+    assert ex1.lst(0, "cycle", 0.0) == 1.0
+    assert ex1.lst(0, "intervisit", 0.0) == 1.0
+    assert ex1.lst(0, "visit", 0.0) == 1.0
+    assert ex1.lst(0, "wait_high", 0.0) == 1.0
+    assert ex1.lst(0, "wait_low", 0.0) == 1.0
 
 
 def test_cycle_mean_is_ten(ex1):
@@ -73,30 +73,35 @@ def test_completion_time_mean(ex1):
 
 def test_unsupported_domains(ex1):
     with pytest.raises(UnsupportedEvaluation):
-        ex1.cycle_time_lst(0, 0.5)          # above lambda_low
+        ex1.lst(0, "cycle", 0.5)            # above lambda_low
     with pytest.raises(UnsupportedEvaluation):
-        ex1.intervisit_lst(0, 0.25)         # above lambda_high
+        ex1.lst(0, "intervisit", 0.25)      # above lambda_high
     with pytest.raises(UnsupportedEvaluation):
-        ex1.intervisit_lst(1, 0.01)         # gated queue: no intervisit readout
+        ex1.lst(1, "intervisit", 0.01)      # gated queue: no intervisit readout
     with pytest.raises(UnsupportedEvaluation):
-        ex1.waiting_lst_high(1, 0.01)       # no high class in queue 2
+        ex1.lst(1, "wait_high", 0.01)       # no high class in queue 2
     with pytest.raises(UnsupportedEvaluation):
         # no low class, although the model gives its service
-        Analyzer(single_vacation_queue(MIXED, lam_l=0.0)).completion_time_lst(0, 0.01)
+        Analyzer(single_vacation_queue(MIXED, lam_l=0.0)).lst(0, "completion", 0.01)
     a_exh = Analyzer(example1(EXHAUSTIVE))
     with pytest.raises(UnsupportedEvaluation):
-        a_exh.cycle_time_lst(0, 0.01)       # exhaustive queue: no cycle readout
+        a_exh.lst(0, "cycle", 0.01)         # exhaustive queue: no cycle readout
     no_low = Analyzer(single_vacation_queue(MIXED, lam_l=0.0))
     with pytest.raises(UnsupportedEvaluation):
-        no_low.waiting_lst_low(0, 0.01)
+        no_low.lst(0, "wait_low", 0.01)
     with pytest.raises(UnsupportedEvaluation):
-        no_low.qlen_gf_low(0, 0.5)
+        no_low.qlen_gf(0, "L", 0.5)
     with pytest.raises(UnsupportedEvaluation):
-        ex1.qlen_gf_high(1, 0.5)            # no high class in queue 2
-    for qlen_gf in (ex1.qlen_gf_high, ex1.qlen_gf_low):
+        ex1.qlen_gf(1, "H", 0.5)            # no high class in queue 2
+    for cls in ("H", "L"):
         for z in (-0.1, 1.5):
             with pytest.raises(UnsupportedEvaluation, match="z must lie"):
-                qlen_gf(0, z)
+                ex1.qlen_gf(0, cls, z)
+        # a NaN z is no number at all, as a NaN omega or coordinate is
+        with pytest.raises(ValueError, match="z must be a number"):
+            ex1.qlen_gf(0, cls, math.nan)
+    with pytest.raises(ValueError, match="unknown transform 'sojourn'"):
+        ex1.lst(0, "sojourn", 0.01)
 
 
 def _or_none(fn, *args):
@@ -140,9 +145,7 @@ def test_period_complements_match_period_moments(model):
                     a.gf.period_rates[j][k - 1][c] / lam, rel=1e-8)
 
 
-_TRANSFORMS = (("cycle", "cycle_time_lst"), ("intervisit", "intervisit_lst"),
-               ("visit", "visit_time_lst"), ("wait_high", "waiting_lst_high"),
-               ("wait_low", "waiting_lst_low"), ("completion", "completion_time_lst"))
+_TRANSFORMS = ("cycle", "intervisit", "visit", "wait_high", "wait_low", "completion")
 
 
 @pytest.mark.parametrize("omega", [math.nan, math.inf, -0.1, -0.5, -1.0])
@@ -158,7 +161,7 @@ def test_transforms_reject_arguments_outside_their_domain(omega):
     for model in models:
         a = Analyzer(model)
         for i, qt in enumerate(a.queues):
-            for name, transform in _TRANSFORMS:
+            for name in _TRANSFORMS:
                 try:
                     top = qt.omega_max(name)
                 except UnsupportedEvaluation:
@@ -169,9 +172,9 @@ def test_transforms_reject_arguments_outside_their_domain(omega):
                     assert qt.handle(name).omega_max == top
                     expected = UnsupportedEvaluation if omega > top else ValueError
                 with pytest.raises(expected):
-                    getattr(a, transform)(i, omega)
+                    a.lst(i, name, omega)
     # the high wait reads its span up to the span's rate, past lambda_high
-    assert Analyzer(example1(GATED)).waiting_lst_high(0, 0.5) == 0.10950188102711245
+    assert Analyzer(example1(GATED)).lst(0, "wait_high", 0.5) == 0.10950188102711245
 
 
 @pytest.mark.parametrize("model", _published_and_random_models(extended_dists=True))
@@ -238,9 +241,8 @@ def test_qlen_gfs_match_golden():
     # the queue-length GF of every class of the published models at each
     # z = f of the golden (rate 1)
     _match_golden("qlen_gfs.json", lambda a, qt: [
-        (cls, lambda z, gf=gf: gf(qt.i, z), 1.0)
-        for cls, lam, gf in (("H", qt.lam_h, a.qlen_gf_high), ("L", qt.lam_l, a.qlen_gf_low))
-        if lam > 0.0])
+        (cls, lambda z, cls=cls: a.qlen_gf(qt.i, cls, z), 1.0)
+        for cls, lam in (("H", qt.lam_h), ("L", qt.lam_l)) if lam > 0.0])
 
 
 def test_cross_moment_identity_mixed(ex1):
@@ -277,19 +279,19 @@ def test_cross_moment_deterministic_intervisit_factorizes():
 
 
 def test_qlen_gf_normalization_and_means(ex1):
-    assert ex1.qlen_gf_high(0, 1.0) == 1.0
-    assert ex1.qlen_gf_low(0, 1.0) == 1.0
+    assert ex1.qlen_gf(0, "H", 1.0) == 1.0
+    assert ex1.qlen_gf(0, "L", 1.0) == 1.0
     # derivative at z=1 equals the mean count (Little's law values)
     h = 1e-6
-    num_h = (1.0 - ex1.qlen_gf_high(0, 1.0 - h)) / h
+    num_h = (1.0 - ex1.qlen_gf(0, "H", 1.0 - h)) / h
     assert num_h == pytest.approx(ex1.mean_qlen(0, "H"), rel=1e-4)
-    num_l = (1.0 - ex1.qlen_gf_low(0, 1.0 - h)) / h
+    num_l = (1.0 - ex1.qlen_gf(0, "L", 1.0 - h)) / h
     assert num_l == pytest.approx(ex1.mean_qlen(0, "L"), rel=1e-4)
     assert ex1.mean_qlen(0, "H") == pytest.approx(0.2 * (2.338033 + 1.0), rel=1e-5)
     assert ex1.mean_qlen(0, "L") == pytest.approx(0.4 * (14.574575 + 1.25), rel=1e-5)
 
 
-def test_qlen_gf_low_reduces_to_gated_when_high_removed():
+def test_low_class_qlen_gf_reduces_to_gated_when_high_removed():
     # mixed with lam_high = 0 must equal the plain gated engine at z = 0.5
     from priopoll import Exponential, PollingModel, QueueSpec
     def variant(disc):
@@ -299,8 +301,8 @@ def test_qlen_gf_low_reduces_to_gated_when_high_removed():
             switchovers=(Exponential(1.0), Exponential(1.0))))
     a_mixed, a_gated = variant(MIXED), variant(GATED)
     for z in (0.5, 0.9):
-        assert a_mixed.qlen_gf_low(0, z) == pytest.approx(
-            a_gated.qlen_gf_low(0, z), rel=1e-10)
+        assert a_mixed.qlen_gf(0, "L", z) == pytest.approx(
+            a_gated.qlen_gf(0, "L", z), rel=1e-10)
 
 
 def _axiom_probe(transform, omegas):
@@ -323,22 +325,21 @@ def test_lst_axioms_randomized_probes():
         for i, q in enumerate(model.queues):
             qt = a.queues[i]
             probes += _axiom_probe(
-                lambda w: a.visit_time_lst(i, w),
+                lambda w: a.lst(i, "visit", w),
                 sorted(rng.uniform(0.0, 3.0, size=3)))
             # each span is available up to the rate of the classes counting
             # arrivals over it: the kept classes the cycle, the cleared the
             # intervisit
-            for span, classes in ((a.cycle_time_lst, qt.kept),
-                                  (a.intervisit_lst, qt.cleared)):
+            for span, classes in (("cycle", qt.kept), ("intervisit", qt.cleared)):
                 om = qt.span_rate(classes)
                 if om > 0.0:
-                    probes += _axiom_probe(lambda w: span(i, w),
+                    probes += _axiom_probe(lambda w: a.lst(i, span, w),
                                            sorted(rng.uniform(0.0, om, size=3)))
             if q.lambda_high > 0:
                 probes += _axiom_probe(
-                    lambda w: a.waiting_lst_high(i, w),
+                    lambda w: a.lst(i, "wait_high", w),
                     sorted(rng.uniform(0.0, qt.lam_h, size=3)))
             if q.lambda_low > 0:
                 probes += _axiom_probe(
-                    lambda w: a.waiting_lst_low(i, w),
+                    lambda w: a.lst(i, "wait_low", w),
                     sorted(rng.uniform(0.0, qt.lam_l, size=3)))
