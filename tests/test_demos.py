@@ -1,6 +1,7 @@
 """Every demo script, and README's Quick start, runs to completion against
 the source tree."""
 
+import itertools
 import os
 import pathlib
 import re
@@ -35,9 +36,9 @@ def test_readme_quick_start_prints_its_comments():
     # first, one output line each
     section = (ROOT / "README.md").read_text().split("## Quick start", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
-    expected = [re.match(r"\s*([-\d.]+(?:,\s*[-\d.]+)*)", line.partition("#")[2])
+    comments = [re.match(r"\s*([-\d.]+(?:,\s*[-\d.]+)*)", line.partition("#")[2])
                 for line in code.splitlines() if line.startswith("print(")]
-    expected = [m.group(1).split(",") for m in expected[:expected.index(None)]]
+    expected = [m.group(1).split(",") for m in itertools.takewhile(bool, comments)]
     assert expected
     out = _run(["-c", code]).splitlines()
     for line, numbers in zip(out, expected):
