@@ -8,10 +8,10 @@ from operator import mul
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings
 
-from zoo import (example1, example2, heavy_traffic, published_models, random_model,
-                 single_vacation_queue)
+from zoo import (drawn_models, example1, example2, heavy_traffic, published_models,
+                 random_model, single_vacation_queue)
 from priopoll import (DISCIPLINES, EXHAUSTIVE, GATED, MIXED, Analyzer, Deterministic,
                       Erlang, Exponential, GfEvaluator, Hyperexponential, IllConditioned,
                       NoConvergence, PollingModel, QueueSpec, TransformHandle, Uniform,
@@ -483,35 +483,6 @@ def test_cube_is_the_rotation_form_to_the_bit(n):
             assert got == pytest.approx(direct, rel=1e-14, abs=0.0)
 
 
-_FAMILIES = (Exponential, Deterministic, lambda mean: Erlang(3, mean),
-             lambda mean: Hyperexponential((0.4, 0.6), (0.5 * mean, 1.5 * mean)),
-             lambda mean: Uniform(0.0, 2.0 * mean))
-
-
-@st.composite
-def _models(draw, max_n):
-    """N <= max_n queues under any discipline, each with a high class, a
-    low class or both, services and switch-overs of every family, scaled to
-    a load of at most 0.9999."""
-    def dist(lo, hi):
-        return draw(st.sampled_from(_FAMILIES))(draw(st.floats(lo, hi)))
-
-    n = draw(st.integers(1, max_n))
-    specs = []
-    for _ in range(n):
-        has_h, has_l = draw(st.sampled_from(((True, True), (True, False), (False, True))))
-        specs.append((draw(st.floats(0.05, 1.0)) if has_h else 0.0,
-                      draw(st.floats(0.05, 1.0)) if has_l else 0.0,
-                      dist(0.2, 2.0) if has_h else None, dist(0.2, 2.0) if has_l else None,
-                      draw(st.sampled_from(DISCIPLINES))))
-    load = sum(lh * sh.mean if sh else 0.0 for lh, _, sh, _, _ in specs) + \
-        sum(ll * sl.mean if sl else 0.0 for _, ll, _, sl, _ in specs)
-    scale = draw(st.floats(0.01, 0.9999)) / load
-    return PollingModel(
-        queues=tuple(QueueSpec(lh * scale, ll * scale, sh, sl, d) for lh, ll, sh, sl, d in specs),
-        switchovers=tuple(dist(0.1, 10.0) for _ in range(n)))
-
-
 def _full_third_moments(gf, m0, f0):
     """Every queue's full (2N)^3 third moments: the cycle map t <- P^(x3) t
     + r of ``_third_moment_cycle``, its fixed point summed by doubling over
@@ -535,7 +506,7 @@ def _full_third_moments(gf, m0, f0):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(_models(max_n=4))
+@given(drawn_models(max_n=4))
 def test_moments_on_drawn_models(model):
     # orders 1 and 2 are the one-cycle fixed point; for N <= 3 every queue's
     # third-moment block is the full-tensor fixed point's
@@ -557,7 +528,7 @@ def test_moments_on_drawn_models(model):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(_models(max_n=4))
+@given(drawn_models(max_n=4))
 def test_report_on_drawn_models(model):
     # every drawn model gets positive, finite means and variances of its
     # waits and conserves work, each within a second

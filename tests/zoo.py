@@ -2,6 +2,8 @@
 
 from dataclasses import fields
 
+from hypothesis import strategies as st
+
 from priopoll import (DISCIPLINES, EXHAUSTIVE, GATED, MIXED, Deterministic,
                       Erlang, Exponential, Hyperexponential, PollingModel,
                       QueueSpec, Uniform, validate)
@@ -148,3 +150,44 @@ def random_model(rng, max_rho=0.9, extended_dists=False, n=None):
     model = PollingModel(queues, switchovers)
     validate(model)
     return model
+
+
+_FAMILIES = (Exponential, Deterministic, lambda mean: Erlang(3, mean),
+             lambda mean: Hyperexponential((0.4, 0.6), (0.5 * mean, 1.5 * mean)),
+             lambda mean: Uniform(0.0, 2.0 * mean))
+
+
+@st.composite
+def drawn_models(draw, max_n, max_load=0.9999):
+    """Hypothesis strategy: N <= max_n queues under any discipline, each with
+    a high class, a low class or both, services and switch-overs of every
+    family, scaled to a load of at most ``max_load``."""
+    def dist(lo, hi):
+        return draw(st.sampled_from(_FAMILIES))(draw(st.floats(lo, hi)))
+
+    n = draw(st.integers(1, max_n))
+    specs = []
+    for _ in range(n):
+        has_h, has_l = draw(st.sampled_from(((True, True), (True, False), (False, True))))
+        specs.append((draw(st.floats(0.05, 1.0)) if has_h else 0.0,
+                      draw(st.floats(0.05, 1.0)) if has_l else 0.0,
+                      dist(0.2, 2.0) if has_h else None, dist(0.2, 2.0) if has_l else None,
+                      draw(st.sampled_from(DISCIPLINES))))
+    load = sum(lh * sh.mean if sh else 0.0 for lh, _, sh, _, _ in specs) + \
+        sum(ll * sl.mean if sl else 0.0 for _, ll, _, sl, _ in specs)
+    scale = draw(st.floats(0.01, max_load)) / load
+    return PollingModel(
+        queues=tuple(QueueSpec(lh * scale, ll * scale, sh, sl, d) for lh, ll, sh, sl, d in specs),
+        switchovers=tuple(dist(0.1, 10.0) for _ in range(n)))
+
+
+def zero_time_tail():
+    """Queue 0 mixed (0.2/0.3), then a gated and an exhaustive queue that
+    customers rarely reach (rates 1e-3), with Deterministic(0) switch-overs
+    after them: an empty visit to either takes no time, so its beginning is
+    also queue 0's next one, that of the next cycle."""
+    return PollingModel(
+        queues=(QueueSpec(0.2, 0.3, Exponential(1.0), Exponential(1.0), MIXED),
+                QueueSpec(1e-3, 1e-3, Exponential(1.0), Exponential(1.0), GATED),
+                QueueSpec(1e-3, 1e-3, Exponential(1.0), Exponential(1.0), EXHAUSTIVE)),
+        switchovers=(Exponential(1.0), Deterministic(0.0), Deterministic(0.0)))
