@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from zoo import (example1, example2, huge_switchover, random_model,
-                 single_vacation_queue, time_scaled_probe)
+                 single_vacation_queue, time_scaled_probe, zero_time_tail)
 from priopoll import (Analyzer, Deterministic, EXHAUSTIVE, Erlang, Exponential,
                       GATED, Hyperexponential, MIXED, OutOfRange, PollingModel,
                       QueueSpec, Uniform, replicate, run)
@@ -198,6 +198,19 @@ def test_tallies_match_trace(disc, warmup):
                 (s.visit_mean, [e1 - b1 for b1, e1 in vs if b1 >= t_warm]))
             for got, xs in periods:
                 assert got[i] == pytest.approx(sum(xs) / len(xs), rel=1e-12), i
+
+
+def test_window_opens_at_an_empty_visits_beginning():
+    # queues 1 and 2 are rarely reached and followed by zero switch-overs, so
+    # their empty visits of cycle w - 1 begin at t_warm, queue 0's beginning
+    # of cycle w: in cycle w their previous visit beginning is inside the
+    # window, and the cycle from it is measured.  The digest pins the output.
+    stats, events = run(zero_time_tail(), seed=3, n_cycles=40, warmup_cycles=10, trace=True)
+    begins = [[e.timestamp for e in events if e.kind == "visit_begin" and e.queue == j]
+              for j in range(3)]
+    assert begins[1][9] == begins[2][9] == begins[0][10]
+    assert hashlib.sha256(repr((stats, events)).encode()).hexdigest() == \
+        "3fc724b08b06562cd65a025aee65e5f07da7feee750223094fe925b69ed62b44"
 
 
 def test_different_seeds_differ():
