@@ -82,6 +82,7 @@ from functools import lru_cache
 from itertools import accumulate, chain, repeat, starmap
 from numbers import Integral
 from operator import itemgetter
+from textwrap import indent
 
 import numpy as np
 
@@ -188,22 +189,22 @@ _FIELDS = {"nh": "next(arr_h_{j})", "hn": "0", "hs": "zero", "hs2": "zero", "ha"
            "cn": "0", "cs": "zero", "cs2": "zero", "gn": "0", "gs": "zero", "gs2": "zero",
            "vn": "0", "vs": "zero", "vs2": "zero", "sh": "zero", "sl": "zero", "shl": "zero"}
 
-# ``_render`` fills {load}, {open}, {visits}, {close} and {fields} with one
-# copy per queue of the templates below.  Lines marked "# trace" are kept
-# only in a traced kernel.  Float constants come in as names (inf, zero),
-# never as literals, so the source depends on nothing but the key.
+# ``_render`` fills {load}, {close} and {fields} with one copy per queue of
+# the templates below, and {warmup}, {boundary} and {steady} with one cycle:
+# a ``_VISIT`` per queue, rendered for its phase.  Lines marked "# trace" are
+# kept only in a traced kernel.  Float constants come in as names (inf,
+# zero), never as literals, so the source depends on nothing but the key.
 _LOOP = """\
 def kernel(queues, n_cycles, warmup_cycles, events):
     append = events.append  # trace
 {load}\
     t = busy = zero
-    t_warm = inf  # the measurement window [t_warm, inf) is empty in the warm-up
-    for cyc in range(n_cycles):
-        if cyc == warmup_cycles:  # open it; zero the tallies it does not test
-            t_warm = t
-            busy = zero
-{open}\
-{visits}\
+    for _ in range(warmup_cycles):
+{warmup}\
+    t_warm = t  # cycle warmup_cycles opens the measurement window [t_warm, inf)
+{boundary}\
+    for _ in range(warmup_cycles + 1, n_cycles):
+{steady}\
     # the final queue-0 visit beginning closes queue 0's last measured cycle
     x = t - pb_0
     cn_0 += 1
@@ -217,94 +218,118 @@ def kernel(queues, n_cycles, warmup_cycles, events):
 _LOAD = ("    arr_h_{j}, arr_l_{j}, svc_h_{j}, svc_l_{j}, swo_{j} = queues[{j}]\n    "
          + ", ".join(f"{f}_{{j}}" for f in _FIELDS) + " = " + ", ".join(_FIELDS.values()) + "\n")
 
-_OPEN = """\
-            ha_{j} = la_{j} = vs_{j} = vs2_{j} = sh_{j} = sl_{j} = shl_{j} = zero
-            vn_{j} = 0
+# queue j's highs, served straight from the stream while the next arrival is
+# before the bound: the gate t_vb or, if the visit clears the class, now (t).
+# xh counts those that arrived before the gate, the visit-beginning state
+# ({gate_h} tests it only where the bound is t).  A wait is tallied if the
+# customer arrived in the window; the area runs from the later of its
+# arrival and t_warm.
+_HIGHS = """\
+while nh_{j} < {bound_h}:
+    ah = nh_{j}
+    nh_{j} = next(arr_h_{j})
+    dur = next(svc_h_{j})
+    {gate_h}xh += 1  # tally
+    append(Event(t, "service_start", len(events), {j}, "H", ah))  # trace
+    append(Event(t + dur, "service_end", len(events), {j}, "H", ah))  # trace
+    if ah >= t_warm:  # window
+        w = t - ah
+        hn_{j} += 1
+        hs_{j} += w
+        hs2_{j} += w * w
+    else:  # window
+        ah = t_warm  # tally
+    busy += dur  # tally
+    t += dur
+    ha_{j} += t - ah  # tally
 """
 
-# one visit to queue j: highs first, then one low, then highs again; each
-# class is served straight from its stream while its next arrival is before
-# the bound, the gate t_vb or, if the visit clears the class, now (t).  xh
-# and xl count the served customers that arrived before the gate: the
-# visit-beginning state ({gate_h}/{gate_l} test it only where the bound is
-# t).  A served low stays in system (pending) until the highs that arrived
-# during its service are done.
+# one visit to queue j: the highs, then the lows the same way, each followed
+# by the highs that arrived during its service ({inner}, where the visit
+# clears the high class): a low stays in system until they are done.
 _VISIT = """\
-        # ---- queue {j}: visit beginning
-        t_vb = t
-        if pb_{j} >= t_warm:
-            x = t - pb_{j}
-            cn_{j} += 1
-            cs_{j} += x
-            cs2_{j} += x * x
-        if pe_{j} >= t_warm:
-            x = t - pe_{j}
-            gn_{j} += 1
-            gs_{j} += x
-            gs2_{j} += x * x
-        append(Event(t, "visit_begin", len(events), {j}))  # trace
-        xh = xl = 0
-        pending = None
-        while True:
-            while nh_{j} < {bound_h}:
-                arr = nh_{j}
-                nh_{j} = next(arr_h_{j})
-                dur = next(svc_h_{j})
-                {gate_h}xh += 1
-                append(Event(t, "service_start", len(events), {j}, "H", arr))  # trace
-                append(Event(t + dur, "service_end", len(events), {j}, "H", arr))  # trace
-                if arr >= t_warm:
-                    w = t - arr
-                    hn_{j} += 1
-                    hs_{j} += w
-                    hs2_{j} += w * w
-                busy += dur
-                t += dur
-                ha_{j} += t - (arr if arr > t_warm else t_warm)
-            if pending is not None:
-                la_{j} += t - (pending if pending > t_warm else t_warm)
-                pending = None
-            if nl_{j} >= {bound_l}:
-                break
-            arr = nl_{j}
-            nl_{j} = next(arr_l_{j})
-            dur = next(svc_l_{j})
-            {gate_l}xl += 1
-            append(Event(t, "service_start", len(events), {j}, "L", arr))  # trace
-            append(Event(t + dur, "service_end", len(events), {j}, "L", arr))  # trace
-            if arr >= t_warm:
-                w = t - arr
-                ln_{j} += 1
-                ls_{j} += w
-                ls2_{j} += w * w
-            busy += dur
-            t += dur
-            pending = arr
-        # ---- queue {j}: visit end
-        x = t - t_vb
-        vn_{j} += 1
-        vs_{j} += x
-        vs2_{j} += x * x
-        sh_{j} += xh
-        sl_{j} += xl
-        shl_{j} += xh * xl
-        pb_{j} = t_vb
-        pe_{j} = t
-        t += next(swo_{j})
-        append(Event(t, "switch_end", len(events), {next_j}))  # trace
+# ---- queue {j}: visit beginning
+t_vb = t
+if pb_{j} >= t_warm:  # window
+    x = t - pb_{j}
+    cn_{j} += 1
+    cs_{j} += x
+    cs2_{j} += x * x
+if pe_{j} >= t_warm:  # window
+    x = t - pe_{j}
+    gn_{j} += 1
+    gs_{j} += x
+    gs2_{j} += x * x
+append(Event(t, "visit_begin", len(events), {j}))  # trace
+xh = xl = 0  # tally
+{highs}\
+while nl_{j} < {bound_l}:
+    al = nl_{j}
+    nl_{j} = next(arr_l_{j})
+    dur = next(svc_l_{j})
+    {gate_l}xl += 1  # tally
+    append(Event(t, "service_start", len(events), {j}, "L", al))  # trace
+    append(Event(t + dur, "service_end", len(events), {j}, "L", al))  # trace
+    if al >= t_warm:  # window
+        w = t - al
+        ln_{j} += 1
+        ls_{j} += w
+        ls2_{j} += w * w
+    else:  # window
+        al = t_warm  # tally
+    busy += dur  # tally
+    t += dur
+{inner}\
+    la_{j} += t - al  # tally
+# ---- queue {j}: visit end
+x = t - t_vb  # tally
+vn_{j} += 1  # tally
+vs_{j} += x  # tally
+vs2_{j} += x * x  # tally
+sh_{j} += xh  # tally
+sl_{j} += xl  # tally
+shl_{j} += xh * xl  # tally
+pb_{j} = t_vb
+pe_{j} = t
+t += next(swo_{j})
+append(Event(t, "switch_end", len(events), {next_j}))  # trace
 """
 
-# customers still in system add queue-length area up to the end
+# customers still in system add queue-length area up to the end; each
+# arrived after its queue's last gate, inside the window
 _CLOSE = """\
     while nh_{j} < t:
-        ha_{j} += t - (nh_{j} if nh_{j} > t_warm else t_warm)
+        ha_{j} += t - nh_{j}
         nh_{j} = next(arr_h_{j})
     while nl_{j} < t:
-        la_{j} += t - (nl_{j} if nl_{j} > t_warm else t_warm)
+        la_{j} += t - nl_{j}
         nl_{j} = next(arr_l_{j})
 """
 
 _RETURN = "dict(" + ", ".join(f"{f}={f}_{{j}}" for f in _FIELDS) + "), "
+
+
+def _phase(cycle: str, window_open: bool) -> str:
+    """``cycle`` for a run phase in which every ``# window`` test reads
+    ``window_open``: the test goes, and its branch stays, one level less
+    indented, if taken.  In the warm-up (``window_open`` false), so do the
+    ``# tally`` lines: every tally still holds its start value when the
+    window opens."""
+    out, test = [], None  # test: (indent, taken) of the window test being read
+    for line in cycle.splitlines(True):
+        indent = len(line) - len(line.lstrip(" "))
+        if test and indent > test[0]:
+            if not test[1]:
+                continue
+            line = line[4:]
+        elif line.endswith("# window\n"):
+            test = (indent, line.lstrip().startswith("if ") == window_open)
+            continue
+        else:
+            test = None
+        if window_open or not line.endswith("# tally\n"):
+            out.append(line)
+    return "".join(out)
 
 
 def _render(cleared: tuple, trace: bool) -> str:
@@ -316,18 +341,29 @@ def _render(cleared: tuple, trace: bool) -> str:
     (per queue: the arrival and service streams of its high and low class
     and its switch-over stream).  It returns each queue's ``_FIELDS`` as a
     dict, the busy time, the start of the measurement window and the clock.
+
+    One cycle of visits is rendered three times, by ``_phase``: the warm-up
+    cycles keep no tally and test no window; cycle ``warmup_cycles``, which
+    opens the window, tests it as written; every later cycle tallies without
+    a test, since each queue's visit in the opening cycle begins inside the
+    window and leaves only customers who arrived after its gate.
     """
     n = len(cleared)
 
     def each(template):
         return "".join(template.format(j=j) for j in range(n))
 
-    visits = "".join(_VISIT.format(
-        j=j, next_j=(j + 1) % n,
-        bound_h="t" if h else "t_vb", gate_h="if arr < t_vb: " if h else "",
-        bound_l="t" if l else "t_vb", gate_l="if arr < t_vb: " if l else "")
-        for j, (h, l) in enumerate(cleared))
-    source = _LOOP.format(load=each(_LOAD), open=each(_OPEN), visits=visits,
+    cycle = []
+    for j, (h, l) in enumerate(cleared):
+        highs = _HIGHS.format(j=j, bound_h="t" if h else "t_vb",
+                              gate_h="if ah < t_vb: " if h else "")
+        cycle.append(_VISIT.format(
+            j=j, next_j=(j + 1) % n, highs=highs, inner=indent(highs, "    ") if h else "",
+            bound_l="t" if l else "t_vb", gate_l="if al < t_vb: " if l else ""))
+    cycle = "".join(cycle)
+    source = _LOOP.format(load=each(_LOAD), warmup=indent(_phase(cycle, False), " " * 8),
+                          boundary=indent(cycle, " " * 4),
+                          steady=indent(_phase(cycle, True), " " * 8),
                           close=each(_CLOSE), fields=each(_RETURN))
     if trace:
         return source

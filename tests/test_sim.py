@@ -356,6 +356,36 @@ def test_kernel_source_holds_no_model_value(trace):
     assert {c for c in constants if isinstance(c, int)} <= set(range(len(cleared)))
 
 
+@pytest.mark.parametrize("trace", [False, True])
+def test_kernel_phases_skip_what_cannot_happen(trace):
+    # the warm-up loop assigns no tally field (every one keeps its start value
+    # until the window opens), the loop after the opening cycle never reads
+    # t_warm, and only a visit that clears the high class serves highs after
+    # each low
+    import ast
+    from priopoll.sim import _FIELDS, _render
+    cleared = ((False, False), (True, False), (True, True)) * 4
+    kernel = ast.parse(_render(cleared, trace)).body[0]
+    warmup, steady = [node for node in kernel.body if isinstance(node, ast.For)]
+    assert ast.unparse(warmup.iter) == "range(warmup_cycles)"
+    assert ast.unparse(steady.iter) == "range(warmup_cycles + 1, n_cycles)"
+    tallies = {f"{f}_{j}" for f in _FIELDS if f not in ("nh", "nl", "pb", "pe")
+               for j in range(len(cleared))} | {"busy"}
+    assigned = {name.id for node in ast.walk(warmup)
+                if isinstance(node, (ast.Assign, ast.AugAssign))
+                for target in getattr(node, "targets", [getattr(node, "target", None)])
+                for name in ast.walk(target) if isinstance(name, ast.Name)}
+    assert "nh_0" in assigned and not assigned & tallies
+    assert "t_warm" not in {n.id for n in ast.walk(steady) if isinstance(n, ast.Name)}
+    low_loops = [node for node in ast.walk(kernel) if isinstance(node, ast.While)
+                 and ast.unparse(node.body[0]).startswith("al = ")]
+    assert len(low_loops) == 3 * len(cleared)  # one per queue and phase
+    for loop in low_loops:
+        j = int(ast.unparse(loop.test).split()[0][len("nl_"):])
+        inner = [node for node in ast.walk(loop) if isinstance(node, ast.While)][1:]
+        assert len(inner) == cleared[j][0], ast.unparse(loop.test)
+
+
 def test_arrivals_are_the_running_sum_of_gap_blocks():
     # the iterator's k-th value is the sum of the first k + 1 gaps, added one
     # at a time; three blocks of 8192 gaps read across two block boundaries
