@@ -48,13 +48,16 @@ Everything a visit reads and writes about its queue is one of the queue's
 ``_FIELDS``: each class's next arrival, wait tally and queue-length area,
 the previous visit's beginning and end, the cycle, intervisit and visit
 tallies and the visit-beginning state sums.  A whole replication runs in one
-function, rendered from one source template (``_render``) per model
+function, rendered from one visit template (``_render``) per model
 structure, keyed on what the loop branches on: each queue's two ``CLEARED``
 flags, and whether the run is traced.  The rendered kernel keeps every field
 in a local variable (``nh_0``, ``hs_0``, ...) that its prologue sets to the
 field's start value and unrolls the queues inside the cycle loop.  Each
 class's bound is written out as the gate ``t_vb`` or the current instant
-``t``, and the trace events are rendered only into a traced kernel.  Its
+``t``.  A visit serves the highs, then each low followed by the highs that
+arrived during its service; that inner high loop is rendered only where the
+visit clears the high class, since under gated service no high can overtake
+a low.  The trace events are rendered only into a traced kernel.  Its
 epilogue closes queue 0's last cycle at the final queue-0 visit beginning,
 adds the area of the customers still in system, and returns each queue's
 fields as a dict keyed by name: ``_RepResult`` holds them, and
@@ -62,15 +65,21 @@ fields as a dict keyed by name: ``_RepResult`` holds them, and
 identifiers and queue indices, never a model value (even its float
 constants come in as names), so ``_kernel`` compiles it once per key and
 caches the compiled code, never a result.  Rendering and compiling take
-about 1.1-2 ms at N = 2, 6-10 ms at N = 12, 17-24 ms at N = 32 and 57-76 ms
-at N = 100, about a fifth more when traced (medians of seven in three
+about 2-2.3 ms at N = 2, 13-14 ms at N = 12, 36-39 ms at N = 32 and 114-120
+ms at N = 100, a third to a half more when traced (medians of seven in two
 runs, Python 3.11 on a shared 2-core x86 host).
 
-Warm-up and measured cycles run the same loop.  The measurement window
-[t_warm, inf) is empty (t_warm = inf) until cycle ``warmup_cycles`` sets
-t_warm to the clock.  Wait, cycle and intervisit tallies test the window;
-the busy time, areas (-inf until then: an area adds ``t - max(arrival,
-t_warm)``), visit tallies and state sums are zeroed when it opens.
+The measurement window [t_warm, inf) opens at the clock of cycle
+``warmup_cycles``, and the kernel renders one cycle three times, once per
+run phase (``_phase``).  The warm-up cycles only read streams, advance the
+clock and set each queue's last visit beginning and end: every tally keeps
+its start value until the window opens.  The cycle that opens it tests the
+window as written: a wait is tallied if the customer arrived inside it, a
+cycle or intervisit period if it began inside it, and an area adds ``t -
+max(arrival, t_warm)``.  The later cycles need no test: each queue's visit
+in the opening cycle begins at or after t_warm and serves every customer
+that arrived before its gate, so every customer served after it arrived
+inside the window, and every previous visit beginning and end is inside it.
 """
 
 from __future__ import annotations
@@ -191,7 +200,9 @@ _FIELDS = {"nh": "next(arr_h_{j})", "hn": "0", "hs": "zero", "hs2": "zero", "ha"
 
 # ``_render`` fills {load}, {close} and {fields} with one copy per queue of
 # the templates below, and {warmup}, {boundary} and {steady} with one cycle:
-# a ``_VISIT`` per queue, rendered for its phase.  Lines marked "# trace" are
+# a ``_VISIT`` per queue, rendered for its phase by ``_phase``, which reads
+# the lines marked "# window" (a test of the measurement window) and
+# "# tally" (a line that only keeps a tally).  Lines marked "# trace" are
 # kept only in a traced kernel.  Float constants come in as names (inf,
 # zero), never as literals, so the source depends on nothing but the key.
 _LOOP = """\
@@ -315,15 +326,15 @@ def _phase(cycle: str, window_open: bool) -> str:
     indented, if taken.  In the warm-up (``window_open`` false), so do the
     ``# tally`` lines: every tally still holds its start value when the
     window opens."""
-    out, test = [], None  # test: (indent, taken) of the window test being read
+    out, test = [], None  # test: (depth, taken) of the window test being read
     for line in cycle.splitlines(True):
-        indent = len(line) - len(line.lstrip(" "))
-        if test and indent > test[0]:
+        depth = len(line) - len(line.lstrip(" "))
+        if test and depth > test[0]:
             if not test[1]:
                 continue
             line = line[4:]
         elif line.endswith("# window\n"):
-            test = (indent, line.lstrip().startswith("if ") == window_open)
+            test = (depth, line.lstrip().startswith("if ") == window_open)
             continue
         else:
             test = None
