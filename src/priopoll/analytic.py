@@ -34,7 +34,7 @@ from functools import cached_property
 
 from .errors import OutOfRange, UnsupportedEvaluation
 from .gf import GfEvaluator
-from .model import CLEARED, DerivedRates, PollingModel
+from .model import PollingModel
 from .moments import lst_moment
 # no longer called here; perfbench/tracing.py wraps it under this module's name
 from .moments import _neville_to_zero  # noqa: F401
@@ -303,7 +303,7 @@ class Analyzer:
                 cross = self.cross_moment(i)
             periods.append(QueuePeriods(i, qt.ec, cyc2, qt.ei, iv2,
                                         qt.ev, self.visit_m2(i), cross))
-        lhs, rhs, residual = _pcl(self.model, self.derived, waits)
+        lhs, rhs, residual = _pcl(self, waits)
         return PerfReport(tuple(classes), tuple(periods), lhs, rhs, residual)
 
 
@@ -428,13 +428,11 @@ class _SeriesReading:
         return self.analyzer._span_complement(self.qt.i, *pair)
 
 
-def leftover_work(model: PollingModel, derived: DerivedRates, i: int) -> float:
-    """Mean work E(Z) that visits leave at their own queue i: the load of the
+def leftover_work(qt: QueueTransforms) -> float:
+    """Mean work E(Z) that visits leave at their own queue: the load of the
     classes the visit keeps times rho_i E(C) (rho_i^2 E(C) for gated, rho_low
     rho_i E(C) for mixed and 0 for exhaustive service)."""
-    loads = (derived.rho_high[i], derived.rho_low[i])
-    kept = sum(loads[c] for c in (0, 1) if c not in CLEARED[model.queues[i].discipline])
-    return kept * derived.rho_queue[i] * derived.mean_cycle
+    return sum((qt.rho_h, qt.rho_l)[c] for c in qt.kept) * qt.rho_i * qt.ec
 
 
 def _switchover_total_moments(model: PollingModel) -> tuple[float, float]:
@@ -461,12 +459,12 @@ def pcl_check(model: PollingModel,
     given = waits or {}
     waits = {(i, cls): given[(i, cls)] if (i, cls) in given else analyzer.mean_wait(i, cls)
              for i, q in enumerate(model.queues) for _, cls, _, _ in q.classes}
-    return _pcl(model, analyzer.derived, waits)
+    return _pcl(analyzer, waits)
 
 
-def _pcl(model: PollingModel, derived: DerivedRates,
-         waits: dict) -> tuple[float, float, float]:
-    """``pcl_check`` of a validated model, given every class's mean wait."""
+def _pcl(analyzer: Analyzer, waits: dict) -> tuple[float, float, float]:
+    """``pcl_check`` of the analyzer's model, given every class's mean wait."""
+    model, derived = analyzer.model, analyzer.derived
     lhs = 0.0
     res_service = 0.0
     for i, q in enumerate(model.queues):
@@ -479,8 +477,8 @@ def _pcl(model: PollingModel, derived: DerivedRates,
     rhs = rho / (1.0 - rho) * res_service
     rhs += rho * es2 / (2.0 * es)
     rhs += (rho * rho - sum(r * r for r in derived.rho_queue)) * es / (2.0 * (1.0 - rho))
-    for i in range(model.n):
-        rhs += leftover_work(model, derived, i)
+    for qt in analyzer.queues:
+        rhs += leftover_work(qt)
     if not rhs > 0.0:
         raise OutOfRange(f"conservation sum {rhs!r} is not positive: the "
                          "model's loads and times underflow a float")

@@ -105,7 +105,7 @@ def cmd_compare(args) -> int:
         analyzer = Analyzer(variant)
         rep = analyzer.report()
         for r in rep.classes:
-            ez = leftover_work(variant, analyzer.derived, r.queue)
+            ez = leftover_work(analyzer.queues[r.queue])
             lines.append(f"{label},{r.queue + 1},{r.cls},{r.discipline},"
                          f"{r.mean_wait:.6g},{r.var_wait:.6g},{ez:.6g},,,")
         lines.append(f"{label},system,,,,,,{rep.pcl_lhs:.6g},{rep.pcl_rhs:.6g},"

@@ -48,18 +48,19 @@ Everything a visit reads and writes about its queue is one of the queue's
 ``_FIELDS``: each class's next arrival, wait tally and queue-length area,
 the previous visit's beginning and end, the cycle, intervisit and visit
 tallies and the visit-beginning state sums.  A whole replication runs in one
-function, rendered from one visit template (``_render``) per model
-structure, keyed on what the loop branches on: each queue's two ``CLEARED``
-flags, and whether the run is traced.  The rendered kernel keeps every field
-in a local variable (``nh_0``, ``hs_0``, ...) that its prologue sets to the
-field's start value and unrolls the queues inside the cycle loop.  Each
-class's bound is written out as the gate ``t_vb`` or the current instant
-``t``.  A visit serves the highs, then each low followed by the highs that
-arrived during its service; that inner high loop is rendered only where the
-visit clears the high class, since under gated service no high can overtake
-a low.  The trace events are rendered only into a traced kernel.  Its
-epilogue closes queue 0's last cycle at the final queue-0 visit beginning,
-adds the area of the customers still in system, and returns each queue's
+function, rendered (``_render``) per model structure, keyed on what the
+loop branches on: each queue's two ``CLEARED`` flags, and whether the run is
+traced.  The rendered kernel keeps every field in a local variable
+(``nh_0``, ``hs_0``, ...) that its prologue sets to the field's start value
+and unrolls the queues inside the cycle loop.  Each rule is written once: a
+visit runs the period block for the cycle and intervisit period that end at
+its beginning, then the serve block for the highs and the lows, each with
+its bound written out as the gate ``t_vb`` or the current instant ``t``.  A
+low's block holds the high block only where the visit clears the high
+class, since under gated service no high can overtake a low.  The trace
+events are rendered only into a traced kernel.  Its epilogue closes queue
+0's last cycle with the period block, adds the area of the customers still
+in system with a close block per queue and class, and returns each queue's
 fields as a dict keyed by name: ``_RepResult`` holds them, and
 ``_aggregate`` reads them by name to merge runs.  The source holds
 identifiers and queue indices, never a model value (even its float
@@ -198,8 +199,9 @@ _FIELDS = {"nh": "next(arr_h_{j})", "hn": "0", "hs": "zero", "hs2": "zero", "ha"
            "cn": "0", "cs": "zero", "cs2": "zero", "gn": "0", "gs": "zero", "gs2": "zero",
            "vn": "0", "vs": "zero", "vs2": "zero", "sh": "zero", "sl": "zero", "shl": "zero"}
 
-# ``_render`` fills {load}, {close} and {fields} with one copy per queue of
-# the templates below, and {warmup}, {boundary} and {steady} with one cycle:
+# ``_render`` fills {load} and {fields} with one copy per queue of the
+# templates below, {close} with queue 0's cycle ``_PERIOD`` and a ``_CLOSE``
+# per queue and class, and {warmup}, {boundary} and {steady} with one cycle:
 # a ``_VISIT`` per queue, rendered for its phase by ``_phase``, which reads
 # the lines marked "# window" (a test of the measurement window) and
 # "# tally" (a line that only keeps a tally).  Lines marked "# trace" are
@@ -217,10 +219,6 @@ def kernel(queues, n_cycles, warmup_cycles, events):
     for _ in range(warmup_cycles + 1, n_cycles):
 {steady}\
     # the final queue-0 visit beginning closes queue 0's last measured cycle
-    x = t - pb_0
-    cn_0 += 1
-    cs_0 += x
-    cs2_0 += x * x
 {close}\
     return [{fields}], busy, t_warm, t
 """
@@ -229,69 +227,52 @@ def kernel(queues, n_cycles, warmup_cycles, events):
 _LOAD = ("    arr_h_{j}, arr_l_{j}, svc_h_{j}, svc_l_{j}, swo_{j} = queues[{j}]\n    "
          + ", ".join(f"{f}_{{j}}" for f in _FIELDS) + " = " + ", ".join(_FIELDS.values()) + "\n")
 
-# queue j's highs, served straight from the stream while the next arrival is
-# before the bound: the gate t_vb or, if the visit clears the class, now (t).
-# xh counts those that arrived before the gate, the visit-beginning state
-# ({gate_h} tests it only where the bound is t).  A wait is tallied if the
-# customer arrived in the window; the area runs from the later of its
-# arrival and t_warm.
-_HIGHS = """\
-while nh_{j} < {bound_h}:
-    ah = nh_{j}
-    nh_{j} = next(arr_h_{j})
-    dur = next(svc_h_{j})
-    {gate_h}xh += 1  # tally
-    append(Event(t, "service_start", len(events), {j}, "H", ah))  # trace
-    append(Event(t + dur, "service_end", len(events), {j}, "H", ah))  # trace
-    if ah >= t_warm:  # window
-        w = t - ah
-        hn_{j} += 1
-        hs_{j} += w
-        hs2_{j} += w * w
+# class c (h high, l low) of queue j, served straight from the stream while
+# the next arrival is before the bound: the gate t_vb or, if the visit clears
+# the class, now (t).  x{c} counts those that arrived before the gate, the
+# visit-beginning state ({gate} tests it only where the bound is t).  A wait
+# is tallied if the customer arrived in the window; the area runs from the
+# later of its arrival and t_warm, after {inner}: a low stays in system
+# until the highs that arrived during its service are done.
+_SERVE = """\
+while n{c}_{j} < {bound}:
+    a{c} = n{c}_{j}
+    n{c}_{j} = next(arr_{c}_{j})
+    dur = next(svc_{c}_{j})
+    {gate}x{c} += 1  # tally
+    append(Event(t, "service_start", len(events), {j}, "{label}", a{c}))  # trace
+    append(Event(t + dur, "service_end", len(events), {j}, "{label}", a{c}))  # trace
+    if a{c} >= t_warm:  # window
+        w = t - a{c}
+        {c}n_{j} += 1
+        {c}s_{j} += w
+        {c}s2_{j} += w * w
     else:  # window
-        ah = t_warm  # tally
-    busy += dur  # tally
-    t += dur
-    ha_{j} += t - ah  # tally
-"""
-
-# one visit to queue j: the highs, then the lows the same way, each followed
-# by the highs that arrived during its service ({inner}, where the visit
-# clears the high class): a low stays in system until they are done.
-_VISIT = """\
-# ---- queue {j}: visit beginning
-t_vb = t
-if pb_{j} >= t_warm:  # window
-    x = t - pb_{j}
-    cn_{j} += 1
-    cs_{j} += x
-    cs2_{j} += x * x
-if pe_{j} >= t_warm:  # window
-    x = t - pe_{j}
-    gn_{j} += 1
-    gs_{j} += x
-    gs2_{j} += x * x
-append(Event(t, "visit_begin", len(events), {j}))  # trace
-xh = xl = 0  # tally
-{highs}\
-while nl_{j} < {bound_l}:
-    al = nl_{j}
-    nl_{j} = next(arr_l_{j})
-    dur = next(svc_l_{j})
-    {gate_l}xl += 1  # tally
-    append(Event(t, "service_start", len(events), {j}, "L", al))  # trace
-    append(Event(t + dur, "service_end", len(events), {j}, "L", al))  # trace
-    if al >= t_warm:  # window
-        w = t - al
-        ln_{j} += 1
-        ls_{j} += w
-        ls2_{j} += w * w
-    else:  # window
-        al = t_warm  # tally
+        a{c} = t_warm  # tally
     busy += dur  # tally
     t += dur
 {inner}\
-    la_{j} += t - al  # tally
+    {c}a_{j} += t - a{c}  # tally
+"""
+
+# the period p of queue j that ends now, if it began ({begin}) in the window:
+# the cycle (pb, c) or the intervisit period (pe, g)
+_PERIOD = """\
+if {begin}_{j} >= t_warm:  # window
+    x = t - {begin}_{j}
+    {p}n_{j} += 1
+    {p}s_{j} += x
+    {p}s2_{j} += x * x
+"""
+
+# one visit to queue j: the period tallies, then the highs, then the lows
+_VISIT = """\
+# ---- queue {j}: visit beginning
+t_vb = t
+{periods}\
+append(Event(t, "visit_begin", len(events), {j}))  # trace
+xh = xl = 0  # tally
+{serve}\
 # ---- queue {j}: visit end
 x = t - t_vb  # tally
 vn_{j} += 1  # tally
@@ -306,15 +287,12 @@ t += next(swo_{j})
 append(Event(t, "switch_end", len(events), {next_j}))  # trace
 """
 
-# customers still in system add queue-length area up to the end; each
-# arrived after its queue's last gate, inside the window
+# customers of class c still in system add queue-length area up to the end;
+# each arrived after its queue's last gate, inside the window
 _CLOSE = """\
-    while nh_{j} < t:
-        ha_{j} += t - nh_{j}
-        nh_{j} = next(arr_h_{j})
-    while nl_{j} < t:
-        la_{j} += t - nl_{j}
-        nl_{j} = next(arr_l_{j})
+    while n{c}_{j} < t:
+        {c}a_{j} += t - n{c}_{j}
+        n{c}_{j} = next(arr_{c}_{j})
 """
 
 _RETURN = "dict(" + ", ".join(f"{f}={f}_{{j}}" for f in _FIELDS) + "), "
@@ -353,29 +331,42 @@ def _render(cleared: tuple, trace: bool) -> str:
     and its switch-over stream).  It returns each queue's ``_FIELDS`` as a
     dict, the busy time, the start of the measurement window and the clock.
 
-    One cycle of visits is rendered three times, by ``_phase``: the warm-up
-    cycles keep no tally and test no window; cycle ``warmup_cycles``, which
-    opens the window, tests it as written; every later cycle tallies without
-    a test, since each queue's visit in the opening cycle begins inside the
-    window and leaves only customers who arrived after its gate.
+    Each rule is one template, filled per queue and class: ``_SERVE`` (a
+    low's holds the high one where the visit clears the high class),
+    ``_PERIOD`` (the cycle and intervisit tallies, and the epilogue's close
+    of queue 0's last cycle) and ``_CLOSE``.  One cycle of visits is
+    rendered three times, by ``_phase``: the warm-up cycles keep no tally
+    and test no window; cycle ``warmup_cycles``, which opens the window,
+    tests it as written; every later cycle tallies without a test, since
+    each queue's visit in the opening cycle begins inside the window and
+    leaves only customers who arrived after its gate.
     """
     n = len(cleared)
 
     def each(template):
         return "".join(template.format(j=j) for j in range(n))
 
+    def serve(j, c, clears, inner=""):
+        return _SERVE.format(j=j, c=c, label=c.upper(), bound="t" if clears else "t_vb",
+                             gate=f"if a{c} < t_vb: " if clears else "", inner=inner)
+
+    def cycle_tally(j):
+        return _PERIOD.format(j=j, begin="pb", p="c")
+
     cycle = []
     for j, (h, l) in enumerate(cleared):
-        highs = _HIGHS.format(j=j, bound_h="t" if h else "t_vb",
-                              gate_h="if ah < t_vb: " if h else "")
+        highs = serve(j, "h", h)
         cycle.append(_VISIT.format(
-            j=j, next_j=(j + 1) % n, highs=highs, inner=indent(highs, "    ") if h else "",
-            bound_l="t" if l else "t_vb", gate_l="if al < t_vb: " if l else ""))
+            j=j, next_j=(j + 1) % n,
+            periods=cycle_tally(j) + _PERIOD.format(j=j, begin="pe", p="g"),
+            serve=highs + serve(j, "l", l, indent(highs, "    ") if h else "")))
     cycle = "".join(cycle)
+    close = indent(_phase(cycle_tally(0), True), " " * 4) + "".join(
+        _CLOSE.format(j=j, c=c) for j in range(n) for c in "hl")
     source = _LOOP.format(load=each(_LOAD), warmup=indent(_phase(cycle, False), " " * 8),
                           boundary=indent(cycle, " " * 4),
                           steady=indent(_phase(cycle, True), " " * 8),
-                          close=each(_CLOSE), fields=each(_RETURN))
+                          close=close, fields=each(_RETURN))
     if trace:
         return source
     return "".join(line for line in source.splitlines(True)
