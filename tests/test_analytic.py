@@ -1,13 +1,16 @@
 """Means, variances, dual derivations, reductions, Little's law, PCL."""
 
+import dataclasses
+import json
 import math
 import operator
+import pathlib
 
 import numpy as np
 import pytest
 
-from zoo import (example1, example2, heavy_traffic, huge_switchover, published_models,
-                 random_model, single_vacation_queue, swamped_queue, time_scaled,
+from zoo import (drawn_golden_models, example1, example2, heavy_traffic, huge_switchover,
+                 published_models, random_model, single_vacation_queue, swamped_queue, time_scaled,
                  time_scaled_probe)
 from priopoll import (Analyzer, Deterministic, EXHAUSTIVE, Erlang, Exponential, GATED, MIXED,
                       OutOfRange, PollingModel, QueueSpec, UnsupportedEvaluation, pcl_check)
@@ -17,6 +20,25 @@ from priopoll.analytic import _Series, _SeriesReading
 @pytest.fixture(scope="module")
 def ex1_mixed():
     return Analyzer(example1(MIXED))
+
+
+REPORTS = pathlib.Path(__file__).resolve().parent / "golden" / "reports.json"
+
+
+def golden_reports():
+    """Every ``PerfReport`` field, variances included, of the published
+    models and the drawn golden ones, by label."""
+    models = {**published_models(), **drawn_golden_models()}
+    return {label: dataclasses.asdict(Analyzer(m).report()) for label, m in models.items()}
+
+
+def test_reports_match_golden():
+    # exact, float by float: the analyze CSVs keep 6 digits
+    want = json.loads(REPORTS.read_text())
+    got = json.loads(json.dumps(golden_reports()))
+    assert sorted(got) == sorted(want)
+    for label in want:
+        assert got[label] == want[label], label
 
 
 def test_mean_waits_match_published_mixed(ex1_mixed):

@@ -72,15 +72,20 @@ def test_sweep_golden(argv, golden, tmp_path):
 
 
 def test_compare_golden_and_leftover_column(tmp_path):
+    # the CI console-script step diffs the installed entry point against the
+    # same files; example2 runs all nine discipline pairs, both classes at
+    # both queues
     out_path = tmp_path / "cmp.csv"
-    code = cli.main(["compare", "--model", str(DATA / "example1.json"),
-                     "--queues", "1", "--out", str(out_path)])
-    assert code == 0
-    text = out_path.read_text()
-    assert text == (GOLDEN / "example1_compare.csv").read_text()
-    # exhaustive variant leaves no work behind at its own queue
-    exh_rows = [l for l in text.splitlines() if l.startswith("exhaustive,1")]
-    assert all(row.split(",")[6] == "0" for row in exh_rows)
+    for argv, golden in ((["--model", str(DATA / "example1.json"), "--queues", "1"],
+                          "example1_compare.csv"),
+                         (["--model", str(DATA / "example2.json")], "example2_compare.csv")):
+        assert cli.main(["compare", *argv, "--out", str(out_path)]) == 0
+        text = out_path.read_text()
+        assert text == (GOLDEN / golden).read_text()
+        # an exhaustive queue leaves no work behind at itself
+        exh_rows = [row for row in (line.split(",") for line in text.splitlines())
+                    if row[3] == "exhaustive"]
+        assert exh_rows and all(row[6] == "0" for row in exh_rows)
 
 
 def test_compare_full_grid_row_count(capsys):

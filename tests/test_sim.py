@@ -10,7 +10,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from zoo import (example1, example2, huge_switchover, random_model,
+from zoo import (drawn_golden_models, example1, example2, huge_switchover, random_model,
                  single_vacation_queue, time_scaled_probe, zero_time_tail)
 from priopoll import (Analyzer, Deterministic, EXHAUSTIVE, Erlang, Exponential,
                       GATED, Hyperexponential, MIXED, OutOfRange, PollingModel,
@@ -52,12 +52,8 @@ _GOLDEN_MODELS = (
         MIXED, GATED)),
     ("uniform_exhaustive_mixed", lambda: _family_model(
         lambda mean: Uniform(0.2 * mean, 1.8 * mean), EXHAUSTIVE, MIXED)),
-    # N > 2: each has every discipline and every family, and queues with one
-    # class absent (a high-only queue in each, a low-only one at N = 5)
-    ("random_n3", lambda: random_model(np.random.default_rng(8), extended_dists=True, n=3)),
-    ("random_n5", lambda: random_model(np.random.default_rng(5), extended_dists=True, n=5)),
-    ("random_n12", lambda: random_model(np.random.default_rng(12), extended_dists=True,
-                                        n=12)),
+    # N > 2, drawn
+    *((label, lambda m=m: m) for label, m in drawn_golden_models().items()),
 )
 
 

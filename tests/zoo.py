@@ -2,6 +2,7 @@
 
 from dataclasses import fields
 
+import numpy as np
 from hypothesis import strategies as st
 
 from priopoll import (DISCIPLINES, EXHAUSTIVE, GATED, MIXED, Deterministic,
@@ -150,6 +151,14 @@ def random_model(rng, max_rho=0.9, extended_dists=False, n=None):
     model = PollingModel(queues, switchovers)
     validate(model)
     return model
+
+
+def drawn_golden_models():
+    """The drawn models that tests/golden pins, by label: N = 3, 5 and 12,
+    each with every discipline and every family and queues with one class
+    absent (a high-only queue in each, a low-only one at N = 5)."""
+    return {f"random_n{n}": random_model(np.random.default_rng(seed), extended_dists=True, n=n)
+            for n, seed in ((3, 8), (5, 5), (12, 12))}
 
 
 _FAMILIES = (Exponential, Deterministic, lambda mean: Erlang(3, mean),
