@@ -290,7 +290,7 @@ class Analyzer:
                 series = self._wait_series(i, cls, order)
                 mean = waits[(i, cls)] = -series[1]
                 var = _variance(series) if include_variances else math.nan
-                classes.append(ClassResult(i, cls, qt.disc, mean, var,
+                classes.append(ClassResult(i, cls, qt.q.discipline, mean, var,
                                            _little(qt, cls, mean)))
             cyc2 = iv2 = cross = None
             if _available(qt, "cycle"):
@@ -324,14 +324,8 @@ def _variance(series: list) -> float:
 
 def _little(qt, cls: str, wait: float) -> float:
     """Mean number of class ``cls`` customers at queue qt, waiting or in
-    service, by Little's law from the class's mean wait."""
-    if cls == "H":
-        qlen = qt.lam_h * (wait + qt.svc_h.mean)
-    else:
-        sojourn_svc = qt.svc_l.mean
-        if 0 in qt.cleared:
-            sojourn_svc /= (1.0 - qt.rho_h)
-        qlen = qt.lam_l * (wait + sojourn_svc)
+    service (its period B for a low class), by Little's law from its mean wait."""
+    qlen = qt.lam_h * (wait + qt.svc_h.mean) if cls == "H" else qt.lam_l * (wait + qt.eb)
     if not math.isfinite(qlen):
         raise OutOfRange(f"queue {qt.i + 1} class {cls}: the mean queue length {qlen!r} "
                          "does not fit in a float")
@@ -451,14 +445,18 @@ def pcl_check(model: PollingModel,
     of mean waits and rhs the closed form built from input moments plus the
     per-discipline leftover work E(Z) of ``leftover_work``.
 
-    ``waits`` may inject mean waits keyed by (queue_index, "H"|"L"); missing
-    entries come from the ``Analyzer`` of the model, which also validates it
-    and checks its moments, as every analytic entry does.
+    ``waits`` may inject finite mean waits keyed by the model's classes
+    (queue_index, "H"|"L"); missing entries come from the ``Analyzer`` of the
+    model, which first validates it and checks its moments.
     """
     analyzer = Analyzer(model)
+    keys = [(i, cls) for i, q in enumerate(model.queues) for _, cls, _, _ in q.classes]
     given = waits or {}
-    waits = {(i, cls): given[(i, cls)] if (i, cls) in given else analyzer.mean_wait(i, cls)
-             for i, q in enumerate(model.queues) for _, cls, _, _ in q.classes}
+    for key, wait in given.items():
+        if key not in keys or not math.isfinite(wait):
+            raise ValueError(f"waits[{key!r}] = {wait!r}: not a finite mean wait "
+                             "of a class of the model")
+    waits = {key: given[key] if key in given else analyzer.mean_wait(*key) for key in keys}
     return _pcl(analyzer, waits)
 
 

@@ -15,17 +15,18 @@ the intervisit and the low one the cycle.  A span's transform splits the
 exponent across its classes with arrivals; with none it is unavailable.
 
 Waiting-time transforms follow the decomposition of a vacation queue: an
-M/G/1 factor for the customer's own class (with completion-time services
-where high-priority overtaking extends a low-priority customer's effective
-service) times a residual term for the periods in which the class is not
-served.  ``wait_high`` and ``wait_low`` write it once, one branch per
-discipline, against a reading ``r``: ``complement`` of a service or a busy
-period, ``gf_complement`` at the queue's own z-complements, ``span`` and
-``residual``; plain arithmetic does the rest.  ``QueueTransforms`` itself is
-the float reading, and ``analytic`` reads the same code as power series in
-omega.  The period evaluators return complements assembled from complement
-building blocks, so small-w differencing stays accurate; the waiting-time
-complements are 1 - W, about 1e-16 off in absolute terms.
+M/G/1 factor for the customer's own class (in the completion time B* where
+high-priority overtaking extends a low-priority service) times a residual
+term for the periods in which the class is not served.  ``wait_high`` and
+``wait_low`` write it with one rule for a class the visit keeps (gated-like,
+over the residual cycle) and one for a class it clears, against a reading
+``r``: ``complement`` of a service or a busy period, ``gf_complement`` at
+the queue's own z-complements, ``span`` and ``residual``; plain arithmetic
+does the rest.  ``QueueTransforms`` itself is the float reading, and
+``analytic`` reads the same code as power series in omega.  The period
+evaluators return complements assembled from complement building blocks,
+so small-w differencing stays accurate; the waiting-time complements are
+1 - W, about 1e-16 off in absolute terms.
 
 ``QueueTransforms.omega_max(name)`` says where each float transform can be
 evaluated; every complement applies one argument rule against it, and
@@ -39,7 +40,7 @@ from functools import cached_property
 
 from .busyperiod import BusyPeriod
 from .errors import UnsupportedEvaluation
-from .model import CLEARED, GATED, MIXED
+from .model import CLEARED
 from .moments import TransformHandle
 
 __all__ = ["QueueTransforms"]
@@ -58,7 +59,6 @@ class QueueTransforms:
         q = gf.model.queues[i]
         d = gf.derived
         self.q = q
-        self.disc = q.discipline
         self.lam_h = q.lambda_high
         self.lam_l = q.lambda_low
         self.rho_h = d.rho_high[i]
@@ -69,14 +69,16 @@ class QueueTransforms:
         self.ev = d.mean_visit[i]
         self.svc_h = q.service_high
         self.svc_l = q.service_low
-        # the high busy period that extends a low service; None without highs
-        self._busy_h = BusyPeriod(q.service_high, q.lambda_high) if q.lambda_high > 0.0 else None
         # the span rule: the classes a visit clears (0 high, 1 low) count
         # arrivals over the intervisit time, the kept ones over the cycle.
         # Two coordinates share a span exactly when both are kept or both
         # cleared (``GfEvaluator.spans``), and the exact moments read it once
         self.cleared = CLEARED[q.discipline]
         self.kept = tuple(c for c in (0, 1) if c not in self.cleared)
+        # the high busy periods (None without highs) stretch a low service to
+        # B*, of mean E(B_L)/(1 - rho_h), where the visit clears the high class
+        self._busy_h = BusyPeriod(q.service_high, q.lambda_high) if q.lambda_high > 0.0 else None
+        self._stretch = 1.0 - self.rho_h if 0 in self.cleared else 1.0
 
     # ------------------------------------------------------------- periods
 
@@ -102,7 +104,7 @@ class QueueTransforms:
         if name == "wait_high":
             if self.lam_h <= 0.0:
                 raise UnsupportedEvaluation("queue has no high-priority class")
-            return self.omega_max("cycle" if self.disc == GATED else "intervisit")
+            return self.omega_max("cycle" if 0 in self.kept else "intervisit")
         if name in ("wait_low", "completion"):
             if self.lam_l <= 0.0:
                 raise UnsupportedEvaluation("queue has no low-priority class")
@@ -166,9 +168,8 @@ class QueueTransforms:
         return c / (omega * mean)
 
     def _completion(self, r, w):
-        """(u, B*): the complement u of the high busy period at w, and that
-        of the completion time B*, a low service extended by the high busy
-        periods it starts, at w."""
+        """(u, B*): the complements at w of the high busy period and of the
+        completion time B*, a low service extended by the busy periods it starts."""
         u = r.complement(self._busy_h, w) if self._busy_h is not None else 0.0
         return u, r.complement(self.svc_l, w + self.lam_h * u)
 
@@ -177,46 +178,46 @@ class QueueTransforms:
         return self._completion(self, omega)[1] if self._nonzero("completion", omega) else 0.0
 
     def wait_high(self, r, w):
-        """LST of the high-priority waiting time at w, read by ``r``: gated,
-        or an M/G/1 factor with vacations that are a low service (weight
-        rho_l/(1 - rho_h)) or an intervisit time (weight (1 - rho_i)/(1 - rho_h))."""
+        """LST of the high-priority waiting time at w, read by ``r``: an M/G/1
+        factor times the residual cycle (kept) or vacations (cleared) that are a low
+        service, weight rho_l/(1 - rho_h), or an intervisit, weight (1 - rho_i)/(1 - rho_h)."""
         c_h = r.complement(self.svc_h, w)
-        if self.disc == GATED:
+        den = 1.0 - self.rho_h * r.residual(c_h, w, self.svc_h.mean)
+        if 0 in self.kept:
             # the residual cycle, less the services of the earlier high
             # arrivals of the customer's own cycle
             served = r.gf_complement(c_h, 0.0)
-            return (r.residual(r.span(self.kept, w) - served, w, self.ec)
-                    / (1.0 - self.rho_h * r.residual(c_h, w, self.svc_h.mean)))
-        # M/G/1 factor times a vacation: an intervisit time, which the high
-        # coordinate spans, or a low service
+            return r.residual(r.span(self.kept, w) - served, w, self.ec) / den
         vac = ((1.0 - self.rho_i) / (1.0 - self.rho_h)
                * r.residual(r.span(self.cleared, w), w, self.ei))
         if self.lam_l > 0.0:
             vac = vac + (self.rho_l / (1.0 - self.rho_h)
                          * r.residual(r.complement(self.svc_l, w), w, self.svc_l.mean))
-        return ((1.0 - self.rho_h) * vac
-                / (1.0 - self.rho_h * r.residual(c_h, w, self.svc_h.mean)))
+        return (1.0 - self.rho_h) * vac / den
+
+    @cached_property
+    def eb(self) -> float:
+        """E(B), the mean of a low customer's period: its service, or B*."""
+        return self.svc_l.mean / self._stretch
 
     def wait_low(self, r, w):
-        """LST of the low-priority waiting time at w, read by ``r``."""
-        if self.disc == GATED:
-            # the residual cycle, less the services of every high arrival
-            # and of the earlier low arrivals of the customer's own cycle
-            c_h = r.complement(self.svc_h, w) if self.lam_h > 0.0 else 0.0
-            c_l = r.complement(self.svc_l, w)
-            served = r.gf_complement(c_h, c_l)
-            return (r.residual(r.gf_complement(c_h, w / self.lam_l) - served, w, self.ec)
-                    / (1.0 - self.rho_l * r.residual(c_l, w, self.svc_l.mean)))
-        # the low class waits gated-like in the completion time B*
-        u, c_star = self._completion(r, w)
-        rho_star = self.rho_l / (1.0 - self.rho_h)
+        """LST of the low-priority waiting time at w, read by ``r``, with an
+        M/G/1 factor in the low period B (``eb``).  Where the visit clears the
+        high class, B is B* and a high customer present adds its busy period."""
+        if 0 in self.cleared:
+            u, c_b = self._completion(r, w)
+        else:
+            u = r.complement(self.svc_h, w) if self.lam_h > 0.0 else 0.0
+            c_b = r.complement(self.svc_l, w)
+        rho_b = self.rho_l / self._stretch
         at_w = r.gf_complement(u, w / self.lam_l)
-        den = 1.0 - rho_star * r.residual(c_star, w, self.svc_l.mean / (1.0 - self.rho_h))
-        if self.disc == MIXED:
-            return r.residual(at_w - r.gf_complement(u, c_star), w, self.ec) / den
-        # exhaustive: both coordinates span the intervisit time
-        p = (1.0 - rho_star) / den
-        return p * (1.0 - self.rho_h) * r.residual(at_w, w, self.ei)
+        den = 1.0 - rho_b * r.residual(c_b, w, self.eb)
+        if 1 in self.kept:
+            # the residual cycle, less the periods of every high arrival and
+            # of the earlier low arrivals of the customer's own cycle
+            return r.residual(at_w - r.gf_complement(u, c_b), w, self.ec) / den
+        # both coordinates span the intervisit time
+        return (1.0 - rho_b) / den * self._stretch * r.residual(at_w, w, self.ei)
 
     def wait_high_complement(self, omega: float) -> float:
         """1 - LST of the high-priority waiting time (``wait_high``)."""

@@ -5,6 +5,7 @@ import json
 import math
 import operator
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -134,6 +135,14 @@ def test_reduction_tiny_high_class_matches_gated():
         gated.mean_wait(0, "L"), rel=1e-4)
     assert mixed.mean_wait(1, "L") == pytest.approx(
         gated.mean_wait(1, "L"), rel=1e-4)
+    # with no high class at all, a mixed visit keeps the low class as a gated
+    # one does, and one rule gives every float bit for bit
+    no_high = Analyzer(PollingModel(
+        queues=(QueueSpec(0.0, 0.4, None, Exponential(1.0), MIXED),
+                QueueSpec(0.0, 0.2, None, Exponential(1.0), GATED)),
+        switchovers=(Exponential(1.0), Exponential(1.0))))
+    assert ([(r.mean_wait, r.var_wait, r.mean_qlen) for r in no_high.report().classes]
+            == [(r.mean_wait, r.var_wait, r.mean_qlen) for r in gated.report().classes])
 
 
 def test_reduction_tiny_low_class_matches_exhaustive():
@@ -358,6 +367,16 @@ def test_pcl_check_with_given_waits_checks_the_moments():
     waits = {(0, "H"): 1.0, (0, "L"): 1.0, (1, "L"): 1.0}
     with pytest.raises(OutOfRange, match="a service or switch-over"):
         pcl_check(model, waits=waits)
+
+
+@pytest.mark.parametrize("waits", [{(5, "Q"): 1.0}, {(1, "H"): 1.0}, {(0, "L"): math.nan},
+                                   {(0, "H"): math.inf}],
+                         ids=["no-such-class", "absent-class", "nan", "inf"])
+def test_pcl_check_rejects_given_waits_of_no_class_or_not_finite(waits):
+    # the key is named, not silently ignored or passed through as a residual
+    key = next(iter(waits))
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        pcl_check(example1(), waits=waits)
 
 
 @pytest.mark.parametrize("op", ["add", "sub", "mul", "truediv"])

@@ -1,13 +1,16 @@
 """Model validation, derived rates and JSON schema handling."""
 
+import ast
 import dataclasses
 import json
 import math
+import pathlib
 
 import pytest
 
 from zoo import example1, example2
-from priopoll import (GATED, Distribution, Erlang, Exponential, Hyperexponential,
+import priopoll
+from priopoll import (DISCIPLINES, GATED, Distribution, Erlang, Exponential, Hyperexponential,
                       NonpositiveParameter, PollingModel, QueueSpec, Uniform,
                       UnstableSystem, ZeroSwitchover, Deterministic,
                       load_model, model_from_config, model_to_config, validate)
@@ -191,3 +194,21 @@ def test_replace_discipline():
     m = example1("gated").replace_discipline(0, "exhaustive")
     assert m.queues[0].discipline == "exhaustive"
     assert m.queues[1].discipline == "gated"
+
+
+@pytest.mark.parametrize("module", ["analytic", "gf", "transforms", "sim", "busyperiod",
+                                    "moments"])
+def test_engine_modules_mention_no_discipline(module):
+    # model.py's claim: every discipline-specific rule of the analysis and
+    # the simulator reads CLEARED, so these modules name no discipline and
+    # hold no discipline string (cli prints the names, and vacation keeps one
+    # closed form per discipline)
+    names = {"GATED", "EXHAUSTIVE", "MIXED", "DISCIPLINES"}
+    path = pathlib.Path(priopoll.__file__).parent / f"{module}.py"
+    found = [(node.lineno, ast.unparse(node))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Name) and node.id in names
+             or isinstance(node, ast.Attribute) and node.attr in names
+             or isinstance(node, ast.alias) and node.name in names
+             or isinstance(node, ast.Constant) and node.value in DISCIPLINES]
+    assert found == []
