@@ -96,7 +96,7 @@ from textwrap import indent
 
 import numpy as np
 
-from .errors import OutOfRange
+from .errors import NoConvergence, OutOfRange
 from .model import CLEARED, PollingModel, validate
 
 __all__ = ["Event", "SimStats", "run", "replicate"]
@@ -153,35 +153,26 @@ class _RepResult:
 
 def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
               trace: bool = False) -> _RepResult:
-    # a clock that cannot advance by the shortest mean time would never end
-    horizon = n_cycles * validate(model).mean_cycle
-    means = [d.mean for d in model.switchovers]
-    for q in model.queues:
-        for _, _, rate, dist in q.classes:
-            means += dist.mean, 1.0 / rate
-    shortest = min(m for m in means if m > 0.0)
-    if horizon + shortest == horizon:
-        raise OutOfRange(f"the simulator's clock cannot advance a horizon of "
-                         f"{horizon:.3g} by the model's shortest mean time {shortest:.3g}")
+    """One replication of a model that ``_customers`` has checked."""
     n = model.n
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     # per queue: arr_h, arr_l, svc_h, svc_l, swo
     rngs = [np.random.default_rng(c) for c in ss.spawn(5 * n)]
 
     # per queue: its classes' arrival and service streams and its switch-over
-    # stream; an absent class arrives at inf, so no visit serves it
-    queues = []
+    # stream, and the kernel key: each class absent, kept or cleared.  An
+    # absent class arrives at inf, and no cycle reads its streams
+    queues, rules = [], []
     for j, q in enumerate(model.queues):
-        streams = [repeat(math.inf)] * 4
+        streams, rule = [repeat(math.inf)] * 4, ["absent", "absent"]
         for c, _, rate, dist in q.classes:
             streams[c] = _arrivals(rngs[5 * j + c], 1.0 / rate)
             streams[2 + c] = _stream(dist.sample_block, rngs[5 * j + 2 + c])
+            rule[c] = "cleared" if c in CLEARED[q.discipline] else "kept"
         queues.append((*streams, _stream(model.switchovers[j].sample_block, rngs[5 * j + 4])))
-
-    cleared = tuple((0 in CLEARED[q.discipline], 1 in CLEARED[q.discipline])
-                    for q in model.queues)
+        rules.append(tuple(rule))
     events = []
-    return _RepResult(*_kernel(cleared, trace)(queues, n_cycles, warmup_cycles, events),
+    return _RepResult(*_kernel(tuple(rules), trace)(queues, n_cycles, warmup_cycles, events),
                       events)
 
 
@@ -192,7 +183,8 @@ def _simulate(model: PollingModel, seed, n_cycles: int, warmup_cycles: int,
 # (nh, nl), the wait tally (count n, sum s, sum of squares s2) and the
 # queue-length area (a); the last visit's beginning pb and end pe; the cycle
 # (c), intervisit (g) and visit (v) tallies; the visit-beginning state sums
-# (sh, sl, shl).  Each field maps to its value before the first cycle.
+# (sh, sl, shl).  Each field maps to its value before the first cycle, which
+# an absent class's fields keep.
 _FIELDS = {"nh": "next(arr_h_{j})", "hn": "0", "hs": "zero", "hs2": "zero", "ha": "zero",
            "nl": "next(arr_l_{j})", "ln": "0", "ls": "zero", "ls2": "zero", "la": "zero",
            "pb": "-inf", "pe": "-inf",
@@ -201,12 +193,14 @@ _FIELDS = {"nh": "next(arr_h_{j})", "hn": "0", "hs": "zero", "hs2": "zero", "ha"
 
 # ``_render`` fills {load} and {fields} with one copy per queue of the
 # templates below, {close} with queue 0's cycle ``_PERIOD`` and a ``_CLOSE``
-# per queue and class, and {warmup}, {boundary} and {steady} with one cycle:
-# a ``_VISIT`` per queue, rendered for its phase by ``_phase``, which reads
-# the lines marked "# window" (a test of the measurement window) and
-# "# tally" (a line that only keeps a tally).  Lines marked "# trace" are
-# kept only in a traced kernel.  Float constants come in as names (inf,
-# zero), never as literals, so the source depends on nothing but the key.
+# per present class, {uncount} and {count} with the counts that the steady
+# loop derives (``_COUNT``), and {warmup}, {boundary} and {steady} with one
+# cycle: a ``_VISIT`` per queue, rendered for its phase by ``_phase``, which
+# reads the lines marked "# window" (a test of the measurement window),
+# "# tally" (a line that only keeps a tally) and "# count" (a count that the
+# steady loop derives).  Lines marked "# trace" are kept only in a traced
+# kernel.  Float constants come in as names (inf, zero), never as literals,
+# so the source depends on nothing but the key.
 _LOOP = """\
 def kernel(queues, n_cycles, warmup_cycles, events):
     append = events.append  # trace
@@ -216,8 +210,11 @@ def kernel(queues, n_cycles, warmup_cycles, events):
 {warmup}\
     t_warm = t  # cycle warmup_cycles opens the measurement window [t_warm, inf)
 {boundary}\
+{uncount}\
     for _ in range(warmup_cycles + 1, n_cycles):
 {steady}\
+    cycles = n_cycles - warmup_cycles - 1
+{count}\
     # the final queue-0 visit beginning closes queue 0's last measured cycle
 {close}\
     return [{fields}], busy, t_warm, t
@@ -228,10 +225,11 @@ _LOAD = ("    arr_h_{j}, arr_l_{j}, svc_h_{j}, svc_l_{j}, swo_{j} = queues[{j}]\
          + ", ".join(f"{f}_{{j}}" for f in _FIELDS) + " = " + ", ".join(_FIELDS.values()) + "\n")
 
 # class c (h high, l low) of queue j, served straight from the stream while
-# the next arrival is before the bound: the gate t_vb or, if the visit clears
-# the class, now (t).  x{c} counts those that arrived before the gate, the
-# visit-beginning state ({gate} tests it only where the bound is t).  A wait
-# is tallied if the customer arrived in the window; the area runs from the
+# the next arrival is before the bound: the gate t_vb where the visit keeps
+# the class, now (t) where it clears it.  {state} counts in x{c} those that
+# arrived before the gate, the visit-beginning state: every customer of a
+# kept class, and none of the highs that a low's {inner} serves.  A wait is
+# tallied if the customer arrived in the window; the area runs from the
 # later of its arrival and t_warm, after {inner}: a low stays in system
 # until the highs that arrived during its service are done.
 _SERVE = """\
@@ -239,12 +237,12 @@ while n{c}_{j} < {bound}:
     a{c} = n{c}_{j}
     n{c}_{j} = next(arr_{c}_{j})
     dur = next(svc_{c}_{j})
-    {gate}x{c} += 1  # tally
+{state}\
     append(Event(t, "service_start", len(events), {j}, "{label}", a{c}))  # trace
     append(Event(t + dur, "service_end", len(events), {j}, "{label}", a{c}))  # trace
     if a{c} >= t_warm:  # window
         w = t - a{c}
-        {c}n_{j} += 1
+        {c}n_{j} += 1{count}
         {c}s_{j} += w
         {c}s2_{j} += w * w
     else:  # window
@@ -260,32 +258,44 @@ while n{c}_{j} < {bound}:
 _PERIOD = """\
 if {begin}_{j} >= t_warm:  # window
     x = t - {begin}_{j}
-    {p}n_{j} += 1
+    {p}n_{j} += 1  # count
     {p}s_{j} += x
     {p}s2_{j} += x * x
 """
 
-# one visit to queue j: the period tallies, then the highs, then the lows
+# one visit to queue j: the period tallies, then its present classes ({xs}
+# their states), then the visit tally and the state sums ({sums})
 _VISIT = """\
 # ---- queue {j}: visit beginning
 t_vb = t
 {periods}\
 append(Event(t, "visit_begin", len(events), {j}))  # trace
-xh = xl = 0  # tally
+{xs} = 0  # tally
 {serve}\
 # ---- queue {j}: visit end
 x = t - t_vb  # tally
-vn_{j} += 1  # tally
+vn_{j} += 1  # count
 vs_{j} += x  # tally
 vs2_{j} += x * x  # tally
-sh_{j} += xh  # tally
-sl_{j} += xl  # tally
-shl_{j} += xh * xl  # tally
+{sums}\
 pb_{j} = t_vb
 pe_{j} = t
 t += next(swo_{j})
 append(Event(t, "switch_end", len(events), {next_j}))  # trace
 """
+
+# the counts that the steady loop leaves out: each of its cycles adds one to
+# every queue's cycle, intervisit and visit count.  At a kept class every
+# customer it serves arrived before the gate and inside the window, so the
+# wait count grows as the state sum s{c}: {uncount} takes the sum before the
+# loop ("-"), {count} adds it after the loop ("+").  A state sum is a float
+# that holds a whole number, exactly below 2**53, so each count stays an int.
+_COUNT = """\
+    cn_{j} += cycles
+    gn_{j} += cycles
+    vn_{j} += cycles
+"""
+_KEPT_COUNT = "    {c}n_{j} {op}= int(s{c}_{j})\n"
 
 # customers of class c still in system add queue-length area up to the end;
 # each arrived after its queue's last gate, inside the window
@@ -298,12 +308,13 @@ _CLOSE = """\
 _RETURN = "dict(" + ", ".join(f"{f}={f}_{{j}}" for f in _FIELDS) + "), "
 
 
-def _phase(cycle: str, window_open: bool) -> str:
+def _phase(cycle: str, window_open: bool, counted: bool = True) -> str:
     """``cycle`` for a run phase in which every ``# window`` test reads
     ``window_open``: the test goes, and its branch stays, one level less
     indented, if taken.  In the warm-up (``window_open`` false), so do the
-    ``# tally`` lines: every tally still holds its start value when the
-    window opens."""
+    ``# tally`` and ``# count`` lines: every tally still holds its start
+    value when the window opens.  Where ``counted`` is false (the steady
+    loop), the ``# count`` lines go too: ``_COUNT`` derives them."""
     out, test = [], None  # test: (depth, taken) of the window test being read
     for line in cycle.splitlines(True):
         depth = len(line) - len(line.lstrip(" "))
@@ -316,14 +327,17 @@ def _phase(cycle: str, window_open: bool) -> str:
             continue
         else:
             test = None
+        if line.endswith("# count\n") and not (window_open and counted):
+            continue
         if window_open or not line.endswith("# tally\n"):
             out.append(line)
     return "".join(out)
 
 
-def _render(cleared: tuple, trace: bool) -> str:
-    """Source of the simulation kernel: ``cleared[j]`` flags (high, low) the
-    classes that queue j's visits clear, and ``trace`` adds the trace events.
+def _render(rules: tuple, trace: bool) -> str:
+    """Source of the simulation kernel: ``rules[j]`` holds the (high, low)
+    classes of queue j, each "absent", "kept" or "cleared" by its visits,
+    and ``trace`` adds the trace events.  Every queue has a present class.
 
     The function it defines, ``kernel(queues, n_cycles, warmup_cycles,
     events)``, runs one replication of ``n_cycles`` cycles over ``queues``
@@ -332,41 +346,57 @@ def _render(cleared: tuple, trace: bool) -> str:
     dict, the busy time, the start of the measurement window and the clock.
 
     Each rule is one template, filled per queue and class: ``_SERVE`` (a
-    low's holds the high one where the visit clears the high class),
-    ``_PERIOD`` (the cycle and intervisit tallies, and the epilogue's close
-    of queue 0's last cycle) and ``_CLOSE``.  One cycle of visits is
-    rendered three times, by ``_phase``: the warm-up cycles keep no tally
-    and test no window; cycle ``warmup_cycles``, which opens the window,
-    tests it as written; every later cycle tallies without a test, since
-    each queue's visit in the opening cycle begins inside the window and
-    leaves only customers who arrived after its gate.
+    low's holds the high one where the visit clears the high class, without
+    the state count, since every high that arrived before the gate is
+    served before the first low), ``_PERIOD`` (the cycle and intervisit
+    tallies, and the epilogue's close of queue 0's last cycle), ``_COUNT``
+    and ``_CLOSE``.  An absent class renders nothing: no serve loop, state
+    or close.  One cycle of visits is rendered three times, by ``_phase``:
+    the warm-up cycles keep no tally and test no window; cycle
+    ``warmup_cycles``, which opens the window, tests it as written; every
+    later cycle tallies without a test, since each queue's visit in the
+    opening cycle begins inside the window and leaves only customers who
+    arrived after its gate, and keeps no count that ``_COUNT`` derives.
     """
-    n = len(cleared)
+    n = len(rules)
 
     def each(template):
         return "".join(template.format(j=j) for j in range(n))
 
-    def serve(j, c, clears, inner=""):
-        return _SERVE.format(j=j, c=c, label=c.upper(), bound="t" if clears else "t_vb",
-                             gate=f"if a{c} < t_vb: " if clears else "", inner=inner)
+    def serve(j, c, rule, nested=False, inner=""):
+        kept = rule == "kept"
+        gate = "" if kept else f"if a{c} < t_vb: "
+        return _SERVE.format(j=j, c=c, label=c.upper(), bound="t_vb" if kept else "t",
+                             state="" if nested else f"    {gate}x{c} += 1  # tally\n",
+                             count="  # count" if kept else "", inner=inner)
 
     def cycle_tally(j):
         return _PERIOD.format(j=j, begin="pb", p="c")
 
     cycle = []
-    for j, (h, l) in enumerate(cleared):
-        highs = serve(j, "h", h)
+    for j, (h, l) in enumerate(rules):
+        present = [(c, rule) for c, rule in zip("hl", (h, l)) if rule != "absent"]
+        inner = indent(serve(j, "h", h, nested=True), " " * 4) if h == "cleared" else ""
+        sums = "".join(f"s{c}_{j} += x{c}  # tally\n" for c, _ in present)
         cycle.append(_VISIT.format(
             j=j, next_j=(j + 1) % n,
             periods=cycle_tally(j) + _PERIOD.format(j=j, begin="pe", p="g"),
-            serve=highs + serve(j, "l", l, indent(highs, "    ") if h else "")))
+            xs=" = ".join(f"x{c}" for c, _ in present),
+            serve="".join(serve(j, c, rule, inner=inner if c == "l" else "")
+                          for c, rule in present),
+            sums=sums + (f"shl_{j} += xh * xl  # tally\n" if len(present) == 2 else "")))
     cycle = "".join(cycle)
+    kept = [(j, c) for j, rule in enumerate(rules) for c, r in zip("hl", rule) if r == "kept"]
     close = indent(_phase(cycle_tally(0), True), " " * 4) + "".join(
-        _CLOSE.format(j=j, c=c) for j in range(n) for c in "hl")
-    source = _LOOP.format(load=each(_LOAD), warmup=indent(_phase(cycle, False), " " * 8),
-                          boundary=indent(cycle, " " * 4),
-                          steady=indent(_phase(cycle, True), " " * 8),
-                          close=close, fields=each(_RETURN))
+        _CLOSE.format(j=j, c=c) for j, rule in enumerate(rules)
+        for c, r in zip("hl", rule) if r != "absent")
+    source = _LOOP.format(
+        load=each(_LOAD), warmup=indent(_phase(cycle, False), " " * 8),
+        boundary=indent(cycle, " " * 4),
+        uncount="".join(_KEPT_COUNT.format(j=j, c=c, op="-") for j, c in kept),
+        steady=indent(_phase(cycle, True, counted=False), " " * 8),
+        count=each(_COUNT) + "".join(_KEPT_COUNT.format(j=j, c=c, op="+") for j, c in kept),
+        close=close, fields=each(_RETURN))
     if trace:
         return source
     return "".join(line for line in source.splitlines(True)
@@ -374,11 +404,11 @@ def _render(cleared: tuple, trace: bool) -> str:
 
 
 @lru_cache(maxsize=64)
-def _kernel(cleared: tuple, trace: bool):
-    """``_render(cleared, trace)`` compiled; one per model structure, since
+def _kernel(rules: tuple, trace: bool):
+    """``_render(rules, trace)`` compiled; one per model structure, since
     the source holds no model value."""
     namespace = {"Event": Event, "inf": math.inf, "zero": 0.0}
-    exec(compile(_render(cleared, trace), "<priopoll.sim kernel>", "exec"), namespace)
+    exec(compile(_render(rules, trace), "<priopoll.sim kernel>", "exec"), namespace)
     return namespace["kernel"]
 
 
@@ -526,6 +556,40 @@ def _warmup(n_cycles, warmup_cycles):
     return warmup_cycles
 
 
+# the most customers that ``run`` and ``replicate`` serve in one call: a time
+# bound only, as gf's ``_MAX_CYCLES`` is for ``log_value``.  At the measured
+# 2.2-2.6 million customers/s it stands for 64-76 minutes of one core
+# (Python 3.11 on a shared 2-core x86 host); a caller that wants more makes
+# more calls.  It keeps every state sum below 2**53, where a float counts
+# exactly.
+_MAX_CUSTOMERS = 1e10
+
+
+def _customers(model: PollingModel, n_reps: int, n_cycles: int) -> float:
+    """Expected customers of one run of ``n_cycles`` cycles, E(C) sum(lambda)
+    per cycle, from ``validate`` before any stream is built.
+
+    Raises OutOfRange for a horizon that the clock cannot advance by the
+    model's shortest mean time (the run would never end), and NoConvergence
+    where ``n_reps`` runs would serve more than ``_MAX_CUSTOMERS``.
+    """
+    horizon = n_cycles * validate(model).mean_cycle
+    means = [d.mean for d in model.switchovers]
+    for q in model.queues:
+        for _, _, rate, dist in q.classes:
+            means += dist.mean, 1.0 / rate
+    shortest = min(m for m in means if m > 0.0)
+    if horizon + shortest == horizon:
+        raise OutOfRange(f"the simulator's clock cannot advance a horizon of "
+                         f"{horizon:.3g} by the model's shortest mean time {shortest:.3g}")
+    customers = horizon * sum(q.lambda_high + q.lambda_low for q in model.queues)
+    if n_reps * customers > _MAX_CUSTOMERS:
+        raise NoConvergence(f"{n_reps} runs of {n_cycles} cycles would serve about "
+                            f"{n_reps * customers:.3g} customers, past the simulator's "
+                            f"bound of {_MAX_CUSTOMERS:.3g}")
+    return customers
+
+
 def run(model: PollingModel, seed: int, n_cycles: int,
         warmup_cycles: int | None = None, trace: bool = False):
     """One simulation run; warmup defaults to 10% of the requested cycles.
@@ -536,6 +600,7 @@ def run(model: PollingModel, seed: int, n_cycles: int,
     are integers with n_cycles > warmup_cycles >= 0.
     """
     warmup_cycles = _warmup(n_cycles, warmup_cycles)
+    _customers(model, 1, n_cycles)
     rep = _simulate(model, seed, n_cycles, warmup_cycles, trace=trace)
     stats = _aggregate(model, [rep], seed, n_cycles, warmup_cycles)
     if trace:
@@ -556,11 +621,10 @@ def replicate(model: PollingModel, base_seed: int, n_reps: int, n_cycles: int,
     if not (_count(n_reps) and n_reps >= 1):
         raise ValueError("n_reps must be an integer >= 1")
     warmup_cycles = _warmup(n_cycles, warmup_cycles)
+    customers = _customers(model, n_reps, n_cycles)
     children = np.random.SeedSequence(base_seed).spawn(n_reps)
     if parallel is None:
-        lam_tot = sum(q.lambda_high + q.lambda_low for q in model.queues)
-        ec = validate(model).mean_cycle
-        parallel = n_reps >= 2 and n_cycles * ec * lam_tot >= 2e6
+        parallel = n_reps >= 2 and customers >= 2e6
     args = (repeat(model), children, repeat(n_cycles), repeat(warmup_cycles))
     workers = min(n_reps, os.cpu_count() or 1) if parallel else 1
     if workers > 1:

@@ -309,6 +309,21 @@ def test_simulate_horizon_past_the_clock_exit_code(tmp_path, capsys):
     assert captured.err.startswith("error: the simulator's clock")
 
 
+def test_simulate_work_past_the_bound_exit_code(tmp_path, capsys):
+    # example1 at 1 - rho = 1e-6: the default 10 x 100k cycles would serve
+    # about 2e12 customers
+    cfg = json.loads((DATA / "example1.json").read_text())
+    for q in cfg["queues"]:
+        q["lambda_high"] *= (1.0 - 1e-6) / 0.8
+        q["lambda_low"] *= (1.0 - 1e-6) / 0.8
+    path = tmp_path / "near_saturation.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["simulate", "--model", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "2e+12 customers" in captured.err
+
+
 def test_error_without_an_exit_code_of_its_own(monkeypatch, capsys):
     # every PriopollError is caught: one without a code of its own exits 1
     def fail(args):

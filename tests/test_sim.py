@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import pathlib
+import time
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ import pytest
 from zoo import (drawn_golden_models, example1, example2, huge_switchover, random_model,
                  single_vacation_queue, time_scaled_probe, zero_time_tail)
 from priopoll import (Analyzer, Deterministic, EXHAUSTIVE, Erlang, Exponential,
-                      GATED, Hyperexponential, MIXED, OutOfRange, PollingModel,
-                      QueueSpec, Uniform, replicate, run)
+                      GATED, Hyperexponential, MIXED, NoConvergence, OutOfRange,
+                      PollingModel, QueueSpec, Uniform, replicate, run)
 
 
 def test_bit_reproducible():
@@ -325,19 +326,29 @@ def test_trace_does_not_perturb_runs(build):
 
 
 def test_kernel_is_compiled_once_per_structure():
-    # the cycle loop's source depends on which classes each visit clears and
-    # on trace alone: a model with other rates and families, the same
-    # disciplines, runs the kernel compiled for the first
+    # the kernel's source depends on whether each class is absent, kept or
+    # cleared, and on trace alone: a model with other rates and families, the
+    # same disciplines, runs the kernel compiled for the first; so does one
+    # whose single-class queue is mixed, since with no high class a mixed
+    # visit keeps its lows as a gated one does; a high class there is a new key
     from priopoll.sim import _kernel
+    _kernel.cache_clear()
     run(example1(MIXED), seed=1, n_cycles=50)
-    info = _kernel.cache_info()
     other = PollingModel(
         queues=(QueueSpec(0.1, 0.3, Erlang(2, 0.5), Uniform(0.5, 1.5), MIXED),
                 QueueSpec(0.0, 0.3, None, Deterministic(1.0), GATED)),
         switchovers=(Hyperexponential((0.3, 0.7), (0.5, 2.0)), Deterministic(2.0)))
     run(other, seed=1, n_cycles=50)
-    assert _kernel.cache_info().hits == info.hits + 1
-    assert _kernel.cache_info().misses == info.misses
+    run(other.replace_discipline(1, MIXED), seed=1, n_cycles=50)
+    assert _kernel.cache_info()[:2] == (2, 1)  # hits, misses
+    high = dataclasses.replace(other.queues[1], lambda_high=0.1, service_high=Exponential(1.0))
+    run(PollingModel((other.queues[0], high), other.switchovers), seed=1, n_cycles=50)
+    assert _kernel.cache_info()[:2] == (2, 2)
+
+
+# one queue per kept, cleared or absent pair that a discipline gives
+_RULES = (("kept", "kept"), ("cleared", "kept"), ("cleared", "cleared"), ("absent", "kept"),
+          ("absent", "cleared"), ("kept", "absent"), ("cleared", "absent")) * 2
 
 
 @pytest.mark.parametrize("trace", [False, True])
@@ -345,41 +356,82 @@ def test_kernel_source_holds_no_model_value(trace):
     # no float literal, and every integer is a queue index
     import ast
     from priopoll.sim import _render
-    cleared = ((False, False), (True, False), (True, True)) * 4
-    constants = [node.value for node in ast.walk(ast.parse(_render(cleared, trace)))
+    constants = [node.value for node in ast.walk(ast.parse(_render(_RULES, trace)))
                  if isinstance(node, ast.Constant)]
     assert not [c for c in constants if isinstance(c, float)]
-    assert {c for c in constants if isinstance(c, int)} <= set(range(len(cleared)))
+    assert {c for c in constants if isinstance(c, int)} <= set(range(len(_RULES)))
+
+
+def _names(nodes):
+    import ast
+    return {n.id for node in nodes for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def _assigned(nodes):
+    import ast
+    return {name.id for node in nodes for stmt in ast.walk(node)
+            if isinstance(stmt, (ast.Assign, ast.AugAssign))
+            for target in getattr(stmt, "targets", [getattr(stmt, "target", None)])
+            for name in ast.walk(target) if isinstance(name, ast.Name)}
 
 
 @pytest.mark.parametrize("trace", [False, True])
 def test_kernel_phases_skip_what_cannot_happen(trace):
     # the warm-up loop assigns no tally field (every one keeps its start value
-    # until the window opens), the loop after the opening cycle never reads
-    # t_warm, and only a visit that clears the high class serves highs after
-    # each low
+    # until the window opens); the loop after the opening cycle never reads
+    # t_warm and counts no cycle, intervisit or visit, nor a kept class's
+    # waits; only a visit that clears the high class serves highs after each
+    # low, and that inner loop tests no gate; no cycle reads an absent
+    # class's streams
     import ast
     from priopoll.sim import _FIELDS, _render
-    cleared = ((False, False), (True, False), (True, True)) * 4
-    kernel = ast.parse(_render(cleared, trace)).body[0]
+    n = len(_RULES)
+    kernel = ast.parse(_render(_RULES, trace)).body[0]
     warmup, steady = [node for node in kernel.body if isinstance(node, ast.For)]
     assert ast.unparse(warmup.iter) == "range(warmup_cycles)"
     assert ast.unparse(steady.iter) == "range(warmup_cycles + 1, n_cycles)"
     tallies = {f"{f}_{j}" for f in _FIELDS if f not in ("nh", "nl", "pb", "pe")
-               for j in range(len(cleared))} | {"busy"}
-    assigned = {name.id for node in ast.walk(warmup)
-                if isinstance(node, (ast.Assign, ast.AugAssign))
-                for target in getattr(node, "targets", [getattr(node, "target", None)])
-                for name in ast.walk(target) if isinstance(name, ast.Name)}
-    assert "nh_0" in assigned and not assigned & tallies
-    assert "t_warm" not in {n.id for n in ast.walk(steady) if isinstance(n, ast.Name)}
+               for j in range(n)} | {"busy"}
+    assigned = _assigned([warmup])
+    assert "nl_0" in assigned and not assigned & tallies
+    assert "t_warm" not in _names([steady])
+    counted = {f"{f}_{j}" for f in ("cn", "gn", "vn") for j in range(n)}
+    counted |= {f"{c}n_{j}" for j, rule in enumerate(_RULES)
+                for c, r in zip("hl", rule) if r == "kept"}
+    assert not _assigned([steady]) & counted
+    assert {f"{c}n_{j}" for j, rule in enumerate(_RULES) for c, r in zip("hl", rule)
+            if r == "cleared"} <= _assigned([steady])
     low_loops = [node for node in ast.walk(kernel) if isinstance(node, ast.While)
                  and ast.unparse(node.body[0]).startswith("al = ")]
-    assert len(low_loops) == 3 * len(cleared)  # one per queue and phase
+    assert len(low_loops) == 3 * sum(l != "absent" for _, l in _RULES)  # per queue and phase
     for loop in low_loops:
         j = int(ast.unparse(loop.test).split()[0][len("nl_"):])
         inner = [node for node in ast.walk(loop) if isinstance(node, ast.While)][1:]
-        assert len(inner) == cleared[j][0], ast.unparse(loop.test)
+        assert len(inner) == (_RULES[j][0] == "cleared"), ast.unparse(loop.test)
+        assert not _names(inner) & {"t_vb", "xh"}, ast.unparse(loop.test)
+    # the cycles: every statement but the prologue's loads and the return
+    cycles = [stmt for stmt in kernel.body if not isinstance(stmt, ast.Return)
+              and not (isinstance(stmt, ast.Assign) and isinstance(stmt.targets[0], ast.Tuple))]
+    absent = {f"{name}_{c}_{j}" for j, rule in enumerate(_RULES) for c, r in zip("hl", rule)
+              if r == "absent" for name in ("arr", "svc")}
+    absent |= {f"n{c}_{j}" for j, rule in enumerate(_RULES) for c, r in zip("hl", rule)
+               if r == "absent"}
+    assert _names(cycles) >= {"arr_h_0", "svc_l_0", "nh_0"}
+    assert len(absent) == 3 * 8 and not _names(cycles) & absent
+
+
+@pytest.mark.parametrize("build,warmup", [
+    (lambda: example1(MIXED), 20),
+    (lambda: example2(GATED, EXHAUSTIVE), 20),
+    (lambda: single_vacation_queue(GATED, lam_l=0.0), 199),  # no steady cycle
+    (dict(_GOLDEN_MODELS)["random_n12"], 0),
+], ids=["example1_mixed", "example2_gated_exhaustive", "single_high_gated", "random_n12"])
+def test_counts_are_ints(build, warmup):
+    # the counts that the kernel derives after its steady loop stay ints
+    from priopoll.sim import _simulate
+    for fields in _simulate(build(), 3, 200, warmup).queues:
+        for name in ("hn", "ln", "cn", "gn", "vn"):
+            assert type(fields[name]) is int, name
 
 
 def test_arrivals_are_the_running_sum_of_gap_blocks():
@@ -616,6 +668,36 @@ def test_horizon_past_the_clock_is_a_typed_error():
     # service, so the run would never end
     with pytest.raises(OutOfRange, match="clock"):
         run(huge_switchover(), seed=1, n_cycles=200)
+
+
+def near_saturation(gap):
+    """example1 with its rates scaled to a load of 1 - gap."""
+    m = example1(MIXED)
+    k = (1.0 - gap) / 0.8
+    return PollingModel(tuple(dataclasses.replace(q, lambda_high=q.lambda_high * k,
+                                                  lambda_low=q.lambda_low * k)
+                              for q in m.queues), m.switchovers)
+
+
+def test_work_past_the_bound_is_refused_before_it_starts(monkeypatch):
+    # at 1 - rho = 1e-6, E(C) = 2e6: simulate's defaults (10 x 100k cycles)
+    # would serve about 2e12 customers, days of work; the check raises
+    # before any stream is built
+    from priopoll import sim
+    m = near_saturation(1e-6)
+
+    def build(*args, **kwargs):
+        raise AssertionError("a replication started")
+
+    monkeypatch.setattr(sim, "_simulate", build)
+    start = time.perf_counter()
+    with pytest.raises(NoConvergence, match=r"10 runs of 100000 cycles .* 2e\+12 customers"):
+        replicate(m, 1, n_reps=10, n_cycles=100_000)
+    with pytest.raises(NoConvergence, match=r"1 runs of 100000 cycles"):
+        run(m, 1, n_cycles=100_000)
+    assert time.perf_counter() - start < 0.05
+    # criterion 4's heaviest run serves about 1.8e8 customers
+    assert sim._customers(example2(MIXED, MIXED), 10, 100_000) * 10 < sim._MAX_CUSTOMERS / 50
 
 
 @pytest.mark.parametrize("s", [1e-110, 1e90])
