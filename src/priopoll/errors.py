@@ -22,7 +22,8 @@ class UnstableSystem(PriopollError):
 
 
 class NoConvergence(PriopollError):
-    """A fixed-point or product iteration hit its cap without converging."""
+    """A fixed-point or product iteration hit its cap without converging,
+    or a simulation's expected work passes the simulator's cap."""
 
 
 class OutOfRange(PriopollError):

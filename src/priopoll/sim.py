@@ -49,26 +49,30 @@ Everything a visit reads and writes about its queue is one of the queue's
 the previous visit's beginning and end, the cycle, intervisit and visit
 tallies and the visit-beginning state sums.  A whole replication runs in one
 function, rendered (``_render``) per model structure, keyed on what the
-loop branches on: each queue's two ``CLEARED`` flags, and whether the run is
-traced.  The rendered kernel keeps every field in a local variable
-(``nh_0``, ``hs_0``, ...) that its prologue sets to the field's start value
-and unrolls the queues inside the cycle loop.  Each rule is written once: a
-visit runs the period block for the cycle and intervisit period that end at
-its beginning, then the serve block for the highs and the lows, each with
-its bound written out as the gate ``t_vb`` or the current instant ``t``.  A
-low's block holds the high block only where the visit clears the high
-class, since under gated service no high can overtake a low.  The trace
-events are rendered only into a traced kernel.  Its epilogue closes queue
-0's last cycle with the period block, adds the area of the customers still
-in system with a close block per queue and class, and returns each queue's
-fields as a dict keyed by name: ``_RepResult`` holds them, and
-``_aggregate`` reads them by name to merge runs.  The source holds
-identifiers and queue indices, never a model value (even its float
-constants come in as names), so ``_kernel`` compiles it once per key and
-caches the compiled code, never a result.  Rendering and compiling take
-about 2-2.3 ms at N = 2, 13-14 ms at N = 12, 36-39 ms at N = 32 and 114-120
-ms at N = 100, a third to a half more when traced (medians of seven in two
-runs, Python 3.11 on a shared 2-core x86 host).
+loop branches on: each class of each queue, absent, kept or cleared by its
+visits, and whether the run is traced.  The rendered kernel keeps every
+field in a local variable (``nh_0``, ``hs_0``, ...) that its prologue sets
+to the field's start value and unrolls the queues inside the cycle loop.
+Each rule is written once: a visit runs the period block for the cycle and
+intervisit period that end at its beginning, then the serve block for the
+highs and the lows, each with its bound written out as the gate ``t_vb`` or
+the current instant ``t``.  A low's block holds the high block only where
+the visit clears the high class, since under gated service no high can
+overtake a low, and that inner block tests no gate: every high that arrived
+before the gate is served before the first low.  An absent class renders
+nothing (no serve block, state tally or close block), and its fields keep
+their start values.  The trace events are rendered only into a traced
+kernel.  Its epilogue closes queue 0's last cycle with the period block,
+adds the area of the customers still in system with a close block per
+present class, and returns each queue's fields as a dict keyed by name:
+``_RepResult`` holds them, and ``_aggregate`` reads them by name to merge
+runs.  The source holds identifiers and queue indices, never a model value
+(even its float constants come in as names), so ``_kernel`` compiles it once
+per key and caches the compiled code, never a result.  Rendering and
+compiling take about 2.5 ms at N = 2, 17 ms at N = 12, 30 ms at N = 32 and
+100 ms at N = 100 with both classes at every queue, up to a half more when
+traced (medians of seven, Python 3.11 on a shared 2-core x86 host with a
+benchmark running on the other core).
 
 The measurement window [t_warm, inf) opens at the clock of cycle
 ``warmup_cycles``, and the kernel renders one cycle three times, once per
@@ -81,6 +85,14 @@ max(arrival, t_warm)``.  The later cycles need no test: each queue's visit
 in the opening cycle begins at or after t_warm and serves every customer
 that arrived before its gate, so every customer served after it arrived
 inside the window, and every previous visit beginning and end is inside it.
+Nor do they count what their number gives: each adds one to every queue's
+cycle, intervisit and visit count, and a kept class's wait count grows as
+its state sum, since each customer they serve there arrived before the
+gate.  The kernel adds these counts once, after the loop, as ints.
+
+``run`` and ``replicate`` check a call's expected work, E(C) sum(lambda)
+customers per cycle, before any stream is built (``_customers``), and raise
+``NoConvergence`` past ``_MAX_CUSTOMERS``, about an hour of one core.
 """
 
 from __future__ import annotations
@@ -597,7 +609,8 @@ def run(model: PollingModel, seed: int, n_cycles: int,
     Returns SimStats (confidence half-widths are nan with one replication).
     With ``trace=True`` returns (SimStats, list[Event]) for serve-order
     inspection on short horizons.  Raises ValueError unless the cycle counts
-    are integers with n_cycles > warmup_cycles >= 0.
+    are integers with n_cycles > warmup_cycles >= 0, and NoConvergence where
+    the run's expected customers pass ``_MAX_CUSTOMERS`` (1e10).
     """
     warmup_cycles = _warmup(n_cycles, warmup_cycles)
     _customers(model, 1, n_cycles)
@@ -616,7 +629,9 @@ def replicate(model: PollingModel, base_seed: int, n_reps: int, n_cycles: int,
     Replications run in worker processes when ``parallel`` is true (default:
     enabled for heavy workloads); results are merged in replication order so
     the output never depends on scheduling.  Raises ValueError unless n_reps
-    is an integer >= 1 and the cycle counts are as ``run`` takes them.
+    is an integer >= 1 and the cycle counts are as ``run`` takes them, and
+    NoConvergence, before any replication starts, where the expected
+    customers of all of them pass ``_MAX_CUSTOMERS`` (1e10).
     """
     if not (_count(n_reps) and n_reps >= 1):
         raise ValueError("n_reps must be an integer >= 1")
