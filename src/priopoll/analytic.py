@@ -97,11 +97,11 @@ class PerfReport:
         return self._row(queue, cls).var_wait
 
 
-def _wait_name(cls: str) -> str:
-    """The name of class ``cls``'s waiting-time transform."""
+def _wait_name(cls: str) -> tuple[int, str]:
+    """Class ``cls``'s index (0 high, 1 low) and waiting-time transform name."""
     if cls not in ("H", "L"):
         raise ValueError(f"class must be 'H' or 'L', got {cls!r}")
-    return "wait_high" if cls == "H" else "wait_low"
+    return {"H": (0, "wait_high"), "L": (1, "wait_low")}[cls]
 
 
 class Analyzer:
@@ -183,7 +183,7 @@ class Analyzer:
         transform, for checks.  It shares the decomposition with
         ``mean_wait`` but none of its moments: the two check the exact
         moment layer against the GF product and the busy-period fixed point."""
-        return lst_moment(self.queues[i].handle(_wait_name(cls)), 1).value
+        return lst_moment(self.queues[i].handle(_wait_name(cls)[1]), 1).value
 
     def mean_wait(self, i: int, cls: str) -> float:
         """E(W): minus the omega^1 coefficient of the waiting-time LST."""
@@ -203,7 +203,7 @@ class Analyzer:
         every coefficient is finite, the mean positive and, at order 2, the
         variance nonnegative."""
         qt = self.queues[i]
-        name = _wait_name(cls)
+        name = _wait_name(cls)[1]
         qt.omega_max(name)  # raises without the class
         r = _SeriesReading(self, qt, order + 2)  # inputs reach one order further
         series = getattr(qt, name)(r, r.omega)
@@ -256,15 +256,13 @@ class Analyzer:
     # --------------------------------------------------------------- report
 
     def mean_qlen(self, i: int, cls: str) -> float:
-        return _little(self.queues[i], cls, self.mean_wait(i, cls))
+        return _little(self.queues[i], _wait_name(cls)[0], self.mean_wait(i, cls))
 
     def qlen_gf(self, i: int, cls: str, z: float) -> float:
-        """E[z^(number of class ``cls`` customers at queue i)], waiting or in
-        service, for z in [0, 1]: the waiting-time LST times that of the
-        service at lam (1 - z).  Where the visit clears the high class,
-        high-priority overtaking extends a low customer's service to the
-        completion time, as in ``_little``."""
-        name = _wait_name(cls)
+        """E[z^(number of class ``cls`` customers at queue i)], waiting or
+        in its period (``QueueTransforms._period``), for z in [0, 1]: the
+        waiting-time LST times 1 - the period's complement, at lam (1 - z)."""
+        c, name = _wait_name(cls)
         qt = self.queues[i]
         qt.omega_max(name)  # raises without the class
         if math.isnan(z):
@@ -273,12 +271,8 @@ class Analyzer:
             raise UnsupportedEvaluation("z must lie in [0, 1]")
         if z == 1.0:
             return 1.0
-        high = cls == "H"
-        omega = (qt.lam_h if high else qt.lam_l) * (1.0 - z)
-        wait = self.lst(i, name, omega)
-        if not high and 0 in qt.cleared:
-            return wait * self.lst(i, "completion", omega)
-        return wait * (qt.svc_h if high else qt.svc_l).lst(omega)
+        omega = (qt.lam_h, qt.lam_l)[c] * (1.0 - z)
+        return self.lst(i, name, omega) * (1.0 - qt._period(c, qt, omega)[1])
 
     def report(self, include_variances: bool = True) -> PerfReport:
         classes = []
@@ -286,12 +280,12 @@ class Analyzer:
         waits = {}
         order = 2 if include_variances else 1
         for i, qt in enumerate(self.queues):
-            for _, cls, _, _ in qt.q.classes:
+            for c, cls, _, _ in qt.q.classes:
                 series = self._wait_series(i, cls, order)
                 mean = waits[(i, cls)] = -series[1]
                 var = _variance(series) if include_variances else math.nan
                 classes.append(ClassResult(i, cls, qt.q.discipline, mean, var,
-                                           _little(qt, cls, mean)))
+                                           _little(qt, c, mean)))
             cyc2 = iv2 = cross = None
             if _available(qt, "cycle"):
                 cyc2 = self.cycle_m2(i)
@@ -322,13 +316,13 @@ def _variance(series: list) -> float:
     return 2.0 * series[2] - series[1] * series[1]
 
 
-def _little(qt, cls: str, wait: float) -> float:
-    """Mean number of class ``cls`` customers at queue qt, waiting or in
-    service (its period B for a low class), by Little's law from its mean wait."""
-    qlen = qt.lam_h * (wait + qt.svc_h.mean) if cls == "H" else qt.lam_l * (wait + qt.eb)
+def _little(qt, c: int, wait: float) -> float:
+    """Mean number of class-c customers at queue qt, waiting or in their
+    period (``QueueTransforms._period_mean``), by Little's law from the mean wait."""
+    qlen = (qt.lam_h, qt.lam_l)[c] * (wait + qt._period_mean(c))
     if not math.isfinite(qlen):
-        raise OutOfRange(f"queue {qt.i + 1} class {cls}: the mean queue length {qlen!r} "
-                         "does not fit in a float")
+        raise OutOfRange(f"queue {qt.i + 1} class {'HL'[c]}: the mean queue length "
+                         f"{qlen!r} does not fit in a float")
     return qlen
 
 

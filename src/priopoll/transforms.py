@@ -14,19 +14,22 @@ service both span the intervisit time, and under mixed service the high one
 the intervisit and the low one the cycle.  A span's transform splits the
 exponent across its classes with arrivals; with none it is unavailable.
 
-Waiting-time transforms follow the decomposition of a vacation queue: an
-M/G/1 factor for the customer's own class (in the completion time B* where
-high-priority overtaking extends a low-priority service) times a residual
-term for the periods in which the class is not served.  ``wait_high`` and
-``wait_low`` write it with one rule for a class the visit keeps (gated-like,
-over the residual cycle) and one for a class it clears, against a reading
-``r``: ``complement`` of a service or a busy period, ``gf_complement`` at
-the queue's own z-complements, ``span`` and ``residual``; plain arithmetic
-does the rest.  ``QueueTransforms`` itself is the float reading, and
-``analytic`` reads the same code as power series in omega.  The period
-evaluators return complements assembled from complement building blocks,
-so small-w differencing stays accurate; the waiting-time complements are
-1 - W, about 1e-16 off in absolute terms.
+Each class has one period B, the time its customer holds the server, and
+``_period`` and ``_period_mean`` alone say what it is: the service, but for
+a low class where the visit clears the high one, whose arrivals then pass
+the gate, the completion time B*, a low service extended by high busy
+periods.  Waiting-time transforms follow the decomposition of a vacation
+queue: an M/G/1 factor in B times a residual term for the periods in which
+the class is not served; ``analytic``'s queue lengths read B as well.
+``wait_high`` and ``wait_low`` write it with one rule for a class the visit
+keeps (gated-like, over the residual cycle) and one for a class it clears,
+against a reading ``r``: ``complement`` of a service or a busy period,
+``gf_complement`` at the queue's own z-complements, ``span`` and
+``residual``; plain arithmetic does the rest.  ``QueueTransforms`` itself
+is the float reading, and ``analytic`` reads the same code as power series
+in omega.  The period evaluators return complements assembled from
+complement building blocks, so small-w differencing stays accurate; the
+waiting-time complements are 1 - W, about 1e-16 off in absolute terms.
 
 ``QueueTransforms.omega_max(name)`` says where each float transform can be
 evaluated; every complement applies one argument rule against it, and
@@ -75,8 +78,7 @@ class QueueTransforms:
         # cleared (``GfEvaluator.spans``), and the exact moments read it once
         self.cleared = CLEARED[q.discipline]
         self.kept = tuple(c for c in (0, 1) if c not in self.cleared)
-        # the high busy periods (None without highs) stretch a low service to
-        # B*, of mean E(B_L)/(1 - rho_h), where the visit clears the high class
+        # the high busy periods (None without highs) of B* (``_period``)
         self._busy_h = BusyPeriod(q.service_high, q.lambda_high) if q.lambda_high > 0.0 else None
         self._stretch = 1.0 - self.rho_h if 0 in self.cleared else 1.0
 
@@ -177,12 +179,26 @@ class QueueTransforms:
         """1 - LST of a low service extended by high busy periods."""
         return self._completion(self, omega)[1] if self._nonzero("completion", omega) else 0.0
 
+    def _period(self, c: int, r, w):
+        """(u, b), read by ``r`` at w: b is 1 - LST of class c's period B, and
+        u that of what a high customer present adds to its wait.  B is the
+        service, and u a high service, but where the visit clears the high
+        class a low B is B* and u a high busy period."""
+        if c == 1 and 0 in self.cleared:
+            return self._completion(r, w)
+        u = r.complement(self.svc_h, w) if self.lam_h > 0.0 else 0.0
+        return u, u if c == 0 else r.complement(self.svc_l, w)
+
+    def _period_mean(self, c: int) -> float:
+        """E(B) of class c's period (``_period``): E(S_L)/(1 - rho_h) for B*."""
+        return self.svc_h.mean if c == 0 else self.svc_l.mean / self._stretch
+
     def wait_high(self, r, w):
         """LST of the high-priority waiting time at w, read by ``r``: an M/G/1
         factor times the residual cycle (kept) or vacations (cleared) that are a low
         service, weight rho_l/(1 - rho_h), or an intervisit, weight (1 - rho_i)/(1 - rho_h)."""
-        c_h = r.complement(self.svc_h, w)
-        den = 1.0 - self.rho_h * r.residual(c_h, w, self.svc_h.mean)
+        c_h = self._period(0, r, w)[1]
+        den = 1.0 - self.rho_h * r.residual(c_h, w, self._period_mean(0))
         if 0 in self.kept:
             # the residual cycle, less the services of the earlier high
             # arrivals of the customer's own cycle
@@ -195,23 +211,13 @@ class QueueTransforms:
                          * r.residual(r.complement(self.svc_l, w), w, self.svc_l.mean))
         return (1.0 - self.rho_h) * vac / den
 
-    @cached_property
-    def eb(self) -> float:
-        """E(B), the mean of a low customer's period: its service, or B*."""
-        return self.svc_l.mean / self._stretch
-
     def wait_low(self, r, w):
         """LST of the low-priority waiting time at w, read by ``r``, with an
-        M/G/1 factor in the low period B (``eb``).  Where the visit clears the
-        high class, B is B* and a high customer present adds its busy period."""
-        if 0 in self.cleared:
-            u, c_b = self._completion(r, w)
-        else:
-            u = r.complement(self.svc_h, w) if self.lam_h > 0.0 else 0.0
-            c_b = r.complement(self.svc_l, w)
+        M/G/1 factor in the low period B (``_period``) of load rho_l E(B)/E(S_L)."""
+        u, c_b = self._period(1, r, w)
         rho_b = self.rho_l / self._stretch
         at_w = r.gf_complement(u, w / self.lam_l)
-        den = 1.0 - rho_b * r.residual(c_b, w, self.eb)
+        den = 1.0 - rho_b * r.residual(c_b, w, self._period_mean(1))
         if 1 in self.kept:
             # the residual cycle, less the periods of every high arrival and
             # of the earlier low arrivals of the customer's own cycle

@@ -212,3 +212,23 @@ def test_engine_modules_mention_no_discipline(module):
              or isinstance(node, ast.alias) and node.name in names
              or isinstance(node, ast.Constant) and node.value in DISCIPLINES]
     assert found == []
+
+
+def test_analytic_holds_no_low_period_rule():
+    # "a low period is B* where the visit clears the high class" lives in
+    # QueueTransforms._period and _period_mean alone: analytic.py reads no
+    # "completion" transform and no service or period-mean attribute,
+    # qlen_gf and _little read no cleared classes, and no comparison
+    # branches on a class label
+    tree = ast.parse((pathlib.Path(priopoll.__file__).parent / "analytic.py").read_text())
+    found = [(node.lineno, ast.unparse(node)) for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and node.value == "completion"
+             or isinstance(node, ast.Attribute) and node.attr in ("svc_h", "svc_l", "eb")
+             or isinstance(node, ast.Compare) and any(
+                 isinstance(x, ast.Constant) and x.value in ("H", "L")
+                 for x in (node.left, *node.comparators))]
+    funcs = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    found += [(node.lineno, ast.unparse(node)) for name in ("qlen_gf", "_little")
+              for node in ast.walk(funcs[name])
+              if isinstance(node, ast.Attribute) and node.attr == "cleared"]
+    assert found == []

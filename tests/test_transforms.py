@@ -6,9 +6,10 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from zoo import example1, published_models, random_model, single_vacation_queue
-from priopoll import (Analyzer, DISCIPLINES, EXHAUSTIVE, GATED, MIXED,
+from zoo import drawn_models, example1, published_models, random_model, single_vacation_queue
+from priopoll import (Analyzer, DISCIPLINES, EXHAUSTIVE, GATED, MIXED, PollingModel,
                       TransformHandle, UnsupportedEvaluation, lst_moment)
 
 
@@ -281,14 +282,65 @@ def test_cross_moment_deterministic_intervisit_factorizes():
 def test_qlen_gf_normalization_and_means(ex1):
     assert ex1.qlen_gf(0, "H", 1.0) == 1.0
     assert ex1.qlen_gf(0, "L", 1.0) == 1.0
-    # derivative at z=1 equals the mean count (Little's law values)
-    h = 1e-6
-    num_h = (1.0 - ex1.qlen_gf(0, "H", 1.0 - h)) / h
-    assert num_h == pytest.approx(ex1.mean_qlen(0, "H"), rel=1e-4)
-    num_l = (1.0 - ex1.qlen_gf(0, "L", 1.0 - h)) / h
-    assert num_l == pytest.approx(ex1.mean_qlen(0, "L"), rel=1e-4)
+    # Little's law values; test_qlen_gf_slope_at_one_is_littles_law holds
+    # the GF's slope at z = 1 to them
     assert ex1.mean_qlen(0, "H") == pytest.approx(0.2 * (2.338033 + 1.0), rel=1e-5)
     assert ex1.mean_qlen(0, "L") == pytest.approx(0.4 * (14.574575 + 1.25), rel=1e-5)
+
+
+def test_qlen_gf_slope_at_one_is_littles_law():
+    # the slope of qlen_gf at z = 1 is E(N), which mean_qlen reads as lam
+    # (E(W) + E(B)) from the exact mean wait and the period mean, at every
+    # class of the published models.  D(h) = (1 - G(1 - h))/h is E(N) less
+    # h E(N(N-1))/2 + O(h^2) (up to 4.4e-5 relative off at h = 1e-6), and
+    # 2 D(h) - D(2h) drops the O(h) term.  At h = 2^-20 it reads at most
+    # 2.6e-9 relative off over the 54 classes: the h^2 term, 2.9e-7 at h = 1e-5.  G's rounding,
+    # about 1e-16 absolute, adds at most 2.5e-16/(h E(N)) < 4e-10 (E(N) >= 0.67)
+    h = 2.0 ** -20  # 1 - h and 1 - 2h are exact
+    for label, model in published_models().items():
+        a = Analyzer(model)
+        for i, qt in enumerate(a.queues):
+            for _, cls, _, _ in qt.q.classes:
+                d1, d2 = ((1.0 - a.qlen_gf(i, cls, 1.0 - s)) / s for s in (h, 2.0 * h))
+                assert 2.0 * d1 - d2 == pytest.approx(a.mean_qlen(i, cls), rel=1e-8), \
+                    (label, i, cls)
+
+
+def _queue_values(a, i):
+    # at queue i of analyzer a: lst of every available transform at half
+    # its range (of the queue's total rate where the range is infinite), and
+    # qlen_gf of each class at z = 0.5
+    qt = a.queues[i]
+    out = {cls: a.qlen_gf(i, cls, 0.5) for _, cls, _, _ in qt.q.classes}
+    for name in _TRANSFORMS:
+        top = _or_none(qt.omega_max, name)
+        if top is not None:
+            out[name] = a.lst(i, name, 0.5 * (top if top < math.inf else qt.lam_h + qt.lam_l))
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(drawn_models(max_n=5, max_load=0.95), st.integers(1, 4))
+def test_rotating_the_queues_moves_each_transform_with_its_queue(model, k):
+    # renumbering the queues cyclically by k, with their switch-overs, moves
+    # every lst and qlen_gf value with its queue.  Checked at the queue
+    # that each numbering sweeps first, where a sweep that treats queue 0 or
+    # the wrap-around specially shows.  Only the order of the sweeps
+    # changes, and so the rounding.  Every value is 1 - a complement, or a
+    # product of two, and its rounding is absolute: a difference of
+    # complements divided by w E(C) or w E(I) amplifies it, and relative to
+    # a small LST it reads up to 250 x 2^-53.  Over 360 draws at every queue
+    # the worst absolute move was 18 x 2^-53; the bound is 64 x 2^-53
+    n, k = model.n, k % model.n
+    a = Analyzer(model)
+    b = Analyzer(PollingModel(model.queues[k:] + model.queues[:k],
+                              model.switchovers[k:] + model.switchovers[:k]))
+    for i, j in ((0, (n - k) % n), (k, 0)):  # queue i of model is queue j of b
+        expected, got = _queue_values(a, i), _queue_values(b, j)
+        assert got.keys() == expected.keys()
+        for key, value in got.items():
+            assert value == pytest.approx(expected[key], rel=0.0, abs=64 * 2.0 ** -53), (i, key)
 
 
 def test_low_class_qlen_gf_reduces_to_gated_when_high_removed():
