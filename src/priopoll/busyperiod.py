@@ -6,14 +6,17 @@ equivalent complement form u = 1 - pi,
 
     u <- betac(omega + lam*u),        betac = 1 - beta,
 
-which starts from u = 0 (pi = 1), increases monotonically to the root in
-(0, 1], and keeps full relative precision for small omega where 1 - pi is
-tiny.  Successive substitution is a global contraction with factor
-lam*E(B) < 1, which ``BusyPeriod`` checks on construction, so any warm
+which starts from u = 0 (pi = 1) and increases monotonically to the root in
+(0, 1].  Successive substitution is a global contraction with factor
+q = lam*E(B) < 1, which ``BusyPeriod`` checks on construction, so any warm
 start in [0, 1] converges, each step smaller than the one before; the
 iteration stops at the first step that is not, where rounding has taken
-over.  A low-priority service extended by high-priority busy periods (the
-completion time) is composed from these by ``QueueTransforms``.
+over.  At small omega a step shrinks by only 1 - q of itself, so that stop
+is about 2^-53/(1 - q)^2 relative from the root: for an Exp(1) service at
+most 2.6 times that for q from 0.3 to 0.999 (2e-10 at 0.999), which every
+transform read through a busy period inherits.  A low-priority service
+extended by high-priority busy periods (the completion time) is composed
+from these by ``QueueTransforms``.
 """
 
 from __future__ import annotations
@@ -64,8 +67,9 @@ class BusyPeriod:
     ``lst_complement(omega)`` returns 1 - pi(omega) for 0 <= omega < inf
     and raises ValueError otherwise; an optional warm start (a complement
     value from a nearby argument) cuts the iteration count when the
-    transform is evaluated along a slowly varying path.  ``moment(k)`` is
-    exact for k <= 3.
+    transform is evaluated along a slowly varying path; the float
+    transforms also need it for their accuracy
+    (``GfEvaluator.period_complements``).  ``moment(k)`` is exact for k <= 3.
     """
 
     def __init__(self, service: Distribution, lam: float, *more):

@@ -15,7 +15,6 @@ Exit codes: 0 ok, 1 I/O, schema or parameter error, 2 unstable model,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import math
 import sys
@@ -100,7 +99,7 @@ def cmd_compare(args) -> int:
     for combo in itertools.product(DISCIPLINES, repeat=len(flagged)):
         variant = model
         for i, disc in zip(flagged, combo):
-            variant = variant.replace_discipline(i, disc)
+            variant = variant.replace_queue(i, discipline=disc)
         label = "+".join(combo)
         analyzer = Analyzer(variant)
         rep = analyzer.report()
@@ -149,10 +148,8 @@ def cmd_sweep(args) -> int:
             if lam_l <= 0.0:
                 lines.append(f"{param},{qi + 1},{x:.6g},{disc},")
                 continue
-            queues = list(model.queues)
-            queues[qi] = dataclasses.replace(base, lambda_high=lam_h, lambda_low=lam_l,
-                                             discipline=disc)
-            analyzer = Analyzer(dataclasses.replace(model, queues=tuple(queues)))
+            analyzer = Analyzer(model.replace_queue(qi, lambda_high=lam_h, lambda_low=lam_l,
+                                                    discipline=disc))
             wl = analyzer.mean_wait(qi, "L")
             lines.append(f"{param},{qi + 1},{x:.6g},{disc},{wl:.6g}")
     _emit("\n".join(lines) + "\n", args)

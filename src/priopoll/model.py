@@ -115,10 +115,10 @@ class PollingModel:
     def n(self) -> int:
         return len(self.queues)
 
-    def replace_discipline(self, i: int, discipline: str) -> "PollingModel":
-        """Copy of the model with queue i's discipline swapped."""
+    def replace_queue(self, i: int, **changes) -> "PollingModel":
+        """Copy of the model with queue i's QueueSpec fields replaced."""
         queues = list(self.queues)
-        queues[i] = replace(queues[i], discipline=discipline)
+        queues[i] = replace(queues[i], **changes)
         return replace(self, queues=tuple(queues))
 
 

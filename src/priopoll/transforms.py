@@ -52,8 +52,8 @@ __all__ = ["QueueTransforms"]
 class QueueTransforms:
     """Transforms of one queue in a validated model.
 
-    Parameters come from the owning analyzer: the shared GfEvaluator, the
-    derived rates, and the queue index.
+    Parameters come from the owning analyzer: the shared GfEvaluator ``gf``,
+    whose ``derived`` rates it reads, and the queue index ``i``.
     """
 
     def __init__(self, gf, i: int):

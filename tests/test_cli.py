@@ -191,17 +191,14 @@ def test_schema_error_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("rate", ["NaN", "-0.1"])
-def test_bad_rate_exit_code(rate, tmp_path):
+def test_bad_rate_exit_code(rate, tmp_path, capsys):
     cfg = json.loads((DATA / "example1.json").read_text())
     cfg["queues"][0]["lambda_low"] = "RATE"
     path = tmp_path / "bad_rate.json"
     path.write_text(json.dumps(cfg).replace('"RATE"', rate))
-    proc = subprocess.run(
-        [sys.executable, "-m", "priopoll.cli", "analyze", "--model", str(path)],
-        capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error:")
-    assert "Traceback" not in proc.stderr
+    code = cli.main(["analyze", "--model", str(path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 @pytest.mark.parametrize("field,text", [
@@ -222,17 +219,14 @@ def test_bad_rate_exit_code(rate, tmp_path):
 ], ids=["rate-list", "rate-bool", "shape-2.7", "shape-str", "shape-bool", "shape-inf",
         "probs-scalar", "value-list", "family-list", "service-str", "params-list",
         "params-missing", "service-null", "discipline-unknown"])
-def test_malformed_model_exit_code(field, text, tmp_path):
+def test_malformed_model_exit_code(field, text, tmp_path, capsys):
     cfg = json.loads((DATA / "example1.json").read_text())
     cfg["queues"][0][field] = "VALUE"
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(cfg).replace('"VALUE"', text))
-    proc = subprocess.run(
-        [sys.executable, "-m", "priopoll.cli", "analyze", "--model", str(path)],
-        capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error:")
-    assert "Traceback" not in proc.stderr
+    code = cli.main(["analyze", "--model", str(path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 _EXP = {"family": "exponential", "params": {"mean": 1.0}}
@@ -248,15 +242,12 @@ _QUEUE = {"lambda_low": 0.2, "service_low": _EXP}
     {"queues": [_QUEUE], "switchovers": [_EXP, _EXP]},
 ], ids=["not-an-object", "no-queues-key", "empty-queues", "switchovers-object",
         "queue-number", "switchover-count"])
-def test_malformed_model_document_exit_code(cfg, tmp_path):
+def test_malformed_model_document_exit_code(cfg, tmp_path, capsys):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(cfg))
-    proc = subprocess.run(
-        [sys.executable, "-m", "priopoll.cli", "analyze", "--model", str(path)],
-        capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error:")
-    assert "Traceback" not in proc.stderr
+    code = cli.main(["analyze", "--model", str(path)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 @pytest.mark.parametrize("command", [["analyze"], ["check"], ["compare", "--queues", "1"]])
@@ -271,19 +262,18 @@ def test_zero_mean_service_exit_code(command, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: class H has arrivals but a zero-mean")
 
 
-def test_mixed_queue_without_low_class_exit_code(tmp_path):
+def test_mixed_queue_without_low_class_exit_code(tmp_path, capsys):
     cfg = {"queues": [{"lambda_high": 0.3, "discipline": "mixed_ge",
                        "service_high": {"family": "exponential",
                                         "params": {"mean": 1.0}}}],
            "switchovers": [{"family": "deterministic", "params": {"value": 10.0}}]}
     path = tmp_path / "high_only.json"
     path.write_text(json.dumps(cfg))
-    proc = subprocess.run(
-        [sys.executable, "-m", "priopoll.cli", "analyze", "--model", str(path)],
-        capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[1].startswith("1,H,mixed_ge,5.42857,")
-    assert proc.stderr == ""
+    code = cli.main(["analyze", "--model", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.out.splitlines()[1].startswith("1,H,mixed_ge,5.42857,")
+    assert captured.err == ""
 
 
 def test_missing_file_exit_code(capsys):

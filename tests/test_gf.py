@@ -1,6 +1,5 @@
 """Visit-beginning GF: normalization, monotonicity, first-moment identities."""
 
-import dataclasses
 import itertools
 import math
 import time
@@ -298,9 +297,7 @@ def test_guard_sits_where_rounding_reaches_1e_6():
     # example1 at rho = 1 - 1e-10 (the exit-3 model of the CLI tests) is
     # past the guard, and at a gap of 1.2e-10 it is not
     for low, refused in ((0.5999999999, True), (0.59999999988, False)):
-        model = example1()
-        model = dataclasses.replace(model, queues=(
-            dataclasses.replace(model.queues[0], lambda_low=low),) + model.queues[1:])
+        model = example1().replace_queue(0, lambda_low=low)
         gap = 1.0 - validate(model).rho_total
         assert (2.0 ** -53 / gap > 1e-6) == refused
         if refused:

@@ -190,10 +190,15 @@ def test_non_numeric_rates_rejected(rate):
         model_from_config(cfg)
 
 
-def test_replace_discipline():
-    m = example1("gated").replace_discipline(0, "exhaustive")
-    assert m.queues[0].discipline == "exhaustive"
-    assert m.queues[1].discipline == "gated"
+def test_replace_queue():
+    m = example1("gated").replace_queue(0, discipline="exhaustive", lambda_low=0.1)
+    assert (m.queues[0].discipline, m.queues[0].lambda_low) == ("exhaustive", 0.1)
+    assert m.queues[0].lambda_high == example1().queues[0].lambda_high
+    assert m.queues[1:] == example1("gated").queues[1:]
+    assert m.switchovers == example1().switchovers
+    # the replaced queue is checked as a new one is
+    with pytest.raises(NonpositiveParameter):
+        m.replace_queue(1, lambda_high=0.1)
 
 
 @pytest.mark.parametrize("module", ["analytic", "gf", "transforms", "sim", "busyperiod",

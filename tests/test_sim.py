@@ -339,10 +339,10 @@ def test_kernel_is_compiled_once_per_structure():
                 QueueSpec(0.0, 0.3, None, Deterministic(1.0), GATED)),
         switchovers=(Hyperexponential((0.3, 0.7), (0.5, 2.0)), Deterministic(2.0)))
     run(other, seed=1, n_cycles=50)
-    run(other.replace_discipline(1, MIXED), seed=1, n_cycles=50)
+    run(other.replace_queue(1, discipline=MIXED), seed=1, n_cycles=50)
     assert _kernel.cache_info()[:2] == (2, 1)  # hits, misses
-    high = dataclasses.replace(other.queues[1], lambda_high=0.1, service_high=Exponential(1.0))
-    run(PollingModel((other.queues[0], high), other.switchovers), seed=1, n_cycles=50)
+    run(other.replace_queue(1, lambda_high=0.1, service_high=Exponential(1.0)), seed=1,
+        n_cycles=50)
     assert _kernel.cache_info()[:2] == (2, 2)
 
 
