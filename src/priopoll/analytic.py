@@ -2,12 +2,12 @@
 
 The Analyzer wraps one model with a shared GF evaluator, which validates it
 and checks its service and switch-over moments; ``pcl_check`` goes through
-an Analyzer too.  Every mean and variance rests on the exact factorial moments of the polling state
-at visit beginnings (``GfEvaluator.moments`` up to order two and
-``third_moments``, each solved once per model, the latter only when a
-variance asks for it and only on each queue's distinct spans), from which it
-also reads the cycle, intervisit and visit second moments and the
-polling-state cross moment.
+an Analyzer too.  Every mean and variance rests on the exact factorial
+moments of the polling state at visit beginnings (``GfEvaluator.moments``
+up to order two and ``third_moments``, each solved once per model and kept
+by the evaluator, the latter only when a variance asks for it and only on
+each queue's distinct spans), from which it also reads the cycle,
+intervisit and visit second moments and the polling-state cross moment.
 
 Each class's waiting-time LST is written once, in
 ``QueueTransforms.wait_high`` and ``wait_low``, and read here as one power
@@ -30,7 +30,6 @@ import io
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import OutOfRange, UnsupportedEvaluation
 from .gf import GfEvaluator
@@ -127,19 +126,6 @@ class Analyzer:
 
     # --------------------------------------------------------- period moments
 
-    @cached_property
-    def _states(self) -> list:
-        """``GfEvaluator.moments``: per queue, the state (m, f) at its visit
-        beginning, solved once per model."""
-        return self.gf.moments()
-
-    @cached_property
-    def _thirds(self) -> list:
-        """``GfEvaluator.third_moments``: per queue, the third moments of the
-        spans of its two classes, solved once per model when a variance
-        first asks for them."""
-        return self.gf.third_moments(self._states)
-
     def cycle_m2(self, i: int) -> float:
         """E(C^2) of the cycle starting at queue i's visit beginning: the span
         of the classes the visit keeps."""
@@ -155,12 +141,12 @@ class Analyzer:
         available where its transform is (``omega_max`` raises elsewhere)."""
         self.queues[i].omega_max(name)
         k = 2 * i + classes[0]
-        return self._states[i][1][k][k]
+        return self.gf.moments[i][1][k][k]
 
     def visit_m2(self, i: int) -> float:
         """E(V^2): the visit is the sum of one period T_c per class-c customer
         present at its beginning."""
-        m, f = self._states[i]
+        m, f = self.gf.moments[i]
         (a_h, a_l), (b_h, b_l), _ = self.gf.period_rates[i]
         k = 2 * i
         return (b_h * m[k] + b_l * m[k + 1] + a_h * a_h * f[k][k]
@@ -171,7 +157,7 @@ class Analyzer:
         qt = self.queues[i]
         if len(qt.q.classes) < 2:
             raise UnsupportedEvaluation("cross moment needs both classes present")
-        cross = qt.lam_h * qt.lam_l * self._states[i][1][2 * i][2 * i + 1]
+        cross = qt.lam_h * qt.lam_l * self.gf.moments[i][1][2 * i][2 * i + 1]
         if not math.isfinite(cross):
             raise OutOfRange(f"queue {i + 1}: the cross moment {cross!r} does not fit in a float")
         return cross
@@ -228,16 +214,13 @@ class Analyzer:
         the distinct spans (``GfEvaluator.spans``): where both coordinates
         span one period S it is 1 - E exp(-(alpha + beta) S), read from E(S),
         E(S^2) and E(S^3).  Only the omega^3 term reads the third moments."""
-        m, f = self._states[i]
+        m, f = self.gf.moments[i]
         # E(L_s L_u ...) for L_s the omega^s coefficient of the exponent,
-        # a combination of the spans at coordinates k
-        if self.gf.spans[i][1]:
-            k = (2 * i, 2 * i + 1)
-            w = list(zip(alpha[1:], beta[1:]))
-        else:
-            k = (2 * i,)
-            w = [(a + b,) for a, b in zip(alpha[1:], beta[1:])]
-        idx = range(len(k))
+        # a combination of the p spans at coordinates k
+        p = self.gf.spans[i]
+        k = (2 * i, 2 * i + 1)
+        w = [(a, b) if p == 2 else (a + b,) for a, b in zip(alpha[1:], beta[1:])]
+        idx = range(p)
 
         def e1(u):
             return sum(u[a] * m[k[a]] for a in idx)
@@ -247,8 +230,8 @@ class Analyzer:
 
         out = _Series([0.0, e1(w[0]), e1(w[1]) - e2(w[0], w[0]) / 2.0])
         if len(w) > 2:
-            t = self._thirds[i]
-            e3 = sum(w[0][a] * w[0][b] * w[0][c] * t[a][b][c]
+            t = self.gf.third_moments[i]
+            e3 = sum(w[0][a] * w[0][b] * w[0][c] * t[(a * p + b) * p + c]
                      for a in idx for b in idx for c in idx)
             out.append(e1(w[2]) - e2(w[0], w[1]) + e3 / 6.0)
         return out

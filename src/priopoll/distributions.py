@@ -160,14 +160,15 @@ class Erlang(Distribution):
 
 @dataclass(frozen=True)
 class Hyperexponential(Distribution):
-    """Probabilistic mixture of exponentials: branch j with prob p_j, mean m_j."""
+    """Probabilistic mixture of exponentials: branch j with prob p_j, mean m_j.
+    The parameters keep their type, so exact ones give exact moments."""
 
     probs: tuple
     means: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
-        object.__setattr__(self, "means", tuple(float(m) for m in self.means))
+        object.__setattr__(self, "probs", tuple(self.probs))
+        object.__setattr__(self, "means", tuple(self.means))
         _require(len(self.probs) == len(self.means) and len(self.probs) >= 1,
                  "hyperexponential needs matching, nonempty probs and means")
         _require(all(p > 0.0 for p in self.probs), "branch probabilities must be > 0")

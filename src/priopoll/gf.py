@@ -74,14 +74,17 @@ class GfEvaluator:
     """Evaluates the visit-beginning GF of a polling model, which it
     validates (``derived``).
 
-    The constructor is where the analytic engine reads the service and
-    switch-over moments, and it raises ``OutOfRange`` when one is not finite,
-    so that every layer built on it reads only finite input moments.
+    The constructor checks the service and switch-over moments up to order
+    three and raises ``OutOfRange`` when one is not finite, so that every
+    layer built on it, which may read them again, reads only finite input
+    moments.
 
-    All methods are pure; per-call scratch state only, so instances may be
-    shared across threads.  The attributes built on first use (``_periods``,
-    ``_sigma_c``) are the same whichever thread builds them.  ``_MAX_CYCLES``
-    bounds ``log_value`` alone; the moments are bounded by the load guard.
+    ``moments`` and ``third_moments`` are solved on first read and kept, as
+    are ``_periods`` and ``_sigma_c``, which the transforms read.  Each is
+    the same whichever thread builds it, and every method keeps its scratch
+    state per call, so instances may be shared across threads.
+    ``_MAX_CYCLES`` bounds ``log_value`` alone; the moments are bounded by
+    the load guard.
     """
 
     def __init__(self, model: PollingModel):
@@ -96,8 +99,7 @@ class GfEvaluator:
         self._keep = []
         # the span rule: two of a queue's coordinates count arrivals over one
         # span exactly when its visit keeps both or clears both.  Per queue,
-        # the span of its high and low class, numbered so that span s is read
-        # at class s's coordinate: (0, 0) for one span, (0, 1) for two
+        # its number p of distinct spans, span s read at class s's coordinate
         self.spans = []
         # each class's rate and service moments E(B), E(B^2), E(B^3), and
         # each switch-over's moments, read once
@@ -126,7 +128,7 @@ class GfEvaluator:
             self.period_rates.append(tuple(map(tuple, rates)))
             keep = [float(k not in self._cleared[j]) for k in range(2 * n)]
             self._keep.append(keep)
-            self.spans.append((0, int(keep[2 * j] != keep[2 * j + 1])))
+            self.spans.append(1 + (keep[2 * j] != keep[2 * j + 1]))
         # the cycle's mean map P = U W and the visit times' map M = W U, which
         # both moment orders use
         self._u, self._w = self._factors()
@@ -243,7 +245,8 @@ class GfEvaluator:
 
     # ------------------------------------------------------------ moments
 
-    def moments(self):
+    @cached_property
+    def moments(self) -> list:
         """Exact first and second factorial moments of the state at every
         visit beginning, divided by the arrival rates: per queue i a pair
         (m, f) with ``m[k] = E(X_k)/lam_k`` and ``f[k][l] = E(X_k (X_l -
@@ -262,8 +265,9 @@ class GfEvaluator:
         with Q = sum_k M^k W R W^T (M^T)^k, M = W U, summed by
         ``_power_series`` on the N^2 entries of Q.
 
-        Raises IllConditioned when 2^-53/(1 - rho) passes ``_GUARD`` (see the
-        module docstring), before any work.
+        Solved on first read and kept.  Raises IllConditioned when
+        2^-53/(1 - rho) passes ``_GUARD`` (see the module docstring), before
+        any work.
         """
         rho = self.derived.rho_total
         bound = 2.0 ** -53 / (1.0 - rho)
@@ -285,11 +289,13 @@ class GfEvaluator:
               for k, row in enumerate(r)]
         return self._cycle(m0, f0)[:-1]
 
-    def third_moments(self, states: list) -> list:
+    @cached_property
+    def third_moments(self) -> list:
         """Exact third factorial moments of the state at every visit
-        beginning, divided by the rates, given the states (m, f) that
-        ``moments()`` returns: per queue i the 2 x 2 x 2 block ``t[a][b][c] =
-        E(S_a S_b S_c)`` of the spans of its two classes (0 high, 1 low).
+        beginning, divided by the rates: per queue i the flat p^3 list of
+        E(S_a S_b S_c) over its p = ``spans[i]`` distinct spans (0 high, 1
+        low), entry (a, b, c) at (a p + b) p + c.  Solved on first read from
+        ``moments`` and kept.
 
         A visit maps the spans s to S s + keep D, where D, centred given s,
         has variance and third moment sum_c lam_c E(T_c^k) s_c (k = 2, 3), so
@@ -301,22 +307,19 @@ class GfEvaluator:
         read through rows pulled back over the visits (``_project``): W^(x3)
         r over one cycle, and queue i's block from one unit row per distinct
         span (``spans``) over the visits since queue 0's, then U^(x3) q, then
-        the cycle before.  Where both classes share a span, its one entry
-        fills the block.
+        the cycle before.
         """
         n = self.n
         u = self._u
         latest_first = range(n - 1, -1, -1)
-        _, wr = self._project(self._w, [0.0] * n**3, latest_first, states)
+        _, wr = self._project(self._w, [0.0] * n**3, latest_first)
         q = self._series(wr, 3)
         out = []
-        for i, span in enumerate(self.spans):
-            p = span[1] + 1
+        for i, p in enumerate(self.spans):
             h = [[float(k == l) for l in range(2 * n)] for k in range(2 * i, 2 * i + p)]
-            h, t = self._project(h, [0.0] * p**3, range(i - 1, -1, -1), states)
+            h, t = self._project(h, [0.0] * p**3, range(i - 1, -1, -1))
             t = [x + y for x, y in zip(t, _cube(_product(h, u), q, 3))]
-            t = self._project(h, t, latest_first, states)[1]
-            out.append([[[t[(a * p + b) * p + c] for c in span] for b in span] for a in span])
+            out.append(self._project(h, t, latest_first)[1])
         return out
 
     def _series(self, r: list, k: int) -> list:
@@ -329,7 +332,7 @@ class GfEvaluator:
                 f"doubling steps (load {self.derived.rho_total:.6g})")
         return t
 
-    def _project(self, h: list, t: list, visits, states: list) -> tuple:
+    def _project(self, h: list, t: list, visits) -> tuple:
         """Adds the contributions of ``visits`` (latest first) to t as seen
         through the p rows h, pulling h back through each visit in turn: t +=
         h^(x3) c_j, then h <- h S_j.  t is a flat p^3 list, entry (a, b, c)
@@ -337,16 +340,18 @@ class GfEvaluator:
         contribution is symmetric, so the fibres a <= b are computed and
         copied to b, a.
 
-        Visit j's contribution, from its beginning state (m, f) = states[j],
-        is c_j = sym(keep keep w) + d3 keep^3 + es sym(f' 1) + es2 sym(y 1 1)
-        + es3 1^3, with w = S f b, y = S m, f' = S f S^T + spread keep keep^T,
-        spread = b . m and d3 = c . m on queue j's coordinates (b, c the
-        ``period_rates`` of order 2 and 3) and the switch-over moments es.
+        Visit j's contribution, from its beginning state (m, f) =
+        ``moments[j]``, is c_j = sym(keep keep w) + d3 keep^3 + es sym(f' 1) +
+        es2 sym(y 1 1) + es3 1^3, with w = S f b, y = S m, f' = S f S^T +
+        spread keep keep^T, spread = b . m and d3 = c . m on queue j's
+        coordinates (b, c the ``period_rates`` of order 2 and 3) and the
+        switch-over moments es.
         So h^(x3) c_j needs no tensor: only h keep, h 1 and, through the
         pulled-back rows h S, h w = (h S) f b, h y = (h S) m and h f' h^T =
         (h S) f (h S)^T + spread (h keep)(h keep)^T (f is symmetric).
         """
         p = len(h)
+        states = self.moments
         for j in visits:
             m, f = states[j]
             keep = self._keep[j]

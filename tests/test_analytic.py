@@ -10,7 +10,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from zoo import (drawn_golden_models, drawn_models, example1, example2, heavy_traffic,
                  huge_switchover, published_models, random_model, single_vacation_queue,
@@ -240,6 +240,58 @@ def test_rotating_the_queues_moves_each_report_number_with_its_queue(model, k):
                   "visit_m2", "cross_moment"):
             assert moved(getattr(p, f), getattr(s, f), 16), (p.queue, f)
     assert moved(a.pcl_lhs, b.pcl_lhs, 16) and moved(a.pcl_rhs, b.pcl_rhs, 16)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(drawn_models(max_n=5, max_load=0.95), st.integers(0, 4), st.floats(0.05, 0.95))
+def test_splitting_a_class_leaves_the_queue_and_the_others_as_they_were(model, j, share):
+    # a gated or exhaustive visit and the number present at queue j do not
+    # depend on the order of service, so splitting queue j's one class into
+    # a high and a low class with its service, at rates share and 1 - share
+    # of its rate, keeps the rate-weighted mean wait at j, every queue's
+    # period moments and every other queue's numbers.  A mixed visit
+    # changes with the split and is left out.  The merged class carries
+    # the drawn queue's load on one of its services.  As for the rotation,
+    # only the rounding moves, amplified by 1/(1 - rho): over 1000 draws the
+    # worst relative move was 6.4 x 2^-53/(1 - rho) for the weighted wait,
+    # 5.5 x for period moments and pcl sides and 3.4 x for the other
+    # queues' means and queue lengths (bound 16), and 25 x for their
+    # variances (bound 64), which lose the digits E(W^2) and E(W)^2 share.
+    # Queue j's class queue lengths are not compared: under exhaustive
+    # service the low class's period is the completion time, which counts
+    # the highs that overtake it
+    j %= model.n
+    q = model.queues[j]
+    assume(q.discipline != MIXED)
+    svc = q.service_high or q.service_low
+    lam = sum(rate * d.mean for _, _, rate, d in q.classes) / svc.mean
+    merged = model.replace_queue(j, lambda_high=lam, lambda_low=0.0,
+                                 service_high=svc, service_low=None)
+    split = model.replace_queue(j, lambda_high=share * lam, lambda_low=(1.0 - share) * lam,
+                                service_high=svc, service_low=svc)
+    scale = (1.0 - validate(merged).rho_total) / 2.0 ** -53
+    a, b = Analyzer(merged).report(), Analyzer(split).report()
+
+    def kept(x, y, bound):
+        assert (x is None) == (y is None)
+        return x is None or abs(y - x) <= bound * abs(x) / scale
+
+    rows = {(r.queue, r.cls): r for r in b.classes}
+    assert len(rows) == len(a.classes) + 1
+    for r in a.classes:
+        if r.queue == j:
+            weighted = share * rows[(j, "H")].mean_wait + (1.0 - share) * rows[(j, "L")].mean_wait
+            assert kept(r.mean_wait, weighted, 16)
+            continue
+        s = rows[(r.queue, r.cls)]
+        assert kept(r.mean_wait, s.mean_wait, 16) and kept(r.mean_qlen, s.mean_qlen, 16)
+        assert kept(r.var_wait, s.var_wait, 64), (r.queue, r.cls)
+    for p, s in zip(a.periods, b.periods):
+        for f in ("cycle_m1", "cycle_m2", "intervisit_m1", "intervisit_m2", "visit_m1",
+                  "visit_m2", "cross_moment"):
+            assert kept(getattr(p, f), getattr(s, f), 16), (p.queue, f)
+    assert kept(a.pcl_lhs, b.pcl_lhs, 16) and kept(a.pcl_rhs, b.pcl_rhs, 16)
 
 
 def test_report_mixed_queue_without_low_class():

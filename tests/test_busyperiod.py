@@ -7,8 +7,9 @@ import pytest
 from oracles import busy_period_by_bisection
 from zoo import single_vacation_queue
 from priopoll import (MIXED, Analyzer, BusyPeriod, Deterministic, Erlang, Exponential,
-                      NonpositiveParameter, PollingModel, QueueSpec, TransformHandle,
-                      Uniform, UnstableSystem, lst_moment)
+                      NoConvergence, NonpositiveParameter, PollingModel, PriopollError,
+                      QueueSpec, TransformHandle, Uniform, UnstableSystem, lst_moment)
+from priopoll import busyperiod
 from priopoll.busyperiod import _solve_complement
 
 # root of pi = (1 + 0.5 + 0.5*(1 - pi))^(-1), i.e. 0.5 pi^2 - 2 pi + 1 = 0
@@ -74,6 +75,16 @@ def test_fixed_point_stops_on_a_rounding_two_cycle():
     assert got == pytest.approx(oracle, rel=1e-13)
     assert len(steps) < 100
     assert BusyPeriod(dist, 0.4).lst_complement(0.1) == got
+
+
+def test_step_cap_raises_no_convergence(monkeypatch):
+    # the step cap is a time bound: at q = 0.999, w = 1e-9 a cold solve
+    # takes 22262 steps, so a cap of 1000 cuts it short with a typed error
+    # that names the cap
+    monkeypatch.setattr(busyperiod, "_CAP", 1000)
+    with pytest.raises(NoConvergence, match="after 1000 steps") as info:
+        BusyPeriod(Exponential(1.0), 0.999).lst_complement(1e-9)
+    assert isinstance(info.value, PriopollError)
 
 
 def test_mean_busy_period():

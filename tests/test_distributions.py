@@ -103,6 +103,23 @@ def test_degenerate_hyperexponential_is_exponential():
     assert abs(hyper.sample_block(rng, 10**5).mean() - 0.5) < 0.01
 
 
+def test_hyperexponential_keeps_its_parameters_type():
+    # exact parameters give exact moments: 2/5 and 3/5 of means 1/2 and 3/2
+    hyper = Hyperexponential((Fraction(2, 5), Fraction(3, 5)), (Fraction(1, 2), Fraction(3, 2)))
+    assert [hyper.moment(k) for k in (1, 2, 3)] == \
+        [Fraction(11, 10), Fraction(29, 10), Fraction(249, 20)]
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        hyper = Hyperexponential((mpmath.mpf(2) / 5, mpmath.mpf(3) / 5),
+                                 (mpmath.mpf(1) / 2, mpmath.mpf(3) / 2))
+        assert isinstance(hyper.moment(3), mpmath.mpf)
+        assert abs(hyper.moment(3) - mpmath.mpf(249) / 20) < mpmath.mpf(10) ** -48
+    # and an int-built instance is the float-built one
+    ints, floats = Hyperexponential((1,), (2,)), Hyperexponential((1.0,), (2.0,))
+    assert ints == floats and hash(ints) == hash(floats)
+    assert [ints.moment(k) for k in (1, 2, 3)] == [floats.moment(k) for k in (1, 2, 3)]
+
+
 @pytest.mark.parametrize("dist", ALL, ids=lambda d: type(d).__name__)
 def test_sampling_matches_first_two_moments(dist):
     rng = np.random.default_rng(123)

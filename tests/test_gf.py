@@ -192,7 +192,7 @@ def test_moments_are_the_cycle_fixed_point(name):
     # one cycle of visit maps carries queue 0's (m, f) to itself, and every
     # queue's entry is the image of the previous one
     gf = GfEvaluator(MOMENT_MODELS[name])
-    states = gf.moments()
+    states = gf.moments
     images = gf._cycle(*states[0])
     for (m, f), (m_img, f_img) in zip(states + states[:1], images):
         assert m_img == pytest.approx(m, rel=1e-13)
@@ -204,17 +204,31 @@ def test_means_only_report_at_32_queues():
     # order 1 in closed form and order 2 summed on N^2 entries: the
     # means-only report at N = 32 takes well under a second, and its states
     # are the one-cycle fixed point
-    model = _baseline_family(32, 0.6)
+    analyzer = Analyzer(_baseline_family(32, 0.6))
     start = time.perf_counter()
-    report = Analyzer(model).report(include_variances=False)
+    report = analyzer.report(include_variances=False)
     assert time.perf_counter() - start < 1.0
     assert len(report.classes) == 64 and report.pcl_residual < 1e-9
-    gf = GfEvaluator(model)
-    states = gf.moments()
+    gf = analyzer.gf
+    states = gf.moments
     for (m, f), (m_img, f_img) in zip(states + states[:1], gf._cycle(*states[0])):
         assert m_img == pytest.approx(m, rel=1e-12)
         for row, row_img in zip(f, f_img):
             assert row_img == pytest.approx(row, rel=1e-12)
+
+
+def test_evaluator_keeps_each_order_once_solved():
+    # a means-only report solves orders 1 and 2 and never order 3; a full
+    # report solves order 3 too, and the evaluator keeps both
+    analyzer = Analyzer(example1())
+    means = analyzer.report(include_variances=False)
+    assert "moments" in analyzer.gf.__dict__
+    assert "third_moments" not in analyzer.gf.__dict__
+    states = analyzer.gf.moments
+    full = analyzer.report()
+    assert "third_moments" in analyzer.gf.__dict__
+    assert analyzer.gf.moments is states
+    assert [r.mean_wait for r in full.classes] == [r.mean_wait for r in means.classes]
 
 
 @pytest.mark.parametrize("name", MOMENT_MODELS)
@@ -231,17 +245,17 @@ def test_factors_compose_the_cycle_mean_map(name):
             pytest.approx(col, rel=1e-14, abs=1e-15)
 
 
-def _two_row_block(gf, states, i):
+def _two_row_block(gf, i):
     """Queue i's third moments read through both of its unit rows, whether
     or not its coordinates share a span: flat, entry (a, b, c) at 4a + 2b + c."""
     n = gf.n
     latest_first = range(n - 1, -1, -1)
-    wr = gf._project(gf._w, [0.0] * n**3, latest_first, states)[1]
+    wr = gf._project(gf._w, [0.0] * n**3, latest_first)[1]
     q = _power_series(gf._wu, wr, 3, _STEPS)
     h = [[float(k == l) for l in range(2 * n)] for k in (2 * i, 2 * i + 1)]
-    h, t = gf._project(h, [0.0] * 8, range(i - 1, -1, -1), states)
+    h, t = gf._project(h, [0.0] * 8, range(i - 1, -1, -1))
     t = [x + y for x, y in zip(t, _cube(_product(h, gf._u), q, 3))]
-    return gf._project(h, t, latest_first, states)[1]
+    return gf._project(h, t, latest_first)[1]
 
 
 @pytest.mark.parametrize("name", MOMENT_MODELS)
@@ -251,20 +265,18 @@ def test_one_span_coordinates_agree_to_the_bit(name):
     # reading the third through one unit row gives the bits of reading
     # through both
     gf = GfEvaluator(MOMENT_MODELS[name])
-    states = gf.moments()
-    thirds = gf.third_moments(states)
+    states = gf.moments
+    thirds = gf.third_moments
     one_span = [i for i, q in enumerate(gf.model.queues) if q.discipline != MIXED]
-    assert [i for i, s in enumerate(gf.spans) if s == (0, 0)] == one_span
-    assert all(s == (0, 1) for i, s in enumerate(gf.spans) if i not in one_span)
+    assert gf.spans == [1 if i in one_span else 2 for i in range(gf.n)]
+    assert [len(t) for t in thirds] == [p**3 for p in gf.spans]
     for i in one_span:
         m, f = states[i]
         k = 2 * i
         assert m[k] == m[k + 1]
         assert f[k] == f[k + 1]
         assert [row[k] for row in f] == [row[k + 1] for row in f]
-        block = [x for mat in thirds[i] for row in mat for x in row]
-        assert block == [block[0]] * 8
-        assert _two_row_block(gf, states, i) == block
+        assert _two_row_block(gf, i) == thirds[i] * 8
 
 
 @pytest.mark.parametrize("gap", [1e-6, 1e-8, 1e-9, 2e-10, 1.2e-10])
@@ -302,7 +314,7 @@ def test_guard_sits_where_rounding_reaches_1e_6():
         assert (2.0 ** -53 / gap > 1e-6) == refused
         if refused:
             with pytest.raises(IllConditioned):
-                GfEvaluator(model).moments()
+                GfEvaluator(model).moments
         else:
             assert Analyzer(model).report(include_variances=False).pcl_residual <= 1e-6
 
@@ -336,6 +348,16 @@ def _third_moment_cycle(gf, m, f, t):
     return out
 
 
+def _span_reader(block, p):
+    """A reader of one queue's ``third_moments`` block, flat over its p
+    distinct spans, at classes a, b, c (0 high, 1 low): each class reads
+    its own span, the high one where the two share it."""
+    def read(a, b, c):
+        a, b, c = (min(x, p - 1) for x in (a, b, c))
+        return block[(a * p + b) * p + c]
+    return read
+
+
 def test_third_moments_are_the_cycle_fixed_point():
     # every queue's block equals the same block of the fixed point of the
     # full-tensor cycle map t <- P^(x3) t + r, iterated from zero without
@@ -347,7 +369,7 @@ def test_third_moments_are_the_cycle_fixed_point():
                   random_model(np.random.default_rng(11), extended_dists=True),
                   _baseline_family(5, 0.6), _single_class_queues()):
         gf = GfEvaluator(model)
-        m0, f0 = gf.moments()[0]
+        m0, f0 = gf.moments[0]
         n2 = 2 * gf.n
         t = [[[0.0] * n2 for _ in range(n2)] for _ in range(n2)]
         for _ in range(10_000):
@@ -358,16 +380,14 @@ def test_third_moments_are_the_cycle_fixed_point():
         else:
             pytest.fail("the full-tensor iteration did not settle")
         oracle = _third_moment_cycle(gf, m0, f0, t)[:-1]
-        thirds = gf.third_moments(gf.moments())
+        thirds = gf.third_moments
         assert len(thirds) == gf.n
         for i, (block, full) in enumerate(zip(thirds, oracle)):
             k = (2 * i, 2 * i + 1)
-            for a in range(2):
-                for b in range(2):
-                    for c in range(2):
-                        assert block[a][b][c] == pytest.approx(full[k[a]][k[b]][k[c]],
-                                                               rel=1e-13)
-                        assert block[a][b][c] == pytest.approx(block[c][a][b], rel=1e-13)
+            read = _span_reader(block, gf.spans[i])
+            for a, b, c in itertools.product(range(2), repeat=3):
+                assert read(a, b, c) == pytest.approx(full[k[a]][k[b]][k[c]], rel=1e-13)
+                assert read(a, b, c) == pytest.approx(read(c, a, b), rel=1e-13)
 
 
 def test_third_moments_ignore_max_cycles(monkeypatch):
@@ -378,12 +398,11 @@ def test_third_moments_ignore_max_cycles(monkeypatch):
         switchovers=(Exponential(1.0),),
     )
     free = GfEvaluator(model)
-    states = free.moments()
-    third = free.third_moments(states)
+    states, third = free.moments, free.third_moments
     monkeypatch.setattr(gf_module, "_MAX_CYCLES", 200)
     capped = GfEvaluator(model)
-    assert capped.moments() == states
-    assert capped.third_moments(states) == third
+    assert capped.moments == states
+    assert capped.third_moments == third
 
 
 def test_variances_answer_past_rho_0_99999():
@@ -422,10 +441,9 @@ def _series_source(gf, k):
     """What ``moments`` (k = 2) and ``third_moments`` (k = 3) sum over the
     visit times: W R W^T and W^(x3) r, flat."""
     n = gf.n
-    states = gf.moments()
     if k == 3:
-        return gf._project(gf._w, [0.0] * n**3, range(n - 1, -1, -1), states)[1]
-    r = gf._cycle(states[0][0], [[0.0] * 2 * n for _ in range(2 * n)])[-1][1]
+        return gf._project(gf._w, [0.0] * n**3, range(n - 1, -1, -1))[1]
+    r = gf._cycle(gf.moments[0][0], [[0.0] * 2 * n for _ in range(2 * n)])[-1][1]
     return _cube(gf._w, [x for row in r for x in row], 2)
 
 
@@ -447,7 +465,7 @@ def test_step_cap_raises_no_convergence(monkeypatch):
     gf = GfEvaluator(example2())
     monkeypatch.setattr("priopoll.gf._STEPS", 3)
     with pytest.raises(NoConvergence, match="order-2 .* within 3 doubling steps"):
-        gf.moments()
+        gf.moments
 
 
 def _cube_by_rotation(a, t, k):
@@ -508,7 +526,7 @@ def test_moments_on_drawn_models(model):
     # orders 1 and 2 are the one-cycle fixed point; for N <= 3 every queue's
     # third-moment block is the full-tensor fixed point's
     gf = GfEvaluator(model)
-    states = gf.moments()
+    states = gf.moments
     for (m, f), (m_img, f_img) in zip(states + states[:1], gf._cycle(*states[0])):
         assert m_img == pytest.approx(m, rel=1e-12)
         for row, row_img in zip(f, f_img):
@@ -516,11 +534,12 @@ def test_moments_on_drawn_models(model):
     if gf.n > 3:
         return
     full = _full_third_moments(gf, *states[0])
-    for i, (block, t) in enumerate(zip(gf.third_moments(states), full)):
+    for i, (block, t) in enumerate(zip(gf.third_moments, full)):
         k = (2 * i, 2 * i + 1)
-        for a in range(2):
-            for b in range(2):
-                assert block[a][b] == pytest.approx([t[k[a]][k[b]][x] for x in k], rel=1e-12)
+        read = _span_reader(block, gf.spans[i])
+        for a, b in itertools.product(range(2), repeat=2):
+            assert [read(a, b, c) for c in range(2)] == \
+                pytest.approx([t[k[a]][k[b]][x] for x in k], rel=1e-12)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
